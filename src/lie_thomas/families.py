@@ -1,10 +1,10 @@
 """Evaluable invariant solutions for each canonical case.
 
-Every family is a closed form (or series-plus-quadrature for Case 1) whose
-evaluator accepts floats or HyperDual points, so the same code path serves
-plotting and exact residual checks.  Where printed source formulas for a
-case disagree internally, the variant kept here is the one rederived from
-the reduced ODE; the residual tests are the arbiter.
+Every family is a closed form (or a ratio of Frobenius series for Case 1)
+whose evaluator accepts floats or HyperDual points, so the same code path
+serves plotting and exact residual checks.  Where printed source formulas
+for a case disagree internally, the variant kept here is the one rederived
+from the reduced ODE; the residual tests are the arbiter.
 
 Descriptors: ``descriptor()`` emits a JSON-able dict that rebuilds the
 family bit-for-bit through ``from_descriptor``; the sha256 digest of the
@@ -18,12 +18,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-
-from scipy.integrate import quad
 
 from .determining import ThomasParams
-from .fuchs import FuchsError, FuchsSeries, fuchs_series, zero_bracket
+from .fuchs import fuchs_series, second_solution, zero_bracket
 from .hyperdual import HyperDual, exp_, lift_with_derivatives, log_, tan_, value_of
 
 
@@ -107,7 +104,7 @@ def from_descriptor(d: dict) -> SolutionFamily:
     return builder(p, **{k: v for k, v in d["constants"].items()})
 
 
-# --- Case 1: series / quadrature assembly -----------------------------------
+# --- Case 1: Frobenius series assembly ----------------------------------------
 
 
 def case1_solution(
@@ -128,8 +125,11 @@ def case1_solution(
         f   = |chi|^e y_p^2 (g_p + c0),   g_p(chi) = int gamma |s|^(-e) y_p(s)^(-2) ds,
 
     and varsigma = (1/gamma)(log|y_p| + log|g_p + c0|) up to a constant,
-    whose chi-derivative is exactly theta.  The quadrature runs from a base
-    point inside [chi_lo, chi_hi]; both endpoints must share one sign.
+    whose chi-derivative is exactly theta.  The integral runs from a base
+    point inside [chi_lo, chi_hi]; both endpoints must share one sign.  By
+    Abel's identity the Wronskian of y_p and the second Frobenius solution
+    y_2 is W = C |chi|^(-e), so (y_2/y_p)' = C |chi|^(-e) y_p^(-2) and
+    g_p = (gamma/C)(y_2/y_p)(chi) - (gamma/C)(y_2/y_p)(base).
     """
     alpha, beta, gamma = p.floats()
     a1f, a2f = _numeric(a1), _numeric(a2)
@@ -142,7 +142,9 @@ def case1_solution(
 
     e = (gamma - beta * a1f - alpha * a2f) / gamma
     m = alpha * beta / gamma**2
-    series = fuchs_series(e, m, max(abs(chi_lo), abs(chi_hi)))
+    chi_far = max(abs(chi_lo), abs(chi_hi))
+    series = fuchs_series(e, m, chi_far)
+    second = second_solution(e, m, chi_far)
 
     base = -1.0 if chi_hi < 0 else 1.0
     if not (chi_lo <= base <= chi_hi):
@@ -155,13 +157,13 @@ def case1_solution(
             % bracket
         )
 
-    def weight(s: float) -> float:
-        return gamma * abs(s) ** (-e) * series(s) ** (-2)
+    y_base, yp_base, _ = series.eval(base)
+    y2_base, y2p_base = second.eval(base)
+    scale = gamma / ((y_base * y2p_base - yp_base * y2_base) * abs(base) ** e)  # gamma/C
+    q_base = y2_base / y_base
 
-    @lru_cache(maxsize=None)
     def g_p(v: float) -> float:
-        value, err = quad(weight, base, v, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return value
+        return scale * (second.eval(v)[0] / series(v) - q_base)
 
     k_log = (beta * a1f + alpha * a2f) / gamma**2
 
@@ -512,10 +514,6 @@ def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2") -> SolutionFamily:
     )
 
 
-def _constant_builder(p: ThomasParams, c=0.0, tag="Case3_2") -> SolutionFamily:
-    return constant_solution(p, c, tag)
-
-
 def trivial_solutions(p: ThomasParams, c=0.0):
     """Constant families for the translation-invariant cases plus the
     recorded obstructions."""
@@ -535,5 +533,5 @@ SOLUTION_BUILDERS = {
     "case22": case22_solution,
     "case31a": case31a_solution,
     "case31b": case31b_solution,
-    "constant": _constant_builder,
+    "constant": constant_solution,
 }

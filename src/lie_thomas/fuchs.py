@@ -1,10 +1,10 @@
-"""Power-series solution of  chi y'' + e y' + m y = 0.
+"""Power-series solutions of  chi y'' + e y' + m y = 0.
 
 The equation has a regular singular point at chi = 0; the exponent-zero
 Frobenius branch y = sum a_n chi^n with a_0 = 1 has an infinite radius of
 convergence, so the partial sums evaluate the solution on the whole line.
 Coefficients come from both the one-step recurrence and the closed product
-formula; tests pin their agreement.
+formula; tests pin their agreement.  ``second_solution`` is the other branch.
 """
 
 from __future__ import annotations
@@ -71,20 +71,24 @@ class FuchsSeries:
 
     def eval(self, chi: float):
         """(y, y', y'') at chi by term-wise differentiation."""
-        y = ypr = ypp = 0.0
-        power = 1.0  # chi^n
-        prev_power = 0.0  # chi^(n-1)
-        prev2 = 0.0
-        for n, a in enumerate(self.coefficients):
-            y += a * power
-            if n >= 1:
-                ypr += n * a * prev_power
-            if n >= 2:
-                ypp += n * (n - 1) * a * prev2
-            prev2 = prev_power
-            prev_power = power
-            power *= chi
-        return y, ypr, ypp
+        return _sum_series(self.coefficients, chi)
+
+
+def _sum_series(coefficients, chi: float):
+    y = ypr = ypp = 0.0
+    power = 1.0  # chi^n
+    prev_power = 0.0  # chi^(n-1)
+    prev2 = 0.0
+    for n, a in enumerate(coefficients):
+        y += a * power
+        if n >= 1:
+            ypr += n * a * prev_power
+        if n >= 2:
+            ypp += n * (n - 1) * a * prev2
+        prev2 = prev_power
+        prev_power = power
+        power *= chi
+    return y, ypr, ypp
 
 
 def fuchs_series(e: float, m: float, chi_max: float) -> FuchsSeries:
@@ -113,6 +117,61 @@ def fuchs_series(e: float, m: float, chi_max: float) -> FuchsSeries:
             )
     tail = (n + 1) ** 2 * scaled
     return FuchsSeries(e, m, tuple(coeffs), len(coeffs) - 1, tail)
+
+
+@dataclass(frozen=True)
+class SecondSolution:
+    """y_2 = |chi|^rho (log|chi| S_v + S_d); S_v is empty unless e is an integer."""
+
+    rho: float
+    log_coefficients: tuple  # S_v
+    coefficients: tuple  # S_d
+    truncation: int
+    tail_bound: float
+
+    def eval(self, chi: float):
+        """(y_2, y_2') at chi != 0."""
+        s, ds, _ = _sum_series(self.coefficients, chi)
+        v, dv, _ = _sum_series(self.log_coefficients, chi)
+        log, scale = math.log(abs(chi)), abs(chi) ** self.rho
+        s, ds = s + log * v, ds + log * dv + v / chi
+        return scale * s, scale * (ds + self.rho * s / chi)
+
+
+def second_solution(e: float, m: float, chi_max: float) -> SecondSolution:
+    """The exponent-(1 - e) Frobenius branch, truncated like ``fuchs_series``
+    (Ince, Ordinary Differential Equations, ch. XVI).
+
+    With y(chi, r) = |chi|^r sum a_n(r) chi^n, a_0 = 1 and
+    a_n = -m a_(n-1) / ((n + r)(n + r + e - 1)): for non-integer e,
+    y_2 = y(chi, 1 - e), the exponent-zero series of 2 - e times |chi|^(1-e).
+    For e = N + 1 (N >= 0), y_2 = d/dr[(r + N)^[N >= 1] y(chi, r)] at r = -N;
+    a_n is carried as (value, d log a_n / dr), and the (n + r) pole at n = N
+    cancels the (r + N) prefactor."""
+    e, m = float(e), float(m)
+    _check_e(e)
+    if abs(e - round(e)) >= 1e-12:
+        s = fuchs_series(2.0 - e, m, chi_max)
+        return SecondSolution(1.0 - e, (), s.coefficients, s.truncation, s.tail_bound)
+    big_n = round(e) - 1
+    log_coeffs, coeffs = [float(big_n == 0)], [float(big_n != 0)]
+    a, dlog, scaled = 1.0, 0.0, 1.0  # a_n, d(log a_n)/dr, |a_n| r^n
+    r = max(abs(chi_max), 1.0)
+    for n in range(1, _MAX_TERMS + 1):
+        pole = n == big_n  # at r = -N: n + r = n - N and n + r + e - 1 = n
+        denom = n if pole else (n - big_n) * n
+        dlog -= 1.0 / n + (0.0 if pole else 1.0 / (n - big_n))
+        a = -m * a / denom
+        scaled *= abs(m) * r / abs(denom)
+        log_coeffs.append(a if n >= big_n else 0.0)
+        coeffs.append(a * dlog if n >= big_n else a)
+        if n > 4 and n * n * scaled * (1.0 + abs(dlog)) < _TAIL_REL:
+            break
+    else:
+        raise FuchsError("series did not meet the tail bound within %d terms "
+                         "(|chi| <= %r)" % (_MAX_TERMS, chi_max))
+    tail = (n + 1) ** 2 * scaled * (1.0 + abs(dlog))
+    return SecondSolution(-big_n, tuple(log_coeffs), tuple(coeffs), n, tail)
 
 
 def fuchs_solution(e: float, m: float, chi: float) -> float:

@@ -159,8 +159,8 @@ class HyperDual:
 
 def lift_with_derivatives(t, f: float, fp: float, fpp: float):
     """Apply a univariate function known only through its value and first
-    two derivatives at t (floats or HyperDual); used for quadrature-defined
-    functions whose derivative has a closed form."""
+    two derivatives at t (floats or HyperDual); used for series-defined
+    functions whose derivatives have a closed form."""
     if isinstance(t, HyperDual):
         return t._lift(f, fp, fpp)
     return f

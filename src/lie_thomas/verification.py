@@ -29,6 +29,12 @@ class GridSpec:
     ymax: float = 2.0
     ny: int = 50
 
+    def __post_init__(self):
+        bounds = (self.xmin, self.xmax, self.ymin, self.ymax)
+        if not (self.nx >= 2 and self.ny >= 2 and all(map(math.isfinite, bounds))
+                and self.xmin < self.xmax and self.ymin < self.ymax):
+            raise VerificationError("grid needs nx, ny >= 2 and finite bounds with min < max")
+
     def points(self):
         for i in range(self.nx):
             x = self.xmin + (self.xmax - self.xmin) * i / (self.nx - 1)
@@ -64,7 +70,8 @@ class GridReport:
 
 
 def residual_grid(family, p: ThomasParams = None, grid: GridSpec = None) -> GridReport:
-    """Max |residual| of a family over the domain-filtered grid."""
+    """Max |residual| of a family over the domain-filtered grid; a
+    non-finite residual reports as inf at the first point that gave one."""
     if p is None:
         p = family.params
     if grid is None:
@@ -79,6 +86,8 @@ def residual_grid(family, p: ThomasParams = None, grid: GridSpec = None) -> Grid
             continue
         r = abs(residual(family, x, y, p))
         evaluated += 1
+        if not math.isfinite(r):
+            r = math.inf  # NaN compares false; the first one must still fail
         if r > worst:
             worst, worst_pt = r, (x, y)
     worst = max(worst, 0.0)

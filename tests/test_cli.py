@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, formats, pipelines."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lie_thomas
+from lie_thomas import families
 from lie_thomas.cli import main
+from lie_thomas.determining import ThomasParams
 
 
 def _run(capsys, *argv):
@@ -115,6 +122,32 @@ def test_verify_tolerance_failure(tmp_path, capsys):
                       "--tolerance", "1e-30")
     assert rc == 3
     assert "tolerance" in err
+
+
+def test_verify_tolerance_fails_an_all_nan_family(tmp_path, capsys, monkeypatch):
+    def nan_builder(p):
+        return families.SolutionFamily(
+            "nan", "Case2_2", p, {}, lambda x, y: x * math.nan, lambda x, y: True)
+
+    monkeypatch.setitem(families.SOLUTION_BUILDERS, "nan", nan_builder)
+    path = tmp_path / "family.json"
+    path.write_text(nan_builder(ThomasParams(1, 1, 1)).descriptor_json())
+    rc, out, err = _run(capsys, "verify", "--family", str(path),
+                        "--grid=-1,1,5,-1,1,5", "--tolerance", "1")
+    assert rc == 3
+    assert "max |residual| = inf" in out
+    assert "error[tolerance]" in err
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    code = ("import sys, lie_thomas.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy')))")
+    src = os.path.dirname(os.path.dirname(lie_thomas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_obstruction_case_exits_3(capsys):

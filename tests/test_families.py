@@ -1,9 +1,12 @@
 """Closed-form solution families: residuals, descriptors, error paths."""
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from scipy.integrate import quad
 
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import (
@@ -22,6 +25,7 @@ from lie_thomas.families import (
     from_descriptor,
     trivial_solutions,
 )
+from lie_thomas.fuchs import fuchs_series
 from lie_thomas.verification import GridSpec, residual_grid
 
 F = Fraction
@@ -176,3 +180,76 @@ def test_symbolic_params_rejected():
 
     with pytest.raises(ParameterError):
         case22_solution(ThomasParams(), a1=F(2))
+
+
+def _quadrature_case1(p, a1, a2, c0):
+    """Case 1 u and domain with g_p integrated by adaptive quadrature, an
+    independent reference for the Frobenius-ratio form in case1_solution
+    (same defaults: chi window [-4.5, -0.005], base point -1)."""
+    alpha, beta, gamma = p.floats()
+    a1, a2, c0 = float(a1), float(a2), float(c0)
+    e = (gamma - beta * a1 - alpha * a2) / gamma
+    series = fuchs_series(e, alpha * beta / gamma**2, 4.5)
+    k_log = (beta * a1 + alpha * a2) / gamma**2
+    margin = 0.01 * (4.5 - 0.005)
+
+    @functools.lru_cache(maxsize=None)
+    def big_g(chi):
+        g, _ = quad(lambda s: gamma * abs(s) ** (-e) * series(s) ** (-2), -1.0, chi,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)
+        return g + c0
+
+    def u(x, y):
+        lin_x, lin_y = a1 - gamma * x, a2 + gamma * y
+        chi = lin_x * lin_y
+        out = (math.log(abs(series(chi))) + math.log(abs(big_g(chi)))) / gamma
+        out -= (beta / gamma) * x + (alpha / gamma**2) * lin_y
+        return out - k_log * math.log(lin_x) if k_log else out
+
+    def domain(x, y):
+        lin_x = a1 - gamma * x
+        chi = lin_x * (a2 + gamma * y)
+        if not -4.5 + margin < chi < -0.005 - margin:
+            return False
+        if k_log and lin_x < 1e-9:
+            return False
+        return abs(big_g(chi)) > 1e-4
+
+    return u, domain
+
+
+CASE1_CONSTANTS = [
+    (F(0), F(0), F(1)),  # e = 1, log branch
+    (F(1), F(-2), F(1)),  # e = 2, log branch with the log(a1 - gamma x) term
+    (F(1, 2), F(0), F(1)),  # e = 1/2
+    (F(0), F(0), F(-3, 10)),  # g_p + c0 changes sign inside the window
+    (F(-1), F(0), F(1)),  # e = 2
+]
+
+
+@pytest.mark.parametrize("a1,a2,c0", CASE1_CONSTANTS)
+def test_case1_matches_quadrature_reference(a1, a2, c0):
+    fam = case1_solution(P, a1=a1, a2=a2, c0=c0)
+    u_ref, domain_ref = _quadrature_case1(P, a1, a2, c0)
+    checked = 0
+    for x, y in GridSpec(-2.0, -0.1, 50, -2.0, -0.1, 50).points():
+        assert fam.domain(x, y) == domain_ref(x, y), (x, y)
+        if fam.domain(x, y):
+            assert abs(fam(x, y) - u_ref(x, y)) < 1e-12, (x, y)
+            checked += 1
+    assert checked > 0
+    for x, y in GridSpec(-2.0, 2.0, 50, -2.0, 2.0, 50).points():
+        assert fam.domain(x, y) == domain_ref(x, y), (x, y)
+
+
+def test_case1_descriptor_digest_pinned():
+    fam = case1_solution(P)
+    assert fam.descriptor_json() == (
+        '{"constants":{"a1":0,"a2":0,"c0":1.0,"chi_hi":-0.005,"chi_lo":-4.5,'
+        '"const":0.0},"family":"case1","kind":"solution-family","note":"series '
+        'branch with quadrature-defined second factor","params":{"alpha":"1",'
+        '"beta":"1","gamma":"1"},"schema":"lie-thomas/1","tag":"Case1"}'
+    )
+    assert fam.digest() == (
+        "b8cd9d0d46e8ca599a57e09a309169674a4e114d147139e654341df80cf617e7"
+    )

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from scipy.special import j0, jv
+from scipy.special import i0, j0, jv, k0, y0
 
 from lie_thomas.fuchs import (
     FuchsError,
@@ -13,6 +13,7 @@ from lie_thomas.fuchs import (
     fuchs_series,
     fuchs_solution,
     ode_residual,
+    second_solution,
     zero_bracket,
 )
 
@@ -94,3 +95,46 @@ def test_large_argument_overflow_guard():
     val = fuchs_solution(1.0, 1.0, 30.0)
     assert math.isfinite(val)
     assert s.truncation >= 10
+
+
+EULER_GAMMA = 0.5772156649015329
+
+
+def test_second_solution_bessel_identity():
+    # e = m = 1, a_0(r) = 1: y_2 = pi Y0(2 sqrt(chi)) - 2 gamma_E J0(2 sqrt(chi))
+    # for chi > 0 and -2 K0(2 sqrt|chi|) - 2 gamma_E I0(2 sqrt|chi|) for chi < 0
+    s = second_solution(1, 1, 4.0)
+    assert s.log_coefficients  # the double-root log branch
+    for chi in (0.01, 0.25, 1.0, 2.5, 4.0):
+        z = 2.0 * math.sqrt(chi)
+        assert abs(s.eval(chi)[0] - (math.pi * y0(z) - 2 * EULER_GAMMA * j0(z))) < 1e-13
+        assert abs(s.eval(-chi)[0] - (-2 * k0(z) - 2 * EULER_GAMMA * i0(z))) < 1e-13
+
+
+@pytest.mark.parametrize("e", [0.5, 1.0, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("m", [1.0, -0.6])
+def test_second_solution_abel_identity(e, m):
+    # W(y_p, y_2) |chi|^e = sgn(chi)(1 - e), and sgn(chi) when e = 1
+    yp = fuchs_series(e, m, 3.0)
+    y2 = second_solution(e, m, 3.0)
+    assert bool(y2.log_coefficients) == (e == round(e))
+    want = 1.0 if e == 1 else 1.0 - e
+    for chi in (-3.0, -1.0, -0.05, 0.05, 1.0, 3.0):
+        y, ypr, _ = yp.eval(chi)
+        v, vpr = y2.eval(chi)
+        wronskian = (y * vpr - ypr * v) * abs(chi) ** e
+        assert abs(wronskian - want * math.copysign(1.0, chi)) < 1e-11
+
+
+def test_second_solution_truncation_meets_tail_bound():
+    for e in (1.0, 3.0, 0.5):
+        s = second_solution(e, 1.0, 9.0)
+        assert s.tail_bound < 1e-14
+        assert 10 < s.truncation < 200
+        assert len(s.coefficients) == s.truncation + 1
+
+
+def test_second_solution_pole_exponents_rejected():
+    for e in (0, -1, -2):
+        with pytest.raises(FuchsError):
+            second_solution(float(e), 1.0, 1.0)

@@ -31,6 +31,19 @@ def test_gridspec_points():
     assert pts[-1] == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, 1.0, 1, 0.0, 1.0, 3),  # one column would divide by nx - 1 = 0
+    (0.0, 1.0, 3, 0.0, 1.0, 0),
+    (0.0, math.inf, 3, 0.0, 1.0, 3),
+    (0.0, 1.0, 3, math.nan, 1.0, 3),
+    (1.0, 1.0, 3, 0.0, 1.0, 3),
+    (0.0, 1.0, 3, 2.0, -2.0, 3),
+])
+def test_gridspec_rejects_degenerate_grids(bounds):
+    with pytest.raises(VerificationError):
+        GridSpec(*bounds)
+
+
 def test_residual_on_oracle_is_zero():
     u = oracle_solution(P, [(F(1), F(2))])
     r = residual(u, 0.3, -0.4, P)
@@ -118,3 +131,22 @@ def test_residual_grid_flags_fake_solution():
 
     rep = residual_grid(Shim(), grid=GridSpec(0.5, 1.5, 4, 0.5, 1.5, 4))
     assert rep.max_residual > 1.0
+
+
+def test_residual_grid_fails_non_finite_residuals():
+    fam = case22_solution(P, a1=F(2))
+    object.__setattr__(fam, "evaluator", lambda x, y: x * math.nan)
+    rep = residual_grid(fam, grid=GridSpec(-1, 1, 5, -1, 1, 5))
+    assert rep.max_residual == math.inf
+    assert rep.worst_point == (-1.0, -1.0)  # the first non-finite point
+    assert rep.evaluated == 25
+
+
+def test_one_non_finite_residual_outranks_finite_ones():
+    fam = case22_solution(P, a1=F(2))
+    good = fam.evaluator
+    object.__setattr__(
+        fam, "evaluator", lambda x, y: good(x, y) * (math.nan if x > 0.9 else 1.0))
+    rep = residual_grid(fam, grid=GridSpec(-1, 1, 5, -1, 1, 5))
+    assert rep.max_residual == math.inf
+    assert rep.worst_point == (1.0, -1.0)
