@@ -279,16 +279,16 @@ def _exp(t):
     return t.exp() if hasattr(t, "exp") else math.exp(t)
 
 
+class GroupDomainError(ValueError):
+    pass
+
+
 def _log(t):
     if hasattr(t, "log"):
         return t.log()
     if t <= 0:
-        raise ValueError("log domain violation")
+        raise GroupDomainError("log domain violation")
     return math.log(t)
-
-
-class GroupDomainError(ValueError):
-    pass
 
 
 def _g_callable(g):

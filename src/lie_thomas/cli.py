@@ -24,6 +24,7 @@ from .classifier import ClassificationError, CanonicalCase, classify
 from .determining import ParameterError, ThomasParams, determining_equations
 from .expr import ExprError, Rat
 from .fuchs import FuchsError
+from .hyperdual import HyperDualError
 from .jetpoly import mono_expr
 from .normal import is_zero
 from .printer import to_latex, to_text
@@ -33,7 +34,13 @@ from .vectorfield import COEFF_KEYS, ProlongationError, prolong, symbolic_field
 SCHEMA = "lie-thomas/1"
 FORMATS = ("text", "latex", "json", "csv")
 
+
+class InputError(ValueError):
+    """A command-line value that is malformed or does not fit the command."""
+
+
 _DOMAIN_ERRORS = (
+    InputError,
     ParameterError,
     ClassificationError,
     ReductionError,
@@ -44,8 +51,8 @@ _DOMAIN_ERRORS = (
     algebra.GroupDomainError,
     families.FamilyError,
     verification.VerificationError,
+    HyperDualError,
     ZeroDivisionError,
-    ValueError,
 )
 
 _PROLONG_LABELS = {
@@ -62,20 +69,32 @@ def _default_format() -> str:
     return fmt if fmt in FORMATS else "text"
 
 
+_KIND_NAMES = {Fraction: "a rational", float: "a number", int: "an integer"}
+
+
+def _convert(kind, text: str, flag: str):
+    """kind(text) for kind Fraction, float or int; a malformed value is an
+    InputError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError("%s: %r is not %s" % (flag, text, _KIND_NAMES[kind])) from None
+
+
 def _parse_params(text: str) -> ThomasParams:
     if text.strip().lower() == "symbolic":
         return ThomasParams()
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 3:
-        raise ValueError("--params wants 'alpha,beta,gamma' or 'symbolic'")
-    return ThomasParams(*(Fraction(s) for s in parts))
+        raise InputError("--params wants 'alpha,beta,gamma' or 'symbolic'")
+    return ThomasParams(*(_convert(Fraction, s, "--params") for s in parts))
 
 
-def _parse_vector(text: str):
+def _parse_vector(text: str, flag: str = "--vector"):
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 4:
-        raise ValueError("--vector wants four comma-separated rationals")
-    return tuple(Fraction(s) for s in parts)
+        raise InputError("%s wants four comma-separated rationals" % flag)
+    return tuple(_convert(Fraction, s, flag) for s in parts)
 
 
 def _parse_constants(text: str) -> dict:
@@ -84,7 +103,7 @@ def _parse_constants(text: str) -> dict:
         return out
     for item in text.split(","):
         if "=" not in item:
-            raise ValueError("--constants wants key=value pairs")
+            raise InputError("--constants wants key=value pairs")
         key, _, val = item.partition("=")
         key = key.strip()
         val = val.strip()
@@ -98,10 +117,10 @@ def _parse_constants(text: str) -> dict:
 def _parse_grid(text: str) -> verification.GridSpec:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 6:
-        raise ValueError("--grid wants xmin,xmax,nx,ymin,ymax,ny")
+        raise InputError("--grid wants xmin,xmax,nx,ymin,ymax,ny")
+    kinds = (float, float, int) * 2
     return verification.GridSpec(
-        float(parts[0]), float(parts[1]), int(parts[2]),
-        float(parts[3]), float(parts[4]), int(parts[5]),
+        *(_convert(kind, s, "--grid") for kind, s in zip(kinds, parts))
     )
 
 
@@ -322,17 +341,17 @@ def _default_coords(tag: str, p: ThomasParams):
         return tuple(Fraction(c) for c in table[tag])
     if tag == "Case2_3":
         if not p.is_numeric():
-            raise ValueError("Case2_3 default coordinates need numeric parameters")
+            raise InputError("Case2_3 default coordinates need numeric parameters")
         if f(beta) == 0:
-            raise ValueError("Case2_3 needs beta != 0")
+            raise InputError("Case2_3 needs beta != 0")
         return (-f(gamma) / f(beta), Fraction(0), Fraction(1), Fraction(0))
     if tag == "Case3_1a":
         if not p.is_numeric():
-            raise ValueError("Case3_1a default coordinates need numeric parameters")
+            raise InputError("Case3_1a default coordinates need numeric parameters")
         if f(alpha) == 0:
-            raise ValueError("Case3_1a needs alpha != 0")
+            raise InputError("Case3_1a needs alpha != 0")
         return (Fraction(1), f(beta) / f(alpha), Fraction(0), Fraction(0))
-    raise ValueError("no default coordinates for tag %r" % tag)
+    raise InputError("no default coordinates for tag %r" % tag)
 
 
 def _cmd_reduce(args) -> int:
@@ -342,13 +361,13 @@ def _cmd_reduce(args) -> int:
         case = classify(el, p)
     elif args.case:
         coords = (
-            _parse_vector(args.coords)
+            _parse_vector(args.coords, "--coords")
             if args.coords
             else _default_coords(args.case, p)
         )
         case = CanonicalCase(args.case, coords, ())
     else:
-        raise ValueError("reduce wants --vector or --case")
+        raise InputError("reduce wants --vector or --case")
     pair = invariants(case, p)
     fmt = args.format
     ode_doc = None
@@ -428,14 +447,14 @@ def _build_family(args, p: ThomasParams):
     key = getattr(args, "family_builder", None)
     if key is None:
         if args.case is None:
-            raise ValueError("wanted --case TAG (or --family KEY)")
+            raise InputError("wanted --case TAG (or --family KEY)")
         if args.case == "Case2_3":
             raise families.FamilyError(
                 "Case2_3 is obstructed: the reduction forces alpha*beta = 0"
             )
         key = _TAG_BUILDERS.get(args.case)
         if key is None:
-            raise ValueError("no solution family for tag %r" % args.case)
+            raise InputError("no solution family for tag %r" % args.case)
         if key == "constant":
             constants.setdefault("tag", args.case)
     builder = families.SOLUTION_BUILDERS[key]
@@ -480,7 +499,10 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if args.family:
         with (sys.stdin if args.family == "-" else open(args.family)) as fh:
-            desc = json.load(fh)
+            try:
+                desc = json.load(fh)
+            except ValueError as exc:
+                raise InputError("--family: descriptor is not JSON (%s)" % exc) from None
         fam = families.from_descriptor(desc)
         p = fam.params
     else:
@@ -488,7 +510,7 @@ def _cmd_verify(args) -> int:
         fam = _build_family(args, p)
     grid = _parse_grid(args.grid) if args.grid else verification.GridSpec()
     report = verification.residual_grid(fam, p, grid)
-    tol = float(args.tolerance) if args.tolerance is not None else None
+    tol = None if args.tolerance is None else _convert(float, args.tolerance, "--tolerance")
     passed = None if tol is None else report.max_residual < tol
     fmt = args.format
     if fmt == "json":
@@ -652,9 +674,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid(argv) -> list:
+    """Rewrite ``--grid VALUE`` as ``--grid=VALUE``: argparse would read a
+    separate value that starts with '-' (a negative xmin) as an option."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--grid" and not a.startswith("--"):
+            out[-1] = "--grid=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

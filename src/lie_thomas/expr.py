@@ -111,7 +111,7 @@ class Rat(Expr):
     def __init__(self, value):
         self._hash = None
         self._key = None
-        self.value = Fraction(value)
+        self.value = value if type(value) is Fraction else Fraction(value)
 
     def _compute_key(self):
         return (0, self.value)
@@ -217,6 +217,7 @@ class App(Expr):
         return (3, self.fn, self.arg.key())
 
 
+_F0, _F1 = Fraction(0), Fraction(1)
 ZERO = Rat(0)
 ONE = Rat(1)
 MINUS_ONE = Rat(-1)
@@ -228,11 +229,11 @@ def _split_coeff(e):
         rest = e.factors[1:]
         rest_e = rest[0] if len(rest) == 1 else Mul(rest)
         return e.factors[0].value, rest_e
-    return Fraction(1), e
+    return _F1, e
 
 
 def add(*terms):
-    const = Fraction(0)
+    const = _F0
     acc: dict[Expr, Fraction] = {}
     stack = list(terms)
     while stack:
@@ -243,7 +244,8 @@ def add(*terms):
             const += t.value
         else:
             c, rest = _split_coeff(t)
-            acc[rest] = acc.get(rest, Fraction(0)) + c
+            prev = acc.get(rest)
+            acc[rest] = c if prev is None else prev + c
     out = []
     for rest in sorted(acc, key=lambda r: r.key()):
         c = acc[rest]
@@ -260,7 +262,7 @@ def add(*terms):
 
 
 def mul(*factors):
-    coeff = Fraction(1)
+    coeff = _F1
     powers: dict[Expr, int] = {}
     exp_args = []
     stack = list(factors)

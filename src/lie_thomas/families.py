@@ -39,9 +39,10 @@ def _jsonable(v):
 
 
 def _numeric(v):
-    if isinstance(v, str):
-        return float(Fraction(v))
-    return float(v)
+    try:
+        return float(Fraction(v)) if isinstance(v, str) else float(v)
+    except ValueError:
+        raise FamilyError("constant %r is not a number" % (v,)) from None
 
 
 def _param_strings(p: ThomasParams):
@@ -50,9 +51,11 @@ def _param_strings(p: ThomasParams):
 
 
 def params_from_strings(d) -> ThomasParams:
-    return ThomasParams(
-        Fraction(d["alpha"]), Fraction(d["beta"]), Fraction(d["gamma"])
-    )
+    try:
+        values = [Fraction(d[n]) for n in ("alpha", "beta", "gamma")]
+    except ValueError:
+        raise FamilyError("descriptor parameters %r are not rationals" % (d,)) from None
+    return ThomasParams(*values)
 
 
 @dataclass(frozen=True)

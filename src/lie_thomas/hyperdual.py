@@ -13,6 +13,10 @@ from __future__ import annotations
 import math
 
 
+class HyperDualError(ValueError):
+    """An elementary function evaluated outside its real domain."""
+
+
 class HyperDual:
     __slots__ = ("value", "dx", "dy", "dxy")
 
@@ -139,7 +143,7 @@ class HyperDual:
     def log(self) -> "HyperDual":
         v = self.value
         if v <= 0:
-            raise ValueError("log of non-positive hyper-dual real part %r" % v)
+            raise HyperDualError("log of non-positive hyper-dual real part %r" % v)
         return self._lift(math.log(v), 1.0 / v, -1.0 / (v * v))
 
     def sqrt(self) -> "HyperDual":
@@ -178,7 +182,7 @@ def log_(t):
     if isinstance(t, HyperDual):
         return t.log()
     if t <= 0:
-        raise ValueError("log of non-positive value %r" % t)
+        raise HyperDualError("log of non-positive value %r" % t)
     return math.log(t)
 
 

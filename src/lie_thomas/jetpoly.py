@@ -111,6 +111,26 @@ class JetPolynomial:
         raise TypeError("JetPolynomial is unhashable")
 
 
+def _sum_terms(pairs) -> dict:
+    """{jet-mono: coeff} from (mono, coeff) pairs, each monomial's
+    coefficients summed by one n-ary ``add``; zero sums are dropped."""
+    parts: dict = {}
+    for m, c in pairs:
+        parts.setdefault(m, []).append(c)
+    out = {}
+    for m, cs in parts.items():
+        s = add(*cs)
+        if s != ZERO:
+            out[m] = s
+    return out
+
+
+def _product(p: dict, q: dict) -> dict:
+    return _sum_terms(
+        (_mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in p.items() for m2, c2 in q.items()
+    )
+
+
 def _collect(e: Expr) -> dict:
     """Expand ``e`` into {jet-mono: coeff}; rejects jets in denominators,
     inside function applications, or under unknown functions."""
@@ -127,29 +147,11 @@ def _collect(e: Expr) -> dict:
             )
         return {_MONO_ONE: e}
     if isinstance(e, Add):
-        out: dict = {}
-        for t in e.terms:
-            for m, c in _collect(t).items():
-                s = add(out.get(m, ZERO), c)
-                if s == ZERO:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return out
+        return _sum_terms((m, c) for t in e.terms for m, c in _collect(t).items())
     if isinstance(e, Mul):
         out = {_MONO_ONE: ONE}
         for f in e.factors:
-            part = _collect(f)
-            nxt: dict = {}
-            for m1, c1 in out.items():
-                for m2, c2 in part.items():
-                    m = _mono_mul(m1, m2)
-                    s = add(nxt.get(m, ZERO), mul(c1, c2))
-                    if s == ZERO:
-                        nxt.pop(m, None)
-                    else:
-                        nxt[m] = s
-            out = nxt
+            out = _product(out, _collect(f))
         return out
     if isinstance(e, Pow):
         if not contains_jet(e.base):
@@ -159,15 +161,6 @@ def _collect(e: Expr) -> dict:
         out = {_MONO_ONE: ONE}
         base = _collect(e.base)
         for _ in range(e.exp):
-            nxt = {}
-            for m1, c1 in out.items():
-                for m2, c2 in base.items():
-                    m = _mono_mul(m1, m2)
-                    s = add(nxt.get(m, ZERO), mul(c1, c2))
-                    if s == ZERO:
-                        nxt.pop(m, None)
-                    else:
-                        nxt[m] = s
-            out = nxt
+            out = _product(out, base)
         return out
     raise JetPolynomialError("cannot collect %r" % e)

@@ -94,6 +94,13 @@ def _mono_mul(m1: Mono, m2: Mono):
 
 
 def _poly_mul(p: Poly, q: Poly) -> Poly:
+    # every monomial of a Poly is already sorted with its exp atoms merged,
+    # so a product with the unit polynomial equals the other side; Polys are
+    # never mutated once built, so that side is returned as it is
+    if p == _POLY_ONE:
+        return q
+    if q == _POLY_ONE:
+        return p
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

@@ -213,3 +213,51 @@ def test_solve_csv_grid(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,y,u"
     assert len(lines) == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--case", "Case2_2", "--format", "csv"),
+    ("verify", "--case", "Case2_2", "--format", "json"),
+    ("oracle", "--count", "1", "--format", "json"),
+])
+def test_grid_with_negative_bound_as_separate_argument(capsys, argv):
+    """`--grid -2,...` is the grid, not an unknown option, and means the
+    same as `--grid=-2,...`."""
+    rc, spaced, _ = _run(capsys, *argv, "--grid", "-2,-1,3,-2,-1,3")
+    assert rc == 0
+    rc, joined, _ = _run(capsys, *argv, "--grid=-2,-1,3,-2,-1,3")
+    assert rc == 0
+    assert spaced == joined
+    if argv[0] == "solve":
+        assert spaced.splitlines()[1].startswith("-2.0,-2.0,")
+    else:
+        doc = json.loads(spaced)
+        evaluated = doc["evaluated"] if argv[0] == "verify" else doc["solutions"][0]["evaluated"]
+        assert evaluated == 9
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "--vector", "1,a,3,1"), "--vector: 'a' is not a rational"),
+    (("classify", "--vector", "1,1,3,1", "--params", "1,1,x"), "--params"),
+    (("solve", "--case", "Case2_2", "--format", "csv", "--grid", "0,1,three,0,1,3"),
+     "--grid: 'three' is not an integer"),
+    (("verify", "--case", "Case2_2", "--tolerance", "tiny"), "--tolerance"),
+    (("solve", "--case", "Case2_2", "--constants", "a1=two"), "not a number"),
+])
+def test_malformed_values_exit_3(capsys, argv, message):
+    rc, _, err = _run(capsys, *argv)
+    assert rc == 3
+    assert "error[" in err and message in err
+
+
+def test_value_error_from_a_command_is_not_a_domain_error(capsys, monkeypatch):
+    """Only the package's own errors exit 3; a bare ValueError is a bug and
+    propagates."""
+    from lie_thomas import cli
+
+    def broken(args):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(cli, "_cmd_classify", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        main(["classify", "--vector", "1,1,3,1"])

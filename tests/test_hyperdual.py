@@ -120,3 +120,15 @@ def test_lift_with_derivatives():
 def test_lift_on_plain_float():
     z = lift_with_derivatives(2.0, 4.0, 4.0, 2.0)
     assert z == 4.0
+
+
+def test_log_domain_error_is_a_package_error():
+    from lie_thomas import algebra
+    from lie_thomas.hyperdual import HyperDualError
+
+    x, _ = seed(-1.0, 0.0)
+    for bad in (x, -1.0, 0.0):
+        with pytest.raises(HyperDualError):
+            log_(bad)
+    with pytest.raises(algebra.GroupDomainError):
+        algebra._log(-1.0)
