@@ -10,145 +10,57 @@ families.
 
 __version__ = "1.0.0"
 
-from .expr import (
-    ALPHA,
-    BETA,
-    GAMMA,
-    Expr,
-    ExprError,
-    Rat,
-    Sym,
-    U,
-    U_X,
-    U_XX,
-    U_XY,
-    U_Y,
-    U_YY,
-    UFunc,
-    X,
-    Y,
-    differentiate,
-    evaluate,
-    substitute,
-)
-from .algebra import (
-    AlgebraElement,
-    GroupElement,
-    GroupWord,
-    adjoint,
-    adjoint_table,
-    basis_element,
-    commutator,
-    commutator_table,
-    g_element,
-    group_action,
-    lie_series_adjoint,
-    transform_solution,
-)
-from .classifier import CanonicalCase, classify, orbit_invariance_check
-from .determining import (
-    ThomasParams,
-    check_symmetry,
-    determining_equations,
-    exponential_g,
-    general_symmetry,
-    thomas_delta,
-    v1,
-    v2,
-    v3,
-    v4,
-    v_g,
-)
-from .families import (
-    SolutionFamily,
-    case1_solution,
-    case21a_solution,
-    case21b_solution,
-    case22_solution,
-    case31a_solution,
-    case31b_solution,
-    from_descriptor,
-    trivial_solutions,
-)
-from .fuchs import FuchsSeries, fuchs_series, fuchs_solution
-from .hyperdual import HyperDual
-from .parser import ParseError, parse
-from .printer import to_latex, to_text
-from .reduction import invariants, reduced_ode, verify_reduction
-from .vectorfield import VectorField, prolong
-from .verification import GridSpec, oracle_solutions, residual, residual_grid
+import importlib
 
-__all__ = [
-    "AlgebraElement",
-    "CanonicalCase",
-    "FuchsSeries",
-    "GridSpec",
-    "GroupElement",
-    "GroupWord",
-    "HyperDual",
-    "SolutionFamily",
-    "ThomasParams",
-    "VectorField",
-    "adjoint",
-    "adjoint_table",
-    "basis_element",
-    "case1_solution",
-    "case21a_solution",
-    "case21b_solution",
-    "case22_solution",
-    "case31a_solution",
-    "case31b_solution",
-    "check_symmetry",
-    "classify",
-    "commutator",
-    "commutator_table",
-    "determining_equations",
-    "exponential_g",
-    "from_descriptor",
-    "fuchs_series",
-    "fuchs_solution",
-    "g_element",
-    "general_symmetry",
-    "group_action",
-    "invariants",
-    "lie_series_adjoint",
-    "oracle_solutions",
-    "orbit_invariance_check",
-    "prolong",
-    "reduced_ode",
-    "residual",
-    "residual_grid",
-    "thomas_delta",
-    "transform_solution",
-    "trivial_solutions",
-    "v1",
-    "v2",
-    "v3",
-    "v4",
-    "v_g",
-    "verify_reduction",
-    "ALPHA",
-    "BETA",
-    "GAMMA",
-    "Expr",
-    "ExprError",
-    "ParseError",
-    "Rat",
-    "Sym",
-    "U",
-    "U_X",
-    "U_XX",
-    "U_XY",
-    "U_Y",
-    "U_YY",
-    "UFunc",
-    "X",
-    "Y",
-    "differentiate",
-    "evaluate",
-    "parse",
-    "substitute",
-    "to_latex",
-    "to_text",
-    "__version__",
-]
+# Public names by defining module.  Each is imported on first use (PEP 562),
+# so ``import lie_thomas`` loads no submodule and a caller pays only for the
+# modules it touches.
+_EXPORTS = {
+    "expr": (
+        "ALPHA", "BETA", "GAMMA", "Expr", "ExprError", "Rat", "Sym", "U", "U_X",
+        "U_XX", "U_XY", "U_Y", "U_YY", "UFunc", "X", "Y", "differentiate",
+        "evaluate", "substitute",
+    ),
+    "algebra": (
+        "AlgebraElement", "GroupElement", "GroupWord", "adjoint", "adjoint_table",
+        "basis_element", "commutator", "commutator_table", "g_element",
+        "group_action", "lie_series_adjoint", "transform_solution",
+    ),
+    "classifier": ("CanonicalCase", "classify", "orbit_invariance_check"),
+    "params": ("ThomasParams",),
+    "determining": (
+        "check_symmetry", "determining_equations", "exponential_g",
+        "general_symmetry", "thomas_delta", "v1", "v2", "v3", "v4", "v_g",
+    ),
+    "families": (
+        "SolutionFamily", "case1_solution", "case21a_solution", "case21b_solution",
+        "case22_solution", "case31a_solution", "case31b_solution",
+        "from_descriptor", "trivial_solutions",
+    ),
+    "fuchs": ("FuchsSeries", "fuchs_series", "fuchs_solution"),
+    "hyperdual": ("HyperDual",),
+    "parser": ("ParseError", "parse"),
+    "printer": ("to_latex", "to_text"),
+    "reduction": ("invariants", "reduced_ode", "verify_reduction"),
+    "vectorfield": ("VectorField", "prolong"),
+    "verification": ("GridSpec", "oracle_solutions", "residual", "residual_grid"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"errors", "jetpoly", "normal"}
+
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import DomainError
 from .expr import (
     Expr,
     ExprError,
@@ -279,7 +280,7 @@ def _exp(t):
     return t.exp() if hasattr(t, "exp") else math.exp(t)
 
 
-class GroupDomainError(ValueError):
+class GroupDomainError(DomainError, ValueError):
     pass
 
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraError, adjoint, adjoint_scaling
-from .determining import ThomasParams
+from .errors import DomainError
 from .expr import Rat
+from .params import ThomasParams
 
 TAGS = (
     "Case1",
@@ -46,7 +47,7 @@ TAGS = (
 )
 
 
-class ClassificationError(ValueError):
+class ClassificationError(DomainError, ValueError):
     pass
 
 

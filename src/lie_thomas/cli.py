@@ -19,41 +19,20 @@ import random
 import sys
 from fractions import Fraction
 
-from . import algebra, families, verification
-from .classifier import ClassificationError, CanonicalCase, classify
-from .determining import ParameterError, ThomasParams, determining_equations
-from .expr import ExprError, Rat
-from .fuchs import FuchsError
-from .hyperdual import HyperDualError
-from .jetpoly import mono_expr
-from .normal import is_zero
-from .printer import to_latex, to_text
-from .reduction import ReductionError, invariants, reduced_ode
-from .vectorfield import COEFF_KEYS, ProlongationError, prolong, symbolic_field
+# Each command imports the modules it runs inside its own function, so a
+# cold start loads only those: the numeric commands never load the symbolic
+# stack, and derive/tables/classify never load the numeric one.
+from .errors import DomainError
+from .expr import Rat
+from .params import ThomasParams
 
 SCHEMA = "lie-thomas/1"
 FORMATS = ("text", "latex", "json", "csv")
 
 
-class InputError(ValueError):
+class InputError(DomainError, ValueError):
     """A command-line value that is malformed or does not fit the command."""
 
-
-_DOMAIN_ERRORS = (
-    InputError,
-    ParameterError,
-    ClassificationError,
-    ReductionError,
-    FuchsError,
-    ExprError,
-    ProlongationError,
-    algebra.AlgebraError,
-    algebra.GroupDomainError,
-    families.FamilyError,
-    verification.VerificationError,
-    HyperDualError,
-    ZeroDivisionError,
-)
 
 _PROLONG_LABELS = {
     (1, 0): "phi^x",
@@ -114,22 +93,38 @@ def _parse_constants(text: str) -> dict:
     return out
 
 
-def _parse_grid(text: str) -> verification.GridSpec:
+def _parse_grid(text):
+    """The --grid value as a GridSpec; the default grid when it is absent."""
+    from .verification import GridSpec
+
+    if not text:
+        return GridSpec()
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 6:
         raise InputError("--grid wants xmin,xmax,nx,ymin,ymax,ny")
     kinds = (float, float, int) * 2
-    return verification.GridSpec(
-        *(_convert(kind, s, "--grid") for kind, s in zip(kinds, parts))
-    )
+    return GridSpec(*(_convert(kind, s, "--grid") for kind, s in zip(kinds, parts)))
+
+
+def _parse_tolerance(text):
+    if text is None:
+        return None
+    tol = _convert(float, text, "--tolerance")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError("--tolerance: %r is not a finite positive number" % text)
+    return tol
 
 
 def _render_expr(e, fmt: str) -> str:
+    from .printer import to_latex, to_text
+
     return to_latex(e) if fmt == "latex" else to_text(e)
 
 
 def _element_str(el, fmt: str) -> str:
     """Linear-combination label for a basis table entry."""
+    from .normal import is_zero
+
     one, minus_one = Rat(Fraction(1)), Rat(Fraction(-1))
     terms = []
     for i, coeff in enumerate(el.coords(), start=1):
@@ -159,11 +154,12 @@ def _element_str(el, fmt: str) -> str:
 
 
 def _param_dict(p: ThomasParams) -> dict:
-    vals = {}
-    for name in ("alpha", "beta", "gamma"):
-        v = getattr(p, name)
-        vals[name] = to_text(v) if not p.is_numeric() else str(v.value)
-    return vals
+    names = ("alpha", "beta", "gamma")
+    if p.is_numeric():
+        return {name: str(getattr(p, name).value) for name in names}
+    from .printer import to_text
+
+    return {name: to_text(getattr(p, name)) for name in names}
 
 
 def _emit(args, payload_text: str) -> None:
@@ -191,6 +187,11 @@ def _csv_text(rows, header) -> str:
 
 
 def _cmd_derive(args) -> int:
+    from .determining import determining_equations
+    from .jetpoly import mono_expr
+    from .printer import to_text
+    from .vectorfield import COEFF_KEYS, prolong, symbolic_field
+
     p = _parse_params(args.params)
     system = determining_equations(p)
     fmt = args.format
@@ -240,10 +241,12 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .algebra import adjoint_table, commutator_table
+
     p = _parse_params(args.params)
     fmt = args.format
-    comm = algebra.commutator_table(p)
-    adj = algebra.adjoint_table(p)
+    comm = commutator_table(p)
+    adj = adjoint_table(p)
     basis = ["v1", "v2", "v3", "v4", "v[g]"]
     if fmt == "json":
         doc = {
@@ -285,10 +288,12 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .algebra import AlgebraElement
+    from .classifier import classify
+
     p = _parse_params(args.params)
     vec = _parse_vector(args.vector)
-    el = algebra.AlgebraElement(*vec)
-    case = classify(el, p)
+    case = classify(AlgebraElement(*vec), p)
     word_float = [[op, float(val)] for op, val in case.word]
     canonical = [str(c) for c in case.coords]
     if args.format == "json":
@@ -355,10 +360,14 @@ def _default_coords(tag: str, p: ThomasParams):
 
 
 def _cmd_reduce(args) -> int:
+    from .algebra import AlgebraElement
+    from .classifier import CanonicalCase, classify
+    from .printer import to_text
+    from .reduction import ReductionError, invariants, reduced_ode
+
     p = _parse_params(args.params)
     if args.vector:
-        el = algebra.AlgebraElement(*_parse_vector(args.vector))
-        case = classify(el, p)
+        case = classify(AlgebraElement(*_parse_vector(args.vector)), p)
     elif args.case:
         coords = (
             _parse_vector(args.coords, "--coords")
@@ -430,19 +439,10 @@ def _cmd_reduce(args) -> int:
 
 # --- solve / verify -----------------------------------------------------------
 
-_TAG_BUILDERS = {
-    "Case1": "case1",
-    "Case2_1a": "case21a",
-    "Case2_1b": "case21b",
-    "Case2_2": "case22",
-    "Case3_1a": "case31a",
-    "Case3_1b": "case31b",
-    "Case2_4": "constant",
-    "Case3_2": "constant",
-}
-
 
 def _build_family(args, p: ThomasParams):
+    from . import families
+
     constants = _parse_constants(args.constants or "")
     key = getattr(args, "family_builder", None)
     if key is None:
@@ -452,7 +452,7 @@ def _build_family(args, p: ThomasParams):
             raise families.FamilyError(
                 "Case2_3 is obstructed: the reduction forces alpha*beta = 0"
             )
-        key = _TAG_BUILDERS.get(args.case)
+        key = families.TAG_BUILDERS.get(args.case)
         if key is None:
             raise InputError("no solution family for tag %r" % args.case)
         if key == "constant":
@@ -474,10 +474,11 @@ def _cmd_solve(args) -> int:
     fam = _build_family(args, p)
     fmt = args.format
     if fmt == "csv":
-        grid = _parse_grid(args.grid) if args.grid else verification.GridSpec()
-        rows = _grid_rows(fam, grid)
+        from .verification import VerificationError
+
+        rows = _grid_rows(fam, _parse_grid(args.grid))
         if not rows:
-            raise verification.VerificationError("domain excludes every grid point")
+            raise VerificationError("domain excludes every grid point")
         _emit(args, _csv_text(rows, ("x", "y", "u")))
         return 0
     doc = fam.descriptor()
@@ -497,20 +498,22 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .families import from_descriptor
+    from .verification import residual_grid
+
     if args.family:
         with (sys.stdin if args.family == "-" else open(args.family)) as fh:
             try:
                 desc = json.load(fh)
             except ValueError as exc:
                 raise InputError("--family: descriptor is not JSON (%s)" % exc) from None
-        fam = families.from_descriptor(desc)
+        fam = from_descriptor(desc)
         p = fam.params
     else:
         p = _parse_params(args.params)
         fam = _build_family(args, p)
-    grid = _parse_grid(args.grid) if args.grid else verification.GridSpec()
-    report = verification.residual_grid(fam, p, grid)
-    tol = None if args.tolerance is None else _convert(float, args.tolerance, "--tolerance")
+    report = residual_grid(fam, p, _parse_grid(args.grid))
+    tol = _parse_tolerance(args.tolerance)
     passed = None if tol is None else report.max_residual < tol
     fmt = args.format
     if fmt == "json":
@@ -553,17 +556,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .families import SolutionFamily
+    from .verification import oracle_solutions, residual_grid
+
     p = _parse_params(args.params)
+    if args.count < 1:
+        raise InputError("--count: %d is not a positive integer" % args.count)
     rng = random.Random(args.seed)
-    sols = verification.oracle_solutions(p, args.count, rng)
-    grid = _parse_grid(args.grid) if args.grid else verification.GridSpec()
+    sols = oracle_solutions(p, args.count, rng)
+    grid = _parse_grid(args.grid)
     records = []
     for u in sols:
-        fam = families.SolutionFamily(
+        fam = SolutionFamily(
             "oracle", "oracle", p, {}, u, lambda x, y: True,
             note="exponential-mix exact solution",
         )
-        report = verification.residual_grid(fam, p, grid)
+        report = residual_grid(fam, p, grid)
         records.append((u.modes, report))
     if args.format == "json":
         doc = {
@@ -698,7 +706,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage failure
         code = exc.code if isinstance(exc.code, int) else 2
         return code
-    except _DOMAIN_ERRORS as exc:
+    except (DomainError, ZeroDivisionError) as exc:
         print("error[%s]: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
 

@@ -10,14 +10,9 @@ solutions g of the linearized equation alpha*g_x + beta*g_y + g_xy = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import (
-    ALPHA,
-    BETA,
     Expr,
-    ExprError,
-    GAMMA,
     Rat,
     Sym,
     U,
@@ -38,56 +33,8 @@ from .expr import (
 )
 from .jetpoly import JetMono, JetPolynomial
 from .normal import is_zero
+from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
-
-
-class ParameterError(ExprError):
-    pass
-
-
-def _coerce_param(value):
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Rat(value)
-    if isinstance(value, float):
-        if value != int(value):
-            raise ParameterError(
-                "equation constants must be exact; pass a Fraction instead of %r" % value
-            )
-        return Rat(int(value))
-    raise ParameterError("cannot use %r as an equation constant" % (value,))
-
-
-@dataclass(frozen=True)
-class ThomasParams:
-    alpha: Expr = ALPHA
-    beta: Expr = BETA
-    gamma: Expr = GAMMA
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _coerce_param(getattr(self, name)))
-        if isinstance(self.gamma, Rat) and self.gamma.value == 0:
-            raise ParameterError("gamma must be nonzero")
-
-    def is_numeric(self) -> bool:
-        return all(isinstance(getattr(self, n), Rat) for n in ("alpha", "beta", "gamma"))
-
-    def exchange_regime(self):
-        """True when alpha, beta are both positive; None if undecidable."""
-        if not (isinstance(self.alpha, Rat) and isinstance(self.beta, Rat)):
-            return None
-        return self.alpha.value > 0 and self.beta.value > 0
-
-    def floats(self):
-        if not self.is_numeric():
-            raise ParameterError("parameters are symbolic")
-        return (
-            float(self.alpha.value),
-            float(self.beta.value),
-            float(self.gamma.value),
-        )
 
 
 def thomas_delta(p: ThomasParams) -> Expr:

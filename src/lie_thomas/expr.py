@@ -15,8 +15,10 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+from .errors import DomainError
 
-class ExprError(Exception):
+
+class ExprError(DomainError):
     pass
 
 

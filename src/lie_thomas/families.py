@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .determining import ThomasParams
+from .errors import DomainError
 from .fuchs import fuchs_series, second_solution, zero_bracket
 from .hyperdual import HyperDual, exp_, lift_with_derivatives, log_, tan_, value_of
+from .params import ThomasParams
 
 
-class FamilyError(ValueError):
+class FamilyError(DomainError, ValueError):
     pass
 
 
@@ -537,4 +538,17 @@ SOLUTION_BUILDERS = {
     "case31a": case31a_solution,
     "case31b": case31b_solution,
     "constant": constant_solution,
+}
+
+# builder key of each canonical tag that has a solution family; Case2_3 is
+# obstructed and Zero has no reduction
+TAG_BUILDERS = {
+    "Case1": "case1",
+    "Case2_1a": "case21a",
+    "Case2_1b": "case21b",
+    "Case2_2": "case22",
+    "Case3_1a": "case31a",
+    "Case3_1b": "case31b",
+    "Case2_4": "constant",
+    "Case3_2": "constant",
 }

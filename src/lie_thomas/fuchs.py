@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
 
-class FuchsError(ValueError):
+
+class FuchsError(DomainError, ValueError):
     pass
 
 

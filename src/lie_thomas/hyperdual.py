@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
 
-class HyperDualError(ValueError):
+
+class HyperDualError(DomainError, ValueError):
     """An elementary function evaluated outside its real domain."""
 
 

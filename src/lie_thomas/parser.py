@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import DomainError
 from .expr import (
     ALPHA,
     APP_FUNCTIONS,
@@ -44,7 +45,7 @@ _TOKEN = re.compile(
 )
 
 
-class ParseError(ValueError):
+class ParseError(DomainError, ValueError):
     def __init__(self, message: str, position: int):
         super().__init__("%s (at position %d)" % (message, position))
         self.position = position

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .expr import (
     Expr,
     Rat,
@@ -33,12 +34,12 @@ from .expr import (
     substitute,
     _wrap,
 )
-from .determining import ThomasParams
 from .normal import canonical_expr, is_zero
+from .params import ThomasParams
 from .vectorfield import VectorField
 
 
-class ReductionError(ValueError):
+class ReductionError(DomainError, ValueError):
     pass
 
 

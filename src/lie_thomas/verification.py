@@ -12,11 +12,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .determining import ThomasParams
+from .errors import DomainError
 from .hyperdual import HyperDual, exp_, log_
+from .params import ThomasParams
 
 
-class VerificationError(ValueError):
+class VerificationError(DomainError, ValueError):
     pass
 
 

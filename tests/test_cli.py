@@ -150,6 +150,41 @@ def test_import_loads_neither_scipy_nor_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+_SYMBOLIC = {"normal", "jetpoly", "vectorfield", "determining", "algebra",
+             "classifier", "reduction", "printer", "parser"}
+_NUMERIC = {"families", "fuchs", "hyperdual", "verification"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("derive", "--params", "symbolic"),
+     _NUMERIC | {"algebra", "classifier", "reduction"}),
+    (("tables", "--params", "symbolic"), _NUMERIC | {"reduction"}),
+    (("classify", "--vector", "1,1,3,1"), _NUMERIC | {"reduction"}),
+    (("reduce", "--vector", "1,1,3,1", "--params", "1,1,1"), _NUMERIC),
+    (("solve", "--case", "Case1"), _SYMBOLIC),
+    (("verify", "--case", "Case2_2", "--grid=-1,1,3,-1,1,3"), _SYMBOLIC),
+    (("oracle", "--count", "1", "--grid=-1,1,3,-1,1,3"), _SYMBOLIC),
+], ids=["derive", "tables", "classify", "reduce", "solve", "verify", "oracle"])
+def test_command_loads_only_its_modules(argv, absent):
+    """A cold child of each command loads none of the modules it does not
+    run, and neither scipy nor numpy."""
+    code = ("import json, sys\n"
+            "from lie_thomas import cli\n"
+            "rc = cli.main(sys.argv[1:] + ['--format', 'json', '--output', %r])\n"
+            "print(json.dumps([rc, [m for m in sys.modules "
+            "if m.split('.')[0] in ('lie_thomas', 'scipy', 'numpy')]]))" % os.devnull)
+    src = os.path.dirname(os.path.dirname(lie_thomas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    rc, modules = json.loads(proc.stdout)
+    assert rc == 0, proc.stderr
+    loaded = set(modules)
+    assert not {m for m in loaded if not m.startswith("lie_thomas")}
+    assert "lie_thomas.cli" in loaded
+    assert not loaded & {"lie_thomas." + m for m in absent}
+
+
 def test_obstruction_case_exits_3(capsys):
     rc, _, err = _run(capsys, "solve", "--case", "Case2_3",
                       "--params", "1,1,1")
@@ -243,6 +278,12 @@ def test_grid_with_negative_bound_as_separate_argument(capsys, argv):
      "--grid: 'three' is not an integer"),
     (("verify", "--case", "Case2_2", "--tolerance", "tiny"), "--tolerance"),
     (("solve", "--case", "Case2_2", "--constants", "a1=two"), "not a number"),
+    (("oracle", "--count", "0"), "--count"),
+    (("oracle", "--count", "-1"), "--count"),
+    (("verify", "--case", "Case2_2", "--tolerance", "nan"), "--tolerance"),
+    (("verify", "--case", "Case2_2", "--tolerance", "0"), "--tolerance"),
+    (("verify", "--case", "Case2_2", "--tolerance=-1e-9"), "--tolerance"),
+    (("verify", "--case", "Case2_2", "--tolerance", "inf"), "--tolerance"),
 ])
 def test_malformed_values_exit_3(capsys, argv, message):
     rc, _, err = _run(capsys, *argv)

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+from lie_thomas.classifier import TAGS
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import (
     SOLUTION_BUILDERS,
+    TAG_BUILDERS,
     FamilyError,
     Obstruction,
     SolutionFamily,
@@ -253,3 +255,11 @@ def test_case1_descriptor_digest_pinned():
     assert fam.digest() == (
         "b8cd9d0d46e8ca599a57e09a309169674a4e114d147139e654341df80cf617e7"
     )
+
+
+def test_tag_builders_name_real_tags_and_builders():
+    assert set(TAG_BUILDERS) == set(TAGS) - {"Case2_3", "Zero"}
+    assert set(TAG_BUILDERS.values()) <= set(SOLUTION_BUILDERS)
+    for tag, key in TAG_BUILDERS.items():
+        constants = {"tag": tag} if key == "constant" else {}
+        assert SOLUTION_BUILDERS[key](P, **constants).tag == tag

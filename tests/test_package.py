@@ -1,0 +1,115 @@
+"""The package namespace (resolved lazily, PEP 562) and the common error base."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import lie_thomas
+from lie_thomas.errors import DomainError
+from lie_thomas.expr import ExprError
+
+
+def _fresh_child(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(lie_thomas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+def test_every_public_name_is_its_defining_module_object():
+    for name in lie_thomas.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module("lie_thomas." + lie_thomas._ORIGIN[name])
+        value = getattr(lie_thomas, name)
+        assert value is getattr(module, name), name
+        if hasattr(value, "__module__"):
+            assert value.__module__ == module.__name__, name
+
+
+def test_bare_import_loads_no_submodule_until_a_name_is_used():
+    out = _fresh_child(
+        "import sys, lie_thomas\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('lie_thomas.'))\n"
+        "print(loaded())\n"
+        "from lie_thomas import ThomasParams\n"
+        "print(loaded())\n"
+        "print(lie_thomas.families.__name__, lie_thomas.families is sys.modules['lie_thomas.families'])\n"
+    )
+    bare, after_params, families = out.splitlines()
+    assert bare == "[]"
+    assert after_params == "['lie_thomas.errors', 'lie_thomas.expr', 'lie_thomas.params']"
+    assert families == "lie_thomas.families True"
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from lie_thomas import *", namespace)
+    assert set(lie_thomas.__all__) <= set(namespace)
+    assert namespace["ThomasParams"] is lie_thomas.ThomasParams
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lie_thomas.no_such_name
+    assert not hasattr(lie_thomas, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from lie_thomas import no_such_name", {})
+
+
+def test_dir_covers_all_and_submodules():
+    listed = set(dir(lie_thomas))
+    assert set(lie_thomas.__all__) <= listed
+    assert {"families", "jetpoly", "params", "errors"} <= listed
+
+
+# every error class of the package and the base it had before DomainError
+_ERROR_BASES = {
+    "algebra.AlgebraError": ExprError,
+    "algebra.GroupDomainError": ValueError,
+    "classifier.ClassificationError": ValueError,
+    "cli.InputError": ValueError,
+    "expr.EvalError": ExprError,
+    "expr.ExprError": Exception,
+    "expr.SubstitutionError": ExprError,
+    "families.FamilyError": ValueError,
+    "fuchs.FuchsError": ValueError,
+    "hyperdual.HyperDualError": ValueError,
+    "jetpoly.JetPolynomialError": ExprError,
+    "params.ParameterError": ExprError,
+    "parser.ParseError": ValueError,
+    "reduction.ReductionError": ValueError,
+    "vectorfield.ProlongationError": ExprError,
+    "verification.VerificationError": ValueError,
+}
+
+
+def _package_error_classes():
+    found = {}
+    for info in pkgutil.iter_modules(lie_thomas.__path__):
+        module = importlib.import_module("lie_thomas." + info.name)
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__ and value is not DomainError):
+                found["%s.%s" % (info.name, name)] = value
+    return found
+
+
+def test_every_package_error_is_a_domain_error_with_its_old_base():
+    classes = _package_error_classes()
+    assert set(classes) == set(_ERROR_BASES)
+    for name, cls in classes.items():
+        assert issubclass(cls, DomainError), name
+        assert issubclass(cls, _ERROR_BASES[name]), name
+
+
+def test_determining_reexports_the_params_names():
+    from lie_thomas import determining, params
+
+    assert determining.ThomasParams is params.ThomasParams
+    assert determining.ParameterError is params.ParameterError
