@@ -38,7 +38,7 @@ from .expr import (
     pow_,
     _wrap,
 )
-from .determining import ThomasParams, linearized_constraint, v_g as v_g_field
+from .determining import ThomasParams, general_symmetry
 from .normal import is_zero
 from .vectorfield import VectorField
 
@@ -89,24 +89,8 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return all(is_zero(a) for a in self.coords()) and not self.has_g()
 
-    def validate_g(self, p: ThomasParams) -> None:
-        if self.has_g():
-            residual = linearized_constraint(self.g, p)
-            if not is_zero(residual):
-                raise AlgebraError(
-                    "g part fails the linearized equation; residual %r" % residual
-                )
-
     def to_field(self, p: ThomasParams) -> VectorField:
-        xi = add(self.a1, mul(Rat(-1), self.a4, p.gamma, X))
-        eta = add(self.a2, mul(self.a4, p.gamma, Y))
-        phi = add(
-            self.a3,
-            mul(self.a4, add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y))),
-        )
-        if self.has_g():
-            phi = add(phi, v_g_field(self.g, p, check=False).phi)
-        return VectorField(xi, eta, phi)
+        return general_symmetry(self.a3, self.a2, self.a1, self.a4, self.g, p, check=False)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):

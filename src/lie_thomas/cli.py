@@ -3,8 +3,9 @@
 Subcommands cover the full pipeline: derive the determining system, print
 the algebra tables, classify a vector, reduce a canonical case, build a
 solution family, verify it on a grid, and generate independent oracle
-solutions.  Output formats: text, latex, json, csv (env default via
-LIE_THOMAS_FORMAT).  Exit codes: 0 success, 2 usage, 3 domain/math error.
+solutions.  Each command builds one document, which _render writes as
+text, latex, json or csv (--format; env default via LIE_THOMAS_FORMAT).
+Exit codes: 0 success, 2 usage, 3 domain/math error.
 """
 
 from __future__ import annotations
@@ -141,9 +142,8 @@ def _element_str(el, fmt: str) -> str:
                 terms.append("(%s) %s" % (body, name))
             else:
                 terms.append("(%s)*%s" % (body, name))
-    gpart = getattr(el, "g", None)
-    if gpart is not None and not is_zero(gpart):
-        body = _render_expr(gpart, fmt)
+    if el.has_g():
+        body = _render_expr(el.g, fmt)
         terms.append("v_{%s}" % body if fmt == "latex" else "v[%s]" % body)
     if not terms:
         return "0"
@@ -154,33 +154,37 @@ def _element_str(el, fmt: str) -> str:
 
 
 def _param_dict(p: ThomasParams) -> dict:
-    names = ("alpha", "beta", "gamma")
-    if p.is_numeric():
-        return {name: str(getattr(p, name).value) for name in names}
-    from .printer import to_text
-
-    return {name: to_text(getattr(p, name)) for name in names}
+    """The equation constants as document leaves: their Fractions when
+    numeric, so that printing them needs no printer, else the symbols."""
+    return {name: v.value if isinstance(v, Rat) else v
+            for name, v in (("alpha", p.alpha), ("beta", p.beta), ("gamma", p.gamma))}
 
 
-def _emit(args, payload_text: str) -> None:
-    out = payload_text if payload_text.endswith("\n") else payload_text + "\n"
-    if getattr(args, "output", None):
+def _render(args, doc, table, text) -> None:
+    """Write a command's result in its --format, to --output or stdout.
+
+    doc is the JSON document; its Expr and Fraction leaves print through
+    str, as csv.writer prints them too.  table() gives the CSV (header,
+    rows) and text(fmt) the text or LaTeX lines; each is built only for
+    its own format."""
+    if args.format == "json":
+        out = json.dumps(doc, indent=2, default=str)
+    elif args.format == "csv":
+        header, rows = table()
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        out = buf.getvalue()
+    else:
+        out = "\n".join(text(args.format))
+    if not out.endswith("\n"):
+        out += "\n"
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
-
-
-def _csv_text(rows, header) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # --- derive -------------------------------------------------------------------
@@ -189,51 +193,33 @@ def _csv_text(rows, header) -> str:
 def _cmd_derive(args) -> int:
     from .determining import determining_equations
     from .jetpoly import mono_expr
-    from .printer import to_text
     from .vectorfield import COEFF_KEYS, prolong, symbolic_field
 
     p = _parse_params(args.params)
-    system = determining_equations(p)
-    fmt = args.format
-    if fmt == "json":
-        rows = [
-            {
-                "monomial": to_text(mono_expr(m)),
-                "coefficient": to_text(c),
-            }
-            for m, c in system.rows
-        ]
-        doc = {"schema": SCHEMA, "kind": "determining-system",
-               "params": _param_dict(p), "rows": rows}
-        if args.show_prolongation:
-            pf = prolong(symbolic_field())
-            doc["prolongation"] = {
-                _PROLONG_LABELS[k]: to_text(pf.coefficient(k).to_expr())
-                for k in COEFF_KEYS
-            }
-        _emit(args, _json_dump(doc))
-        return 0
-    if fmt == "csv":
-        rows = [(to_text(mono_expr(m)), to_text(c)) for m, c in system.rows]
-        _emit(args, _csv_text(rows, ("monomial", "coefficient")))
-        return 0
-    lines = []
+    rows = [(mono_expr(m), c) for m, c in determining_equations(p).rows]
+    doc = {"schema": SCHEMA, "kind": "determining-system", "params": _param_dict(p),
+           "rows": [{"monomial": m, "coefficient": c} for m, c in rows]}
     if args.show_prolongation:
         pf = prolong(symbolic_field())
-        lines.append("prolongation coefficients:")
-        for k in COEFF_KEYS:
-            label = _PROLONG_LABELS[k]
-            body = _render_expr(pf.coefficient(k).to_expr(), fmt)
-            if fmt == "latex":
-                label = "\\%s" % label.replace("phi", "varphi")
-            lines.append("  %s = %s" % (label, body))
-        lines.append("")
-    lines.append("determining system (coefficient = 0 for each monomial):")
-    for m, c in system.rows:
-        mono = _render_expr(mono_expr(m), fmt)
-        body = _render_expr(c, fmt)
-        lines.append("  [%s]  %s = 0" % (mono, body))
-    _emit(args, "\n".join(lines))
+        doc["prolongation"] = {
+            _PROLONG_LABELS[k]: pf.coefficient(k).to_expr() for k in COEFF_KEYS
+        }
+
+    def text(fmt):
+        lines = []
+        if args.show_prolongation:
+            lines.append("prolongation coefficients:")
+            for label, body in doc["prolongation"].items():
+                if fmt == "latex":
+                    label = "\\%s" % label.replace("phi", "varphi")
+                lines.append("  %s = %s" % (label, _render_expr(body, fmt)))
+            lines.append("")
+        lines.append("determining system (coefficient = 0 for each monomial):")
+        lines += ["  [%s]  %s = 0" % (_render_expr(m, fmt), _render_expr(c, fmt))
+                  for m, c in rows]
+        return lines
+
+    _render(args, doc, lambda: (("monomial", "coefficient"), rows), text)
     return 0
 
 
@@ -244,43 +230,34 @@ def _cmd_tables(args) -> int:
     from .algebra import adjoint_table, commutator_table
 
     p = _parse_params(args.params)
-    fmt = args.format
     comm = commutator_table(p)
     adj = adjoint_table(p)
     basis = ["v1", "v2", "v3", "v4", "v[g]"]
-    if fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "kind": "tables",
-            "params": _param_dict(p),
-            "basis": basis,
-            "commutator": [[_element_str(e, "text") for e in row] for row in comm],
-            "adjoint": [[_element_str(e, "text") for e in row] for row in adj],
-        }
-        _emit(args, _json_dump(doc))
-        return 0
-    if fmt == "csv":
-        rows = []
-        for i, row in enumerate(comm):
-            for j, e in enumerate(row):
-                rows.append(("commutator", basis[i], basis[j], _element_str(e, "text")))
-        for i, row in enumerate(adj):
-            for j, e in enumerate(row):
-                rows.append(("adjoint", basis[i], basis[j], _element_str(e, "text")))
-        _emit(args, _csv_text(rows, ("table", "row", "col", "entry")))
-        return 0
-    lines = ["commutator table [row, col]:"]
-    for i, row in enumerate(comm):
-        for j, e in enumerate(row):
-            lines.append("  [%s, %s] = %s" % (basis[i], basis[j], _element_str(e, fmt)))
-    lines.append("")
-    lines.append("adjoint table Ad(exp(eps*row)) col:")
-    for i, row in enumerate(adj):
-        for j, e in enumerate(row):
-            lines.append(
-                "  Ad(exp(eps*v%d)) v%d = %s" % (i + 1, j + 1, _element_str(e, fmt))
-            )
-    _emit(args, "\n".join(lines))
+    doc = {
+        "schema": SCHEMA,
+        "kind": "tables",
+        "params": _param_dict(p),
+        "basis": basis,
+        "commutator": [[_element_str(e, "text") for e in row] for row in comm],
+        "adjoint": [[_element_str(e, "text") for e in row] for row in adj],
+    }
+
+    def table():
+        rows = [(name, basis[i], basis[j], entry)
+                for name in ("commutator", "adjoint")
+                for i, row in enumerate(doc[name]) for j, entry in enumerate(row)]
+        return ("table", "row", "col", "entry"), rows
+
+    def text(fmt):
+        lines = ["commutator table [row, col]:"]
+        lines += ["  [%s, %s] = %s" % (basis[i], basis[j], _element_str(e, fmt))
+                  for i, row in enumerate(comm) for j, e in enumerate(row)]
+        lines += ["", "adjoint table Ad(exp(eps*row)) col:"]
+        lines += ["  Ad(exp(eps*v%d)) v%d = %s" % (i + 1, j + 1, _element_str(e, fmt))
+                  for i, row in enumerate(adj) for j, e in enumerate(row)]
+        return lines
+
+    _render(args, doc, table, text)
     return 0
 
 
@@ -294,33 +271,26 @@ def _cmd_classify(args) -> int:
     p = _parse_params(args.params)
     vec = _parse_vector(args.vector)
     case = classify(AlgebraElement(*vec), p)
-    word_float = [[op, float(val)] for op, val in case.word]
-    canonical = [str(c) for c in case.coords]
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "kind": "classification",
-            "tag": case.tag,
-            "word": word_float,
-            "canonical": canonical,
-            "input": [str(c) for c in vec],
-            "params": _param_dict(p),
-        }
-        _emit(args, _json_dump(doc))
-        return 0
-    if args.format == "csv":
-        rows = [(case.tag, ";".join("%s:%s" % (op, val) for op, val in case.word),
-                 ",".join(canonical))]
-        _emit(args, _csv_text(rows, ("tag", "word", "canonical")))
-        return 0
-    lines = [
-        "input vector: (%s)" % ", ".join(str(c) for c in vec),
+    doc = {
+        "schema": SCHEMA,
+        "kind": "classification",
+        "tag": case.tag,
+        "word": [[op, float(val)] for op, val in case.word],
+        "canonical": list(case.coords),
+        "input": list(vec),
+        "params": _param_dict(p),
+    }
+
+    def table():
+        word = ";".join("%s:%s" % w for w in case.word)
+        return ("tag", "word", "canonical"), [(case.tag, word, ",".join(map(str, case.coords)))]
+
+    _render(args, doc, table, lambda fmt: [
+        "input vector: (%s)" % ", ".join(map(str, vec)),
         "tag: %s" % case.tag,
-        "adjoint word: %s"
-        % (" ".join("%s(%s)" % (op, val) for op, val in case.word) or "(empty)"),
-        "canonical coordinates: (%s)" % ", ".join(canonical),
-    ]
-    _emit(args, "\n".join(lines))
+        "adjoint word: %s" % (" ".join("%s(%s)" % w for w in case.word) or "(empty)"),
+        "canonical coordinates: (%s)" % ", ".join(map(str, case.coords)),
+    ])
     return 0
 
 
@@ -328,11 +298,6 @@ def _cmd_classify(args) -> int:
 
 
 def _default_coords(tag: str, p: ThomasParams):
-    alpha, beta, gamma = (getattr(p, n) for n in ("alpha", "beta", "gamma"))
-
-    def f(v):
-        return v.value if p.is_numeric() else None
-
     table = {
         "Case1": (0, 0, 0, 1),
         "Case2_1a": (1, 2, 1, 0),
@@ -344,25 +309,23 @@ def _default_coords(tag: str, p: ThomasParams):
     }
     if tag in table:
         return tuple(Fraction(c) for c in table[tag])
+    if tag not in ("Case2_3", "Case3_1a"):
+        raise InputError("no default coordinates for tag %r" % tag)
+    if not p.is_numeric():
+        raise InputError("%s default coordinates need numeric parameters" % tag)
+    alpha, beta, gamma = (v.value for v in (p.alpha, p.beta, p.gamma))
     if tag == "Case2_3":
-        if not p.is_numeric():
-            raise InputError("Case2_3 default coordinates need numeric parameters")
-        if f(beta) == 0:
+        if beta == 0:
             raise InputError("Case2_3 needs beta != 0")
-        return (-f(gamma) / f(beta), Fraction(0), Fraction(1), Fraction(0))
-    if tag == "Case3_1a":
-        if not p.is_numeric():
-            raise InputError("Case3_1a default coordinates need numeric parameters")
-        if f(alpha) == 0:
-            raise InputError("Case3_1a needs alpha != 0")
-        return (Fraction(1), f(beta) / f(alpha), Fraction(0), Fraction(0))
-    raise InputError("no default coordinates for tag %r" % tag)
+        return (-gamma / beta, Fraction(0), Fraction(1), Fraction(0))
+    if alpha == 0:
+        raise InputError("Case3_1a needs alpha != 0")
+    return (Fraction(1), beta / alpha, Fraction(0), Fraction(0))
 
 
 def _cmd_reduce(args) -> int:
     from .algebra import AlgebraElement
     from .classifier import CanonicalCase, classify
-    from .printer import to_text
     from .reduction import ReductionError, invariants, reduced_ode
 
     p = _parse_params(args.params)
@@ -378,62 +341,51 @@ def _cmd_reduce(args) -> int:
     else:
         raise InputError("reduce wants --vector or --case")
     pair = invariants(case, p)
-    fmt = args.format
-    ode_doc = None
-    ode_err = None
+    ode = ode_err = None
     try:
         ode = reduced_ode(case, p)
-        ode_doc = {
+    except ReductionError as exc:
+        ode_err = str(exc)
+    doc = {
+        "schema": SCHEMA,
+        "kind": "reduction",
+        "tag": case.tag,
+        "canonical": list(case.coords),
+        "chi": pair.chi,
+        "varsigma": pair.varsigma,
+        "domain": pair.domain,
+        "ode": None if ode is None else {
             "order": ode.order,
             "dependent": ode.dependent,
             "kind": ode.kind,
-            "lhs": to_text(ode.lhs),
+            "lhs": ode.lhs,
             "note": ode.note,
-            "aux": [[k, to_text(v)] for k, v in ode.aux],
-        }
-    except ReductionError as exc:
-        ode_err = str(exc)
-    if fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "kind": "reduction",
-            "tag": case.tag,
-            "canonical": [str(c) for c in case.coords],
-            "chi": to_text(pair.chi),
-            "varsigma": to_text(pair.varsigma),
-            "domain": pair.domain,
-            "ode": ode_doc,
-            "obstruction": ode_err,
-            "params": _param_dict(p),
-        }
-        _emit(args, _json_dump(doc))
-        return 0
-    if fmt == "csv":
-        rows = [(case.tag, to_text(pair.chi), to_text(pair.varsigma),
-                 ode_doc["kind"] if ode_doc else "none",
-                 ode_doc["lhs"] if ode_doc else (ode_err or ""))]
-        _emit(args, _csv_text(rows, ("tag", "chi", "varsigma", "ode_kind", "ode_lhs")))
-        return 0
-    lines = [
-        "tag: %s" % case.tag,
-        "canonical coordinates: (%s)" % ", ".join(str(c) for c in case.coords),
-        "chi = %s" % _render_expr(pair.chi, fmt),
-        "varsigma = %s" % _render_expr(pair.varsigma, fmt),
-        "domain: %s" % pair.domain,
-    ]
-    if ode_doc is not None:
-        lines.append(
-            "reduced ODE (order %d in %s, %s): %s = 0"
-            % (ode_doc["order"], ode_doc["dependent"], ode_doc["kind"],
-               _render_expr(ode.lhs, fmt))
-        )
-        if ode_doc["note"]:
-            lines.append("note: %s" % ode_doc["note"])
-        for k, v in ode.aux:
-            lines.append("  %s = %s" % (k, _render_expr(v, fmt)))
-    else:
-        lines.append("no reduction: %s" % ode_err)
-    _emit(args, "\n".join(lines))
+            "aux": [list(kv) for kv in ode.aux],
+        },
+        "obstruction": ode_err,
+        "params": _param_dict(p),
+    }
+
+    def text(fmt):
+        lines = [
+            "tag: %s" % case.tag,
+            "canonical coordinates: (%s)" % ", ".join(map(str, case.coords)),
+            "chi = %s" % _render_expr(pair.chi, fmt),
+            "varsigma = %s" % _render_expr(pair.varsigma, fmt),
+            "domain: %s" % pair.domain,
+        ]
+        if ode is None:
+            return lines + ["no reduction: %s" % ode_err]
+        lines.append("reduced ODE (order %d in %s, %s): %s = 0"
+                     % (ode.order, ode.dependent, ode.kind, _render_expr(ode.lhs, fmt)))
+        if ode.note:
+            lines.append("note: %s" % ode.note)
+        return lines + ["  %s = %s" % (k, _render_expr(v, fmt)) for k, v in ode.aux]
+
+    _render(args, doc, lambda: (("tag", "chi", "varsigma", "ode_kind", "ode_lhs"), [(
+        case.tag, pair.chi, pair.varsigma,
+        ode.kind if ode else "none", ode.lhs if ode else ode_err,
+    )]), text)
     return 0
 
 
@@ -457,44 +409,46 @@ def _build_family(args, p: ThomasParams):
             raise InputError("no solution family for tag %r" % args.case)
         if key == "constant":
             constants.setdefault("tag", args.case)
-    builder = families.SOLUTION_BUILDERS[key]
-    return builder(p, **constants)
-
-
-def _grid_rows(fam, grid):
-    rows = []
-    for x, y in grid.points():
-        if fam.domain(x, y):
-            rows.append((x, y, float(fam(x, y))))
-    return rows
+    elif key not in families.SOLUTION_BUILDERS:
+        raise InputError("--family: %r is not one of %s"
+                         % (key, ", ".join(families.SOLUTION_BUILDERS)))
+    return families.build_family(key, p, constants)
 
 
 def _cmd_solve(args) -> int:
     p = _parse_params(args.params)
     fam = _build_family(args, p)
-    fmt = args.format
-    if fmt == "csv":
-        from .verification import VerificationError
-
-        rows = _grid_rows(fam, _parse_grid(args.grid))
-        if not rows:
-            raise VerificationError("domain excludes every grid point")
-        _emit(args, _csv_text(rows, ("x", "y", "u")))
-        return 0
     doc = fam.descriptor()
     doc["digest"] = fam.digest()
-    if fmt == "json":
-        _emit(args, _json_dump(doc))
-        return 0
-    lines = [
+
+    def table():
+        from .verification import VerificationError
+
+        rows = [(x, y, float(fam(x, y)))
+                for x, y in _parse_grid(args.grid).points() if fam.domain(x, y)]
+        if not rows:
+            raise VerificationError("domain excludes every grid point")
+        return ("x", "y", "u"), rows
+
+    _render(args, doc, table, lambda fmt: [
         "family: %s (tag %s)" % (fam.family, fam.tag),
         "constants: %s" % json.dumps(doc["constants"], sort_keys=True),
         "note: %s" % fam.note,
         "descriptor digest: %s" % doc["digest"],
         "descriptor: %s" % fam.descriptor_json(),
-    ]
-    _emit(args, "\n".join(lines))
+    ])
     return 0
+
+
+def _read_descriptor(path: str):
+    """The JSON value in the --family file, or on stdin for '-'."""
+    try:
+        with (sys.stdin if path == "-" else open(path)) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError("--family: cannot read %s (%s)" % (path, exc.strerror)) from None
+    except ValueError as exc:
+        raise InputError("--family: descriptor is not JSON (%s)" % exc) from None
 
 
 def _cmd_verify(args) -> int:
@@ -502,12 +456,7 @@ def _cmd_verify(args) -> int:
     from .verification import residual_grid
 
     if args.family:
-        with (sys.stdin if args.family == "-" else open(args.family)) as fh:
-            try:
-                desc = json.load(fh)
-            except ValueError as exc:
-                raise InputError("--family: descriptor is not JSON (%s)" % exc) from None
-        fam = from_descriptor(desc)
+        fam = from_descriptor(_read_descriptor(args.family))
         p = fam.params
     else:
         p = _parse_params(args.params)
@@ -515,36 +464,31 @@ def _cmd_verify(args) -> int:
     report = residual_grid(fam, p, _parse_grid(args.grid))
     tol = _parse_tolerance(args.tolerance)
     passed = None if tol is None else report.max_residual < tol
-    fmt = args.format
-    if fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "kind": "verification",
-            "family": fam.descriptor(),
-            "digest": fam.digest(),
-            "max_residual": report.max_residual,
-            "worst_point": list(report.worst_point),
-            "evaluated": report.evaluated,
-            "skipped": report.skipped,
-            "tolerance": tol,
-            "pass": passed,
-        }
-        _emit(args, _json_dump(doc))
-    elif fmt == "csv":
-        rows = [(fam.tag, fam.digest(), report.max_residual,
-                 report.worst_point[0], report.worst_point[1],
-                 report.evaluated, report.skipped)]
-        _emit(args, _csv_text(rows, ("tag", "digest", "max_residual",
-                                     "worst_x", "worst_y", "evaluated", "skipped")))
-    else:
-        lines = [
-            "family: %s (tag %s)" % (fam.family, fam.tag),
-            "digest: %s" % fam.digest(),
-            str(report),
-        ]
+    doc = {
+        "schema": SCHEMA,
+        "kind": "verification",
+        "family": fam.descriptor(),
+        "digest": fam.digest(),
+        "max_residual": report.max_residual,
+        "worst_point": list(report.worst_point),
+        "evaluated": report.evaluated,
+        "skipped": report.skipped,
+        "tolerance": tol,
+        "pass": passed,
+    }
+
+    def text(fmt):
+        lines = ["family: %s (tag %s)" % (fam.family, fam.tag),
+                 "digest: %s" % doc["digest"], str(report)]
         if tol is not None:
             lines.append("tolerance %.3e: %s" % (tol, "pass" if passed else "FAIL"))
-        _emit(args, "\n".join(lines))
+        return lines
+
+    _render(args, doc, lambda: (
+        ("tag", "digest", "max_residual", "worst_x", "worst_y", "evaluated", "skipped"),
+        [(fam.tag, doc["digest"], report.max_residual, *report.worst_point,
+          report.evaluated, report.skipped)],
+    ), text)
     if passed is False:
         print("error[tolerance]: max residual %.3e exceeds %.3e"
               % (report.max_residual, tol), file=sys.stderr)
@@ -573,38 +517,34 @@ def _cmd_oracle(args) -> int:
         )
         report = residual_grid(fam, p, grid)
         records.append((u.modes, report))
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "kind": "oracle",
-            "params": _param_dict(p),
-            "seed": args.seed,
-            "solutions": [
-                {
-                    "modes": [[lam, mu, c] for lam, mu, c in modes],
-                    "max_residual": rep.max_residual,
-                    "evaluated": rep.evaluated,
-                }
-                for modes, rep in records
-            ],
-        }
-        _emit(args, _json_dump(doc))
-        return 0
-    if args.format == "csv":
-        rows = [
-            (i, len(modes), rep.max_residual, rep.evaluated)
-            for i, (modes, rep) in enumerate(records)
-        ]
-        _emit(args, _csv_text(rows, ("index", "modes", "max_residual", "evaluated")))
-        return 0
-    lines = []
-    for i, (modes, rep) in enumerate(records):
-        mode_text = ", ".join(
-            "(lambda=%.4g, mu=%.4g, c=%.4g)" % (lam, mu, c) for lam, mu, c in modes
-        )
-        lines.append("oracle %d: %s" % (i, mode_text))
-        lines.append("  %s" % rep)
-    _emit(args, "\n".join(lines))
+    doc = {
+        "schema": SCHEMA,
+        "kind": "oracle",
+        "params": _param_dict(p),
+        "seed": args.seed,
+        "solutions": [
+            {
+                "modes": [list(mode) for mode in modes],
+                "max_residual": rep.max_residual,
+                "evaluated": rep.evaluated,
+            }
+            for modes, rep in records
+        ],
+    }
+
+    def text(fmt):
+        lines = []
+        for i, (modes, rep) in enumerate(records):
+            mode_text = ", ".join(
+                "(lambda=%.4g, mu=%.4g, c=%.4g)" % mode for mode in modes
+            )
+            lines += ["oracle %d: %s" % (i, mode_text), "  %s" % rep]
+        return lines
+
+    _render(args, doc, lambda: (("index", "modes", "max_residual", "evaluated"), [
+        (i, len(modes), rep.max_residual, rep.evaluated)
+        for i, (modes, rep) in enumerate(records)
+    ]), text)
     return 0
 
 

@@ -97,23 +97,19 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
 
 
 def v1() -> VectorField:
-    return VectorField(Rat(1), Rat(0), Rat(0))
+    return general_symmetry(c=1)
 
 
 def v2() -> VectorField:
-    return VectorField(Rat(0), Rat(1), Rat(0))
+    return general_symmetry(b=1)
 
 
 def v3() -> VectorField:
-    return VectorField(Rat(0), Rat(0), Rat(1))
+    return general_symmetry(a=1)
 
 
 def v4(p: ThomasParams = ThomasParams()) -> VectorField:
-    return VectorField(
-        mul(Rat(-1), p.gamma, X),
-        mul(p.gamma, Y),
-        add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y)),
-    )
+    return general_symmetry(k=1, p=p)
 
 
 def linearized_constraint(g: Expr, p: ThomasParams = ThomasParams()) -> Expr:
@@ -157,20 +153,12 @@ def general_symmetry(
     """Most general point symmetry: xi = -k*gamma*x + c, eta = k*gamma*y + b,
     phi = -(g/gamma) e^{-gamma u} + k*(beta*x - alpha*y) + a."""
     a, b, c, k = (_wrap(t) for t in (a, b, c, k))
-    g = _wrap(g)
-    if check and not is_zero(g):
-        constraint = linearized_constraint(g, p)
-        if not is_zero(constraint):
-            raise ParameterError(
-                "g does not satisfy the linearized equation; residual %r" % constraint
-            )
     xi = add(mul(Rat(-1), k, p.gamma, X), c)
     eta = add(mul(k, p.gamma, Y), b)
-    phi = add(
-        mul(Rat(-1), g, app("exp", mul(Rat(-1), p.gamma, U)), pow_safe(p.gamma)),
-        mul(k, add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y))),
-        a,
-    )
+    phi = add(mul(k, add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y))), a)
+    g = _wrap(g)
+    if not is_zero(g):
+        phi = add(v_g(g, p, check).phi, phi)
     return VectorField(xi, eta, phi)
 
 

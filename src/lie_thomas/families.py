@@ -42,7 +42,7 @@ def _jsonable(v):
 def _numeric(v):
     try:
         return float(Fraction(v)) if isinstance(v, str) else float(v)
-    except ValueError:
+    except (TypeError, ValueError):
         raise FamilyError("constant %r is not a number" % (v,)) from None
 
 
@@ -54,7 +54,7 @@ def _param_strings(p: ThomasParams):
 def params_from_strings(d) -> ThomasParams:
     try:
         values = [Fraction(d[n]) for n in ("alpha", "beta", "gamma")]
-    except ValueError:
+    except (KeyError, TypeError, ValueError):
         raise FamilyError("descriptor parameters %r are not rationals" % (d,)) from None
     return ThomasParams(*values)
 
@@ -98,14 +98,30 @@ class Obstruction:
     note: str
 
 
-def from_descriptor(d: dict) -> SolutionFamily:
-    if d.get("schema") != "lie-thomas/1" or d.get("kind") != "solution-family":
+def from_descriptor(d) -> SolutionFamily:
+    if not (isinstance(d, dict) and d.get("schema") == "lie-thomas/1"
+            and d.get("kind") == "solution-family"):
         raise FamilyError("not a solution-family descriptor")
-    builder = SOLUTION_BUILDERS.get(d["family"])
+    missing = [k for k in ("family", "params", "constants") if k not in d]
+    if missing:
+        raise FamilyError("descriptor lacks %s" % ", ".join(missing))
+    if not isinstance(d["constants"], dict):
+        raise FamilyError("descriptor constants %r are not an object" % (d["constants"],))
+    return build_family(d["family"], params_from_strings(d["params"]), d["constants"])
+
+
+def build_family(key, p: ThomasParams, constants: dict) -> SolutionFamily:
+    """SOLUTION_BUILDERS[key](p, **constants), where an unknown key or a
+    constant the builder does not take is a FamilyError.  The names come
+    from the builder's code object, which needs no import."""
+    builder = SOLUTION_BUILDERS.get(key) if isinstance(key, str) else None
     if builder is None:
-        raise FamilyError("unknown family %r" % d.get("family"))
-    p = params_from_strings(d["params"])
-    return builder(p, **{k: v for k, v in d["constants"].items()})
+        raise FamilyError("unknown family %r" % (key,))
+    code = builder.__code__
+    unknown = sorted(set(constants) - set(code.co_varnames[1:code.co_argcount]))
+    if unknown:
+        raise FamilyError("family %r takes no constant %s" % (key, ", ".join(unknown)))
+    return builder(p, **constants)
 
 
 # --- Case 1: Frobenius series assembly ----------------------------------------
@@ -138,7 +154,7 @@ def case1_solution(
     alpha, beta, gamma = p.floats()
     a1f, a2f = _numeric(a1), _numeric(a2)
     c0f, constf = _numeric(c0), _numeric(const)
-    chi_lo, chi_hi = float(chi_lo), float(chi_hi)
+    chi_lo, chi_hi = _numeric(chi_lo), _numeric(chi_hi)
     if not chi_lo < chi_hi:
         raise FamilyError("empty chi interval")
     if chi_lo < 0 < chi_hi:
@@ -506,6 +522,7 @@ def case31b_solution(p: ThomasParams, a2=2, k=1.0, const=0.0) -> SolutionFamily:
 
 
 def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2") -> SolutionFamily:
+    p.floats()  # like every family, a constant state needs numeric parameters
     cf = _numeric(c)
     return SolutionFamily(
         "constant",

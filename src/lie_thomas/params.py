@@ -48,12 +48,6 @@ class ThomasParams:
     def is_numeric(self) -> bool:
         return all(isinstance(getattr(self, n), Rat) for n in ("alpha", "beta", "gamma"))
 
-    def exchange_regime(self):
-        """True when alpha, beta are both positive; None if undecidable."""
-        if not (isinstance(self.alpha, Rat) and isinstance(self.beta, Rat)):
-            return None
-        return self.alpha.value > 0 and self.beta.value > 0
-
     def floats(self):
         if not self.is_numeric():
             raise ParameterError("parameters are symbolic")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .determining import general_symmetry
 from .errors import DomainError
 from .expr import (
     Expr,
@@ -72,11 +73,8 @@ def _case_coords(c):
 
 def canonical_field(c, p: ThomasParams) -> VectorField:
     """Vector field of the canonical representative (g part excluded)."""
-    a1, a2, a3, a4 = (_wrap(x) for x in c.coords)
-    xi = add(a1, mul(Rat(-1), a4, p.gamma, X))
-    eta = add(a2, mul(a4, p.gamma, Y))
-    phi = add(a3, mul(a4, add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y))))
-    return VectorField(xi, eta, phi)
+    a1, a2, a3, a4 = c.coords
+    return general_symmetry(a3, a2, a1, a4, p=p, check=False)
 
 
 def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:

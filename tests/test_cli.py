@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, formats, pipelines."""
 
+import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -271,6 +274,17 @@ def test_grid_with_negative_bound_as_separate_argument(capsys, argv):
         assert evaluated == 9
 
 
+class _Stdin(str):
+    """Text that a case feeds to `verify --family -` on standard input."""
+
+
+def _descriptor(**fields):
+    return _Stdin(json.dumps({"schema": "lie-thomas/1", "kind": "solution-family", **fields}))
+
+
+_ONES = {"alpha": "1", "beta": "1", "gamma": "1"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (("classify", "--vector", "1,a,3,1"), "--vector: 'a' is not a rational"),
     (("classify", "--vector", "1,1,3,1", "--params", "1,1,x"), "--params"),
@@ -284,8 +298,32 @@ def test_grid_with_negative_bound_as_separate_argument(capsys, argv):
     (("verify", "--case", "Case2_2", "--tolerance", "0"), "--tolerance"),
     (("verify", "--case", "Case2_2", "--tolerance=-1e-9"), "--tolerance"),
     (("verify", "--case", "Case2_2", "--tolerance", "inf"), "--tolerance"),
+    (("verify", "--family", "/nonexistent/family.json"), "--family: cannot read"),
+    (("solve", "--family", "nope"), "--family: 'nope' is not one of"),
+    (("solve", "--case", "Case2_2", "--constants", "bogus=1"), "takes no constant bogus"),
+    (("verify", "--family", "-", _Stdin("[1, 2]")), "not a solution-family descriptor"),
+    (("verify", "--family", "-", _descriptor(family="case22")),
+     "descriptor lacks params, constants"),
+    (("verify", "--family", "-",
+      _descriptor(family="case22", params={"alpha": "1"}, constants={})),
+     "descriptor parameters"),
+    (("verify", "--family", "-", _descriptor(family="case22", params=_ONES, constants=[])),
+     "descriptor constants"),
+    (("verify", "--family", "-",
+      _descriptor(family="case22", params=_ONES, constants={"zz": 1})),
+     "takes no constant zz"),
+    (("verify", "--family", "-",
+      _descriptor(family="case22", params=_ONES, constants={"a1": [1]})),
+     "constant [1] is not a number"),
+    (("solve", "--case", "Case1", "--constants", "chi_lo=abc"), "constant 'abc' is not a number"),
+    (("solve", "--case", "Case2_4", "--params", "symbolic"), "parameters are symbolic"),
+    (("solve", "--case", "Case3_2", "--params", "symbolic", "--format", "csv"),
+     "parameters are symbolic"),
 ])
-def test_malformed_values_exit_3(capsys, argv, message):
+def test_malformed_values_exit_3(capsys, monkeypatch, argv, message):
+    if isinstance(argv[-1], _Stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(argv[-1]))
+        argv = argv[:-1]
     rc, _, err = _run(capsys, *argv)
     assert rc == 3
     assert "error[" in err and message in err
@@ -302,3 +340,28 @@ def test_value_error_from_a_command_is_not_a_domain_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_classify", broken)
     with pytest.raises(ValueError, match="not a domain error"):
         main(["classify", "--vector", "1,1,3,1"])
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.txt")
+_GOLDEN_HEAD = re.compile(r"^\$ lie-thomas (.*)\n\[exit (\d+)\]\n", re.M)
+
+
+def _golden_cases():
+    """(command line, exit code, stdout) of each case in the golden file, a
+    run of '$ lie-thomas ARGS' and '[exit N]' lines each followed by the
+    exact stdout of that command."""
+    with open(_GOLDEN, newline="") as fh:
+        parts = _GOLDEN_HEAD.split(fh.read())
+    return [(parts[i], int(parts[i + 1]), parts[i + 2]) for i in range(1, len(parts), 3)]
+
+
+_GOLDEN_CASES = _golden_cases()
+
+
+@pytest.mark.parametrize("command, code, stdout", _GOLDEN_CASES,
+                         ids=[case[0] for case in _GOLDEN_CASES])
+def test_output_matches_the_golden_file(capsys, command, code, stdout):
+    """Every format's layout, byte for byte: each command in all four
+    formats at 1,1,1, and derive, tables and reduce at symbolic."""
+    rc, out, _ = _run(capsys, *shlex.split(command))
+    assert (rc, out) == (code, stdout)

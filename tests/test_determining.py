@@ -1,6 +1,7 @@
 """Determining system: golden rows, symmetry certificates, redundancy split."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -227,3 +228,31 @@ def test_parameter_coercion():
 def test_delta_shape():
     d = thomas_delta(ThomasParams())
     assert is_zero(d - (U_XY + ALPHA * U_X + BETA * U_Y + GAMMA * U_X * U_Y))
+
+
+@pytest.mark.parametrize("p", [ThomasParams(), ThomasParams(1, 1, 1),
+                               ThomasParams(2, Fraction(-1, 2), 3)],
+                         ids=["symbolic", "1,1,1", "2,-1/2,3"])
+def test_every_field_builder_is_the_general_symmetry(p):
+    """AlgebraElement.to_field, reduction.canonical_field and v1..v4 build
+    the same trees as general_symmetry, over 81 coordinate vectors, with
+    and without a v_g part."""
+    from lie_thomas.algebra import AlgebraElement
+    from lie_thomas.classifier import CanonicalCase
+    from lie_thomas.reduction import canonical_field
+
+    def key(vf):
+        return vf.xi.key(), vf.eta.key(), vf.phi.key()
+
+    g, _ = exponential_g(R(1), p)
+    for a1, a2, a3, a4 in product((0, 1, Fraction(-3, 2)), repeat=4):
+        want = key(general_symmetry(a3, a2, a1, a4, p=p, check=False))
+        assert key(AlgebraElement(a1, a2, a3, a4).to_field(p)) == want
+        case = CanonicalCase("Case1", (a1, a2, a3, a4), ())
+        assert key(canonical_field(case, p)) == want
+        assert (key(AlgebraElement(a1, a2, a3, a4, g).to_field(p))
+                == key(general_symmetry(a3, a2, a1, a4, g, p, check=False)))
+    assert key(v1()) == key(general_symmetry(c=1, p=p))
+    assert key(v2()) == key(general_symmetry(b=1, p=p))
+    assert key(v3()) == key(general_symmetry(a=1, p=p))
+    assert key(v4(p)) == key(general_symmetry(k=1, p=p))
