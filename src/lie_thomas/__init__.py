@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "fuchs": ("FuchsSeries", "fuchs_series", "fuchs_solution"),
     "hyperdual": ("HyperDual",),
-    "parser": ("ParseError", "parse"),
     "printer": ("to_latex", "to_text"),
     "reduction": ("invariants", "reduced_ode", "verify_reduction"),
     "vectorfield": ("VectorField", "prolong"),

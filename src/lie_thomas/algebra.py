@@ -17,7 +17,7 @@ Nonzero brackets on the finite part: [v1,v4] = -gamma v1 + beta v3 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError

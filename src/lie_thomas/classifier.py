@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraError, adjoint, adjoint_scaling
+from .algebra import AlgebraElement, adjoint, adjoint_scaling
 from .errors import DomainError
 from .expr import Rat
 from .params import ThomasParams

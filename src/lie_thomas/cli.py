@@ -181,8 +181,12 @@ def _render(args, doc, table, text) -> None:
     if not out.endswith("\n"):
         out += "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError("--output: cannot write %s (%s)"
+                             % (args.output, exc.strerror)) from None
     else:
         sys.stdout.write(out)
 
@@ -195,6 +199,8 @@ def _cmd_derive(args) -> int:
     from .jetpoly import mono_expr
     from .vectorfield import COEFF_KEYS, prolong, symbolic_field
 
+    if args.show_prolongation and args.format == "csv":
+        raise InputError("--show-prolongation has no csv form; use text, latex or json")
     p = _parse_params(args.params)
     rows = [(mono_expr(m), c) for m, c in determining_equations(p).rows]
     doc = {"schema": SCHEMA, "kind": "determining-system", "params": _param_dict(p),

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from .expr import (
     Expr,
     Rat,
-    Sym,
     U,
     U_X,
     U_XY,
     U_Y,
-    UFunc,
     X,
     Y,
     ZERO,

@@ -1,10 +1,17 @@
 """Evaluable invariant solutions for each canonical case.
 
-Every family is a closed form (or a ratio of Frobenius series for Case 1)
-whose evaluator accepts floats or HyperDual points, so the same code path
-serves plotting and exact residual checks.  Where printed source formulas
-for a case disagree internally, the variant kept here is the one rederived
-from the reduced ODE; the residual tests are the arbiter.
+Under w = exp(gamma u) the equation turns linear, and every closed form
+(Cases 2.1a, 2.1b, 2.2, 3.1a, 3.1b and the constants) is one ModeMix:
+
+    u = lam x + mu y + k + (1/gamma) log(a + c f(p x + q y + r)),
+
+with f = exp, |cos| or the identity.  A builder only computes these
+coefficients.  The mix evaluates on floats or HyperDual points, and its
+domain reads the same log argument on floats, so plotting and exact
+residual checks share one code path.  Case 1 is a ratio of Frobenius
+series with its own evaluator.  Where printed source formulas for a case
+disagree internally, the variant kept here is the one rederived from the
+reduced ODE; the residual tests are the arbiter.
 
 Descriptors: ``descriptor()`` emits a JSON-able dict that rebuilds the
 family bit-for-bit through ``from_descriptor``; the sha256 digest of the
@@ -21,7 +28,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .fuchs import fuchs_series, second_solution, zero_bracket
-from .hyperdual import HyperDual, exp_, lift_with_derivatives, log_, tan_, value_of
+from .hyperdual import cos_, exp_, lift_with_derivatives, log_, value_of
 from .params import ThomasParams
 
 
@@ -88,6 +95,47 @@ class SolutionFamily:
 
     def digest(self) -> str:
         return hashlib.sha256(self.descriptor_json().encode()).hexdigest()
+
+
+def _identity(t):
+    return t
+
+
+def _abs_cos(t):
+    return abs(cos_(t))
+
+
+@dataclass(frozen=True)
+class ModeMix:
+    """u = lam x + mu y + k + (1/gamma) log w,  w = a + c f(p x + q y + r).
+
+    w is exp(gamma u) over the positive mode exp(gamma (lam x + mu y + k)),
+    and the domain is w > floor.  Without f, u is the affine part alone and
+    the domain is the whole plane."""
+
+    gamma: float
+    lam: float
+    mu: float
+    k: float
+    a: float = 0.0
+    c: float = 0.0
+    f: object = None
+    p: float = 0.0
+    q: float = 0.0
+    r: float = 0.0
+    floor: float = 1e-9
+
+    def w(self, x, y):
+        return self.a + self.c * self.f(self.p * x + self.q * y + self.r)
+
+    def __call__(self, x, y):
+        u = self.lam * x + self.mu * y + self.k
+        if self.f is None:
+            return u
+        return u + log_(self.w(x, y)) / self.gamma
+
+    def domain(self, x: float, y: float) -> bool:
+        return self.f is None or self.w(x, y) > self.floor
 
 
 @dataclass(frozen=True)
@@ -254,7 +302,7 @@ def _case21_root(p: ThomasParams, a1f, a2f, root: str):
         raise FamilyError("root must be '+' or '-'")
     theta0 = (b_lin + sign * sqrt_d) / (2 * a1f * a2f * gamma)
     c_rate = sign * sqrt_d / (a1f * a2f)
-    return theta0, c_rate, disc
+    return theta0, c_rate
 
 
 def case21a_solution(
@@ -273,72 +321,26 @@ def case21a_solution(
     if a2f == 0:
         raise FamilyError("a2 must be nonzero for the 2.1 invariants")
 
-    constants = {
-        "a1": _jsonable(a1),
-        "a2": _jsonable(a2),
-        "A": Af,
-        "root": root,
-        "const": constf,
-    }
-
+    constants = {"a1": _jsonable(a1), "a2": _jsonable(a2), "A": Af, "root": root,
+                 "const": constf}
     if a1f == 0:
         b0 = alpha * a2f + gamma
         if b0 == 0:
             raise FamilyError("alpha*a2 + gamma = 0 leaves no constant root")
         theta0 = -beta / (a2f * b0)
-
-        def evaluator(x, y):
-            return theta0 * (a2f * x) + y / a2f + constf
-
-        return SolutionFamily(
-            "case21a",
-            "Case2_1a",
-            p,
-            constants,
-            evaluator,
-            lambda x, y: True,
-            note="degenerate stratum: affine solution of the algebraic reduction",
-        )
-
-    theta0, c_rate, disc = _case21_root(p, a1f, a2f, root)
-
-    if c_rate == 0.0:
-
-        def evaluator(x, y):
-            chi = a2f * x - a1f * y
-            return theta0 * chi + log_(gamma * chi + Af) / gamma + y / a2f + constf
-
-        def domain(x: float, y: float) -> bool:
-            return gamma * (a2f * x - a1f * y) + Af > 1e-9
-
-        return SolutionFamily(
-            "case21a",
-            "Case2_1a",
-            p,
-            constants,
-            evaluator,
-            domain,
-            note="double-root fallback with logarithmic correction",
-        )
-
-    def evaluator(x, y):
-        chi = a2f * x - a1f * y
-        inner = Af - (gamma / c_rate) * exp_(-c_rate * chi)
-        return log_(inner) / gamma + theta0 * chi + y / a2f + constf
-
-    def domain(x: float, y: float) -> bool:
-        chi = a2f * x - a1f * y
-        return Af - (gamma / c_rate) * math.exp(-c_rate * chi) > 1e-9
-
-    return SolutionFamily(
-        "case21a",
-        "Case2_1a",
-        p,
-        constants,
-        evaluator,
-        domain,
-        note="constant Riccati root with exponential correction",
-    )
+        mix = ModeMix(gamma, theta0 * a2f, 1 / a2f, constf)
+        note = "degenerate stratum: affine solution of the algebraic reduction"
+    else:
+        theta0, c_rate = _case21_root(p, a1f, a2f, root)
+        lam, mu = theta0 * a2f, 1 / a2f - theta0 * a1f
+        if c_rate == 0.0:
+            mix = ModeMix(gamma, lam, mu, constf, Af, gamma, _identity, a2f, -a1f)
+            note = "double-root fallback with logarithmic correction"
+        else:
+            mix = ModeMix(gamma, lam, mu, constf, Af, -gamma / c_rate, exp_,
+                          -c_rate * a2f, c_rate * a1f)
+            note = "constant Riccati root with exponential correction"
+    return SolutionFamily("case21a", "Case2_1a", p, constants, mix, mix.domain, note)
 
 
 def case21_affine(p: ThomasParams, a1=1, a2=2, root="+", const=0.0) -> SolutionFamily:
@@ -349,33 +351,25 @@ def case21_affine(p: ThomasParams, a1=1, a2=2, root="+", const=0.0) -> SolutionF
         raise FamilyError("a2 must be nonzero")
     if a1f == 0:
         return case21a_solution(p, a1, a2, A=0.0, root=root, const=const)
-    theta0, _, _ = _case21_root(p, a1f, a2f, root)
-
-    def evaluator(x, y):
-        return theta0 * (a2f * x - a1f * y) + y / a2f + constf
-
-    return SolutionFamily(
-        "case21_affine",
-        "Case2_1a",
-        p,
-        {"a1": _jsonable(a1), "a2": _jsonable(a2), "root": root, "const": constf},
-        evaluator,
-        lambda x, y: True,
-        note="constant-root solution (limit of unbounded correction amplitude)",
-    )
+    theta0, _ = _case21_root(p, a1f, a2f, root)
+    mix = ModeMix(p.floats()[2], theta0 * a2f, 1 / a2f - theta0 * a1f, constf)
+    constants = {"a1": _jsonable(a1), "a2": _jsonable(a2), "root": root, "const": constf}
+    return SolutionFamily("case21_affine", "Case2_1a", p, constants, mix, mix.domain,
+                          "constant-root solution (limit of unbounded correction amplitude)")
 
 
 # --- Case 2.1b: oscillatory branch -------------------------------------------
 
 
 def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0) -> SolutionFamily:
-    """Negative-discriminant branch through tan:
+    """Negative-discriminant branch:
 
         theta = sqrt(Xi) tan(phi) - A1/(2 A2),  phi = A2 sqrt(Xi) chi + A0,
         varsigma = (1/(2 A2)) log(1 + tan(phi)^2) - (A1/(2 A2)) chi,
 
-    using log|cos| = -(1/2) log(1 + tan^2) so one tan evaluation feeds both.
-    Poles of tan are excluded by the domain predicate."""
+    and since A2 = -gamma, (1/(2 A2)) log(1 + tan^2) = (1/gamma) log|cos|,
+    so w = |cos(phi)|.  The domain |cos(phi)| > 0.05 keeps away from the
+    poles of tan."""
     alpha, beta, gamma = p.floats()
     a1f, a2f = _numeric(a1), _numeric(a2)
     A0f, constf = _numeric(A0), _numeric(const)
@@ -392,31 +386,11 @@ def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0) -> Soluti
         )
     rate = A2 * math.sqrt(Xi)
     drift = A1 / (2 * A2)
-
-    def evaluator(x, y):
-        chi = a2f * x - a1f * y
-        t = tan_(rate * chi + A0f)
-        vs = log_(1.0 + t * t) / (2 * A2) - drift * chi
-        return vs + y / a2f + constf
-
-    def domain(x: float, y: float) -> bool:
-        chi = a2f * x - a1f * y
-        return abs(math.cos(rate * chi + A0f)) > 0.05
-
-    return SolutionFamily(
-        "case21b",
-        "Case2_1b",
-        p,
-        {
-            "a1": _jsonable(a1),
-            "a2": _jsonable(a2),
-            "A0": A0f,
-            "const": constf,
-        },
-        evaluator,
-        domain,
-        note="tangent separation branch; antiderivative taken as -log|cos|",
-    )
+    mix = ModeMix(gamma, -drift * a2f, drift * a1f + 1 / a2f, constf, 0.0, 1.0, _abs_cos,
+                  rate * a2f, -rate * a1f, A0f, floor=0.05)
+    constants = {"a1": _jsonable(a1), "a2": _jsonable(a2), "A0": A0f, "const": constf}
+    return SolutionFamily("case21b", "Case2_1b", p, constants, mix, mix.domain,
+                          "tangent separation branch; antiderivative taken as -log|cos|")
 
 
 # --- Case 2.2: affine ---------------------------------------------------------
@@ -430,20 +404,10 @@ def case22_solution(p: ThomasParams, a1=1, const=0.0) -> SolutionFamily:
     denom = beta * a1f + gamma
     if denom == 0:
         raise FamilyError("beta*a1 + gamma = 0 admits no solution (obstructed case)")
-    slope_y = alpha / denom
-
-    def evaluator(x, y):
-        return x / a1f - slope_y * y + constf
-
-    return SolutionFamily(
-        "case22",
-        "Case2_2",
-        p,
-        {"a1": _jsonable(a1), "const": constf},
-        evaluator,
-        lambda x, y: True,
-        note="affine solution; coincides with a single-mode linearization profile",
-    )
+    mix = ModeMix(gamma, 1 / a1f, -alpha / denom, constf)
+    return SolutionFamily("case22", "Case2_2", p, {"a1": _jsonable(a1), "const": constf},
+                          mix, mix.domain,
+                          "affine solution; coincides with a single-mode linearization profile")
 
 
 # --- Case 3.1a / 3.1b: traveling waves ----------------------------------------
@@ -458,63 +422,32 @@ def case31a_solution(p: ThomasParams, k0=5.0, const=0.0) -> SolutionFamily:
     if a2f == 0:
         raise FamilyError("beta = 0 collapses the invariant direction")
     k0f, constf = _numeric(k0), _numeric(const)
-
-    def evaluator(x, y):
-        return log_(gamma * (x - y / a2f) + k0f) / gamma + constf
-
-    def domain(x: float, y: float) -> bool:
-        return gamma * (x - y / a2f) + k0f > 1e-9
-
-    return SolutionFamily(
-        "case31a",
-        "Case3_1a",
-        p,
-        {"k0": k0f, "const": constf},
-        evaluator,
-        domain,
-        note="logarithmic traveling wave along the balanced direction",
-    )
+    mix = ModeMix(gamma, 0.0, 0.0, constf, k0f, gamma, _identity, 1.0, -1 / a2f)
+    return SolutionFamily("case31a", "Case3_1a", p, {"k0": k0f, "const": constf}, mix,
+                          mix.domain, "logarithmic traveling wave along the balanced direction")
 
 
 def case31b_solution(p: ThomasParams, a2=2, k=1.0, const=0.0) -> SolutionFamily:
-    """u = -(1/gamma) log(1 + gamma/(k w e^{w chi} - gamma)) + const with
-    w = beta - alpha*a2 and chi = x - y/a2; w = 0 falls back to the
+    """u = -(1/gamma) log(1 + gamma/(k s e^{s chi} - gamma)) + const with
+    s = beta - alpha*a2 and chi = x - y/a2, that is w = 1 - (gamma/(k s))
+    e^{-s chi}; k = 0 leaves no point with w > 0.  s = 0 falls back to the
     logarithmic form of the balanced branch."""
     alpha, beta, gamma = p.floats()
     a2f = _numeric(a2)
     kf, constf = _numeric(k), _numeric(const)
     if a2f == 0:
         raise FamilyError("a2 must be nonzero")
-    w = beta - alpha * a2f
-    constants = {"a2": _jsonable(a2), "k": kf, "const": constf}
-
-    if w == 0:
-
-        def evaluator(x, y):
-            return log_(gamma * (x - y / a2f) + kf) / gamma + constf
-
-        def domain(x: float, y: float) -> bool:
-            return gamma * (x - y / a2f) + kf > 1e-9
-
+    s = beta - alpha * a2f
+    if s == 0:
+        mix = ModeMix(gamma, 0.0, 0.0, constf, kf, gamma, _identity, 1.0, -1 / a2f)
         note = "drift-free limit; logarithmic profile"
     else:
-
-        def evaluator(x, y):
-            chi = x - y / a2f
-            denom = kf * w * exp_(w * chi) - gamma
-            return -log_(1.0 + gamma / denom) / gamma + constf
-
-        def domain(x: float, y: float) -> bool:
-            chi = x - y / a2f
-            denom = kf * w * math.exp(w * chi) - gamma
-            if abs(denom) < 1e-9:
-                return False
-            return 1.0 + gamma / denom > 1e-12
-
+        c = -gamma / (kf * s) if kf else -math.inf
+        mix = ModeMix(gamma, 0.0, 0.0, constf, 1.0, c, exp_, -s, s / a2f)
         note = "exponential-profile traveling wave"
-
     return SolutionFamily(
-        "case31b", "Case3_1b", p, constants, evaluator, domain, note
+        "case31b", "Case3_1b", p, {"a2": _jsonable(a2), "k": kf, "const": constf},
+        mix, mix.domain, note,
     )
 
 
@@ -522,16 +455,10 @@ def case31b_solution(p: ThomasParams, a2=2, k=1.0, const=0.0) -> SolutionFamily:
 
 
 def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2") -> SolutionFamily:
-    p.floats()  # like every family, a constant state needs numeric parameters
-    cf = _numeric(c)
+    gamma = p.floats()[2]  # like every family, a constant state needs numeric parameters
+    mix = ModeMix(gamma, 0.0, 0.0, _numeric(c))
     return SolutionFamily(
-        "constant",
-        tag,
-        p,
-        {"c": cf, "tag": tag},
-        lambda x, y: cf + 0.0 * x * y,
-        lambda x, y: True,
-        note="constant state",
+        "constant", tag, p, {"c": mix.k, "tag": tag}, mix, mix.domain, note="constant state"
     )
 
 

@@ -152,6 +152,10 @@ class HyperDual:
         r = math.sqrt(self.value)
         return self._lift(r, 0.5 / r, -0.25 / (r * self.value))
 
+    def cos(self) -> "HyperDual":
+        c = math.cos(self.value)
+        return self._lift(c, -math.sin(self.value), -c)
+
     def tan(self) -> "HyperDual":
         t = math.tan(self.value)
         sec2 = 1.0 + t * t
@@ -186,6 +190,10 @@ def log_(t):
     if t <= 0:
         raise HyperDualError("log of non-positive value %r" % t)
     return math.log(t)
+
+
+def cos_(t):
+    return t.cos() if isinstance(t, HyperDual) else math.cos(t)
 
 
 def tan_(t):

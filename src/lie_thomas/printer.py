@@ -1,8 +1,4 @@
-"""Text and LaTeX rendering of expression trees.
-
-Text output round-trips through the parser for expressions built from
-registered symbols.
-"""
+"""Text and LaTeX rendering of expression trees."""
 
 from __future__ import annotations
 

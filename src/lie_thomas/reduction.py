@@ -28,7 +28,6 @@ from .expr import (
     Y,
     ZERO,
     add,
-    differentiate,
     log,
     mul,
     pow_,

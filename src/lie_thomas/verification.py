@@ -46,7 +46,10 @@ class GridSpec:
 
 def residual(u, x: float, y: float, p: ThomasParams) -> float:
     """PDE residual of the evaluator u at one point, via dual numbers."""
-    alpha, beta, gamma = p.floats()
+    return _residual(u, x, y, *p.floats())
+
+
+def _residual(u, x, y, alpha, beta, gamma):
     val = u(HyperDual.x_at(x), HyperDual.y_at(y))
     if not isinstance(val, HyperDual):
         val = HyperDual(float(val))
@@ -78,6 +81,7 @@ def residual_grid(family, p: ThomasParams = None, grid: GridSpec = None) -> Grid
     if grid is None:
         grid = GridSpec()
     in_domain = getattr(family, "domain", None) or (lambda x, y: True)
+    alpha, beta, gamma = p.floats()
     worst = -1.0
     worst_pt = (math.nan, math.nan)
     evaluated = skipped = 0
@@ -85,7 +89,7 @@ def residual_grid(family, p: ThomasParams = None, grid: GridSpec = None) -> Grid
         if not in_domain(x, y):
             skipped += 1
             continue
-        r = abs(residual(family, x, y, p))
+        r = abs(_residual(family, x, y, alpha, beta, gamma))
         evaluated += 1
         if not math.isfinite(r):
             r = math.inf  # NaN compares false; the first one must still fail

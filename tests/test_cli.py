@@ -154,7 +154,7 @@ def test_import_loads_neither_scipy_nor_numpy():
 
 
 _SYMBOLIC = {"normal", "jetpoly", "vectorfield", "determining", "algebra",
-             "classifier", "reduction", "printer", "parser"}
+             "classifier", "reduction", "printer"}
 _NUMERIC = {"families", "fuchs", "hyperdual", "verification"}
 
 
@@ -283,6 +283,7 @@ def _descriptor(**fields):
 
 
 _ONES = {"alpha": "1", "beta": "1", "gamma": "1"}
+_MISSING_DIR = object()  # stands for a path under a tmp_path directory that does not exist
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -319,11 +320,15 @@ _ONES = {"alpha": "1", "beta": "1", "gamma": "1"}
     (("solve", "--case", "Case2_4", "--params", "symbolic"), "parameters are symbolic"),
     (("solve", "--case", "Case3_2", "--params", "symbolic", "--format", "csv"),
      "parameters are symbolic"),
+    (("classify", "--vector", "1,1,3,1", "--output", _MISSING_DIR), "--output: cannot write"),
+    (("derive", "--show-prolongation", "--format", "csv"),
+     "--show-prolongation has no csv form"),
 ])
-def test_malformed_values_exit_3(capsys, monkeypatch, argv, message):
+def test_malformed_values_exit_3(capsys, monkeypatch, tmp_path, argv, message):
     if isinstance(argv[-1], _Stdin):
         monkeypatch.setattr(sys, "stdin", io.StringIO(argv[-1]))
         argv = argv[:-1]
+    argv = [str(tmp_path / "missing" / "out") if a is _MISSING_DIR else a for a in argv]
     rc, _, err = _run(capsys, *argv)
     assert rc == 3
     assert "error[" in err and message in err

@@ -1,7 +1,6 @@
-"""Kernel behavior: construction, calculus, substitution, printing, parsing."""
+"""Kernel behavior: construction, calculus, substitution, printing."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -20,8 +19,6 @@ from lie_thomas.expr import (
     EvalError,
     R,
     Rat,
-    Sym,
-    app,
     arctan,
     contains_jet,
     differentiate,
@@ -29,14 +26,11 @@ from lie_thomas.expr import (
     exp,
     log,
     max_jet_order,
-    mul,
-    param,
     pow_,
     substitute,
     tan,
 )
 from lie_thomas.normal import canonical_expr, equal, is_zero
-from lie_thomas.parser import ParseError, parse
 from lie_thomas.printer import to_latex, to_text
 
 
@@ -119,49 +113,6 @@ def test_jet_queries():
     assert not contains_jet(X * Y)
     assert max_jet_order(e) == 1
     assert max_jet_order(JETS[(2, 1)]) == 3
-
-
-def test_parser_round_trip():
-    samples = [
-        "u_xy + alpha*u_x + beta*u_y + gamma*u_x*u_y",
-        "1/2 - x^2*y + exp(x + y)",
-        "log(1 + tan(x)^2)",
-        "-x/(y + 1)",
-        "u_xx^2 - u_yy",
-    ]
-    for s in samples:
-        e = parse(s)
-        again = parse(to_text(e))
-        assert equal(e, again), s
-
-
-def test_parser_decimals_exact():
-    assert parse("0.25") == Rat(Fraction(1, 4))
-
-
-def test_parser_rejects_unknown_names():
-    with pytest.raises(ParseError):
-        parse("q + 1")
-    # declared constants are accepted
-    e = parse("a1*x", constants=("a1",))
-    assert param("a1") in {s for s in _syms(e)}
-
-
-def _syms(e):
-    out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Sym):
-            out.add(n)
-        for attr in ("terms", "factors"):
-            if hasattr(n, attr):
-                stack.extend(getattr(n, attr))
-        if hasattr(n, "base"):
-            stack.append(n.base)
-        if hasattr(n, "arg"):
-            stack.append(n.arg)
-    return out
 
 
 def test_printer_latex():

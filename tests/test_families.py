@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from lie_thomas.families import (
     SOLUTION_BUILDERS,
     TAG_BUILDERS,
     FamilyError,
+    ModeMix,
     Obstruction,
     SolutionFamily,
     case1_solution,
@@ -26,8 +28,10 @@ from lie_thomas.families import (
     constant_solution,
     from_descriptor,
     trivial_solutions,
+    _numeric,
 )
 from lie_thomas.fuchs import fuchs_series
+from lie_thomas.hyperdual import exp_, log_, tan_
 from lie_thomas.verification import GridSpec, residual_grid
 
 F = Fraction
@@ -263,3 +267,239 @@ def test_tag_builders_name_real_tags_and_builders():
     for tag, key in TAG_BUILDERS.items():
         constants = {"tag": tag} if key == "constant" else {}
         assert SOLUTION_BUILDERS[key](P, **constants).tag == tag
+
+
+# --- the hand-written closed forms the ModeMix builders replaced -------------
+#
+# Each reference below is a builder's validation, evaluator and domain
+# predicate as they were before every closed form became one ModeMix, kept
+# as an independent statement of the printed formulas.
+
+
+def _ref_root(p, a1f, a2f, root):
+    alpha, beta, gamma = p.floats()
+    b_lin = alpha * a2f - beta * a1f + gamma
+    disc = b_lin**2 + 4 * gamma * beta * a1f
+    if disc < 0:
+        raise FamilyError("negative discriminant %g; no real constant root" % disc)
+    sqrt_d = math.sqrt(disc)
+    sign = {"+": 1.0, "-": -1.0}.get(root)
+    if sign is None:
+        raise FamilyError("root must be '+' or '-'")
+    return (b_lin + sign * sqrt_d) / (2 * a1f * a2f * gamma), sign * sqrt_d / (a1f * a2f)
+
+
+def _everywhere(x, y):
+    return True
+
+
+def _ref_case21a(p, a1=1, a2=2, A=5000.0, root="+", const=0.0):
+    alpha, beta, gamma = p.floats()
+    a1f, a2f, Af, constf = _numeric(a1), _numeric(a2), _numeric(A), _numeric(const)
+    if a2f == 0:
+        raise FamilyError("a2 must be nonzero for the 2.1 invariants")
+    if a1f == 0:
+        b0 = alpha * a2f + gamma
+        if b0 == 0:
+            raise FamilyError("alpha*a2 + gamma = 0 leaves no constant root")
+        theta0 = -beta / (a2f * b0)
+        return (lambda x, y: theta0 * (a2f * x) + y / a2f + constf), _everywhere
+    theta0, c_rate = _ref_root(p, a1f, a2f, root)
+    if c_rate == 0.0:
+        def u(x, y):
+            chi = a2f * x - a1f * y
+            return theta0 * chi + log_(gamma * chi + Af) / gamma + y / a2f + constf
+
+        return u, lambda x, y: gamma * (a2f * x - a1f * y) + Af > 1e-9
+
+    def u(x, y):
+        chi = a2f * x - a1f * y
+        inner = Af - (gamma / c_rate) * exp_(-c_rate * chi)
+        return log_(inner) / gamma + theta0 * chi + y / a2f + constf
+
+    def domain(x, y):
+        chi = a2f * x - a1f * y
+        return Af - (gamma / c_rate) * math.exp(-c_rate * chi) > 1e-9
+
+    return u, domain
+
+
+def _ref_case21_affine(p, a1=1, a2=2, root="+", const=0.0):
+    a1f, a2f, constf = _numeric(a1), _numeric(a2), _numeric(const)
+    if a2f == 0:
+        raise FamilyError("a2 must be nonzero")
+    if a1f == 0:
+        return _ref_case21a(p, a1, a2, A=0.0, root=root, const=const)
+    theta0, _ = _ref_root(p, a1f, a2f, root)
+    return (lambda x, y: theta0 * (a2f * x - a1f * y) + y / a2f + constf), _everywhere
+
+
+def _ref_case21b(p, a1=-1, a2=-1, A0=0.0, const=0.0):
+    alpha, beta, gamma = p.floats()
+    a1f, a2f, A0f, constf = _numeric(a1), _numeric(a2), _numeric(A0), _numeric(const)
+    if a1f == 0 or a2f == 0:
+        raise FamilyError("the oscillatory branch needs a1*a2 != 0")
+    A1 = (alpha * a2f - beta * a1f + gamma) / (a1f * a2f)
+    A2 = -gamma
+    A3 = beta / (a1f * a2f**2)
+    Xi = (4 * A2 * A3 - A1 * A1) / (4 * A2 * A2)
+    if Xi <= 0:
+        raise FamilyError(
+            "Xi = %g is not positive; these constants belong to the real-root branch" % Xi)
+    rate, drift = A2 * math.sqrt(Xi), A1 / (2 * A2)
+
+    def u(x, y):  # through tan: log|cos| = -(1/2) log(1 + tan^2)
+        chi = a2f * x - a1f * y
+        t = tan_(rate * chi + A0f)
+        return log_(1.0 + t * t) / (2 * A2) - drift * chi + y / a2f + constf
+
+    return u, lambda x, y: abs(math.cos(rate * (a2f * x - a1f * y) + A0f)) > 0.05
+
+
+def _ref_case22(p, a1=1, const=0.0):
+    alpha, beta, gamma = p.floats()
+    a1f, constf = _numeric(a1), _numeric(const)
+    if a1f == 0:
+        raise FamilyError("a1 = 0 has no 2.2 reduction")
+    denom = beta * a1f + gamma
+    if denom == 0:
+        raise FamilyError("beta*a1 + gamma = 0 admits no solution (obstructed case)")
+    return (lambda x, y: x / a1f - alpha / denom * y + constf), _everywhere
+
+
+def _ref_log_wave(gamma, a2f, k0f, constf):
+    return (lambda x, y: log_(gamma * (x - y / a2f) + k0f) / gamma + constf,
+            lambda x, y: gamma * (x - y / a2f) + k0f > 1e-9)
+
+
+def _ref_case31a(p, k0=5.0, const=0.0):
+    alpha, beta, gamma = p.floats()
+    if alpha == 0:
+        raise FamilyError("this branch needs alpha != 0 (a2 = beta/alpha)")
+    a2f = beta / alpha
+    if a2f == 0:
+        raise FamilyError("beta = 0 collapses the invariant direction")
+    return _ref_log_wave(gamma, a2f, _numeric(k0), _numeric(const))
+
+
+def _ref_case31b(p, a2=2, k=1.0, const=0.0):
+    alpha, beta, gamma = p.floats()
+    a2f, kf, constf = _numeric(a2), _numeric(k), _numeric(const)
+    if a2f == 0:
+        raise FamilyError("a2 must be nonzero")
+    s = beta - alpha * a2f
+    if s == 0:
+        return _ref_log_wave(gamma, a2f, kf, constf)
+
+    def denom(x, y):
+        return kf * s * exp_(s * (x - y / a2f)) - gamma
+
+    def domain(x, y):
+        d = denom(x, y)
+        return abs(d) >= 1e-9 and 1.0 + gamma / d > 1e-12
+
+    return (lambda x, y: -log_(1.0 + gamma / denom(x, y)) / gamma + constf), domain
+
+
+def _ref_constant(p, c=0.0, tag="Case3_2"):
+    p.floats()
+    cf = _numeric(c)
+    return (lambda x, y: cf + 0.0 * x * y), _everywhere
+
+
+def _rat(rng, span=4, zero_share=0.15):
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.choice([-1, 1]) * rng.randint(1, 3 * span), rng.randint(1, 3))
+
+
+def _real(rng, lo, hi):
+    return rng.choice([F(0), F(rng.randint(lo, hi)), rng.uniform(lo, hi)])
+
+
+def _oscillatory(rng, p):
+    """(a1, a2), three times in four redrawn until Xi > 0, that is
+    -4 gamma beta a1 > (alpha a2 - beta a1 + gamma)^2 with a1 a2 != 0, since
+    few random pairs reach the oscillatory branch; the rest exercise the
+    builder's errors."""
+    alpha, beta, gamma = p.alpha.value, p.beta.value, p.gamma.value
+    a1, a2 = _rat(rng), _rat(rng)
+    tries = 100 if rng.random() < 0.75 else 0
+    while tries and not (a1 * a2 != 0
+                         and -4 * gamma * beta * a1 > (alpha * a2 - beta * a1 + gamma) ** 2):
+        a1, a2 = _rat(rng), _rat(rng)
+        tries -= 1
+    return {"a1": a1, "a2": a2}
+
+
+# builder key -> (reference, draw of its constants at parameters p)
+REFERENCES = {
+    "case21a": (_ref_case21a, lambda rng, p: {
+        "a1": _rat(rng), "a2": _rat(rng), "A": _real(rng, -20, 5000),
+        "root": rng.choice("+-"), "const": _real(rng, -3, 3)}),
+    "case21_affine": (_ref_case21_affine, lambda rng, p: {
+        "a1": _rat(rng), "a2": _rat(rng), "root": rng.choice("+-"),
+        "const": _real(rng, -3, 3)}),
+    "case21b": (_ref_case21b, lambda rng, p: {
+        **_oscillatory(rng, p), "A0": _real(rng, -3, 3), "const": _real(rng, -3, 3)}),
+    "case22": (_ref_case22, lambda rng, p: {"a1": _rat(rng), "const": _real(rng, -3, 3)}),
+    "case31a": (_ref_case31a, lambda rng, p: {
+        "k0": _real(rng, -5, 20), "const": _real(rng, -3, 3)}),
+    "case31b": (_ref_case31b, lambda rng, p: {
+        "a2": _rat(rng), "k": _real(rng, -5, 5), "const": _real(rng, -3, 3)}),
+    "constant": (_ref_constant, lambda rng, p: {"c": _real(rng, -3, 3)}),
+}
+
+
+def _outcome(build, p, constants):
+    try:
+        return build(p, **constants), None
+    except Exception as exc:  # the builders must fail alike
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCES))
+def test_mode_mix_matches_the_hand_written_closed_form(key):
+    """400 seeded constant sets on a 9x9 grid: the same builder errors, the
+    same domain decisions, and values within 1e-9 relative.
+
+    case31b departs where its old form was ill-conditioned.  That form,
+    u = -(1/gamma) log(1 + gamma/denom), cancels where u is large, so its
+    values get a tolerance for that round-off, 4 eps/(|gamma| e^{-gamma (u - const)}).
+    Its two checks |denom| >= 1e-9 and 1 + gamma/denom > 1e-12 became
+    w > 1e-9 on w = 1 - gamma/(k s e^{s chi}), the reciprocal of the old log
+    argument, so the new domain also keeps the points where w exceeds
+    ~1e12, which the old guard against that cancellation dropped; no other
+    decision differs."""
+    reference, draw = REFERENCES[key]
+    rng = random.Random(20261018)
+    grid = list(GridSpec(-2.0, 2.0, 9, -2.0, 2.0, 9).points())
+    built = compared = 0
+    for _ in range(400):
+        p = ThomasParams(_rat(rng), _rat(rng), _rat(rng, zero_share=0.0))
+        gamma = float(p.gamma.value)
+        constants = draw(rng, p)
+        fam, fam_error = _outcome(SOLUTION_BUILDERS[key], p, constants)
+        ref, ref_error = _outcome(reference, p, constants)
+        assert fam_error == ref_error, (p, constants)
+        if fam is None:
+            continue
+        built += 1
+        assert isinstance(fam.evaluator, ModeMix) and fam.domain == fam.evaluator.domain
+        u_ref, domain_ref = ref
+        for x, y in grid:
+            inside = fam.domain(x, y)
+            if inside != domain_ref(x, y):
+                assert key == "case31b" and inside, (p, constants, x, y)
+                assert fam.evaluator.w(x, y) > 1e11, (p, constants, x, y)
+                continue
+            if not inside:
+                continue
+            want, got = u_ref(x, y), fam(x, y)
+            tol = 1e-9 * max(1.0, abs(want))
+            if key == "case31b":
+                log_part = want - _numeric(constants["const"])
+                tol += 4 * 2.0**-52 / (abs(gamma) * math.exp(-gamma * log_part))
+            assert abs(got - want) <= tol, (p, constants, x, y, got, want)
+            compared += 1
+    assert built >= 100 and compared >= 4000, (built, compared)

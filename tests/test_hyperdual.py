@@ -6,6 +6,7 @@ import pytest
 
 from lie_thomas.hyperdual import (
     HyperDual,
+    cos_,
     exp_,
     lift_with_derivatives,
     log_,
@@ -69,6 +70,15 @@ def test_tan_derivatives():
     sec2 = 1 + t * t
     fxy = sec2 + 2 * t * sec2 * 0.08
     _check(z, t, 0.2 * sec2, 0.4 * sec2, fxy)
+
+
+def test_cos_derivatives():
+    x, y = seed(0.4, 0.2)
+    # f = cos(x y): fx = -y sin(xy), fy = -x sin(xy), fxy = -sin(xy) - xy cos(xy)
+    z = cos_(x * y)
+    s, c = math.sin(0.08), math.cos(0.08)
+    _check(z, c, -0.2 * s, -0.4 * s, -s - 0.08 * c)
+    assert cos_(0.08) == c
 
 
 def test_sqrt_and_pow():

@@ -1,5 +1,7 @@
-"""The package namespace (resolved lazily, PEP 562) and the common error base."""
+"""The package namespace (resolved lazily, PEP 562), the common error base and
+the modules' imports."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -82,7 +84,6 @@ _ERROR_BASES = {
     "hyperdual.HyperDualError": ValueError,
     "jetpoly.JetPolynomialError": ExprError,
     "params.ParameterError": ExprError,
-    "parser.ParseError": ValueError,
     "reduction.ReductionError": ValueError,
     "vectorfield.ProlongationError": ExprError,
     "verification.VerificationError": ValueError,
@@ -113,3 +114,36 @@ def test_determining_reexports_the_params_names():
 
     assert determining.ThomasParams is params.ThomasParams
     assert determining.ParameterError is params.ParameterError
+
+
+# names a module imports only so that its importers find them there; the
+# lazy namespace in __init__ is made of such names
+_REEXPORTS = {"determining": {"ParameterError", "ThomasParams"}}
+
+
+def _unused_imports(source: str):
+    """Names bound by the module-level imports of source that no name in it
+    reads (the __future__ flags aside)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_unused_import_scan_sees_a_dead_import():
+    assert _unused_imports("import os\nfrom math import exp, log\nlog(os.sep)\n") == {"exp"}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    pkg = os.path.dirname(lie_thomas.__file__)
+    for name in sorted(os.listdir(pkg)):
+        module = name[:-3]
+        if not name.endswith(".py") or module == "__init__":
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            unused = _unused_imports(fh.read()) - _REEXPORTS.get(module, set())
+        assert not unused, (module, sorted(unused))
