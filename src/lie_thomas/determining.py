@@ -27,10 +27,11 @@ from .expr import (
     differentiate,
     exp,
     mul,
+    pow_,
     _wrap,
 )
-from .jetpoly import JetMono, JetPolynomial
-from .normal import is_zero
+from .jetpoly import JetPolynomial
+from .normal import canonical_expr, is_zero
 from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
 
@@ -39,20 +40,16 @@ def thomas_delta(p: ThomasParams) -> Expr:
     return add(U_XY, mul(p.alpha, U_X), mul(p.beta, U_Y), mul(p.gamma, U_X, U_Y))
 
 
-def manifold_substitution(p: ThomasParams) -> dict:
-    """u_xy rewritten through the equation itself."""
-    return {U_XY: mul(Rat(-1), add(mul(p.alpha, U_X), mul(p.beta, U_Y), mul(p.gamma, U_X, U_Y)))}
-
-
-def on_manifold(e: Expr, p: ThomasParams) -> Expr:
-    from .expr import substitute
-
-    return substitute(e, manifold_substitution(p))
+def on_manifold(jp: JetPolynomial, p: ThomasParams) -> JetPolynomial:
+    """u_xy eliminated through the equation itself: each u_xy^n becomes the
+    n-th power of -(alpha u_x + beta u_y + gamma u_x u_y)."""
+    rest = JetPolynomial.from_expr(add(U_XY, mul(Rat(-1), thomas_delta(p))))
+    return jp.substitute(U_XY, rest)
 
 
 @dataclass(frozen=True)
 class DeterminingSystem:
-    rows: tuple  # ordered (JetMono, Expr) pairs
+    rows: tuple  # ordered (jet monomial, Expr) pairs
 
     def __iter__(self):
         return iter(self.rows)
@@ -60,32 +57,18 @@ class DeterminingSystem:
     def __len__(self):
         return len(self.rows)
 
-    def coefficient(self, mono: JetMono) -> Expr:
-        for m, c in self.rows:
-            if m == tuple(mono):
-                return c
-        return ZERO
-
 
 def determining_equations(p: ThomasParams = ThomasParams()) -> DeterminingSystem:
     """Monomial coefficients of the prolonged symbolic action on the
     equation, after eliminating u_xy on the solution manifold."""
-    from .normal import canonical_expr
-
-    vf = symbolic_field()
-    pf = prolong(vf)
-    applied = apply_prolonged(pf, thomas_delta(p))
-    reduced = on_manifold(applied, p)
-    jp = JetPolynomial.from_expr(reduced)
+    jp = on_manifold(apply_prolonged(prolong(symbolic_field()), thomas_delta(p)), p)
     return DeterminingSystem(tuple((m, canonical_expr(c)) for m, c in jp.items()))
 
 
 def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     """(flag, residual): flag is True iff the prolonged action of vf on the
     equation vanishes on the solution manifold."""
-    pf = prolong(vf)
-    residual = on_manifold(apply_prolonged(pf, thomas_delta(p)), p)
-    jp = JetPolynomial.from_expr(residual)
+    jp = on_manifold(apply_prolonged(prolong(vf), thomas_delta(p)), p)
     if jp.is_zero():
         return True, ZERO
     return False, jp.to_expr()
@@ -129,14 +112,8 @@ def v_g(g: Expr, p: ThomasParams = ThomasParams(), check: bool = True) -> Vector
             raise ParameterError(
                 "g does not satisfy the linearized equation; residual %r" % constraint
             )
-    phi = mul(Rat(-1), g, app("exp", mul(Rat(-1), p.gamma, U)), pow_safe(p.gamma))
+    phi = mul(Rat(-1), g, app("exp", mul(Rat(-1), p.gamma, U)), pow_(p.gamma, -1))
     return VectorField(Rat(0), Rat(0), phi)
-
-
-def pow_safe(e: Expr):
-    from .expr import pow_
-
-    return pow_(e, -1)
 
 
 def general_symmetry(
@@ -167,7 +144,5 @@ def exponential_g(lam, p: ThomasParams = ThomasParams()):
     denom = add(lam, p.beta)
     if is_zero(denom):
         raise ParameterError("lam + beta must be nonzero")
-    from .expr import pow_
-
     mu = mul(Rat(-1), p.alpha, lam, pow_(denom, -1))
     return exp(add(mul(lam, X), mul(mu, Y))), mu

@@ -1,14 +1,18 @@
-"""Polynomial-in-jet-coordinates view of an expression.
+"""Polynomials in the jet coordinates u_x, ..., u_yyy.
 
-Splitting an expression into monomials in the derivative symbols
-u_x, ..., u_yyy, with coefficients free of those symbols, is what turns a
-prolonged-field application into a system of determining equations: each
-jet monomial must vanish separately because the coefficient functions
-depend only on (x, y, u).
+A JetPolynomial maps jet monomials to coefficient expressions in (x, y, u),
+free of jets.  The second prolongation is computed on this form directly:
+the total derivatives act monomial by monomial through the chain rule, and
+sums and products collect each monomial's contributions with one n-ary
+``add``.  The split by monomial is also what turns a prolonged-field
+application into a system of determining equations: each jet monomial must
+vanish separately because the coefficient functions depend only on
+(x, y, u).  ``from_expr`` collects a polynomial-in-jets expression.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
 from .expr import (
@@ -24,9 +28,13 @@ from .expr import (
     Pow,
     Rat,
     Sym,
+    U,
+    X,
+    Y,
     ZERO,
     add,
     contains_jet,
+    differentiate,
     mul,
     pow_,
 )
@@ -35,6 +43,13 @@ from .normal import is_zero
 # exponents ordered like JETS: (u_x, u_y, u_xx, u_xy, u_yy, u_xxx, u_xxy, u_xyy, u_yyy)
 _JET_LIST = list(JETS.values())
 _JET_POS = {s: i for i, s in enumerate(_JET_LIST)}
+# per axis: the variable, the position of u_x or u_y, and for each position
+# the position of the jet one derivative higher (None past third order)
+_AXES = tuple(
+    (var, _JET_POS[JETS[step]],
+     tuple(_JET_POS.get(JETS.get((i + step[0], j + step[1]))) for i, j in JETS))
+    for var, step in ((X, (1, 0)), (Y, (0, 1)))
+)
 
 JetMono = tuple
 
@@ -45,6 +60,14 @@ class JetPolynomialError(ExprError):
 
 def _mono_mul(m1: JetMono, m2: JetMono) -> JetMono:
     return tuple(a + b for a, b in zip(m1, m2))
+
+
+def _bump(m: JetMono, i: int, n: int = 1) -> JetMono:
+    return m[:i] + (m[i] + n,) + m[i + 1 :]
+
+
+def _times(n: int, c: Expr) -> Expr:
+    return c if n == 1 else mul(Rat(n), c)
 
 
 _MONO_ONE: JetMono = (0,) * len(_JET_LIST)
@@ -82,11 +105,12 @@ class JetPolynomial:
     def from_expr(cls, e: Expr) -> "JetPolynomial":
         return cls(_collect(e))
 
+    @classmethod
+    def constant(cls, c: Expr) -> "JetPolynomial":
+        return cls({_MONO_ONE: c})
+
     def monomials(self) -> Iterator[JetMono]:
         return iter(sorted(self.coeffs, key=mono_order_key))
-
-    def coefficient(self, mono: JetMono) -> Expr:
-        return self.coeffs.get(tuple(mono), ZERO)
 
     def items(self):
         for m in self.monomials():
@@ -98,28 +122,76 @@ class JetPolynomial:
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.coeffs.values())
 
-    def __len__(self):
-        return len(self.coeffs)
+    def __add__(self, other: "JetPolynomial") -> "JetPolynomial":
+        return JetPolynomial(_sum_terms((*self.coeffs.items(), *other.coeffs.items())))
 
-    def __eq__(self, other):
-        if not isinstance(other, JetPolynomial):
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(is_zero(self.coefficient(k) - other.coefficient(k)) for k in keys)
+    def __sub__(self, other: "JetPolynomial") -> "JetPolynomial":
+        return self + other * -1
 
-    def __hash__(self):
-        raise TypeError("JetPolynomial is unhashable")
+    def __mul__(self, other) -> "JetPolynomial":
+        """Product with a JetPolynomial, a jet symbol or a rational."""
+        if isinstance(other, JetPolynomial):
+            return JetPolynomial(_product(self.coeffs, other.coeffs))
+        if other in _JET_POS:
+            i = _JET_POS[other]
+            return JetPolynomial({_bump(m, i): c for m, c in self.coeffs.items()})
+        if isinstance(other, (int, Fraction)):
+            return JetPolynomial({m: mul(Rat(other), c) for m, c in self.coeffs.items()})
+        return NotImplemented
+
+    def diff(self, jet: Sym) -> "JetPolynomial":
+        """Partial derivative by the jet coordinate ``jet``."""
+        i = _JET_POS[jet]
+        return JetPolynomial(
+            {_bump(m, i, -1): _times(m[i], c) for m, c in self.coeffs.items() if m[i]}
+        )
+
+    def D_x(self) -> "JetPolynomial":
+        return self._total_derivative(*_AXES[0])
+
+    def D_y(self) -> "JetPolynomial":
+        return self._total_derivative(*_AXES[1])
+
+    def _total_derivative(self, var, first, up) -> "JetPolynomial":
+        """D(c m) = (c_var + u_var c_u) m + c D(m), on jets up to third order
+        (Olver, GTM 107, Thm 2.36)."""
+        pairs = []
+        for m, c in self.coeffs.items():
+            pairs.append((m, differentiate(c, var)))
+            pairs.append((_bump(m, first), differentiate(c, U)))
+            for i, n in enumerate(m):
+                if not n:
+                    continue
+                if up[i] is None:
+                    from .vectorfield import ProlongationError  # vectorfield imports jetpoly
+
+                    raise ProlongationError("total derivative of a third-order jet "
+                                            "expression needs fourth-order jets")
+                pairs.append((_bump(_bump(m, i, -1), up[i]), _times(n, c)))
+        return JetPolynomial(_sum_terms(pairs))
+
+    def substitute(self, jet: Sym, poly: "JetPolynomial") -> "JetPolynomial":
+        """The jet coordinate ``jet`` replaced by the polynomial ``poly``:
+        each power jet^n becomes poly^n."""
+        i = _JET_POS[jet]
+        pairs = []
+        for m, c in self.coeffs.items():
+            rest = _bump(m, i, -m[i])
+            for pm, pc in _power(poly.coeffs, m[i]).items():
+                pairs.append((_mono_mul(rest, pm), mul(c, pc)))
+        return JetPolynomial(_sum_terms(pairs))
 
 
 def _sum_terms(pairs) -> dict:
     """{jet-mono: coeff} from (mono, coeff) pairs, each monomial's
-    coefficients summed by one n-ary ``add``; zero sums are dropped."""
+    coefficients summed by one n-ary ``add``; zero sums are dropped.  A
+    single coefficient is kept as it is: it is already canonical."""
     parts: dict = {}
     for m, c in pairs:
         parts.setdefault(m, []).append(c)
     out = {}
     for m, cs in parts.items():
-        s = add(*cs)
+        s = cs[0] if len(cs) == 1 else add(*cs)
         if s != ZERO:
             out[m] = s
     return out
@@ -131,15 +203,20 @@ def _product(p: dict, q: dict) -> dict:
     )
 
 
+def _power(p: dict, n: int) -> dict:
+    out = {_MONO_ONE: ONE}
+    for _ in range(n):
+        out = _product(out, p)
+    return out
+
+
 def _collect(e: Expr) -> dict:
     """Expand ``e`` into {jet-mono: coeff}; rejects jets in denominators,
     inside function applications, or under unknown functions."""
     if isinstance(e, Rat) or (isinstance(e, Sym) and e.kind != "jet"):
         return {_MONO_ONE: e} if e != ZERO else {}
     if isinstance(e, Sym):
-        mono = list(_MONO_ONE)
-        mono[_JET_POS[e]] = 1
-        return {tuple(mono): ONE}
+        return {_bump(_MONO_ONE, _JET_POS[e]): ONE}
     if isinstance(e, (Func, App)):
         if contains_jet(e):
             raise JetPolynomialError(
@@ -158,9 +235,5 @@ def _collect(e: Expr) -> dict:
             return {_MONO_ONE: e}
         if e.exp < 0:
             raise JetPolynomialError("derivative symbols in a denominator: %r" % e)
-        out = {_MONO_ONE: ONE}
-        base = _collect(e.base)
-        for _ in range(e.exp):
-            out = _product(out, base)
-        return out
+        return _power(_collect(e.base), e.exp)
     raise JetPolynomialError("cannot collect %r" % e)

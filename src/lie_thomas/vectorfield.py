@@ -2,11 +2,10 @@
 
 A field v = xi d/dx + eta d/dy + phi d/du with coefficients depending on
 (x, y, u) acts on second-order jet space through five prolongation
-coefficients.  They are computed here from the total-derivative
-definitions, each distinct total derivative once; the mixed coefficient
-uses the characteristic form, whose third-order jets must cancel
-identically, which is checked on the monomial keys of its jet
-polynomial.
+coefficients.  They are computed as jet polynomials, from the native total
+derivatives of ``jetpoly``, each distinct total derivative once; the mixed
+coefficient uses the characteristic form, whose third-order jets must
+cancel identically, which is checked on the monomial keys.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .expr import (
     UFunc,
     X,
     Y,
-    ZERO,
     add,
     contains_jet,
     differentiate,
@@ -31,18 +29,15 @@ from .expr import (
     _wrap,
 )
 from .jetpoly import JetPolynomial
+from .normal import is_zero
 
 
 class ProlongationError(ExprError):
     pass
 
 
-_FIRST = ((1, 0), (0, 1))
-_SECOND = ((2, 0), (1, 1), (0, 2))
-COEFF_KEYS = _FIRST + _SECOND
+COEFF_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-U_XXY = JETS[(2, 1)]
-U_XYY = JETS[(1, 2)]
 # positions of the third-order jets in a JetPolynomial monomial key
 _THIRD_ORDER = tuple(i for i, s in enumerate(JETS.values()) if JET_ORDERS[s] == 3)
 
@@ -82,8 +77,6 @@ class VectorField:
         return VectorField(mul(c, self.xi), mul(c, self.eta), mul(c, self.phi))
 
     def is_zero(self) -> bool:
-        from .normal import is_zero
-
         return is_zero(self.xi) and is_zero(self.eta) and is_zero(self.phi)
 
 
@@ -97,28 +90,6 @@ def symbolic_field(xi_name="xi", eta_name="eta", phi_name="phi") -> VectorField:
     )
 
 
-def total_derivative(e: Expr, axis: str) -> Expr:
-    """Total derivative D_x or D_y on second-order jet space."""
-    if axis not in ("x", "y"):
-        raise ProlongationError("axis must be 'x' or 'y', got %r" % axis)
-    if max_jet_order(e) >= 3:
-        raise ProlongationError(
-            "total derivative of a third-order jet expression needs fourth-order jets"
-        )
-    var, step = (X, (1, 0)) if axis == "x" else (Y, (0, 1))
-    out = [differentiate(e, var)]
-    d_u = differentiate(e, U)
-    if d_u != ZERO:
-        out.append(mul(JETS[step], d_u))
-    for (i, j), s in JETS.items():
-        if i + j > 2:
-            continue
-        d = differentiate(e, s)
-        if d != ZERO:
-            out.append(mul(JETS[(i + step[0], j + step[1])], d))
-    return add(*out)
-
-
 @dataclass(frozen=True)
 class ProlongedField:
     base: VectorField
@@ -129,71 +100,52 @@ class ProlongedField:
 
 
 def prolong(vf: VectorField) -> ProlongedField:
-    """Second prolongation of ``vf``.
+    """Second prolongation of ``vf``, computed on jet polynomials.
 
-    Each of the fourteen distinct total derivatives is computed once:
-    D_x and D_y of xi, eta, phi, their second derivatives D_x D_x and
-    D_y D_y, and D_x D_y of the characteristic phi - xi u_x - eta u_y, from
-    which phi^xy is formed.  The third-order jets of phi^xy must cancel;
-    that is checked on the monomial keys of every coefficient.
+    The total derivatives D_x and D_y of xi, eta, phi are taken once each,
+    then D_x D_x and D_y D_y of those, and D_x D_y of the characteristic
+    phi - xi u_x - eta u_y, from which phi^xy is formed.  The third-order
+    jets of phi^xy must cancel; that is checked on the monomial keys of
+    every coefficient.
     """
-    D = total_derivative
-    xi, eta, phi = vf.xi, vf.eta, vf.phi
+    xi, eta, phi = (JetPolynomial.constant(c) for c in (vf.xi, vf.eta, vf.phi))
     u_x, u_y = JETS[(1, 0)], JETS[(0, 1)]
     u_xx, u_xy, u_yy = JETS[(2, 0)], JETS[(1, 1)], JETS[(0, 2)]
 
-    phi_dx, xi_dx, eta_dx = (D(f, "x") for f in (phi, xi, eta))
-    phi_dy, xi_dy, eta_dy = (D(f, "y") for f in (phi, xi, eta))
+    phi_dx, xi_dx, eta_dx = (f.D_x() for f in (phi, xi, eta))
+    phi_dy, xi_dy, eta_dy = (f.D_y() for f in (phi, xi, eta))
 
-    phi_x = phi_dx - u_x * xi_dx - u_y * eta_dx
-    phi_y = phi_dy - u_x * xi_dy - u_y * eta_dy
+    phi_x = phi_dx - xi_dx * u_x - eta_dx * u_y
+    phi_y = phi_dy - xi_dy * u_x - eta_dy * u_y
 
     characteristic = phi - xi * u_x - eta * u_y
-    phi_xy = D(D(characteristic, "y"), "x") + xi * U_XXY + eta * U_XYY
+    phi_xy = characteristic.D_y().D_x() + xi * JETS[(2, 1)] + eta * JETS[(1, 2)]
 
-    phi_xx = (
-        D(phi_dx, "x")
-        - 2 * u_xx * xi_dx
-        - 2 * u_xy * eta_dx
-        - u_x * D(xi_dx, "x")
-        - u_y * D(eta_dx, "x")
-    )
-    phi_yy = (
-        D(phi_dy, "y")
-        - 2 * u_xy * xi_dy
-        - 2 * u_yy * eta_dy
-        - u_x * D(xi_dy, "y")
-        - u_y * D(eta_dy, "y")
-    )
+    phi_xx = (phi_dx.D_x() - xi_dx * u_xx * 2 - eta_dx * u_xy * 2
+              - xi_dx.D_x() * u_x - eta_dx.D_x() * u_y)
+    phi_yy = (phi_dy.D_y() - xi_dy * u_xy * 2 - eta_dy * u_yy * 2
+              - xi_dy.D_y() * u_x - eta_dy.D_y() * u_y)
 
-    coeffs = {}
-    for key, raw in (
-        ((1, 0), phi_x),
-        ((0, 1), phi_y),
-        ((2, 0), phi_xx),
-        ((1, 1), phi_xy),
-        ((0, 2), phi_yy),
-    ):
-        jp = JetPolynomial.from_expr(raw)
+    coeffs = dict(zip(COEFF_KEYS, (phi_x, phi_y, phi_xx, phi_xy, phi_yy)))
+    for key, jp in coeffs.items():
         if any(m[i] for m in jp.coeffs for i in _THIRD_ORDER):
             raise ProlongationError(
                 "third-order jets failed to cancel in prolongation coefficient %s"
                 % (key,)
             )
-        coeffs[key] = jp
     return ProlongedField(vf, coeffs)
 
 
-def apply_prolonged(pf: ProlongedField, target: Expr) -> Expr:
+def apply_prolonged(pf: ProlongedField, target: Expr) -> JetPolynomial:
+    """The prolonged action of ``pf`` on ``target``, collected by jet
+    monomial."""
     if max_jet_order(target) >= 3:
         raise ProlongationError("target depends on third-order jets")
-    vf = pf.base
-    out = [vf.apply(target)]
+    t = JetPolynomial.from_expr(target)
+    out = JetPolynomial({m: pf.base.apply(c) for m, c in t.coeffs.items()})
     for key in COEFF_KEYS:
-        d = differentiate(target, JETS[key])
-        if d != ZERO:
-            out.append(mul(pf.coefficient(key).to_expr(), d))
-    return add(*out)
+        out = out + pf.coefficient(key) * t.diff(JETS[key])
+    return out
 
 
 def vf_bracket(v: VectorField, w: VectorField) -> VectorField:

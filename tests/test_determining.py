@@ -37,7 +37,7 @@ from lie_thomas.expr import (
     mul,
     pow_,
 )
-from lie_thomas.jetpoly import mono_expr
+from lie_thomas.jetpoly import JetPolynomial, mono_expr
 from lie_thomas.normal import canonical_expr, equal, is_zero
 from lie_thomas.printer import to_text
 from lie_thomas.vectorfield import VectorField, symbolic_field
@@ -211,8 +211,11 @@ def test_linearized_constraint_closure():
 
 def test_on_manifold_elimination():
     p = ThomasParams()
-    e = on_manifold(U_XY, p)
-    assert is_zero(e + ALPHA * U_X + BETA * U_Y + GAMMA * U_X * U_Y)
+    rest = ALPHA * U_X + BETA * U_Y + GAMMA * U_X * U_Y
+    e = on_manifold(JetPolynomial.from_expr(U_XY), p).to_expr()
+    assert is_zero(e + rest)
+    e = on_manifold(JetPolynomial.from_expr(X * U_X * U_XY**2 + U_Y), p).to_expr()
+    assert is_zero(e - X * U_X * rest**2 - U_Y)
 
 
 def test_parameter_coercion():

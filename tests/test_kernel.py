@@ -5,7 +5,10 @@
 contribution into the running coefficient with a binary ``add``, the second
 cross-multiplies every sum and product term by the other side's
 denominator, unit or not.  ``_ref_prolong_raw`` spells every total
-derivative of the second prolongation out in place.  The kernel must give
+derivative of the second prolongation out in place as an expression tree
+(``_ref_total_derivative``), and ``_ref_manifold_action`` applies it to the
+equation and eliminates u_xy by substitution in the tree, the way the
+package did before it prolonged on jet polynomials.  The kernel must give
 structurally identical results (equal node keys), not merely equal values.
 """
 
@@ -15,7 +18,18 @@ from fractions import Fraction
 import pytest
 
 from lie_thomas import expr, jetpoly, normal
-from lie_thomas.determining import ThomasParams, determining_equations
+from lie_thomas.determining import (
+    ThomasParams,
+    check_symmetry,
+    determining_equations,
+    exponential_g,
+    thomas_delta,
+    v1,
+    v2,
+    v3,
+    v4,
+    v_g,
+)
 from lie_thomas.expr import (
     ALPHA,
     BETA,
@@ -23,6 +37,7 @@ from lie_thomas.expr import (
     JETS,
     ONE,
     U,
+    U_XY,
     UFunc,
     X,
     Y,
@@ -37,16 +52,19 @@ from lie_thomas.expr import (
     add,
     app,
     contains_jet,
+    differentiate,
+    max_jet_order,
     mul,
     pow_,
+    substitute,
 )
 from lie_thomas.jetpoly import JetPolynomial
 from lie_thomas.vectorfield import (
     COEFF_KEYS,
     ProlongationError,
+    VectorField,
     prolong,
     symbolic_field,
-    total_derivative,
 )
 
 # --- reference implementations ---------------------------------------------
@@ -155,9 +173,30 @@ def _ref_normal_form(e):
     return normal.NormalForm(_ref_poly_pow(nf.den, n), _ref_poly_pow(nf.num, n))
 
 
+def _ref_total_derivative(e, axis):
+    """Total derivative D_x or D_y of an expression tree on second-order
+    jet space."""
+    if max_jet_order(e) >= 3:
+        raise ProlongationError(
+            "total derivative of a third-order jet expression needs fourth-order jets"
+        )
+    var, step = (X, (1, 0)) if axis == "x" else (Y, (0, 1))
+    out = [differentiate(e, var)]
+    d_u = differentiate(e, U)
+    if d_u != ZERO:
+        out.append(mul(JETS[step], d_u))
+    for (i, j), s in JETS.items():
+        if i + j > 2:
+            continue
+        d = differentiate(e, s)
+        if d != ZERO:
+            out.append(mul(JETS[(i + step[0], j + step[1])], d))
+    return add(*out)
+
+
 def _ref_prolong_raw(vf):
     """The five raw coefficients, every total derivative written out."""
-    D = total_derivative
+    D = _ref_total_derivative
     xi, eta, phi = vf.xi, vf.eta, vf.phi
     u_x, u_y = JETS[(1, 0)], JETS[(0, 1)]
     u_xx, u_xy, u_yy = JETS[(2, 0)], JETS[(1, 1)], JETS[(0, 2)]
@@ -171,6 +210,18 @@ def _ref_prolong_raw(vf):
         (0, 2): D(D(phi, "y"), "y") - 2 * u_xy * D(xi, "y") - 2 * u_yy * D(eta, "y")
         - u_x * D(D(xi, "y"), "y") - u_y * D(D(eta, "y"), "y"),
     }
+
+
+def _ref_manifold_action(vf, p):
+    """The prolonged action on the equation with u_xy eliminated, built as
+    one expression tree and collected at the end."""
+    coeffs = {k: JetPolynomial(_ref_collect(raw)).to_expr()
+              for k, raw in _ref_prolong_raw(vf).items()}
+    delta = thomas_delta(p)
+    applied = add(vf.apply(delta),
+                  *[mul(coeffs[k], differentiate(delta, JETS[k])) for k in COEFF_KEYS])
+    eliminated = add(U_XY, mul(Rat(-1), delta))
+    return JetPolynomial(_ref_collect(substitute(applied, {U_XY: eliminated})))
 
 
 # --- helpers ----------------------------------------------------------------
@@ -264,32 +315,72 @@ def test_normal_form_matches_generic_reference(case, seed, monkeypatch):
         assert got.key() == want.key()
 
 
-def test_prolongation_coefficients_match_reference():
-    vf = symbolic_field()
-    want = {k: _keys(_ref_collect(raw)) for k, raw in _ref_prolong_raw(vf).items()}
-    pf = prolong(vf)
-    for key in COEFF_KEYS:
-        assert _keys(pf.coefficient(key).coeffs) == want[key], key
-
-
-def _row_keys(p):
-    return [(m, c.key()) for m, c in determining_equations(p).rows]
-
-
 def _rational_params(rng):
     alpha, beta = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
     gamma = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
     return ThomasParams(alpha, beta, gamma)
 
 
+def _polynomial(rng):
+    """A polynomial in (x, y, u) with rational coefficients and exponents
+    of at most 2."""
+    return add(*[mul(_rational(rng), *[pow_(v, rng.randint(0, 2)) for v in (X, Y, U)])
+                 for _ in range(rng.randint(0, 3))])
+
+
+def _reference_fields(seed):
+    """v1..v4 and an exponential v_g at symbolic and 20 rational constants,
+    and 20 polynomial point fields."""
+    rng = random.Random(seed)
+    fields = [symbolic_field()]
+    for p in [ThomasParams()] + [_rational_params(rng) for _ in range(20)]:
+        lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        fields += [v1(), v2(), v3(), v4(p), v_g(exponential_g(lam, p)[0], p)]
+    fields += [VectorField(*[_polynomial(rng) for _ in range(3)]) for _ in range(20)]
+    return fields
+
+
+def test_prolongation_coefficients_match_reference(seed):
+    for vf in _reference_fields(seed):
+        want = {k: _keys(_ref_collect(raw)) for k, raw in _ref_prolong_raw(vf).items()}
+        pf = prolong(vf)
+        for key in COEFF_KEYS:
+            assert _keys(pf.coefficient(key).coeffs) == want[key], (vf, key)
+
+
+# the last two put sums in the u_xy coefficient of phi^xy, so the elimination
+# multiplies sums by the coefficients of the substituted polynomial
+_NON_SYMMETRIES = (
+    VectorField(X * X, ZERO, ZERO),
+    VectorField(ZERO, ZERO, U * U),
+    VectorField(X * X, Y * U, U * U),
+    VectorField(X * Y, U, app("exp", X + U)),
+)
+
+
+@pytest.mark.parametrize("field", range(len(_NON_SYMMETRIES)))
+def test_check_symmetry_residual_matches_expression_path(field):
+    # alpha and beta nonzero: at beta = 0, xi = x^2 is a symmetry
+    vf = _NON_SYMMETRIES[field]
+    for p in (ThomasParams(), ThomasParams(Fraction(2, 3), Fraction(-1, 2), 3)):
+        ok, residual = check_symmetry(vf, p)
+        assert not ok
+        assert residual.key() == _ref_manifold_action(vf, p).to_expr().key(), p
+
+
+def _row_keys(p):
+    return [(m, c.key()) for m, c in determining_equations(p).rows]
+
+
 def test_determining_rows_match_reference(monkeypatch, seed):
     rng = random.Random(seed)
     params = [ThomasParams()] + [_rational_params(rng) for _ in range(20)]
     with monkeypatch.context() as mp:
-        # the whole derivation on the reference accumulation
-        mp.setattr(jetpoly, "_collect", _ref_collect)
+        # the whole derivation on the expression path and reference accumulation
         mp.setattr(normal, "normal_form", _ref_normal_form)
-        want = [_row_keys(p) for p in params]
+        want = [[(m, normal.canonical_expr(c).key())
+                 for m, c in _ref_manifold_action(symbolic_field(), p).items()]
+                for p in params]
     for p, rows in zip(params, want):
         assert _row_keys(p) == rows, p
 
@@ -321,9 +412,14 @@ def test_shared_monomial_collects_in_constant_add_nodes(monkeypatch, n):
 
 
 def test_third_order_guard_still_raises(monkeypatch):
-    # without the xi*u_xxy correction the characteristic form leaves u_xxy
-    from lie_thomas import vectorfield
+    # without the xi*u_xxy + eta*u_xyy correction the characteristic form
+    # leaves third-order jets in phi^xy
+    third = (JETS[(2, 1)], JETS[(1, 2)])
+    times = JetPolynomial.__mul__
 
-    monkeypatch.setattr(vectorfield, "U_XXY", ZERO)
+    def uncorrected(self, other):
+        return JetPolynomial({}) if other in third else times(self, other)
+
+    monkeypatch.setattr(JetPolynomial, "__mul__", uncorrected)
     with pytest.raises(ProlongationError, match="third-order jets"):
         prolong(symbolic_field())

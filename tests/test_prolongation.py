@@ -25,9 +25,9 @@ from lie_thomas.vectorfield import (
     VectorField,
     prolong,
     symbolic_field,
-    total_derivative,
     vf_bracket,
 )
+from lie_thomas.jetpoly import JetPolynomial
 from lie_thomas.determining import ThomasParams, v1, v2, v3, v4
 
 
@@ -38,14 +38,15 @@ def _d(f, *vs):
 
 
 def test_total_derivative_plain():
-    e = X * U
-    assert equal(total_derivative(e, "x"), U + X * U_X)
-    assert equal(total_derivative(U_X, "y"), U_XY)
+    e = JetPolynomial.from_expr(X * U + Y * U_X**2)
+    assert equal(e.D_x().to_expr(), U + X * U_X + R(2) * Y * U_X * U_XX)
+    assert equal(e.D_y().to_expr(), U_X**2 + X * U_Y + R(2) * Y * U_X * U_XY)
+    assert equal(JetPolynomial.from_expr(U_X).D_y().to_expr(), U_XY)
 
 
 def test_total_derivative_third_order_guard():
     with pytest.raises(ProlongationError):
-        total_derivative(JETS[(2, 1)], "x")
+        JetPolynomial.from_expr(JETS[(2, 1)]).D_x()
 
 
 def test_first_order_coefficients_expanded():
