@@ -6,10 +6,12 @@ Under w = exp(gamma u) the equation turns linear, and every closed form
     u = lam x + mu y + k + (1/gamma) log(a + c f(p x + q y + r)),
 
 with f = exp, |cos| or the identity.  A builder only computes these
-coefficients.  The mix evaluates on floats or HyperDual points, and its
-domain reads the same log argument on floats, so plotting and exact
-residual checks share one code path.  Case 1 is a ratio of Frobenius
-series with its own evaluator.  Where printed source formulas for a case
+coefficients.  The mix evaluates on floats or HyperDual points, both
+linear forms through ``hyperdual.affine``, and its domain reads the same
+log argument on floats, so plotting and exact residual checks share one
+code path.  Case 1 is a ratio of Frobenius series with its own evaluator;
+its domain and evaluator share the sums at the last chi, so a grid point
+sums each series once.  Where printed source formulas for a case
 disagree internally, the variant kept here is the one rederived from the
 reduced ODE; the residual tests are the arbiter.
 
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .fuchs import fuchs_series, second_solution, zero_bracket
-from .hyperdual import cos_, exp_, lift_with_derivatives, log_, value_of
+from .hyperdual import affine, cos_, exp_, lift_with_derivatives, log_, value_of
 from .params import ThomasParams
 
 
@@ -126,10 +128,10 @@ class ModeMix:
     floor: float = 1e-9
 
     def w(self, x, y):
-        return self.a + self.c * self.f(self.p * x + self.q * y + self.r)
+        return self.a + self.c * self.f(affine(self.p, x, self.q, y, self.r))
 
     def __call__(self, x, y):
-        u = self.lam * x + self.mu * y + self.k
+        u = affine(self.lam, x, self.mu, y, self.k)
         if self.f is None:
             return u
         return u + log_(self.w(x, y)) / self.gamma
@@ -230,15 +232,24 @@ def case1_solution(
     scale = gamma / ((y_base * y2p_base - yp_base * y2_base) * abs(base) ** e)  # gamma/C
     q_base = y2_base / y_base
 
-    def g_p(v: float) -> float:
-        return scale * (second.eval(v)[0] / series(v) - q_base)
+    memo = (None, None)
+
+    def sums(v: float):
+        """(y_p, y_p', y_p'', g_p + c0) at v, kept for the last v: domain()
+        and the evaluator read the same chi at a grid point."""
+        nonlocal memo
+        key, out = memo
+        if key != v:
+            y0, y1, y2 = series.eval(v)
+            out = y0, y1, y2, scale * (second.eval(v)[0] / y0 - q_base) + c0f
+            memo = v, out
+        return out
 
     k_log = (beta * a1f + alpha * a2f) / gamma**2
 
     def pieces(v: float):
-        y0, y1, y2 = series.eval(v)
+        y0, y1, y2, G = sums(v)
         zp = y1 / (gamma * y0)
-        G = g_p(v) + c0f
         f = abs(v) ** e * y0 * y0 * G
         theta = zp + 1.0 / f
         zp_prime = y2 / (gamma * y0) - gamma * zp * zp
@@ -267,7 +278,7 @@ def case1_solution(
             return False
         if k_log != 0.0 and lin_x < 1e-9:
             return False
-        return abs(g_p(chi) + c0f) > 1e-4
+        return abs(sums(chi)[3]) > 1e-4
 
     return SolutionFamily(
         "case1",

@@ -6,6 +6,11 @@ returns the value together with u_x, u_y and the mixed second derivative
 u_xy, exactly to floating round-off; no truncation step is involved.  The
 mixed derivative is the only second derivative the equation needs, which
 is why one pass suffices.
+
+``HyperDual(...)`` coerces its parts to float.  Arithmetic and lift results
+hold floats already and are built by the internal ``_hd``, which does not.
+``affine(a, x, b, y, c)`` is a x + b y + c as one hyper-dual, rounded as
+the composed operations are.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ class HyperDual:
 
     @staticmethod
     def x_at(x: float) -> "HyperDual":
-        return HyperDual(x, 1.0, 0.0, 0.0)
+        return _hd(float(x), 1.0, 0.0, 0.0)
 
     @staticmethod
     def y_at(y: float) -> "HyperDual":
-        return HyperDual(y, 0.0, 1.0, 0.0)
+        return _hd(float(y), 0.0, 1.0, 0.0)
 
     def __repr__(self):
         return "HyperDual(%r, %r, %r, %r)" % (self.value, self.dx, self.dy, self.dxy)
@@ -46,28 +51,27 @@ class HyperDual:
 
     def __add__(self, other):
         if isinstance(other, HyperDual):
-            return HyperDual(
-                self.value + other.value,
-                self.dx + other.dx,
-                self.dy + other.dy,
-                self.dxy + other.dxy,
-            )
-        return HyperDual(self.value + other, self.dx, self.dy, self.dxy)
+            return _hd(self.value + other.value, self.dx + other.dx, self.dy + other.dy,
+                       self.dxy + other.dxy)
+        return _hd(self.value + other, self.dx, self.dy, self.dxy)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HyperDual(-self.value, -self.dx, -self.dy, -self.dxy)
+        return _hd(-self.value, -self.dx, -self.dy, -self.dxy)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other):  # a - b rounds as a + (-b) does
+        if isinstance(other, HyperDual):
+            return _hd(self.value - other.value, self.dx - other.dx, self.dy - other.dy,
+                       self.dxy - other.dxy)
+        return _hd(self.value - other, self.dx, self.dy, self.dxy)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _hd(other - self.value, -self.dx, -self.dy, -self.dxy)
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            return HyperDual(
+            return _hd(
                 self.value * other.value,
                 self.dx * other.value + self.value * other.dx,
                 self.dy * other.value + self.value * other.dy,
@@ -76,9 +80,7 @@ class HyperDual:
                 + self.dx * other.dy
                 + self.dy * other.dx,
             )
-        return HyperDual(
-            self.value * other, self.dx * other, self.dy * other, self.dxy * other
-        )
+        return _hd(self.value * other, self.dx * other, self.dy * other, self.dxy * other)
 
     __rmul__ = __mul__
 
@@ -97,7 +99,7 @@ class HyperDual:
     def __pow__(self, n):
         if isinstance(n, int):
             if n == 0:
-                return HyperDual(1.0)
+                return _hd(1.0, 0.0, 0.0, 0.0)
             if n < 0:
                 return self._reciprocal() ** (-n)
             out = self
@@ -131,12 +133,7 @@ class HyperDual:
 
     def _lift(self, f: float, fp: float, fpp: float) -> "HyperDual":
         """Compose an analytic f given f, f', f'' at the real part."""
-        return HyperDual(
-            f,
-            fp * self.dx,
-            fp * self.dy,
-            fp * self.dxy + fpp * self.dx * self.dy,
-        )
+        return _hd(f, fp * self.dx, fp * self.dy, fp * self.dxy + fpp * self.dx * self.dy)
 
     def exp(self) -> "HyperDual":
         e = math.exp(self.value)
@@ -167,12 +164,28 @@ class HyperDual:
         return self._lift(math.atan(v), 1.0 / w, -2.0 * v / (w * w))
 
 
+def _hd(value: float, dx: float, dy: float, dxy: float) -> HyperDual:
+    """HyperDual of four floats, without the public constructor's coercion."""
+    h = object.__new__(HyperDual)
+    h.value, h.dx, h.dy, h.dxy = value, dx, dy, dxy
+    return h
+
+
+def affine(a, x, b, y, c):
+    """a x + b y + c for float a, b, c; on two hyper-duals each part is summed
+    as the composed operations sum it, and c enters the value only."""
+    if isinstance(x, HyperDual) and isinstance(y, HyperDual):
+        return _hd(x.value * a + y.value * b + c, x.dx * a + y.dx * b,
+                   x.dy * a + y.dy * b, x.dxy * a + y.dxy * b)
+    return a * x + b * y + c
+
+
 def lift_with_derivatives(t, f: float, fp: float, fpp: float):
     """Apply a univariate function known only through its value and first
     two derivatives at t (floats or HyperDual); used for series-defined
     functions whose derivatives have a closed form."""
     if isinstance(t, HyperDual):
-        return t._lift(f, fp, fpp)
+        return t._lift(float(f), fp, fpp)
     return f
 
 

@@ -149,6 +149,8 @@ def _rebuild_atom(e: Expr) -> Expr:
     if isinstance(e, Sym):
         return e
     if isinstance(e, Func):
+        if all(isinstance(a, Sym) for a in e.args):  # canonical_expr(Sym) is that Sym
+            return e
         return Func(e.name, e.params, e.derivs, tuple(canonical_expr(a) for a in e.args))
     if isinstance(e, App):
         return app(e.fn, canonical_expr(e.arg))

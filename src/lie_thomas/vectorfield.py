@@ -29,7 +29,6 @@ from .expr import (
     _wrap,
 )
 from .jetpoly import JetPolynomial
-from .normal import is_zero
 
 
 class ProlongationError(ExprError):
@@ -75,9 +74,6 @@ class VectorField:
     def scale(self, c) -> "VectorField":
         c = _wrap(c)
         return VectorField(mul(c, self.xi), mul(c, self.eta), mul(c, self.phi))
-
-    def is_zero(self) -> bool:
-        return is_zero(self.xi) and is_zero(self.eta) and is_zero(self.phi)
 
 
 def symbolic_field(xi_name="xi", eta_name="eta", phi_name="phi") -> VectorField:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .hyperdual import HyperDual, exp_, log_
+from .hyperdual import HyperDual, affine, exp_, log_
 from .params import ThomasParams
 
 
@@ -120,7 +120,7 @@ def oracle_solution(p: ThomasParams, modes):
     def u(x, y):
         total = 0.0
         for lam, mu, c in checked:
-            total = total + c * exp_(lam * x + mu * y)
+            total = total + c * exp_(affine(lam, x, mu, y, 0.0))
         return log_(total) / gamma
 
     u.modes = tuple(checked)

@@ -1,9 +1,11 @@
 """Closed-form solution families: residuals, descriptors, error paths."""
 
+import dataclasses
 import functools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,9 +32,9 @@ from lie_thomas.families import (
     trivial_solutions,
     _numeric,
 )
-from lie_thomas.fuchs import fuchs_series
-from lie_thomas.hyperdual import exp_, log_, tan_
-from lie_thomas.verification import GridSpec, residual_grid
+from lie_thomas.fuchs import FuchsSeries, SecondSolution, fuchs_series, second_solution
+from lie_thomas.hyperdual import exp_, lift_with_derivatives, log_, tan_, value_of
+from lie_thomas.verification import GridReport, GridSpec, VerificationError, residual_grid
 
 F = Fraction
 P = ThomasParams(1, 1, 1)
@@ -503,3 +505,146 @@ def test_mode_mix_matches_the_hand_written_closed_form(key):
             assert abs(got - want) <= tol, (p, constants, x, y, got, want)
             compared += 1
     assert built >= 100 and compared >= 4000, (built, compared)
+
+
+# --- one hyper-dual pass per grid point ----------------------------------------
+#
+# References for the residual-grid reports: the ModeMix linear forms composed
+# from separate products and sums, and case 1 with g_p summing both series
+# again at every call, as both were before affine() and the shared sums.
+
+
+def _composed_mix(mix):
+    def w(x, y):
+        return mix.a + mix.c * mix.f(mix.p * x + mix.q * y + mix.r)
+
+    def u(x, y):
+        out = mix.lam * x + mix.mu * y + mix.k
+        return out if mix.f is None else out + log_(w(x, y)) / mix.gamma
+
+    return u, lambda x, y: mix.f is None or w(x, y) > mix.floor
+
+
+def _summing_case1(p, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5, chi_hi=-0.005):
+    alpha, beta, gamma = p.floats()
+    a1f, a2f, c0f, constf = (_numeric(v) for v in (a1, a2, c0, const))
+    e = (gamma - beta * a1f - alpha * a2f) / gamma
+    m = alpha * beta / gamma**2
+    chi_far = max(abs(chi_lo), abs(chi_hi))
+    series, second = fuchs_series(e, m, chi_far), second_solution(e, m, chi_far)
+    base = -1.0 if chi_hi < 0 else 1.0
+    if not (chi_lo <= base <= chi_hi):
+        base = 0.5 * (chi_lo + chi_hi)
+    y_base, yp_base, _ = series.eval(base)
+    y2_base, y2p_base = second.eval(base)
+    scale = gamma / ((y_base * y2p_base - yp_base * y2_base) * abs(base) ** e)
+    q_base = y2_base / y_base
+
+    def g_p(v):
+        return scale * (second.eval(v)[0] / series(v) - q_base)
+
+    k_log = (beta * a1f + alpha * a2f) / gamma**2
+
+    def pieces(v):
+        y0, y1, y2 = series.eval(v)
+        zp = y1 / (gamma * y0)
+        G = g_p(v) + c0f
+        f = abs(v) ** e * y0 * y0 * G
+        zp_prime = y2 / (gamma * y0) - gamma * zp * zp
+        f_prime = gamma + (2.0 * gamma * zp + e / v) * f
+        varsigma = (math.log(abs(y0)) + math.log(abs(G))) / gamma
+        return varsigma, zp + 1.0 / f, zp_prime - f_prime / (f * f)
+
+    def u(x, y):
+        lin_x = a1f - gamma * x
+        lin_y = a2f + gamma * y
+        chi = lin_x * lin_y
+        out = lift_with_derivatives(chi, *pieces(value_of(chi)))
+        out = out - (beta / gamma) * x - (alpha / gamma**2) * lin_y
+        if k_log != 0.0:
+            out = out - k_log * log_(lin_x)
+        return out + constf
+
+    margin = 0.01 * (chi_hi - chi_lo)
+
+    def domain(x, y):
+        lin_x = a1f - gamma * x
+        chi = lin_x * (a2f + gamma * y)
+        if not (chi_lo + margin < chi < chi_hi - margin):
+            return False
+        if k_log != 0.0 and lin_x < 1e-9:
+            return False
+        return abs(g_p(chi) + c0f) > 1e-4
+
+    return u, domain
+
+
+def _report(fam, grid):
+    try:
+        return residual_grid(fam, grid=grid)
+    except VerificationError as exc:  # an empty domain must be empty for both
+        return str(exc)
+
+
+GRIDS_20 = (GridSpec(-2.0, 2.0, 20, -2.0, 2.0, 20), GridSpec(-2.0, -0.1, 20, -2.0, -0.1, 20))
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCES))
+def test_mode_mix_grid_reports_equal_the_composed_linear_forms(key):
+    _, draw = REFERENCES[key]
+    rng = random.Random(20261020)
+    compared = 0
+    for _ in range(60):
+        p = ThomasParams(_rat(rng), _rat(rng), _rat(rng, zero_share=0.0))
+        fam, _ = _outcome(SOLUTION_BUILDERS[key], p, draw(rng, p))
+        if fam is None:
+            continue
+        u, domain = _composed_mix(fam.evaluator)
+        ref = dataclasses.replace(fam, evaluator=u, domain=domain)
+        for grid in GRIDS_20:
+            want = _report(ref, grid)
+            assert _report(fam, grid) == want, (key, fam.constants)
+            compared += isinstance(want, GridReport)
+    assert compared >= 20, compared
+
+
+CASE1_GRID_CONSTANTS = [
+    {"a1": a1, "a2": a2, "c0": c0} for a1, a2, c0 in CASE1_CONSTANTS
+] + [
+    {"const": 0.75, "chi_lo": -3.0, "chi_hi": -0.5},
+    {"a1": F(1, 2), "chi_lo": 0.01, "chi_hi": 0.5},
+]
+
+
+@pytest.mark.parametrize("constants", CASE1_GRID_CONSTANTS)
+def test_case1_grid_reports_equal_the_summing_reference(constants):
+    for p in (P, ThomasParams(F(1, 2), 1, 2)):
+        fam = case1_solution(p, **constants)
+        u, domain = _summing_case1(p, **constants)
+        ref = dataclasses.replace(fam, evaluator=u, domain=domain)
+        evaluated = 0
+        for grid in GRIDS_20 + (GridSpec(-3.5, -0.5, 20, 0.2, 1.8, 20),):
+            want = _report(ref, grid)
+            assert _report(fam, grid) == want, (p, constants, grid)
+            evaluated += want.evaluated if isinstance(want, GridReport) else 0
+        assert evaluated > 0
+
+
+def test_case1_sums_each_series_once_per_grid_point(monkeypatch):
+    fam = case1_solution(P, a1=F(0), a2=F(0), c0=F(1))
+    calls = Counter()
+
+    def counting(cls):
+        original = cls.eval
+
+        def eval(self, chi):
+            calls[cls.__name__] += 1
+            return original(self, chi)
+
+        monkeypatch.setattr(cls, "eval", eval)
+
+    counting(FuchsSeries)
+    counting(SecondSolution)
+    report = residual_grid(fam, grid=GridSpec(-2.0, -0.1, 20, -2.0, -0.1, 20))
+    assert report.evaluated + report.skipped == 400 and report.evaluated > 300
+    assert 0 < calls["FuchsSeries"] <= 400 and 0 < calls["SecondSolution"] <= 400, calls

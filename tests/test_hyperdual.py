@@ -1,11 +1,14 @@
 """Second-order forward-mode numbers carrying (value, d/dx, d/dy, d2/dxdy)."""
 
 import math
+import random
+from fractions import Fraction as F
 
 import pytest
 
 from lie_thomas.hyperdual import (
     HyperDual,
+    affine,
     cos_,
     exp_,
     lift_with_derivatives,
@@ -142,3 +145,79 @@ def test_log_domain_error_is_a_package_error():
             log_(bad)
     with pytest.raises(algebra.GroupDomainError):
         algebra._log(-1.0)
+
+
+# --- the internal constructor and affine() -----------------------------------
+
+
+def _bits(z):
+    """The four parts of a hyper-dual, or a float, as exact hex strings
+    (== alone does not tell -0.0 from 0.0)."""
+    parts = (z.value, z.dx, z.dy, z.dxy) if isinstance(z, HyperDual) else (z,)
+    return tuple(float.hex(v) for v in parts)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, HyperDual):
+        assert (got.value, got.dx, got.dy, got.dxy) == (want.value, want.dx, want.dy, want.dxy)
+    else:
+        assert got == want
+    assert _bits(got) == _bits(want)
+
+
+def _draw_part(rng):
+    # signed zeros and small integers besides uniform draws, so that both
+    # the order of the roundings and the sign of a zero result show
+    return rng.choice([0.0, -0.0, 1.0, float(rng.randint(-4, 4)),
+                       rng.uniform(-3.0, 3.0), rng.uniform(-1e4, 1e4)])
+
+
+def _draw_hyperdual(rng):
+    return HyperDual(*(_draw_part(rng) for _ in range(4)))
+
+
+def test_affine_equals_the_composed_operations():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        a, b, c = (_draw_part(rng) for _ in range(3))
+        x, y = _draw_hyperdual(rng), _draw_hyperdual(rng)
+        _assert_same(affine(a, x, b, y, c), a * x + b * y + c)
+        fx, fy = x.value, y.value
+        _assert_same(affine(a, fx, b, fy, c), a * fx + b * fy + c)
+        # mixed arguments fall back to the composed operations
+        _assert_same(affine(a, x, b, fy, c), a * x + b * fy + c)
+    x, y = seed(0.3, -1.7)
+    _check(affine(2.0, x, -3.0, y, 0.5), 0.6 + 5.1 + 0.5, 2.0, -3.0, 0.0)
+
+
+def test_subtraction_rounds_as_adding_the_negation():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        x, y, c = _draw_hyperdual(rng), _draw_hyperdual(rng), _draw_part(rng)
+        _assert_same(x - y, x + (-y))
+        _assert_same(x - c, x + (-c))
+        _assert_same(c - x, (-x) + c)
+
+
+def test_arithmetic_results_hold_floats():
+    x, y = seed(1.5, 0.5)
+    z = x * y + 1
+    results = [
+        x + y, x + 1, 1 + x, x - y, x - 1, 1 - x, -x, x * y, x * 2, 2 * x, x / y,
+        x / 2, 2 / x, x**0, x**3, x**-2, x**0.5, abs(-x), z.exp(), z.log(), z.sqrt(),
+        z.cos(), z.tan(), z.arctan(), affine(2, x, 3, y, 1), HyperDual.x_at(2),
+        HyperDual.y_at(F(1, 2)), lift_with_derivatives(x, 4, 4, 2),
+    ]
+    for r in results:
+        assert isinstance(r, HyperDual)
+        for part in (r.value, r.dx, r.dy, r.dxy):
+            assert type(part) is float, (r, part)
+
+
+def test_public_constructor_still_coerces():
+    one = HyperDual(1)
+    assert type(one.value) is float and one.value == 1.0
+    h = HyperDual(F(1, 2), 2, True, F(3))
+    assert [type(v) for v in (h.value, h.dx, h.dy, h.dxy)] == [float] * 4
+    assert (h.value, h.dx, h.dy, h.dxy) == (0.5, 2.0, 1.0, 3.0)

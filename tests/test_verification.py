@@ -8,7 +8,7 @@ import pytest
 
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import case22_solution
-from lie_thomas.hyperdual import seed
+from lie_thomas.hyperdual import exp_, log_, seed
 from lie_thomas.verification import (
     GridSpec,
     GridReport,
@@ -150,3 +150,27 @@ def test_one_non_finite_residual_outranks_finite_ones():
     rep = residual_grid(fam, grid=GridSpec(-1, 1, 5, -1, 1, 5))
     assert rep.max_residual == math.inf
     assert rep.worst_point == (1.0, -1.0)
+
+
+def _composed_oracle(p, modes):
+    """oracle_solution with each exponent composed as lam*x + mu*y, the
+    reference for its affine() form."""
+    gamma = p.floats()[2]
+    checked = oracle_solution(p, modes).modes
+
+    def u(x, y):
+        total = 0.0
+        for lam, mu, c in checked:
+            total = total + c * exp_(lam * x + mu * y)
+        return log_(total) / gamma
+
+    return u
+
+
+def test_oracle_grid_reports_equal_the_composed_exponents():
+    grids = (GridSpec(-2.0, 2.0, 20, -2.0, 2.0, 20), GridSpec(-0.5, 3.0, 20, -3.0, 0.25, 20))
+    for p, seed_ in ((P, 11), (ThomasParams(2, F(-1, 2), 3), 12), (ThomasParams(F(-3, 4), 2, 1), 13)):
+        for u in oracle_solutions(p, count=6, rng=random.Random(seed_)):
+            ref = _composed_oracle(p, [(lam, c) for lam, _, c in u.modes])
+            for grid in grids:
+                assert residual_grid(u, p, grid) == residual_grid(ref, p, grid), (p, u.modes)
