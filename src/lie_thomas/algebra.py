@@ -2,6 +2,10 @@
 abelian family v_g, with commutators, the adjoint representation in closed
 form, one-parameter group actions, and solution transport.
 
+Each group exp(eps*v) is written once, as a flow: a base map (x, y) ->
+(x', y') and a lift (x, y, u) -> u'.  Transport moves a solution's graph:
+the new u at (x, y) lifts the old graph point over base_{-eps}(x, y).
+
 Basis fields:
 
     v1 = d/dx                       v2 = d/dy
@@ -34,7 +38,9 @@ from .expr import (
     app,
     contains_jet,
     differentiate,
+    evaluate,
     mul,
+    param,
     pow_,
     _wrap,
 )
@@ -49,7 +55,7 @@ class AlgebraError(ExprError):
 
 def _coord(value) -> Expr:
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():
             raise AlgebraError(
                 "coordinates must be exact; pass Fraction instead of %r" % value
             )
@@ -137,9 +143,8 @@ def _psi(g: Expr, p: ThomasParams) -> Expr:
 
 
 def commutator(v: AlgebraElement, w: AlgebraElement, p: ThomasParams = ThomasParams()) -> AlgebraElement:
-    a, b = v, w
-    s14 = add(mul(a.a1, b.a4), mul(Rat(-1), a.a4, b.a1))
-    s24 = add(mul(a.a2, b.a4), mul(Rat(-1), a.a4, b.a2))
+    s14 = add(mul(v.a1, w.a4), mul(Rat(-1), v.a4, w.a1))
+    s24 = add(mul(v.a2, w.a4), mul(Rat(-1), v.a4, w.a2))
     c1 = mul(Rat(-1), p.gamma, s14)
     c2 = mul(p.gamma, s24)
     c3 = add(mul(p.beta, s14), mul(Rat(-1), p.alpha, s24))
@@ -225,8 +230,6 @@ def adjoint_scaling(t, w: AlgebraElement, p: ThomasParams = ThomasParams()) -> A
 def adjoint_table(p: ThomasParams = ThomasParams(), eps: Expr | None = None):
     """4x4 table; entry (i, j) is Ad(exp(eps*v_i)) v_j."""
     if eps is None:
-        from .expr import param
-
         eps = param("epsilon")
     return [
         [adjoint(i, eps, basis_element(j), p) for j in (1, 2, 3, 4)]
@@ -260,20 +263,8 @@ def lie_series_adjoint(
 # --- one-parameter groups ---------------------------------------------------
 
 
-def _exp(t):
-    return t.exp() if hasattr(t, "exp") else math.exp(t)
-
-
 class GroupDomainError(DomainError, ValueError):
     pass
-
-
-def _log(t):
-    if hasattr(t, "log"):
-        return t.log()
-    if t <= 0:
-        raise GroupDomainError("log domain violation")
-    return math.log(t)
 
 
 def _g_callable(g):
@@ -282,8 +273,6 @@ def _g_callable(g):
     if g is None or callable(g):
         return g
     if isinstance(g, Expr):
-        from .expr import evaluate
-
         return lambda x, y: evaluate(g, {"x": x, "y": y})
     if isinstance(g, (int, float, Fraction)):
         c = float(g)
@@ -291,75 +280,60 @@ def _g_callable(g):
     raise AlgebraError("cannot use %r as the family function" % (g,))
 
 
-def group_action(i, eps: float, pt, p: ThomasParams, g=None):
-    """Transformed point exp(eps*v_i)(x, y, u).  ``i`` is 1..4 or "g"; the
-    family action accepts ``g`` as a callable, expression, or constant."""
+def _flow(i, eps, p: ThomasParams, g):
+    """The base map and lift of exp(eps*v_i); both take floats or
+    hyper-duals, and the lift reads (x, y) at the source point."""
     g = _g_callable(g)
-    x, y, u = pt
     if i == 1:
-        return (x + eps, y, u)
+        return (lambda x, y: (x + eps, y)), (lambda x, y, u: u)
     if i == 2:
-        return (x, y + eps, u)
+        return (lambda x, y: (x, y + eps)), (lambda x, y, u: u)
     if i == 3:
-        return (x, y, u + eps)
+        return (lambda x, y: (x, y)), (lambda x, y, u: u + eps)
     alpha, beta, gamma = p.floats()
     if i == 4:
         decay = math.exp(-gamma * eps)
         grow = math.exp(gamma * eps)
-        return (
-            x * decay,
-            y * grow,
-            beta / gamma * x * (1 - decay) + alpha / gamma * y * (1 - grow) + u,
-        )
+        return (lambda x, y: (x * decay, y * grow)), (lambda x, y, u: (
+            beta / gamma * x * (1 - decay) + alpha / gamma * y * (1 - grow) + u))
     if i == "g":
         if g is None:
             raise AlgebraError("the family action needs the function g")
-        arg = gamma * g(x, y) * eps + math.exp(gamma * u)
-        if arg <= 0:
-            raise GroupDomainError(
-                "family action leaves the log domain at (%g, %g)" % (x, y)
-            )
-        return (x, y, math.log(arg) / gamma)
+        from .hyperdual import exp_, log_
+
+        def lift(x, y, u):
+            arg = gamma * g(x, y) * eps + exp_(gamma * u)
+            if arg <= 0:
+                raise GroupDomainError(
+                    "family action leaves the log domain at (%g, %g)" % (x, y)
+                )
+            return log_(arg) / gamma
+
+        return (lambda x, y: (x, y)), lift
     raise AlgebraError("unknown generator %r" % (i,))
+
+
+def group_action(i, eps: float, pt, p: ThomasParams, g=None):
+    """Transformed point exp(eps*v_i)(x, y, u).  ``i`` is 1..4 or "g"; the
+    family action accepts ``g`` as a callable, expression, or constant."""
+    base, lift = _flow(i, eps, p, g)
+    x, y, u = pt
+    return (*base(x, y), lift(x, y, u))
 
 
 def transform_solution(i, eps: float, f, p: ThomasParams, g=None):
-    """Push a solution u = f(x, y) through exp(eps*v_i); returns a new
-    callable that accepts the same argument types f does (floats or dual
-    numbers)."""
-    g = _g_callable(g)
-    alpha, beta, gamma = p.floats()
-    if i == 1:
-        return lambda x, y: f(x - eps, y)
-    if i == 2:
-        return lambda x, y: f(x, y - eps)
-    if i == 3:
-        return lambda x, y: f(x, y) + eps
-    if i == 4:
-        grow = math.exp(gamma * eps)
-        decay = math.exp(-gamma * eps)
+    """Push a solution u = f(x, y) through exp(eps*v_i): the new graph is the
+    image of the old one, so (x, y) is read off at its source point
+    base_{-eps}(x, y).  The returned callable accepts the same argument
+    types f does (floats or hyper-duals)."""
+    base = _flow(i, -eps, p, g)[0]
+    lift = _flow(i, eps, p, g)[1]
 
-        def u4(x, y):
-            return (
-                beta / gamma * x * (grow - 1)
-                + alpha / gamma * y * (decay - 1)
-                + f(x * grow, y * decay)
-            )
+    def moved(x, y):
+        x0, y0 = base(x, y)
+        return lift(x0, y0, f(x0, y0))
 
-        return u4
-    if i == "g":
-        if g is None:
-            raise AlgebraError("the family transport needs the function g")
-
-        def ug(x, y):
-            arg = gamma * g(x, y) * eps + _exp(gamma * f(x, y))
-            probe = arg if isinstance(arg, float) else getattr(arg, "value", None)
-            if probe is not None and probe <= 0:
-                raise GroupDomainError("family transport leaves the log domain")
-            return _log(arg) / gamma
-
-        return ug
-    raise AlgebraError("unknown generator %r" % (i,))
+    return moved
 
 
 @dataclass(frozen=True)

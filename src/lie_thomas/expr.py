@@ -69,10 +69,6 @@ class Expr:
             return NotImplemented
         return self.key() == other.key()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __add__(self, other):
         return add(self, _wrap(other))
 

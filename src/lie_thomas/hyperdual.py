@@ -209,13 +209,5 @@ def cos_(t):
     return t.cos() if isinstance(t, HyperDual) else math.cos(t)
 
 
-def tan_(t):
-    return t.tan() if isinstance(t, HyperDual) else math.tan(t)
-
-
-def sqrt_(t):
-    return t.sqrt() if isinstance(t, HyperDual) else math.sqrt(t)
-
-
 def value_of(t) -> float:
     return t.value if isinstance(t, HyperDual) else float(t)

@@ -23,7 +23,7 @@ def _coerce_param(value):
     if isinstance(value, (int, Fraction)):
         return Rat(value)
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():
             raise ParameterError(
                 "equation constants must be exact; pass a Fraction instead of %r" % value
             )

@@ -1,6 +1,7 @@
 """Structure constants, adjoint action, group transport."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from lie_thomas.algebra import (
     lie_series_adjoint,
     transform_solution,
 )
-from lie_thomas.determining import ThomasParams, exponential_g, v_g
+from lie_thomas.determining import ParameterError, ThomasParams, exponential_g, v_g
 from lie_thomas.expr import (
     ALPHA,
     BETA,
@@ -32,13 +33,16 @@ from lie_thomas.expr import (
     X,
     Y,
     differentiate,
+    evaluate,
     exp,
     mul,
     param,
     pow_,
 )
+from lie_thomas.hyperdual import HyperDual, exp_, log_, seed
 from lie_thomas.normal import equal, is_zero
 from lie_thomas.vectorfield import vf_bracket
+from lie_thomas.verification import oracle_solutions
 
 
 def _el_equal(a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -242,3 +246,138 @@ def test_group_word_inverse_round_trip():
     assert max(abs(a - b) for a, b in zip(pt, back)) < 1e-12
     both = (w * w.inverse()).apply(pt, p)
     assert max(abs(a - b) for a, b in zip(pt, both)) < 1e-12
+
+
+# --- one flow per generator ---------------------------------------------------
+# The formulas each generator had before its group was written once as a flow:
+# the point action, and the solution transport inverted from it by hand.
+
+
+def _old_group_action(i, eps, pt, p, g=None):
+    x, y, u = pt
+    if i == 1:
+        return (x + eps, y, u)
+    if i == 2:
+        return (x, y + eps, u)
+    if i == 3:
+        return (x, y, u + eps)
+    alpha, beta, gamma = p.floats()
+    if i == 4:
+        decay = math.exp(-gamma * eps)
+        grow = math.exp(gamma * eps)
+        return (
+            x * decay,
+            y * grow,
+            beta / gamma * x * (1 - decay) + alpha / gamma * y * (1 - grow) + u,
+        )
+    return (x, y, math.log(gamma * g(x, y) * eps + math.exp(gamma * u)) / gamma)
+
+
+def _old_transform_solution(i, eps, f, p, g=None):
+    alpha, beta, gamma = p.floats()
+    if i == 1:
+        return lambda x, y: f(x - eps, y)
+    if i == 2:
+        return lambda x, y: f(x, y - eps)
+    if i == 3:
+        return lambda x, y: f(x, y) + eps
+    if i == 4:
+        grow = math.exp(gamma * eps)
+        decay = math.exp(-gamma * eps)
+        return lambda x, y: (beta / gamma * x * (grow - 1) + alpha / gamma * y * (decay - 1)
+                             + f(x * grow, y * decay))
+    return lambda x, y: log_(gamma * g(x, y) * eps + exp_(gamma * f(x, y))) / gamma
+
+
+_FLOW_PARAMS = [ThomasParams(1, 1, 1), ThomasParams(Fraction(3, 2), -1, Fraction(1, 2)),
+                ThomasParams(-2, Fraction(1, 3), -1)]
+
+
+def _flow_cases(p):
+    """(generator, eps, g) for the four finite generators at eps = +-0.3 and
+    the family generator at eps = 0.05, with g = 1 and with an exponential
+    g in the family."""
+    g_exp = exponential_g(R(1, 2), p)[0]
+    return ([(i, eps, None) for i in (1, 2, 3, 4) for eps in (0.3, -0.3)]
+            + [("g", 0.05, lambda x, y: 1.0),
+               ("g", 0.05, lambda x, y: evaluate(g_exp, {"x": x, "y": y}))])
+
+
+def _points(rng, n=20):
+    return [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+
+
+def _parts(z):
+    return (z.value, z.dx, z.dy, z.dxy) if isinstance(z, HyperDual) else (z,)
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+def test_transport_moves_the_graph_of_the_point_action():
+    """The moved solution's graph is the image of the old graph: at the image
+    (x1, y1) of a graph point it takes the image value u1."""
+    p = ThomasParams(1, 1, 1)
+    rng = random.Random(9001)
+    cases = [(i, eps, None) for i in (1, 2, 3, 4) for eps in (0.3, -0.3)]
+    cases.append(("g", 0.05, lambda x, y: 1.0))
+    for f in oracle_solutions(p, count=3, rng=random.Random(9002)):
+        for i, eps, g in cases:
+            moved = transform_solution(i, eps, f, p, g)
+            for x0, y0 in _points(rng):
+                x1, y1, u1 = group_action(i, eps, (x0, y0, f(x0, y0)), p, g)
+                assert _close(moved(x1, y1), u1), (i, eps, x0, y0)
+
+
+def test_group_action_equals_the_old_formulas():
+    rng = random.Random(9003)
+    for p in _FLOW_PARAMS:
+        for i, eps, g in _flow_cases(p):
+            for x, y in _points(rng):
+                pt = (x, y, rng.uniform(-1, 1))
+                assert group_action(i, eps, pt, p, g) == _old_group_action(i, eps, pt, p, g)
+
+
+def test_transport_equals_the_old_formulas():
+    """Bit for bit, on floats and on every hyper-dual part, except v4: the
+    flow forms x*grow*(1 - decay) where the reference forms x*(grow - 1)."""
+    rng = random.Random(9004)
+    for p in _FLOW_PARAMS:
+        for f in oracle_solutions(p, count=3, rng=random.Random(9005)):
+            for i, eps, g in _flow_cases(p):
+                new = transform_solution(i, eps, f, p, g)
+                old = _old_transform_solution(i, eps, f, p, g)
+                for x, y in _points(rng):
+                    for args in ((x, y), seed(x, y)):
+                        got, want = _parts(new(*args)), _parts(old(*args))
+                        if i == 4:
+                            assert all(_close(a, b) for a, b in zip(got, want)), (i, eps, x, y)
+                        else:
+                            assert got == want, (i, eps, x, y)
+
+
+def test_translation_transport_accepts_symbolic_constants():
+    p = ThomasParams()
+
+    def f(x, y):
+        return x * y
+
+    for i in (1, 2, 3):
+        moved = transform_solution(i, 0.5, f, p)
+        x1, y1, u1 = group_action(i, 0.5, (0.25, -0.5, f(0.25, -0.5)), p)
+        assert moved(x1, y1) == u1
+    for i in (4, "g"):
+        with pytest.raises(ParameterError):
+            transform_solution(i, 0.5, f, p, g=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_floats_are_refused_as_inexact(bad):
+    p = ThomasParams(1, 1, 1)
+    with pytest.raises(AlgebraError, match="must be exact"):
+        AlgebraElement(bad)
+    with pytest.raises(AlgebraError, match="must be exact"):
+        adjoint(1, bad, basis_element(4), p)
+    with pytest.raises(ParameterError, match="must be exact"):
+        ThomasParams(bad, 1, 1)

@@ -14,8 +14,6 @@ from lie_thomas.hyperdual import (
     lift_with_derivatives,
     log_,
     seed,
-    sqrt_,
-    tan_,
     value_of,
 )
 
@@ -68,7 +66,7 @@ def test_log_derivatives():
 def test_tan_derivatives():
     x, y = seed(0.4, 0.2)
     # f = tan(x y): f' = (1 + tan^2), fxy via product rule
-    z = tan_(x * y)
+    z = (x * y).tan()
     t = math.tan(0.08)
     sec2 = 1 + t * t
     fxy = sec2 + 2 * t * sec2 * 0.08
@@ -86,7 +84,7 @@ def test_cos_derivatives():
 
 def test_sqrt_and_pow():
     x, y = seed(4.0, 1.0)
-    z = sqrt_(x)
+    z = x.sqrt()
     _check(z, 2.0, 0.25, 0.0, 0.0)
     w = x**3
     _check(w, 64.0, 48.0, 0.0, 0.0)
@@ -138,13 +136,20 @@ def test_lift_on_plain_float():
 def test_log_domain_error_is_a_package_error():
     from lie_thomas import algebra
     from lie_thomas.hyperdual import HyperDualError
+    from lie_thomas.params import ThomasParams
 
     x, _ = seed(-1.0, 0.0)
     for bad in (x, -1.0, 0.0):
         with pytest.raises(HyperDualError):
             log_(bad)
+    # gamma*g*eps + e^(gamma*u) = -5 + 1 <= 0 at u = 0
+    p = ThomasParams(1, 1, 1)
     with pytest.raises(algebra.GroupDomainError):
-        algebra._log(-1.0)
+        algebra.group_action("g", -5.0, (0.3, 0.2, 0.0), p, g=1.0)
+    moved = algebra.transform_solution("g", -5.0, lambda x, y: 0.0 * x, p, g=1.0)
+    for pt in ((0.3, 0.2), seed(0.3, 0.2)):
+        with pytest.raises(algebra.GroupDomainError):
+            moved(*pt)
 
 
 # --- the internal constructor and affine() -----------------------------------

@@ -121,17 +121,38 @@ def test_determining_reexports_the_params_names():
 _REEXPORTS = {"determining": {"ParameterError", "ThomasParams"}}
 
 
-def _unused_imports(source: str):
-    """Names bound by the module-level imports of source that no name in it
-    reads (the __future__ flags aside)."""
-    tree = ast.parse(source)
+def _bound_by_imports(nodes):
+    """Names that the import statements among nodes bind (the __future__
+    flags aside)."""
     bound = set()
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             bound |= {a.asname or a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound |= {a.asname or a.name for a in node.names}
-    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return bound
+
+
+def _read_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _unused_imports(source: str):
+    """Names bound by the module-level imports of source that no name in it
+    reads."""
+    tree = ast.parse(source)
+    return _bound_by_imports(tree.body) - _read_names(tree)
+
+
+def _unused_local_imports(source: str):
+    """(function, name) for each name that an import inside a function binds
+    and that the function's body never reads."""
+    unused = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            dead = _bound_by_imports(ast.walk(fn)) - _read_names(fn)
+            unused |= {(fn.name, name) for name in dead}
+    return unused
 
 
 def test_unused_import_scan_sees_a_dead_import():
@@ -147,3 +168,13 @@ def test_no_module_imports_a_name_it_does_not_use():
         with open(os.path.join(pkg, name)) as fh:
             unused = _unused_imports(fh.read()) - _REEXPORTS.get(module, set())
         assert not unused, (module, sorted(unused))
+
+
+def test_no_function_imports_a_name_it_does_not_use():
+    probe = "def f():\n    from math import exp, log\n    return log(2)\n"
+    assert _unused_local_imports(probe) == {("f", "exp")}
+    pkg = os.path.dirname(lie_thomas.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                assert not _unused_local_imports(fh.read()), name
