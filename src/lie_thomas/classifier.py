@@ -4,7 +4,10 @@ Any nonzero v = a1 v1 + a2 v2 + a3 v3 + a4 v4 is driven to a canonical
 form by generator rescaling and the adjoint maps that stay inside exact
 rational arithmetic.  The case tree:
 
-    a4 != 0                -> Case1       (scale a4 to 1; kill a3 with Ad(exp((a3/beta) v1)))
+    a4 != 0                -> Case1       (scale a4 to 1, then kill a3:)
+        beta != 0:            with Ad(exp((a3/beta) v1)), a1 -> a1 + gamma*a3/beta
+        beta = 0, alpha != 0: with Ad(exp((-a3/alpha) v2)), a2 -> a2 + gamma*a3/alpha
+        alpha = beta = 0:     a3 != 0 is obstructed (a3 is adjoint-invariant there)
     a4 = 0, a3 != 0        -> Case2_*     (scale a3 to 1)
         a1*a2 != 0:           2_1a / 2_1b by the sign of
                               D = (alpha*a2 - beta*a1 + gamma)^2 + 4*gamma*beta*a1
@@ -107,13 +110,19 @@ def classify(v: AlgebraElement, p: ThomasParams) -> CanonicalCase:
             word.append(("scale", s))
             a1, a2, a3, a4 = a1 * s, a2 * s, a3 * s, Fraction(1)
         if a3 != 0:
-            if beta == 0:
+            if beta != 0:
+                eps = a3 / beta
+                word.append(("v1", eps))
+                a1 = a1 + eps * gamma
+            elif alpha != 0:
+                eps = -a3 / alpha
+                word.append(("v2", eps))
+                a2 = a2 - eps * gamma
+            else:
                 raise ClassificationError(
-                    "cannot cancel the v3 coordinate when beta = 0"
+                    "cannot cancel the v3 coordinate when alpha = beta = 0"
                 )
-            eps = a3 / beta
-            word.append(("v1", eps))
-            a1, a3 = a1 + eps * gamma, Fraction(0)
+            a3 = Fraction(0)
         return CanonicalCase("Case1", (a1, a2, a3, a4), tuple(word))
 
     if a3 != 0:

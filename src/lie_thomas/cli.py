@@ -337,13 +337,17 @@ def _cmd_reduce(args) -> int:
     p = _parse_params(args.params)
     if args.vector:
         case = classify(AlgebraElement(*_parse_vector(args.vector)), p)
+    elif args.case and args.coords:
+        coords = _parse_vector(args.coords, "--coords")
+        if not p.is_numeric():
+            raise InputError("--coords needs numeric --params to check the vector is canonical")
+        case = classify(AlgebraElement(*coords), p)
+        if case.tag != args.case or case.word:
+            raise InputError("--coords: (%s) is not a canonical %s vector; its form is %s (%s)"
+                             % (args.coords, args.case, case.tag,
+                                ", ".join(map(str, case.coords))))
     elif args.case:
-        coords = (
-            _parse_vector(args.coords, "--coords")
-            if args.coords
-            else _default_coords(args.case, p)
-        )
-        case = CanonicalCase(args.case, coords, ())
+        case = CanonicalCase(args.case, _default_coords(args.case, p), ())
     else:
         raise InputError("reduce wants --vector or --case")
     pair = invariants(case, p)
@@ -593,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="invariants and reduced ODE of a canonical case")
     sp.add_argument("--vector", help="classify this vector first")
     sp.add_argument("--case", help="canonical tag, e.g. Case2_1a")
-    sp.add_argument("--coords", help="override canonical coordinates a1,a2,a3,a4")
+    sp.add_argument("--coords", help="canonical coordinates a1,a2,a3,a4 of --case")
     sp.add_argument("--params", default="symbolic")
     sp.set_defaults(func=_cmd_reduce)
 

@@ -2,11 +2,12 @@
 
 Immutable expression trees over the independent variables (x, y), the
 dependent variable u, jet symbols for the partials of u up to third order,
-named rational constants, the four elementary functions exp/log/tan/arctan,
-and unknown-function applications with registered partial-derivative
-symbols.  Numeric leaves are exact fractions; simplification is structural
-only: flattening, like-term and like-factor collection, rational
-arithmetic, integer powers, exp/log cancellation.
+named rational constants, exp and log (the e^{-gamma*u} factor of v_g and
+the Case 1 invariant log(a1 - gamma*x) need nothing else), and
+unknown-function applications with registered partial-derivative symbols.
+Numeric leaves are exact fractions; simplification is structural only:
+flattening, like-term and like-factor collection, rational arithmetic,
+integer powers, exp/log cancellation.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ class EvalError(ExprError):
     pass
 
 
-class SubstitutionError(ExprError):
-    pass
-
-
 _RATLIKE = (int, Fraction)
 
 VAR, PARAM, JET = "var", "param", "jet"
 
-APP_FUNCTIONS = ("exp", "log", "tan", "arctan")
+APP_FUNCTIONS = ("exp", "log")
 
 
 def _wrap(value):
@@ -260,6 +257,10 @@ def add(*terms):
 
 
 def mul(*factors):
+    """Product in collected form.  No key of ``powers`` is a Rat, Mul or
+    Pow, and the one merged exp application has exponent 1, so each
+    collected factor is its base or ``Pow(base, n)`` as ``pow_`` would
+    build it."""
     coeff = _F1
     powers: dict[Expr, int] = {}
     exp_args = []
@@ -276,67 +277,30 @@ def mul(*factors):
             exp_args.append(f.arg)
         else:
             powers[f] = powers.get(f, 0) + 1
-    if coeff == 0:
-        return ZERO
-    if exp_args:
-        combined = app("exp", add(*exp_args))
-        if combined != ONE:
+        if exp_args and not stack:
+            combined = app("exp", add(*exp_args))
+            exp_args = []
             if isinstance(combined, App) and combined.fn == "exp":
                 powers[combined] = powers.get(combined, 0) + 1
-            else:
-                # exp(log t) collapsed to t
-                stack = [combined]
-                while stack:
-                    f = stack.pop()
-                    if isinstance(f, Mul):
-                        stack.extend(f.factors)
-                    elif isinstance(f, Rat):
-                        coeff *= f.value
-                    elif isinstance(f, Pow):
-                        powers[f.base] = powers.get(f.base, 0) + f.exp
-                    else:
-                        powers[f] = powers.get(f, 0) + 1
-    out = []
-    for base in sorted(powers, key=lambda b: b.key()):
-        n = powers[base]
-        if n == 0:
-            continue
-        out.append(base if n == 1 else pow_(base, n))
-    # pow_ may have re-simplified; rebuild plain factors
-    flat = []
-    for f in out:
-        if isinstance(f, Rat):
-            coeff *= f.value
-        elif isinstance(f, Mul):
-            for g in f.factors:
-                if isinstance(g, Rat):
-                    coeff *= g.value
-                else:
-                    flat.append(g)
-        else:
-            flat.append(f)
-    flat.sort(key=lambda b: b.key())
+            else:  # exp(log t) collapsed to t, or exp(0) to 1
+                stack.append(combined)
     if coeff == 0:
         return ZERO
-    if not flat:
+    out = [base if n == 1 else Pow(base, n) for base, n in powers.items() if n]
+    if not out:
         return Rat(coeff)
-    if len(flat) == 1 and isinstance(flat[0], Add) and coeff != 1:
+    out.sort(key=Expr.key)
+    if len(out) == 1 and isinstance(out[0], Add) and coeff != 1:
         # keep rational multiples of sums in collected form
-        return add(*[mul(Rat(coeff), t) for t in flat[0].terms])
+        return add(*[mul(Rat(coeff), t) for t in out[0].terms])
     if coeff != 1:
-        flat.insert(0, Rat(coeff))
-    if len(flat) == 1:
-        return flat[0]
-    return Mul(flat)
+        out.insert(0, Rat(coeff))
+    if len(out) == 1:
+        return out[0]
+    return Mul(out)
 
 
 def pow_(base, n):
-    if isinstance(n, Rat):
-        n = n.value
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            raise ExprError("symbolic powers must have integer exponents")
-        n = int(n)
     if not isinstance(n, int):
         raise TypeError("integer exponent required, got %r" % (n,))
     base = _wrap(base)
@@ -371,9 +335,6 @@ def app(fn, arg):
             return ZERO
         if isinstance(arg, App) and arg.fn == "exp":
             return arg.arg
-    elif fn in ("tan", "arctan"):
-        if arg == ZERO:
-            return ZERO
     return App(fn, arg)
 
 
@@ -383,14 +344,6 @@ def exp(arg):
 
 def log(arg):
     return app("log", arg)
-
-
-def tan(arg):
-    return app("tan", arg)
-
-
-def arctan(arg):
-    return app("arctan", arg)
 
 
 # --- symbol registry ------------------------------------------------------
@@ -465,8 +418,6 @@ class UFunc:
 _APP_DERIV = {
     "exp": lambda a: app("exp", a),
     "log": lambda a: pow_(a, -1),
-    "tan": lambda a: add(ONE, pow_(app("tan", a), 2)),
-    "arctan": lambda a: pow_(add(ONE, pow_(a, 2)), -1),
 }
 
 
@@ -549,41 +500,10 @@ def atoms(e: Expr) -> Iterator[Expr]:
             stack.append(n.arg)
 
 
-def _depends_on_u(e: Expr) -> bool:
-    for a in atoms(e):
-        if isinstance(a, Sym) and (a == U or a.kind == JET):
-            return True
-    return False
-
-
 def substitute(e: Expr, bindings: Mapping) -> Expr:
-    """Simultaneous replacement of subtrees.
-
-    Keys are matched as whole nodes.  Binding u to a jet-free expression in
-    (x, y) also rebinds any jet symbols present in ``e``, by differentiating
-    the replacement.
-    """
-    table = {}
-    for k, v in bindings.items():
-        table[_wrap(k)] = _wrap(v)
-    if U in table:
-        repl = table[U]
-        if _depends_on_u(repl):
-            for j in jet_symbols(e):
-                if j not in table:
-                    raise SubstitutionError(
-                        "cannot rebind %s: replacement for u depends on u" % j.name
-                    )
-        else:
-            for (i, j), sym in JETS.items():
-                if sym in table:
-                    continue
-                d = repl
-                for _ in range(i):
-                    d = differentiate(d, X)
-                for _ in range(j):
-                    d = differentiate(d, Y)
-                table[sym] = d
+    """Simultaneous replacement of subtrees; keys are matched as whole
+    nodes."""
+    table = {_wrap(k): _wrap(v) for k, v in bindings.items()}
 
     def walk(n):
         if n in table:
@@ -609,20 +529,13 @@ def _apply_named(fn: str, v):
     special = getattr(v, fn, None)
     if callable(special):
         return special()
-    x = float(v)
-    if fn == "exp":
-        return math.exp(x)
-    if fn == "log":
-        return math.log(x)
-    if fn == "tan":
-        return math.tan(x)
-    return math.atan(x)
+    return (math.exp if fn == "exp" else math.log)(float(v))
 
 
-def evaluate(e: Expr, env: Mapping[str, object], funcs: Mapping | None = None):
+def evaluate(e: Expr, env: Mapping[str, object]):
     """Numeric evaluation.  ``env`` maps symbol names to numbers (or any
-    arithmetic type with exp/log/tan/arctan methods, e.g. HyperDual);
-    ``funcs`` maps (name, derivs) pairs to callables for Func nodes."""
+    arithmetic type with exp/log methods, e.g. HyperDual); a Func node has
+    no value."""
     if isinstance(e, Rat):
         return e.value
     if isinstance(e, Sym):
@@ -631,22 +544,19 @@ def evaluate(e: Expr, env: Mapping[str, object], funcs: Mapping | None = None):
         except KeyError:
             raise EvalError("no value bound for %s" % e.name) from None
     if isinstance(e, Func):
-        key = (e.name, e.derivs)
-        if funcs is None or key not in funcs:
-            raise EvalError("no evaluator for %s%s" % (e.name, e.suffix))
-        return funcs[key](*[evaluate(a, env, funcs) for a in e.args])
+        raise EvalError("no evaluator for %s%s" % (e.name, e.suffix))
     if isinstance(e, Add):
-        total = evaluate(e.terms[0], env, funcs)
+        total = evaluate(e.terms[0], env)
         for t in e.terms[1:]:
-            total = total + evaluate(t, env, funcs)
+            total = total + evaluate(t, env)
         return total
     if isinstance(e, Mul):
-        prod = evaluate(e.factors[0], env, funcs)
+        prod = evaluate(e.factors[0], env)
         for f in e.factors[1:]:
-            prod = prod * evaluate(f, env, funcs)
+            prod = prod * evaluate(f, env)
         return prod
     if isinstance(e, Pow):
-        return evaluate(e.base, env, funcs) ** e.exp
+        return evaluate(e.base, env) ** e.exp
     if isinstance(e, App):
-        return _apply_named(e.fn, evaluate(e.arg, env, funcs))
+        return _apply_named(e.fn, evaluate(e.arg, env))
     raise EvalError("cannot evaluate %r" % e)

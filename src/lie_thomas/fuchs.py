@@ -132,9 +132,20 @@ class SecondSolution:
     tail_bound: float
 
     def eval(self, chi: float):
-        """(y_2, y_2') at chi != 0."""
-        s, ds, _ = _sum_series(self.coefficients, chi)
-        v, dv, _ = _sum_series(self.log_coefficients, chi)
+        """(y_2, y_2') at chi != 0.  S_d, S_v and their first derivatives
+        are summed in one pass over the powers of chi."""
+        logs = self.log_coefficients  # empty, or as long as S_d
+        s = ds = v = dv = 0.0
+        power, prev_power = 1.0, 0.0  # chi^n, chi^(n-1)
+        for n, a in enumerate(self.coefficients):
+            s += a * power
+            ds += n * a * prev_power  # the n = 0 term, +-0.0, leaves 0.0
+            if logs:
+                b = logs[n]
+                v += b * power
+                dv += n * b * prev_power
+            prev_power = power
+            power *= chi
         log, scale = math.log(abs(chi)), abs(chi) ** self.rho
         s, ds = s + log * v, ds + log * dv + v / chi
         return scale * s, scale * (ds + self.rho * s / chi)

@@ -129,8 +129,7 @@ def _ltx(e: Expr, prec: int) -> str:
             return base
         return base + r"\left(" + ", ".join(_ltx(a, _PREC_ADD) for a in e.args) + r"\right)"
     if isinstance(e, App):
-        fn = {"exp": r"\exp", "log": r"\log", "tan": r"\tan", "arctan": r"\arctan"}[e.fn]
-        return fn + r"\left(" + _ltx(e.arg, _PREC_ADD) + r"\right)"
+        return "\\" + e.fn + r"\left(" + _ltx(e.arg, _PREC_ADD) + r"\right)"
     if isinstance(e, Pow):
         return _ltx(e.base, _PREC_ATOM) + "^{" + str(e.exp) + "}"
     if isinstance(e, Add):

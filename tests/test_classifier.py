@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lie_thomas.algebra import AlgebraElement
+from lie_thomas.algebra import AlgebraElement, adjoint
 from lie_thomas.classifier import (
     TAGS,
     CanonicalCase,
@@ -15,6 +15,7 @@ from lie_thomas.classifier import (
     orbit_invariance_check,
 )
 from lie_thomas.determining import ThomasParams
+from lie_thomas.expr import Rat
 
 
 P = ThomasParams(1, 1, 1)
@@ -77,11 +78,32 @@ def test_word_replay_exact():
 
 
 def test_beta_zero_obstruction():
-    p0 = ThomasParams(1, 0, 1)
-    with pytest.raises(ClassificationError):
-        _cls(0, 0, 1, 1, p=p0)  # a4 != 0, a3 != 0 needs beta != 0
+    p0 = ThomasParams(0, 0, 1)
+    with pytest.raises(ClassificationError, match="alpha = beta = 0"):
+        _cls(0, 0, 1, 1, p=p0)  # a4 != 0, a3 != 0 needs alpha or beta != 0
     # but a3 = 0 still classifies
     assert _cls(0, 0, 0, 1, p=p0).tag == "Case1"
+
+
+@pytest.mark.parametrize("constants", [(1, 0, 1), (2, 0, 3)])
+def test_beta_zero_cancels_a3_with_the_v2_adjoint(constants, rng):
+    p = ThomasParams(*constants)
+    alpha, _, gamma = (Fraction(c) for c in constants)
+    for _ in range(25):
+        a1, a2 = (Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+        a3, a4 = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+                  for _ in range(2))
+        coords = (a1, a2, a3, a4)
+        el = AlgebraElement(*coords)
+        case = classify(el, p)
+        assert case.tag == "Case1"
+        eps = -(a3 / a4) / alpha
+        assert case.word[-1] == ("v2", eps)
+        assert case.coords == (a1 / a4, a2 / a4 + gamma * (a3 / a4) / alpha, 0, 1)
+        assert apply_word(coords, case.word, p) == case.coords
+        moved = adjoint(2, Rat(eps), el.scale(1 / a4), p)
+        assert moved.coords_exact() == case.coords
+        assert orbit_invariance_check(el, p, trials=8, rng=rng)
 
 
 def test_symbolic_params_rejected():

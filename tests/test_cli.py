@@ -323,6 +323,14 @@ _MISSING_DIR = object()  # stands for a path under a tmp_path directory that doe
     (("classify", "--vector", "1,1,3,1", "--output", _MISSING_DIR), "--output: cannot write"),
     (("derive", "--show-prolongation", "--format", "csv"),
      "--show-prolongation has no csv form"),
+    (("reduce", "--case", "Case1", "--coords", "0,1,0,0", "--params", "1,1,1"),
+     "--coords: (0,1,0,0) is not a canonical Case1 vector; its form is Case3_2"),
+    (("reduce", "--case", "Case3_2", "--coords", "1,2,3,4", "--params", "1,1,1"),
+     "is not a canonical Case3_2 vector; its form is Case1"),
+    (("reduce", "--case", "Case2_2", "--coords", "4,0,2,0", "--params", "1,1,1"),
+     "--coords: (4,0,2,0) is not a canonical Case2_2 vector; its form is Case2_2 (2, 0, 1, 0)"),
+    (("reduce", "--case", "Case2_2", "--coords", "2,0,1,0", "--params", "symbolic"),
+     "--coords needs numeric --params"),
 ])
 def test_malformed_values_exit_3(capsys, monkeypatch, tmp_path, argv, message):
     if isinstance(argv[-1], _Stdin):

@@ -1,6 +1,7 @@
 """Series solutions of chi y'' + e y' + m y = 0 near the regular point."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import i0, j0, jv, k0, y0
 
 from lie_thomas.fuchs import (
     FuchsError,
+    _sum_series,
     coefficient_closed,
     coefficients_recurrence,
     fuchs_series,
@@ -138,3 +140,24 @@ def test_second_solution_pole_exponents_rejected():
     for e in (0, -1, -2):
         with pytest.raises(FuchsError):
             second_solution(float(e), 1.0, 1.0)
+
+
+def _two_loop_eval(solution, chi):
+    """SecondSolution.eval summing S_d and S_v in separate passes, each with
+    its dropped second-derivative sum."""
+    s, ds, _ = _sum_series(solution.coefficients, chi)
+    v, dv, _ = _sum_series(solution.log_coefficients, chi)
+    log, scale = math.log(abs(chi)), abs(chi) ** solution.rho
+    s, ds = s + log * v, ds + log * dv + v / chi
+    return scale * s, scale * (ds + solution.rho * s / chi)
+
+
+@pytest.mark.parametrize("e", [1.0, 2.0, 4.0, 0.5, 2.7, -0.3])
+def test_second_solution_one_pass_equals_two_loops(e, seed):
+    rng = random.Random(seed)
+    for m in (1.0, -0.6, 2.3):
+        y2 = second_solution(e, m, 5.0)
+        assert bool(y2.log_coefficients) == (e == round(e))
+        for _ in range(40):
+            chi = rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 5.0)
+            assert y2.eval(chi) == _two_loop_eval(y2, chi), (e, m, chi)

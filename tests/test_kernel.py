@@ -8,10 +8,13 @@ denominator, unit or not.  ``_ref_prolong_raw`` spells every total
 derivative of the second prolongation out in place as an expression tree
 (``_ref_total_derivative``), and ``_ref_manifold_action`` applies it to the
 equation and eliminates u_xy by substitution in the tree, the way the
-package did before it prolonged on jet polynomials.  The kernel must give
-structurally identical results (equal node keys), not merely equal values.
+package did before it prolonged on jet polynomials.  ``_ref_mul``
+is ``expr.mul`` as it was with a second pass over the built factors.  The
+kernel must give structurally identical results (equal node keys), not
+merely equal values.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -47,18 +50,22 @@ from lie_thomas.expr import (
     Func,
     Mul,
     Pow,
+    R,
     Rat,
     Sym,
     add,
     app,
     contains_jet,
     differentiate,
+    evaluate,
     max_jet_order,
     mul,
     pow_,
     substitute,
 )
+from lie_thomas.hyperdual import HyperDual
 from lie_thomas.jetpoly import JetPolynomial
+from lie_thomas.printer import to_latex, to_text
 from lie_thomas.vectorfield import (
     COEFF_KEYS,
     ProlongationError,
@@ -118,6 +125,77 @@ def _ref_collect(e):
     for _ in range(e.exp):
         out = _ref_fold_product(out, base)
     return out
+
+
+def _ref_mul(*factors):
+    """Collect the factors, then rebuild them in a second pass in case
+    ``pow_`` re-simplified a collected power."""
+    coeff = Fraction(1)
+    powers = {}
+    exp_args = []
+    stack = list(factors)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Mul):
+            stack.extend(f.factors)
+        elif isinstance(f, Rat):
+            coeff *= f.value
+        elif isinstance(f, Pow):
+            powers[f.base] = powers.get(f.base, 0) + f.exp
+        elif isinstance(f, App) and f.fn == "exp":
+            exp_args.append(f.arg)
+        else:
+            powers[f] = powers.get(f, 0) + 1
+    if coeff == 0:
+        return ZERO
+    if exp_args:
+        combined = app("exp", add(*exp_args))
+        if combined != ONE:
+            if isinstance(combined, App) and combined.fn == "exp":
+                powers[combined] = powers.get(combined, 0) + 1
+            else:
+                # exp(log t) collapsed to t
+                stack = [combined]
+                while stack:
+                    f = stack.pop()
+                    if isinstance(f, Mul):
+                        stack.extend(f.factors)
+                    elif isinstance(f, Rat):
+                        coeff *= f.value
+                    elif isinstance(f, Pow):
+                        powers[f.base] = powers.get(f.base, 0) + f.exp
+                    else:
+                        powers[f] = powers.get(f, 0) + 1
+    out = []
+    for base in sorted(powers, key=lambda b: b.key()):
+        n = powers[base]
+        if n == 0:
+            continue
+        out.append(base if n == 1 else pow_(base, n))
+    flat = []
+    for f in out:
+        if isinstance(f, Rat):
+            coeff *= f.value
+        elif isinstance(f, Mul):
+            for g in f.factors:
+                if isinstance(g, Rat):
+                    coeff *= g.value
+                else:
+                    flat.append(g)
+        else:
+            flat.append(f)
+    flat.sort(key=lambda b: b.key())
+    if coeff == 0:
+        return ZERO
+    if not flat:
+        return Rat(coeff)
+    if len(flat) == 1 and isinstance(flat[0], Add) and coeff != 1:
+        return add(*[_ref_mul(Rat(coeff), t) for t in flat[0].terms])
+    if coeff != 1:
+        flat.insert(0, Rat(coeff))
+    if len(flat) == 1:
+        return flat[0]
+    return Mul(flat)
 
 
 def _ref_poly_mul(p, q):
@@ -237,7 +315,7 @@ def _nf_keys(nf):
 
 _XI = UFunc("xi", ("x", "y", "u"))
 _ATOMS = (X, Y, U, ALPHA, BETA, GAMMA, _XI(), _XI.d("x"), _XI.d("u", "u"),
-          app("log", X), app("tan", add(X, Y)))
+          app("log", X), app("log", add(X, Y)))
 _JET_ATOMS = tuple(JETS[k] for k in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1)))
 
 
@@ -291,6 +369,117 @@ def random_rational_expr(rng):
     if rng.random() < 0.5:
         e = mul(e, pow_(add(_coefficient(rng, False), ONE), 2))
     return e
+
+
+def _collapsing_exps(rng):
+    """exp(a) and exp(log t - a), whose product is t: t is a product of an
+    exp, a sum or a power with other atoms, or a bare rational."""
+    parts = [app("exp", mul(_rational(rng), Y)), add(X, rng.choice(_ATOMS)),
+             pow_(rng.choice(_ATOMS), rng.choice((2, -1))), rng.choice(_ATOMS)]
+    t = mul(*rng.sample(parts, rng.randint(1, 3))) if rng.random() < 0.8 else R(3)
+    a = mul(_rational(rng), rng.choice((X, U)))
+    return [app("exp", a), app("exp", add(app("log", t), mul(Rat(-1), a)))]
+
+
+def random_factors(rng):
+    """Factors for ``mul``: atoms, powers, products, sums, rationals and
+    exp applications, some pairs of which collapse through exp(log t)."""
+    makers = (
+        lambda: rng.choice(_ATOMS),
+        lambda: pow_(rng.choice(_ATOMS), rng.choice((2, 3, -1, -2))),
+        lambda: _coefficient(rng),
+        lambda: _rational(rng),
+        lambda: add(rng.choice(_ATOMS), _coefficient(rng, False)),
+        lambda: app("exp", mul(_rational(rng), rng.choice((X, U)))),
+    )
+    factors = [rng.choice(makers)() for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        factors += _collapsing_exps(rng)
+    rng.shuffle(factors)
+    return factors
+
+
+def _nodes(e):
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(getattr(n, "terms", ()))
+        stack.extend(getattr(n, "factors", ()))
+        stack.extend(getattr(n, "args", ()))
+        stack.extend(c for c in (getattr(n, "base", None), getattr(n, "arg", None))
+                     if c is not None)
+
+
+def _is_exp(e):
+    return isinstance(e, App) and e.fn == "exp"
+
+
+# --- products and the function table ----------------------------------------
+
+
+def test_mul_matches_two_pass_reference(seed):
+    rng = random.Random(seed)
+    collapsed = 0
+    for _ in range(400):
+        factors = random_factors(rng)
+        got = mul(*factors)
+        assert got.key() == _ref_mul(*factors).key(), factors
+        exps = [f for f in factors if _is_exp(f)]
+        collapsed += bool(exps) and not any(_is_exp(n) for n in _nodes(mul(*exps)))
+    # the exp(log t) collapse ran, not only the plain exp merge
+    assert collapsed > 40
+
+
+@pytest.mark.parametrize("t", [
+    mul(app("exp", Y), X), mul(add(X, Y), U), mul(pow_(X, 2), add(ONE, Y), app("exp", U)),
+    mul(R(2), pow_(add(X, U), -1)),
+], ids=["exp", "sum", "power-and-exp", "inverse-sum"])
+def test_exp_log_collapse_feeds_t_back_through_mul(t):
+    a = mul(R(3), X)
+    pair = (app("exp", a), app("exp", add(app("log", t), mul(Rat(-1), a))))
+    # t's factors merge with the others: x^-1 cancels an x, (1 + y) adds up
+    for factors in (pair, pair + (Y, R(5)), (pow_(X, -1), add(ONE, Y)) + pair):
+        assert mul(*factors).key() == _ref_mul(*factors).key()
+    assert mul(*pair) == t
+
+
+def test_corpus_is_in_collected_form(seed):
+    """No Pow has a Rat, Mul, Pow or exp base, and a Mul holds at most one
+    Rat, first, then factors of distinct bases sorted by key."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(60):
+        corpus += [random_jet_polynomial(rng), random_rational_expr(rng),
+                   mul(*random_factors(rng))]
+    for e in corpus:
+        for n in _nodes(e):
+            if isinstance(n, Pow):
+                assert not isinstance(n.base, (Rat, Mul, Pow)) and not _is_exp(n.base), n
+                assert n.exp not in (0, 1), n
+            if isinstance(n, Mul):
+                rest = n.factors[1:] if isinstance(n.factors[0], Rat) else n.factors
+                assert not any(isinstance(f, (Rat, Mul)) for f in rest), n
+                assert sum(map(_is_exp, rest)) <= 1, n
+                keys = [f.key() for f in rest]
+                assert keys == sorted(keys), n
+                bases = [f.base if isinstance(f, Pow) else f for f in rest]
+                assert len(set(bases)) == len(bases), n
+
+
+@pytest.mark.parametrize("fn", expr.APP_FUNCTIONS)
+def test_every_app_function_differentiates_evaluates_and_prints(fn):
+    e = app(fn, add(X, Y))
+    assert isinstance(e, App) and e.fn == fn
+    numeric = getattr(math, fn)
+    assert evaluate(e, {"x": 0.5, "y": 0.25}) == numeric(0.75)
+    # the symbolic x-derivative matches the hyper-dual one
+    hd = evaluate(e, {"x": HyperDual.x_at(0.5), "y": 0.25})
+    assert hd.value == numeric(0.75)
+    assert math.isclose(evaluate(differentiate(e, X), {"x": 0.5, "y": 0.25}), hd.dx,
+                        rel_tol=1e-15)
+    assert to_text(e) == fn + "(x + y)"
+    assert to_latex(e) == "\\" + fn + r"\left(x + y\right)"
 
 
 # --- differential tests -----------------------------------------------------

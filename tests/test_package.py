@@ -78,7 +78,6 @@ _ERROR_BASES = {
     "cli.InputError": ValueError,
     "expr.EvalError": ExprError,
     "expr.ExprError": Exception,
-    "expr.SubstitutionError": ExprError,
     "families.FamilyError": ValueError,
     "fuchs.FuchsError": ValueError,
     "hyperdual.HyperDualError": ValueError,
