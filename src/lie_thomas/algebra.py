@@ -299,15 +299,15 @@ def _flow(i, eps, p: ThomasParams, g):
     if i == "g":
         if g is None:
             raise AlgebraError("the family action needs the function g")
-        from .hyperdual import exp_, log_
+        from .hyperdual import HyperDualError, exp_, log_
 
         def lift(x, y, u):
             arg = gamma * g(x, y) * eps + exp_(gamma * u)
-            if arg <= 0:
-                raise GroupDomainError(
-                    "family action leaves the log domain at (%g, %g)" % (x, y)
-                )
-            return log_(arg) / gamma
+            try:  # log_ checks the argument on floats, hyper-duals and rows alike
+                out = log_(arg)
+            except HyperDualError as exc:
+                raise GroupDomainError("family action leaves the log domain: %s" % exc) from None
+            return out / gamma
 
         return (lambda x, y: (x, y)), lift
     raise AlgebraError("unknown generator %r" % (i,))
@@ -325,7 +325,7 @@ def transform_solution(i, eps: float, f, p: ThomasParams, g=None):
     """Push a solution u = f(x, y) through exp(eps*v_i): the new graph is the
     image of the old one, so (x, y) is read off at its source point
     base_{-eps}(x, y).  The returned callable accepts the same argument
-    types f does (floats or hyper-duals)."""
+    types f does (floats, hyper-duals or hyper-dual rows)."""
     base = _flow(i, -eps, p, g)[0]
     lift = _flow(i, eps, p, g)[1]
 

@@ -336,6 +336,9 @@ def _cmd_reduce(args) -> int:
 
     p = _parse_params(args.params)
     if args.vector:
+        if args.case or args.coords:
+            raise InputError("--vector picks its own case and would ignore %s; give one "
+                             "of them" % ("--case" if args.case else "--coords"))
         case = classify(AlgebraElement(*_parse_vector(args.vector)), p)
     elif args.case and args.coords:
         coords = _parse_vector(args.coords, "--coords")
@@ -597,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="invariants and reduced ODE of a canonical case")
     sp.add_argument("--vector", help="classify this vector first")
     sp.add_argument("--case", help="canonical tag, e.g. Case2_1a")
-    sp.add_argument("--coords", help="canonical coordinates a1,a2,a3,a4 of --case")
+    sp.add_argument("--coords", help="canonical coordinates a1,a2,a3,a4 of --case, not --vector")
     sp.add_argument("--params", default="symbolic")
     sp.set_defaults(func=_cmd_reduce)
 

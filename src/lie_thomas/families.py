@@ -6,12 +6,13 @@ Under w = exp(gamma u) the equation turns linear, and every closed form
     u = lam x + mu y + k + (1/gamma) log(a + c f(p x + q y + r)),
 
 with f = exp, |cos| or the identity.  A builder only computes these
-coefficients.  The mix evaluates on floats or HyperDual points, both
-linear forms through ``hyperdual.affine``, and its domain reads the same
-log argument on floats, so plotting and exact residual checks share one
-code path.  Case 1 is a ratio of Frobenius series with its own evaluator;
-its domain and evaluator share the sums at the last chi, so a grid point
-sums each series once.  Where printed source formulas for a case
+coefficients.  The mix evaluates elementwise on floats, HyperDual points or
+grid rows, both linear forms through ``hyperdual.affine``, and its domain
+reads the same log argument on floats, so plotting and exact residual
+checks share one code path.  Case 1 is a ratio of Frobenius series with its
+own evaluator, lifted onto chi by ``hyperdual.lift``; its domain keeps the
+sums at each chi until the evaluator has read them, so a grid point sums
+each series once.  Where printed source formulas for a case
 disagree internally, the variant kept here is the one rederived from the
 reduced ODE; the residual tests are the arbiter.
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .fuchs import fuchs_series, second_solution, zero_bracket
-from .hyperdual import affine, cos_, exp_, lift_with_derivatives, log_, value_of
+from .hyperdual import affine, cos_, exp_, lift, log_
 from .params import ThomasParams
 
 
@@ -232,17 +233,18 @@ def case1_solution(
     scale = gamma / ((y_base * y2p_base - yp_base * y2_base) * abs(base) ** e)  # gamma/C
     q_base = y2_base / y_base
 
-    memo = (None, None)
+    memo = {}
 
     def sums(v: float):
-        """(y_p, y_p', y_p'', g_p + c0) at v, kept for the last v: domain()
-        and the evaluator read the same chi at a grid point."""
-        nonlocal memo
-        key, out = memo
-        if key != v:
+        """(y_p, y_p', y_p'', g_p + c0) at v, kept until the evaluator clears
+        them: domain() and the evaluator read the same chi at a grid point.
+        Calls to domain() alone keep at most 1024 sums."""
+        out = memo.get(v)
+        if out is None:
+            if len(memo) >= 1024:
+                memo.clear()
             y0, y1, y2 = series.eval(v)
-            out = y0, y1, y2, scale * (second.eval(v)[0] / y0 - q_base) + c0f
-            memo = v, out
+            out = memo[v] = y0, y1, y2, scale * (second.eval(v)[0] / y0 - q_base) + c0f
         return out
 
     k_log = (beta * a1f + alpha * a2f) / gamma**2
@@ -261,9 +263,8 @@ def case1_solution(
     def evaluator(x, y):
         lin_x = a1f - gamma * x
         lin_y = a2f + gamma * y
-        chi = lin_x * lin_y
-        vs, th, thp = pieces(value_of(chi))
-        out = lift_with_derivatives(chi, vs, th, thp)
+        out = lift(lin_x * lin_y, pieces)
+        memo.clear()
         out = out - (beta / gamma) * x - (alpha / gamma**2) * lin_y
         if k_log != 0.0:
             out = out - k_log * log_(lin_x)

@@ -11,11 +11,19 @@ is why one pass suffices.
 hold floats already and are built by the internal ``_hd``, which does not.
 ``affine(a, x, b, y, c)`` is a x + b y + c as one hyper-dual, rounded as
 the composed operations are.
+
+A HyperDualRow holds one grid row of hyper-duals as four lists, so an
+evaluator runs once per row; element i of each result is rounded exactly
+as the HyperDual operation rounds element i.  A row has no order or truth
+value: an evaluator that branches on one raises instead of taking one
+branch for the whole row.  ``lift`` composes a function given by its value
+and two derivatives.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, mul, neg
 
 from .errors import DomainError
 
@@ -43,9 +51,6 @@ class HyperDual:
 
     def __repr__(self):
         return "HyperDual(%r, %r, %r, %r)" % (self.value, self.dx, self.dy, self.dxy)
-
-    def __float__(self):
-        return self.value
 
     # --- ring operations -------------------------------------------------
 
@@ -118,16 +123,16 @@ class HyperDual:
 
     # comparisons look at the real part only (domain predicates)
     def __lt__(self, other):
-        return self.value < float(other)
+        return self.value < _real(other)
 
     def __le__(self, other):
-        return self.value <= float(other)
+        return self.value <= _real(other)
 
     def __gt__(self, other):
-        return self.value > float(other)
+        return self.value > _real(other)
 
     def __ge__(self, other):
-        return self.value >= float(other)
+        return self.value >= _real(other)
 
     # --- analytic lifts ---------------------------------------------------
 
@@ -164,6 +169,10 @@ class HyperDual:
         return self._lift(math.atan(v), 1.0 / w, -2.0 * v / (w * w))
 
 
+def _real(t):
+    return t.value if isinstance(t, HyperDual) else t
+
+
 def _hd(value: float, dx: float, dy: float, dxy: float) -> HyperDual:
     """HyperDual of four floats, without the public constructor's coercion."""
     h = object.__new__(HyperDual)
@@ -171,22 +180,127 @@ def _hd(value: float, dx: float, dy: float, dxy: float) -> HyperDual:
     return h
 
 
+class HyperDualRow:
+    """Hyper-duals of one grid row: value, dx, dy and dxy are equal-length
+    lists of floats.  An evaluator given rows may use + - * with rows and
+    floats, / by a float, integer powers, abs, exp_, log_, cos_, affine and
+    lift.  A row has no sqrt, tan, arctan or non-integer power, divides by
+    no row, takes no HyperDual operand, and cannot be compared or tested
+    for truth."""
+
+    __slots__ = ("value", "dx", "dy", "dxy")
+
+    def __init__(self, value, dx, dy, dxy):
+        self.value, self.dx, self.dy, self.dxy = value, dx, dy, dxy
+
+    @staticmethod
+    def seed(x: float, ys):
+        """The rows x + eps1 and y + eps2 at the points (x, y), y in ys."""
+        zeros, ones = [0.0] * len(ys), [1.0] * len(ys)
+        return (HyperDualRow([float(x)] * len(ys), ones, zeros, zeros),
+                HyperDualRow([float(y) for y in ys], zeros, ones, zeros))
+
+    def _parts(self):
+        return self.value, self.dx, self.dy, self.dxy
+
+    def __add__(self, other):
+        if isinstance(other, HyperDualRow):
+            return HyperDualRow(*(list(map(add, p, q))
+                                  for p, q in zip(self._parts(), other._parts())))
+        return HyperDualRow([v + other for v in self.value], self.dx, self.dy, self.dxy)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return HyperDualRow(*(list(map(neg, part)) for part in self._parts()))
+
+    def __sub__(self, other):  # a - b rounds as a + (-b) does
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, HyperDualRow):
+            a, b = self, other
+            return HyperDualRow(
+                list(map(mul, a.value, b.value)),
+                [p * w + v * q for p, w, v, q in zip(a.dx, b.value, a.value, b.dx)],
+                [p * w + v * q for p, w, v, q in zip(a.dy, b.value, a.value, b.dy)],
+                [r * w + v * s + p * t + q * u for r, w, v, s, p, t, q, u
+                 in zip(a.dxy, b.value, a.value, b.dxy, a.dx, b.dy, a.dy, b.dx)])
+        return HyperDualRow(*([d * other for d in part] for part in self._parts()))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (1.0 / other)
+
+    def _reciprocal(self) -> "HyperDualRow":
+        return lift(self, lambda v: (1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)))
+
+    def __pow__(self, n: int):  # repeated products, as HyperDual ** int
+        if n < 0:
+            return self._reciprocal() ** (-n)
+        zeros = [0.0] * len(self.value)
+        out = HyperDualRow([1.0] * len(zeros), zeros, zeros, zeros) if n == 0 else self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def __abs__(self):
+        return HyperDualRow(*([-d if v < 0 else d for v, d in zip(self.value, part)]
+                              for part in self._parts()))
+
+    def _lift(self, f, fp, fpp) -> "HyperDualRow":
+        return HyperDualRow(f, list(map(mul, fp, self.dx)), list(map(mul, fp, self.dy)),
+                            [a * dxy + b * dx * dy for a, b, dx, dy, dxy
+                             in zip(fp, fpp, self.dx, self.dy, self.dxy)])
+
+    def exp(self) -> "HyperDualRow":
+        e = list(map(math.exp, self.value))
+        return self._lift(e, e, e)
+
+    def log(self) -> "HyperDualRow":
+        bad = next((v for v in self.value if v <= 0), None)
+        if bad is not None:
+            raise HyperDualError("log of non-positive hyper-dual real part %r" % bad)
+        return self._lift(list(map(math.log, self.value)), [1.0 / v for v in self.value],
+                          [-1.0 / (v * v) for v in self.value])
+
+    def cos(self) -> "HyperDualRow":
+        c = list(map(math.cos, self.value))
+        return self._lift(c, [-math.sin(v) for v in self.value], list(map(neg, c)))
+
+    def _no_order(self, *_):
+        raise TypeError("a hyper-dual row has no order or truth value; an evaluator "
+                        "must not branch on one")
+
+    __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_order
+
+
+_DUALS = (HyperDual, HyperDualRow)
+
+
 def affine(a, x, b, y, c):
-    """a x + b y + c for float a, b, c; on two hyper-duals each part is summed
-    as the composed operations sum it, and c enters the value only."""
-    if isinstance(x, HyperDual) and isinstance(y, HyperDual):
-        return _hd(x.value * a + y.value * b + c, x.dx * a + y.dx * b,
-                   x.dy * a + y.dy * b, x.dxy * a + y.dxy * b)
+    """a x + b y + c for float a, b, c; on two hyper-duals or two rows each part
+    is summed as the composed operations sum it, and c enters the value only."""
+    if isinstance(x, _DUALS) and type(y) is type(x):
+        if type(x) is HyperDual:
+            return _hd(x.value * a + y.value * b + c, x.dx * a + y.dx * b,
+                       x.dy * a + y.dy * b, x.dxy * a + y.dxy * b)
+        return HyperDualRow([u * a + v * b + c for u, v in zip(x.value, y.value)],
+                            *([u * a + v * b for u, v in zip(p, q)]
+                              for p, q in zip(x._parts()[1:], y._parts()[1:])))
     return a * x + b * y + c
 
 
-def lift_with_derivatives(t, f: float, fp: float, fpp: float):
-    """Apply a univariate function known only through its value and first
-    two derivatives at t (floats or HyperDual); used for series-defined
-    functions whose derivatives have a closed form."""
-    if isinstance(t, HyperDual):
-        return t._lift(float(f), fp, fpp)
-    return f
+def lift(t, fn):
+    """f(t) for f known by fn(v) -> (f(v), f'(v), f''(v)), such as a series
+    sum; fn sees the real part of a HyperDual or of each row element."""
+    if isinstance(t, HyperDualRow):
+        return t._lift(*map(list, zip(*map(fn, t.value))))
+    return t._lift(*fn(t.value)) if isinstance(t, HyperDual) else fn(t)[0]
 
 
 def seed(x: float, y: float):
@@ -194,11 +308,11 @@ def seed(x: float, y: float):
 
 
 def exp_(t):
-    return t.exp() if isinstance(t, HyperDual) else math.exp(t)
+    return t.exp() if isinstance(t, _DUALS) else math.exp(t)
 
 
 def log_(t):
-    if isinstance(t, HyperDual):
+    if isinstance(t, _DUALS):
         return t.log()
     if t <= 0:
         raise HyperDualError("log of non-positive value %r" % t)
@@ -206,8 +320,4 @@ def log_(t):
 
 
 def cos_(t):
-    return t.cos() if isinstance(t, HyperDual) else math.cos(t)
-
-
-def value_of(t) -> float:
-    return t.value if isinstance(t, HyperDual) else float(t)
+    return t.cos() if isinstance(t, _DUALS) else math.cos(t)

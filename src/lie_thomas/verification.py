@@ -3,6 +3,10 @@
 The residual of u_xy + alpha u_x + beta u_y + gamma u_x u_y is evaluated
 with second-order dual numbers, so there is no finite-difference error in
 the check itself: any residual is a genuine property of the evaluator.
+
+``residual_grid`` evaluates a family once per grid row, on a HyperDualRow
+of the row's in-domain points (``residual`` on a one-point row), so within
+a row the first operation that fails on any point raises.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .hyperdual import HyperDual, affine, exp_, log_
+from .hyperdual import HyperDualRow, affine, exp_, log_
 from .params import ThomasParams
 
 
@@ -36,24 +40,32 @@ class GridSpec:
                 and self.xmin < self.xmax and self.ymin < self.ymax):
             raise VerificationError("grid needs nx, ny >= 2 and finite bounds with min < max")
 
+    def rows(self):
+        """(x, ys) for each grid x in turn, ys holding every grid y."""
+        ys = _ticks(self.ymin, self.ymax, self.ny)
+        return ((x, ys) for x in _ticks(self.xmin, self.xmax, self.nx))
+
     def points(self):
-        for i in range(self.nx):
-            x = self.xmin + (self.xmax - self.xmin) * i / (self.nx - 1)
-            for j in range(self.ny):
-                y = self.ymin + (self.ymax - self.ymin) * j / (self.ny - 1)
-                yield x, y
+        return ((x, y) for x, ys in self.rows() for y in ys)
+
+
+def _ticks(lo: float, hi: float, n: int):
+    return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
 
 
 def residual(u, x: float, y: float, p: ThomasParams) -> float:
     """PDE residual of the evaluator u at one point, via dual numbers."""
-    return _residual(u, x, y, *p.floats())
+    return _residuals(u, x, [y], *p.floats())[0]
 
 
-def _residual(u, x, y, alpha, beta, gamma):
-    val = u(HyperDual.x_at(x), HyperDual.y_at(y))
-    if not isinstance(val, HyperDual):
-        val = HyperDual(float(val))
-    return val.dxy + alpha * val.dx + beta * val.dy + gamma * val.dx * val.dy
+def _residuals(u, x, ys, alpha, beta, gamma):
+    """The residual at (x, y) for each y in ys, from one evaluation of u."""
+    val = u(*HyperDualRow.seed(x, ys))
+    if not isinstance(val, HyperDualRow):  # a constant
+        zeros = [0.0] * len(ys)
+        val = HyperDualRow([float(val)] * len(ys), zeros, zeros, zeros)
+    return [dxy + alpha * dx + beta * dy + gamma * dx * dy
+            for dx, dy, dxy in zip(val.dx, val.dy, val.dxy)]
 
 
 @dataclass(frozen=True)
@@ -85,16 +97,18 @@ def residual_grid(family, p: ThomasParams = None, grid: GridSpec = None) -> Grid
     worst = -1.0
     worst_pt = (math.nan, math.nan)
     evaluated = skipped = 0
-    for x, y in grid.points():
-        if not in_domain(x, y):
-            skipped += 1
+    for x, ys in grid.rows():
+        kept = [y for y in ys if in_domain(x, y)]
+        skipped += len(ys) - len(kept)
+        if not kept:
             continue
-        r = abs(_residual(family, x, y, alpha, beta, gamma))
-        evaluated += 1
-        if not math.isfinite(r):
-            r = math.inf  # NaN compares false; the first one must still fail
-        if r > worst:
-            worst, worst_pt = r, (x, y)
+        evaluated += len(kept)
+        for y, r in zip(kept, _residuals(family, x, kept, alpha, beta, gamma), strict=True):
+            r = abs(r)
+            if not math.isfinite(r):
+                r = math.inf  # NaN compares false; the first one must still fail
+            if r > worst:
+                worst, worst_pt = r, (x, y)
     worst = max(worst, 0.0)
     if evaluated == 0:
         raise VerificationError("domain excludes every grid point")

@@ -238,6 +238,22 @@ def test_transform_solution_residuals():
         assert abs(residual(u, x, y, p)) < 1e-10
 
 
+def test_family_action_with_an_expression_g_evaluates_on_rows():
+    """residual() evaluates on a one-point grid row; an expression g with
+    positive and negative integer powers must give there the bits of one
+    scalar hyper-dual evaluation (this g is no solution, so r != 0)."""
+    from lie_thomas.hyperdual import exp_, log_, seed
+    from lie_thomas.verification import residual
+
+    p = ThomasParams(1, 1, 1)
+    g = pow_(X + 3, 2) * pow_(Y + 3, -1) + X * Y
+    u = transform_solution("g", 0.05, lambda x, y: log_(exp_(x - 0.5 * y)), p, g=g)
+    for x, y in [(0.3, -0.2), (-1.1, 0.7), (0.0, 0.0)]:
+        v = u(*seed(x, y))
+        want = v.dxy + v.dx + v.dy + v.dx * v.dy
+        assert float.hex(residual(u, x, y, p)) == float.hex(want) != float.hex(0.0)
+
+
 def test_group_word_inverse_round_trip():
     p = ThomasParams(1, 1, 1)
     w = GroupWord((GroupElement(1, 0.3), GroupElement(4, -0.2), GroupElement(3, 1.0)))

@@ -331,6 +331,10 @@ _MISSING_DIR = object()  # stands for a path under a tmp_path directory that doe
      "--coords: (4,0,2,0) is not a canonical Case2_2 vector; its form is Case2_2 (2, 0, 1, 0)"),
     (("reduce", "--case", "Case2_2", "--coords", "2,0,1,0", "--params", "symbolic"),
      "--coords needs numeric --params"),
+    (("reduce", "--vector", "1,1,3,1", "--coords", "9,9,9,9", "--params", "1,1,1"),
+     "--vector picks its own case and would ignore --coords"),
+    (("reduce", "--vector", "1,1,3,1", "--case", "Case2_2", "--params", "1,1,1"),
+     "would ignore --case"),
 ])
 def test_malformed_values_exit_3(capsys, monkeypatch, tmp_path, argv, message):
     if isinstance(argv[-1], _Stdin):

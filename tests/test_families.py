@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import random
@@ -33,8 +34,9 @@ from lie_thomas.families import (
     _numeric,
 )
 from lie_thomas.fuchs import FuchsSeries, SecondSolution, fuchs_series, second_solution
-from lie_thomas.hyperdual import HyperDual, exp_, lift_with_derivatives, log_, value_of
+from lie_thomas.hyperdual import HyperDual, exp_, log_
 from lie_thomas.verification import GridReport, GridSpec, VerificationError, residual_grid
+from test_verification import _pointwise_residual_grid
 
 F = Fraction
 P = ThomasParams(1, 1, 1)
@@ -526,6 +528,16 @@ def _composed_mix(mix):
     return u, lambda x, y: mix.f is None or w(x, y) > mix.floor
 
 
+def value_of(t):
+    return t.value if isinstance(t, HyperDual) else float(t)
+
+
+def lift_with_derivatives(t, f, fp, fpp):
+    """f(t) given f, f', f'' at the real part of t (the package's helper
+    before hyperdual.lift)."""
+    return t._lift(float(f), fp, fpp) if isinstance(t, HyperDual) else f
+
+
 def _summing_case1(p, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5, chi_hi=-0.005):
     alpha, beta, gamma = p.floats()
     a1f, a2f, c0f, constf = (_numeric(v) for v in (a1, a2, c0, const))
@@ -580,9 +592,9 @@ def _summing_case1(p, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5, chi_hi=-0.005)
     return u, domain
 
 
-def _report(fam, grid):
+def _report(fam, grid, check=residual_grid):
     try:
-        return residual_grid(fam, grid=grid)
+        return check(fam, grid=grid)
     except VerificationError as exc:  # an empty domain must be empty for both
         return str(exc)
 
@@ -603,7 +615,7 @@ def test_mode_mix_grid_reports_equal_the_composed_linear_forms(key):
         u, domain = _composed_mix(fam.evaluator)
         ref = dataclasses.replace(fam, evaluator=u, domain=domain)
         for grid in GRIDS_20:
-            want = _report(ref, grid)
+            want = _report(ref, grid, _pointwise_residual_grid)
             assert _report(fam, grid) == want, (key, fam.constants)
             compared += isinstance(want, GridReport)
     assert compared >= 20, compared
@@ -625,10 +637,45 @@ def test_case1_grid_reports_equal_the_summing_reference(constants):
         ref = dataclasses.replace(fam, evaluator=u, domain=domain)
         evaluated = 0
         for grid in GRIDS_20 + (GridSpec(-3.5, -0.5, 20, 0.2, 1.8, 20),):
-            want = _report(ref, grid)
+            want = _report(ref, grid, _pointwise_residual_grid)
             assert _report(fam, grid) == want, (p, constants, grid)
             evaluated += want.evaluated if isinstance(want, GridReport) else 0
         assert evaluated > 0
+
+
+def _with_hole(fam):
+    """fam with a disc also cut out of its domain, so that some grid rows
+    lose a run of points and every family has gaps."""
+    def domain(x, y):
+        return (x - 0.5) ** 2 + (y + 0.5) ** 2 > 0.8 and fam.domain(x, y)
+
+    return dataclasses.replace(fam, domain=domain)
+
+
+GRID_DRAWS = {
+    **{key: draw for key, (_, draw) in REFERENCES.items()},
+    "case1": lambda rng, p: {"a1": _rat(rng, 1), "a2": _rat(rng, 1),
+                             "c0": _real(rng, -2, 2), "const": _real(rng, -3, 3)},
+}
+
+
+@pytest.mark.parametrize("key", sorted(SOLUTION_BUILDERS))
+def test_row_batched_grid_reports_equal_the_pointwise_kernel(key):
+    """Seeded constants for every builder, on grids with domain gaps: the
+    row-batched report equals the one-point-at-a-time report bit for bit."""
+    rng = random.Random(20261021)
+    gapped = 0
+    for _ in range(10):
+        p = ThomasParams(_rat(rng), _rat(rng), _rat(rng, zero_share=0.0))
+        fam, _ = _outcome(SOLUTION_BUILDERS[key], p, GRID_DRAWS[key](rng, p))
+        if fam is None:
+            continue
+        fam = _with_hole(fam)
+        for grid in GRIDS_20:
+            want = _report(fam, grid, _pointwise_residual_grid)
+            assert repr(_report(fam, grid)) == repr(want), (key, p, fam.constants, grid)
+            gapped += isinstance(want, GridReport) and want.skipped > 0
+    assert gapped >= 4, gapped
 
 
 def test_case1_sums_each_series_once_per_grid_point(monkeypatch):
@@ -649,3 +696,14 @@ def test_case1_sums_each_series_once_per_grid_point(monkeypatch):
     report = residual_grid(fam, grid=GridSpec(-2.0, -0.1, 20, -2.0, -0.1, 20))
     assert report.evaluated + report.skipped == 400 and report.evaluated > 300
     assert 0 < calls["FuchsSeries"] <= 400 and 0 < calls["SecondSolution"] <= 400, calls
+
+
+def test_case1_domain_alone_keeps_a_bounded_memo():
+    """Only the evaluator clears the sums memo, so a caller that asks the
+    domain alone, over thousands of points, must not keep every sum."""
+    fam = case1_solution(P, a1=F(0), a2=F(0), c0=F(1))
+    sums = inspect.getclosurevars(fam.domain).nonlocals["sums"]
+    memo = inspect.getclosurevars(sums).nonlocals["memo"]
+    accepted = sum(fam.domain(x, y) for x, y in GridSpec(-2.0, -0.1, 60, -2.0, -0.1, 60).points())
+    assert accepted > 2000
+    assert 0 < len(memo) <= 1024, len(memo)

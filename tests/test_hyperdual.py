@@ -8,13 +8,14 @@ import pytest
 
 from lie_thomas.hyperdual import (
     HyperDual,
+    HyperDualError,
+    HyperDualRow,
     affine,
     cos_,
     exp_,
-    lift_with_derivatives,
+    lift,
     log_,
     seed,
-    value_of,
 )
 
 
@@ -110,26 +111,22 @@ def test_log_domain_error():
         log_(x)
 
 
-def test_comparisons_and_value_of():
+def test_comparisons_read_the_real_part():
     x, y = seed(1.5, 2.5)
     assert x < y and y > 1.5 and x >= 1.5
-    assert value_of(x) == 1.5
-    assert value_of(3.25) == 3.25
 
 
 def test_lift_with_derivatives():
     # lift f(t) = sin(t) onto t = x*y and compare against the direct chain
     x, y = seed(0.6, 0.7)
-    t = x * y
-    z = lift_with_derivatives(t, math.sin(t.value), math.cos(t.value),
-                              -math.sin(t.value))
+    z = lift(x * y, lambda v: (math.sin(v), math.cos(v), -math.sin(v)))
     s, c = math.sin(0.42), math.cos(0.42)
     fxy = c - s * 0.42  # d2/dxdy sin(xy) = cos(xy) - xy sin(xy)
     _check(z, s, 0.7 * c, 0.6 * c, fxy)
 
 
 def test_lift_on_plain_float():
-    z = lift_with_derivatives(2.0, 4.0, 4.0, 2.0)
+    z = lift(2.0, lambda v: (v * v, 2 * v, 2.0))
     assert z == 4.0
 
 
@@ -212,7 +209,7 @@ def test_arithmetic_results_hold_floats():
         x + y, x + 1, 1 + x, x - y, x - 1, 1 - x, -x, x * y, x * 2, 2 * x, x / y,
         x / 2, 2 / x, x**0, x**3, x**-2, x**0.5, abs(-x), z.exp(), z.log(), z.sqrt(),
         z.cos(), z.tan(), z.arctan(), affine(2, x, 3, y, 1), HyperDual.x_at(2),
-        HyperDual.y_at(F(1, 2)), lift_with_derivatives(x, 4, 4, 2),
+        HyperDual.y_at(F(1, 2)), lift(x, lambda v: (4.0, 4.0, 2.0)),
     ]
     for r in results:
         assert isinstance(r, HyperDual)
@@ -226,3 +223,92 @@ def test_public_constructor_still_coerces():
     h = HyperDual(F(1, 2), 2, True, F(3))
     assert [type(v) for v in (h.value, h.dx, h.dy, h.dxy)] == [float] * 4
     assert (h.value, h.dx, h.dy, h.dxy) == (0.5, 2.0, 1.0, 3.0)
+
+
+# --- rows: one grid row of hyper-duals, part by part --------------------------
+
+
+def _row(hds):
+    return HyperDualRow(*([getattr(h, part) for h in hds] for part in ("value", "dx", "dy", "dxy")))
+
+
+def _row_bits(row):
+    """Each element of a row as the hex strings of its four parts."""
+    return [tuple(float.hex(v) for v in parts)
+            for parts in zip(row.value, row.dx, row.dy, row.dxy)]
+
+
+def _draw_moderate(rng):
+    # values exp() and cos() take without overflow, signed zeros included
+    return HyperDual(rng.choice([0.0, -0.0, rng.uniform(-30.0, 30.0)]),
+                     *(_draw_part(rng) for _ in range(3)))
+
+
+def _draw_positive(rng):
+    return HyperDual(rng.choice([1.0, rng.uniform(1e-3, 1e3)]), *(_draw_part(rng) for _ in range(3)))
+
+
+def _draw_nonzero(rng):
+    return HyperDual(rng.choice([-1.0, 1.0]) * rng.choice([1.0, rng.uniform(1e-3, 1e3)]),
+                     *(_draw_part(rng) for _ in range(3)))
+
+
+# name -> (draw of one element, operation applied alike to rows and to
+# HyperDuals); a and b are rows or hyper-duals, c one float shared by the row
+ROW_OPS = {
+    "add": (_draw_hyperdual, lambda a, b, c: a + b),
+    "add_float": (_draw_hyperdual, lambda a, b, c: a + c),
+    "radd_float": (_draw_hyperdual, lambda a, b, c: c + a),
+    "sub": (_draw_hyperdual, lambda a, b, c: a - b),
+    "sub_float": (_draw_hyperdual, lambda a, b, c: a - c),
+    "rsub_float": (_draw_hyperdual, lambda a, b, c: c - a),
+    "neg": (_draw_hyperdual, lambda a, b, c: -a),
+    "mul": (_draw_hyperdual, lambda a, b, c: a * b),
+    "mul_float": (_draw_hyperdual, lambda a, b, c: a * c),
+    "rmul_float": (_draw_hyperdual, lambda a, b, c: c * a),
+    "div_float": (_draw_hyperdual, lambda a, b, c: a / (c or 3.0)),
+    "pow_int": (_draw_nonzero, lambda a, b, c: a ** (int(c) % 7 - 3)),
+    "abs": (_draw_hyperdual, lambda a, b, c: abs(a)),
+    "exp": (_draw_moderate, lambda a, b, c: exp_(a)),
+    "log": (_draw_positive, lambda a, b, c: log_(a)),
+    "cos": (_draw_moderate, lambda a, b, c: cos_(a)),
+    "affine": (_draw_hyperdual, lambda a, b, c: affine(c, a, -2.5, b, 0.75)),
+    "lift": (_draw_moderate, lambda a, b, c: lift(a, lambda v: (math.sin(v), c * v, v * v))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_OPS))
+def test_row_operations_round_as_the_scalar_ones(name):
+    draw, op = ROW_OPS[name]
+    rng = random.Random(20261022)
+    negatives = zeros = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        a = [draw(rng) for _ in range(n)]
+        b = [draw(rng) for _ in range(n)]
+        c = _draw_part(rng)
+        want = [_bits(op(x, y, c)) for x, y in zip(a, b)]
+        got = op(_row(a), _row(b), c)
+        assert type(got) is HyperDualRow
+        assert _row_bits(got) == want, (name, a, b, c)
+        negatives += sum(h.value < 0 for h in a)
+        zeros += sum(h.value == 0 for h in a)
+    if name == "abs":
+        assert negatives > 100 and zeros > 20, (negatives, zeros)
+
+
+def test_rows_have_no_order_or_truth_value():
+    x, y = HyperDualRow.seed(0.5, [0.25, -1.0])
+    for branch in (lambda: x < 0.0, lambda: x > y, lambda: 0.0 < x, lambda: x >= 1.5,
+                   lambda: x <= y, lambda: bool(x), lambda: 1.0 if x else 0.0):
+        with pytest.raises(TypeError, match="must not branch"):
+            branch()
+
+
+def test_row_log_raises_the_scalar_error_at_the_first_bad_element():
+    values = [2.0, 0.5, -0.0, -3.0, 0.0]
+    with pytest.raises(HyperDualError) as scalar:
+        log_(HyperDual(-0.0))
+    with pytest.raises(HyperDualError) as row:
+        log_(_row([HyperDual(v, 1.0) for v in values]))
+    assert str(row.value) == str(scalar.value)

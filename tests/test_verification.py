@@ -2,13 +2,14 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from lie_thomas.determining import ThomasParams
-from lie_thomas.families import case22_solution
-from lie_thomas.hyperdual import exp_, log_, seed
+from lie_thomas.families import case1_solution, case21b_solution, case22_solution
+from lie_thomas.hyperdual import HyperDual, HyperDualRow, exp_, lift, log_, seed
 from lie_thomas.verification import (
     GridSpec,
     GridReport,
@@ -145,11 +146,59 @@ def test_residual_grid_fails_non_finite_residuals():
 def test_one_non_finite_residual_outranks_finite_ones():
     fam = case22_solution(P, a1=F(2))
     good = fam.evaluator
-    object.__setattr__(
-        fam, "evaluator", lambda x, y: good(x, y) * (math.nan if x > 0.9 else 1.0))
+    # a factor that is NaN where x > 0.9, read off the real parts by lift()
+    # because an evaluator must not compare a hyper-dual
+    nan_right = lambda v: (math.nan if v > 0.9 else 1.0, 0.0, 0.0)
+    object.__setattr__(fam, "evaluator", lambda x, y: good(x, y) * lift(x, nan_right))
     rep = residual_grid(fam, grid=GridSpec(-1, 1, 5, -1, 1, 5))
     assert rep.max_residual == math.inf
     assert rep.worst_point == (1.0, -1.0)
+
+
+@pytest.mark.parametrize("evaluator, error", [
+    (lambda x, y: HyperDual.x_at(0.5) * HyperDual.y_at(0.5), TypeError),  # not a row
+    (lambda x, y: HyperDualRow.seed(0.5, [0.5])[0] * 2.0, ValueError),  # one point only
+], ids=["scalar", "short-row"])
+def test_residual_grid_refuses_a_result_that_is_not_the_row(evaluator, error):
+    """Neither result may pass as a verified constant or leave points unchecked."""
+    fam = case22_solution(P, a1=F(2))
+    object.__setattr__(fam, "evaluator", evaluator)
+    with pytest.raises(error):
+        residual_grid(fam, grid=GridSpec(-1, 1, 4, -1, 1, 4))
+
+
+def _pointwise_residual_grid(family, p=None, grid=None):
+    """residual_grid as it was before row batches, the reference for them:
+    one scalar HyperDual evaluation per in-domain point, in grid order."""
+    if p is None:
+        p = family.params
+    if grid is None:
+        grid = GridSpec()
+    in_domain = getattr(family, "domain", None) or (lambda x, y: True)
+    alpha, beta, gamma = p.floats()
+    worst = -1.0
+    worst_pt = (math.nan, math.nan)
+    evaluated = skipped = 0
+    for i in range(grid.nx):
+        x = grid.xmin + (grid.xmax - grid.xmin) * i / (grid.nx - 1)
+        for j in range(grid.ny):
+            y = grid.ymin + (grid.ymax - grid.ymin) * j / (grid.ny - 1)
+            if not in_domain(x, y):
+                skipped += 1
+                continue
+            val = family(HyperDual.x_at(x), HyperDual.y_at(y))
+            if not isinstance(val, HyperDual):
+                val = HyperDual(float(val))
+            r = abs(val.dxy + alpha * val.dx + beta * val.dy + gamma * val.dx * val.dy)
+            evaluated += 1
+            if not math.isfinite(r):
+                r = math.inf
+            if r > worst:
+                worst, worst_pt = r, (x, y)
+    worst = max(worst, 0.0)
+    if evaluated == 0:
+        raise VerificationError("domain excludes every grid point")
+    return GridReport(worst, worst_pt, evaluated, skipped)
 
 
 def _composed_oracle(p, modes):
@@ -173,4 +222,25 @@ def test_oracle_grid_reports_equal_the_composed_exponents():
         for u in oracle_solutions(p, count=6, rng=random.Random(seed_)):
             ref = _composed_oracle(p, [(lam, c) for lam, _, c in u.modes])
             for grid in grids:
-                assert residual_grid(u, p, grid) == residual_grid(ref, p, grid), (p, u.modes)
+                assert residual_grid(u, p, grid) == _pointwise_residual_grid(ref, p, grid), (
+                    p, u.modes)
+
+
+@pytest.mark.parametrize("fam, bounds, nx", [
+    (case1_solution(P, a1=F(0), a2=F(0), c0=F(1)), (-2.0, -0.1), 25),
+    (case21b_solution(P, a1=F(-1), a2=F(-1), A0=F(0)), (-2.0, 2.0), 200),
+], ids=["case1", "case21b"])
+def test_residual_grid_holds_one_row_at_a_time(fam, bounds, nx):
+    """With rows of 200 points the allocation peak stays under 1 MiB (about
+    0.1-0.25 MiB); one batch of the grid's 5000 or more points would hold
+    2.5 MiB or more.  case1 runs 25 rows only, because tracing every
+    allocation makes its series sums about 15 times slower."""
+    grid = GridSpec(bounds[0], bounds[1], nx, *bounds, 200)
+    tracemalloc.start()
+    try:
+        report = residual_grid(fam, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.evaluated > 4000
+    assert peak < 2**20, peak
