@@ -21,10 +21,9 @@ Nonzero brackets on the finite part: [v1,v4] = -gamma v1 + beta v3 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .expr import (
     Expr,
     ExprError,
@@ -63,8 +62,7 @@ def _coord(value) -> Expr:
     return _wrap(value)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     a1: Expr = ZERO
     a2: Expr = ZERO
     a3: Expr = ZERO
@@ -336,8 +334,7 @@ def transform_solution(i, eps: float, f, p: ThomasParams, g=None):
     return moved
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     generator: object  # 1..4 or "g"
     eps: float
     g: object = None  # callable for the family generator
@@ -352,8 +349,7 @@ class GroupElement:
         return GroupElement(self.generator, -self.eps, self.g)
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(Record):
     elements: tuple = ()
 
     def apply(self, pt, p: ThomasParams):

@@ -28,11 +28,10 @@ adjoint maps.  The v4 adjoint is never needed for canonicalization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, adjoint, adjoint_scaling
-from .errors import DomainError
+from .errors import DomainError, Record
 from .expr import Rat
 from .params import ThomasParams
 
@@ -63,8 +62,7 @@ def _exact_params(p: ThomasParams):
         ) from None
 
 
-@dataclass(frozen=True)
-class CanonicalCase:
+class CanonicalCase(Record):
     tag: str
     coords: tuple  # canonical (a1, a2, a3, a4) as Fractions
     word: tuple  # ordered ("scale" | "v1" | "v2" | "v3", Fraction) pairs

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage, 3 domain/math error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -170,6 +169,8 @@ def _render(args, doc, table, text) -> None:
     if args.format == "json":
         out = json.dumps(doc, indent=2, default=str)
     elif args.format == "csv":
+        import csv  # here, so that the other formats never load it
+
         header, rows = table()
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -9,8 +9,7 @@ solutions g of the linearized equation alpha*g_x + beta*g_y + g_xy = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Record
 from .expr import (
     Expr,
     Rat,
@@ -47,8 +46,7 @@ def on_manifold(jp: JetPolynomial, p: ThomasParams) -> JetPolynomial:
     return jp.substitute(U_XY, rest)
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
+class DeterminingSystem(Record):
     rows: tuple  # ordered (jet monomial, Expr) pairs
 
     def __iter__(self):

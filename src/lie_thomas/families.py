@@ -23,13 +23,11 @@ canonical JSON identifies a family across processes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .fuchs import fuchs_series, second_solution, zero_bracket
 from .hyperdual import affine, cos_, exp_, lift, log_
 from .params import ThomasParams
@@ -69,14 +67,13 @@ def params_from_strings(d) -> ThomasParams:
     return ThomasParams(*values)
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Record, hidden=("evaluator", "domain")):
     family: str  # builder key in SOLUTION_BUILDERS
     tag: str  # canonical case the family solves
     params: ThomasParams
     constants: dict
-    evaluator: object = field(repr=False)
-    domain: object = field(repr=False)  # (x, y) -> bool on floats
+    evaluator: object
+    domain: object  # (x, y) -> bool on floats
     note: str = ""
 
     def __call__(self, x, y):
@@ -97,6 +94,8 @@ class SolutionFamily:
         return json.dumps(self.descriptor(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
+        import hashlib  # here, so that commands printing no digest never load OpenSSL
+
         return hashlib.sha256(self.descriptor_json().encode()).hexdigest()
 
 
@@ -108,8 +107,7 @@ def _abs_cos(t):
     return abs(cos_(t))
 
 
-@dataclass(frozen=True)
-class ModeMix:
+class ModeMix(Record):
     """u = lam x + mu y + k + (1/gamma) log w,  w = a + c f(p x + q y + r).
 
     w is exp(gamma u) over the positive mode exp(gamma (lam x + mu y + k)),
@@ -141,8 +139,7 @@ class ModeMix:
         return self.f is None or self.w(x, y) > self.floor
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """A case with no invariant solution, carrying the reason."""
 
     tag: str

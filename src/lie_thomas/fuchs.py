@@ -10,10 +10,9 @@ formula; tests pin their agreement.  ``second_solution`` is the other branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
 class FuchsError(DomainError, ValueError):
@@ -60,8 +59,7 @@ def coefficient_closed(e, m, n: int):
     return (-float(m)) ** n / (math.factorial(n) * poch)
 
 
-@dataclass(frozen=True)
-class FuchsSeries:
+class FuchsSeries(Record):
     e: float
     m: float
     coefficients: tuple
@@ -121,8 +119,7 @@ def fuchs_series(e: float, m: float, chi_max: float) -> FuchsSeries:
     return FuchsSeries(e, m, tuple(coeffs), len(coeffs) - 1, tail)
 
 
-@dataclass(frozen=True)
-class SecondSolution:
+class SecondSolution(Record):
     """y_2 = |chi|^rho (log|chi| S_v + S_d); S_v is empty unless e is an integer."""
 
     rho: float

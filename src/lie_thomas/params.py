@@ -7,9 +7,9 @@ Kept apart from the determining system so that the numeric layers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import Record
 from .expr import ALPHA, BETA, GAMMA, Expr, ExprError, Rat
 
 
@@ -31,8 +31,7 @@ def _coerce_param(value):
     raise ParameterError("cannot use %r as an equation constant" % (value,))
 
 
-@dataclass(frozen=True)
-class ThomasParams:
+class ThomasParams(Record):
     """The equation constants, each an exact rational or a symbol."""
 
     alpha: Expr = ALPHA

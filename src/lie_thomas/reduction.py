@@ -14,10 +14,8 @@ first-order cases are conventionally written in theta = varsigma_chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .determining import general_symmetry
-from .errors import DomainError
+from .errors import DomainError, Record
 from .expr import (
     Expr,
     Rat,
@@ -48,15 +46,13 @@ S1 = Sym("varsigma_chi", VAR)
 S2 = Sym("varsigma_chichi", VAR)
 
 
-@dataclass(frozen=True)
-class InvariantPair:
+class InvariantPair(Record):
     chi: Expr
     varsigma: Expr
     domain: str  # human description of sign constraints / excluded loci
 
 
-@dataclass(frozen=True)
-class ReducedODE:
+class ReducedODE(Record):
     order: int
     dependent: str  # "varsigma" or "theta" (= varsigma_chi)
     lhs: Expr  # expression in chi, varsigma_chi, varsigma_chichi; ODE is lhs = 0

@@ -10,8 +10,7 @@ cancel identically, which is checked on the monomial keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Record
 from .expr import (
     Expr,
     ExprError,
@@ -41,8 +40,7 @@ COEFF_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 _THIRD_ORDER = tuple(i for i, s in enumerate(JETS.values()) if JET_ORDERS[s] == 3)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     xi: Expr
     eta: Expr
     phi: Expr
@@ -86,8 +84,7 @@ def symbolic_field(xi_name="xi", eta_name="eta", phi_name="phi") -> VectorField:
     )
 
 
-@dataclass(frozen=True)
-class ProlongedField:
+class ProlongedField(Record):
     base: VectorField
     coefficients: dict  # (i, j) -> JetPolynomial, for the five jets up to order 2
 

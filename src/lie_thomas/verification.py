@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .hyperdual import HyperDualRow, affine, exp_, log_
 from .params import ThomasParams
 
@@ -25,8 +24,7 @@ class VerificationError(DomainError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     xmin: float = -2.0
     xmax: float = 2.0
     nx: int = 50
@@ -68,8 +66,7 @@ def _residuals(u, x, ys, alpha, beta, gamma):
             for dx, dy, dxy in zip(val.dx, val.dy, val.dxy)]
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(Record):
     max_residual: float
     worst_point: tuple
     evaluated: int

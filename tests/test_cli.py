@@ -170,12 +170,14 @@ _NUMERIC = {"families", "fuchs", "hyperdual", "verification"}
 ], ids=["derive", "tables", "classify", "reduce", "solve", "verify", "oracle"])
 def test_command_loads_only_its_modules(argv, absent):
     """A cold child of each command loads none of the modules it does not
-    run, and neither scipy nor numpy."""
+    run, neither scipy nor numpy, and neither dataclasses nor the inspect
+    module it pulls in; oracle, which prints no digest, loads no hashlib."""
     code = ("import json, sys\n"
             "from lie_thomas import cli\n"
             "rc = cli.main(sys.argv[1:] + ['--format', 'json', '--output', %r])\n"
-            "print(json.dumps([rc, [m for m in sys.modules "
-            "if m.split('.')[0] in ('lie_thomas', 'scipy', 'numpy')]]))" % os.devnull)
+            "print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] in "
+            "('lie_thomas', 'scipy', 'numpy', 'dataclasses', 'inspect', 'hashlib')]]))"
+            % os.devnull)
     src = os.path.dirname(os.path.dirname(lie_thomas.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
@@ -183,9 +185,12 @@ def test_command_loads_only_its_modules(argv, absent):
     rc, modules = json.loads(proc.stdout)
     assert rc == 0, proc.stderr
     loaded = set(modules)
-    assert not {m for m in loaded if not m.startswith("lie_thomas")}
+    assert not {m for m in loaded if m.split(".")[0] in ("scipy", "numpy")}
+    assert not loaded & {"dataclasses", "inspect"}
     assert "lie_thomas.cli" in loaded
     assert not loaded & {"lie_thomas." + m for m in absent}
+    if argv[0] == "oracle":
+        assert "hashlib" not in loaded
 
 
 def test_obstruction_case_exits_3(capsys):

@@ -1,6 +1,5 @@
 """Closed-form solution families: residuals, descriptors, error paths."""
 
-import dataclasses
 import functools
 import inspect
 import json
@@ -613,7 +612,8 @@ def test_mode_mix_grid_reports_equal_the_composed_linear_forms(key):
         if fam is None:
             continue
         u, domain = _composed_mix(fam.evaluator)
-        ref = dataclasses.replace(fam, evaluator=u, domain=domain)
+        ref = SolutionFamily(fam.family, fam.tag, fam.params, fam.constants, u, domain,
+                             fam.note)
         for grid in GRIDS_20:
             want = _report(ref, grid, _pointwise_residual_grid)
             assert _report(fam, grid) == want, (key, fam.constants)
@@ -634,7 +634,8 @@ def test_case1_grid_reports_equal_the_summing_reference(constants):
     for p in (P, ThomasParams(F(1, 2), 1, 2)):
         fam = case1_solution(p, **constants)
         u, domain = _summing_case1(p, **constants)
-        ref = dataclasses.replace(fam, evaluator=u, domain=domain)
+        ref = SolutionFamily(fam.family, fam.tag, fam.params, fam.constants, u, domain,
+                             fam.note)
         evaluated = 0
         for grid in GRIDS_20 + (GridSpec(-3.5, -0.5, 20, 0.2, 1.8, 20),):
             want = _report(ref, grid, _pointwise_residual_grid)
@@ -649,7 +650,8 @@ def _with_hole(fam):
     def domain(x, y):
         return (x - 0.5) ** 2 + (y + 0.5) ** 2 > 0.8 and fam.domain(x, y)
 
-    return dataclasses.replace(fam, domain=domain)
+    return SolutionFamily(fam.family, fam.tag, fam.params, fam.constants, fam.evaluator,
+                          domain, fam.note)
 
 
 GRID_DRAWS = {
