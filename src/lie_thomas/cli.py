@@ -514,7 +514,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .families import SolutionFamily
     from .verification import oracle_solutions, residual_grid
 
     p = _parse_params(args.params)
@@ -523,14 +522,7 @@ def _cmd_oracle(args) -> int:
     rng = random.Random(args.seed)
     sols = oracle_solutions(p, args.count, rng)
     grid = _parse_grid(args.grid)
-    records = []
-    for u in sols:
-        fam = SolutionFamily(
-            "oracle", "oracle", p, {}, u, lambda x, y: True,
-            note="exponential-mix exact solution",
-        )
-        report = residual_grid(fam, p, grid)
-        records.append((u.modes, report))
+    records = [(u.modes, residual_grid(u, p, grid)) for u in sols]
     doc = {
         "schema": SCHEMA,
         "kind": "oracle",

@@ -4,13 +4,16 @@ The equation has a regular singular point at chi = 0; the exponent-zero
 Frobenius branch y = sum a_n chi^n with a_0 = 1 has an infinite radius of
 convergence, so the partial sums evaluate the solution on the whole line.
 Coefficients come from both the one-step recurrence and the closed product
-formula; tests pin their agreement.  ``second_solution`` is the other branch.
+formula; tests pin their agreement.  ``fuchs_series`` truncates the one
+generator of the recurrence that ``coefficients_recurrence`` also reads.
+``second_solution`` is the other branch.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import DomainError, Record
 
@@ -31,16 +34,18 @@ def _check_e(e: float) -> None:
         )
 
 
-def coefficients_recurrence(e, m, n_max: int):
-    """a_0..a_n_max from a_n = -m a_{n-1} / (n (e + n - 1))."""
-    _check_e(float(e))
-    exact = isinstance(e, Fraction) and isinstance(m, Fraction)
-    a = Fraction(1) if exact else 1.0
-    out = [a]
-    for n in range(1, n_max + 1):
+def _recurrence(e, m, a):
+    """a_1, a_2, ... after a_0 = a, from a_n = -m a_{n-1} / (n (e + n - 1))."""
+    for n in count(1):
         a = -m * a / (n * (e + n - 1))
-        out.append(a)
-    return out
+        yield a
+
+
+def coefficients_recurrence(e, m, n_max: int):
+    """a_0..a_n_max of the recurrence, exact when e and m are Fractions."""
+    _check_e(float(e))
+    a = Fraction(1) if isinstance(e, Fraction) and isinstance(m, Fraction) else 1.0
+    return [a, *islice(_recurrence(e, m, a), n_max)]
 
 
 def coefficient_closed(e, m, n: int):
@@ -98,19 +103,15 @@ def fuchs_series(e: float, m: float, chi_max: float) -> FuchsSeries:
     m = float(m)
     _check_e(e)
     coeffs = [1.0]
-    a = 1.0
     scaled = 1.0  # |a_n| r^n, tracked incrementally to dodge overflow
-    n = 1
     r = max(abs(chi_max), 1.0)
-    while True:
-        a = -m * a / (n * (e + n - 1))
+    for n, a in enumerate(_recurrence(e, m, 1.0), 1):
         scaled *= abs(m) * r / (n * abs(e + n - 1))
         coeffs.append(a)
         # n^2 |a_n| r^n bounds the differentiated term sums too
         if n > 4 and n * n * scaled < _TAIL_REL:
             break
-        n += 1
-        if n > _MAX_TERMS:
+        if n >= _MAX_TERMS:
             raise FuchsError(
                 "series did not meet the tail bound within %d terms (|chi| <= %r)"
                 % (_MAX_TERMS, chi_max)

@@ -58,6 +58,10 @@ class JetPolynomialError(ExprError):
     pass
 
 
+class ProlongationError(ExprError):
+    pass
+
+
 def _mono_mul(m1: JetMono, m2: JetMono) -> JetMono:
     return tuple(a + b for a, b in zip(m1, m2))
 
@@ -163,8 +167,6 @@ class JetPolynomial:
                 if not n:
                     continue
                 if up[i] is None:
-                    from .vectorfield import ProlongationError  # vectorfield imports jetpoly
-
                     raise ProlongationError("total derivative of a third-order jet "
                                             "expression needs fourth-order jets")
                 pairs.append((_bump(_bump(m, i, -1), up[i]), _times(n, c)))

@@ -14,7 +14,6 @@ first-order cases are conventionally written in theta = varsigma_chi.
 
 from __future__ import annotations
 
-from .determining import general_symmetry
 from .errors import DomainError, Record
 from .expr import (
     Expr,
@@ -34,7 +33,6 @@ from .expr import (
 )
 from .normal import canonical_expr, is_zero
 from .params import ThomasParams
-from .vectorfield import VectorField
 
 
 class ReductionError(DomainError, ValueError):
@@ -64,12 +62,6 @@ class ReducedODE(Record):
 def _case_coords(c):
     a1, a2 = (_wrap(x) for x in (c.coords[0], c.coords[1]))
     return a1, a2
-
-
-def canonical_field(c, p: ThomasParams) -> VectorField:
-    """Vector field of the canonical representative (g part excluded)."""
-    a1, a2, a3, a4 = c.coords
-    return general_symmetry(a3, a2, a1, a4, p=p, check=False)
 
 
 def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
@@ -277,6 +269,6 @@ def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
 
 def annihilation_residuals(c, p: ThomasParams = ThomasParams()):
     """(v(chi), v(varsigma)) for the canonical field; both must vanish."""
-    v = canonical_field(c, p)
+    v = c.element().to_field(p)
     pair = invariants(c, p)
     return v.apply(pair.chi), v.apply(pair.varsigma)

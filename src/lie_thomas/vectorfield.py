@@ -2,10 +2,11 @@
 
 A field v = xi d/dx + eta d/dy + phi d/du with coefficients depending on
 (x, y, u) acts on second-order jet space through five prolongation
-coefficients.  They are computed as jet polynomials, from the native total
-derivatives of ``jetpoly``, each distinct total derivative once; the mixed
-coefficient uses the characteristic form, whose third-order jets must
-cancel identically, which is checked on the monomial keys.
+coefficients.  They are computed as jet polynomials, each by the same
+formula from a total derivative of the characteristic
+Q = phi - xi u_x - eta u_y, using the native total derivatives of
+``jetpoly``; the third-order jets must cancel identically, which is checked
+on the monomial keys.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from .errors import Record
 from .expr import (
     Expr,
-    ExprError,
     JETS,
     JET_ORDERS,
     U,
@@ -27,11 +27,7 @@ from .expr import (
     mul,
     _wrap,
 )
-from .jetpoly import JetPolynomial
-
-
-class ProlongationError(ExprError):
-    pass
+from .jetpoly import JetPolynomial, ProlongationError
 
 
 COEFF_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -95,37 +91,25 @@ class ProlongedField(Record):
 def prolong(vf: VectorField) -> ProlongedField:
     """Second prolongation of ``vf``, computed on jet polynomials.
 
-    The total derivatives D_x and D_y of xi, eta, phi are taken once each,
-    then D_x D_x and D_y D_y of those, and D_x D_y of the characteristic
-    phi - xi u_x - eta u_y, from which phi^xy is formed.  The third-order
-    jets of phi^xy must cancel; that is checked on the monomial keys of
-    every coefficient.
+    Every coefficient comes from the characteristic Q = phi - xi u_x - eta u_y
+    by one formula (Olver, GTM 107, Thm 2.36):
+    phi^J = D_J Q + xi u_(J,x) + eta u_(J,y).  D_x Q and D_y Q are taken
+    once, and D_x D_x Q, D_y D_x Q and D_y D_y Q from them.  The added terms
+    cancel the jets of order |J| + 1 in D_J Q; that the third-order ones
+    cancel is checked on the monomial keys of every coefficient.
     """
     xi, eta, phi = (JetPolynomial.constant(c) for c in (vf.xi, vf.eta, vf.phi))
-    u_x, u_y = JETS[(1, 0)], JETS[(0, 1)]
-    u_xx, u_xy, u_yy = JETS[(2, 0)], JETS[(1, 1)], JETS[(0, 2)]
-
-    phi_dx, xi_dx, eta_dx = (f.D_x() for f in (phi, xi, eta))
-    phi_dy, xi_dy, eta_dy = (f.D_y() for f in (phi, xi, eta))
-
-    phi_x = phi_dx - xi_dx * u_x - eta_dx * u_y
-    phi_y = phi_dy - xi_dy * u_x - eta_dy * u_y
-
-    characteristic = phi - xi * u_x - eta * u_y
-    phi_xy = characteristic.D_y().D_x() + xi * JETS[(2, 1)] + eta * JETS[(1, 2)]
-
-    phi_xx = (phi_dx.D_x() - xi_dx * u_xx * 2 - eta_dx * u_xy * 2
-              - xi_dx.D_x() * u_x - eta_dx.D_x() * u_y)
-    phi_yy = (phi_dy.D_y() - xi_dy * u_xy * 2 - eta_dy * u_yy * 2
-              - xi_dy.D_y() * u_x - eta_dy.D_y() * u_y)
-
-    coeffs = dict(zip(COEFF_KEYS, (phi_x, phi_y, phi_xx, phi_xy, phi_yy)))
-    for key, jp in coeffs.items():
-        if any(m[i] for m in jp.coeffs for i in _THIRD_ORDER):
+    q = phi - xi * JETS[(1, 0)] - eta * JETS[(0, 1)]
+    q_x, q_y = q.D_x(), q.D_y()
+    coeffs = {}
+    for (i, j), d_q in zip(COEFF_KEYS, (q_x, q_y, q_x.D_x(), q_x.D_y(), q_y.D_y())):
+        jp = d_q + xi * JETS[(i + 1, j)] + eta * JETS[(i, j + 1)]
+        if any(m[k] for m in jp.coeffs for k in _THIRD_ORDER):
             raise ProlongationError(
                 "third-order jets failed to cancel in prolongation coefficient %s"
-                % (key,)
+                % ((i, j),)
             )
+        coeffs[(i, j)] = jp
     return ProlongedField(vf, coeffs)
 
 

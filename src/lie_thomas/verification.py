@@ -83,8 +83,9 @@ class GridReport(Record):
 
 
 def residual_grid(family, p: ThomasParams = None, grid: GridSpec = None) -> GridReport:
-    """Max |residual| of a family over the domain-filtered grid; a
-    non-finite residual reports as inf at the first point that gave one."""
+    """Max |residual| of a family, or of an evaluator u(x, y) with ``p`` given,
+    over the domain-filtered grid; a non-finite residual reports as inf at the
+    first point that gave one."""
     if p is None:
         p = family.params
     if grid is None:

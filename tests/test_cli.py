@@ -166,7 +166,8 @@ _NUMERIC = {"families", "fuchs", "hyperdual", "verification"}
     (("reduce", "--vector", "1,1,3,1", "--params", "1,1,1"), _NUMERIC),
     (("solve", "--case", "Case1"), _SYMBOLIC),
     (("verify", "--case", "Case2_2", "--grid=-1,1,3,-1,1,3"), _SYMBOLIC),
-    (("oracle", "--count", "1", "--grid=-1,1,3,-1,1,3"), _SYMBOLIC),
+    (("oracle", "--count", "1", "--grid=-1,1,3,-1,1,3"),
+     _SYMBOLIC | {"families", "fuchs"}),
 ], ids=["derive", "tables", "classify", "reduce", "solve", "verify", "oracle"])
 def test_command_loads_only_its_modules(argv, absent):
     """A cold child of each command loads none of the modules it does not

@@ -30,6 +30,16 @@ def test_closed_matches_recurrence_exactly():
         assert rec == clo
 
 
+def test_truncated_series_is_the_recurrence(seed):
+    # fuchs_series and coefficients_recurrence read one recurrence, so the
+    # truncated float coefficients agree bit for bit
+    rng = random.Random(seed)
+    for _ in range(200):
+        e, m, chi = rng.uniform(0.1, 6.0), rng.uniform(-20.0, 20.0), rng.uniform(0.0, 8.0)
+        s = fuchs_series(e, m, chi)
+        assert s.coefficients == tuple(coefficients_recurrence(e, m, s.truncation)), (e, m, chi)
+
+
 def test_closed_form_values():
     # c_n = (-m)^n / (n! (e)_n) with Pochhammer (e)_n
     assert coefficient_closed(F(1), F(1), 3) == F(-1, 36)

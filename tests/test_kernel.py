@@ -8,7 +8,10 @@ denominator, unit or not.  ``_ref_prolong_raw`` spells every total
 derivative of the second prolongation out in place as an expression tree
 (``_ref_total_derivative``), and ``_ref_manifold_action`` applies it to the
 equation and eliminates u_xy by substitution in the tree, the way the
-package did before it prolonged on jet polynomials.  ``_ref_mul``
+package did before it prolonged on jet polynomials.  ``_explicit_prolong``
+builds the same coefficients on jet polynomials with phi^x, phi^y, phi^xx
+and phi^yy expanded term by term, as ``prolong`` did before it took every
+coefficient from the characteristic.  ``_ref_mul``
 is ``expr.mul`` as it was with a second pass over the built factors.  The
 kernel must give structurally identical results (equal node keys), not
 merely equal values.
@@ -290,6 +293,28 @@ def _ref_prolong_raw(vf):
     }
 
 
+def _explicit_prolong(vf):
+    """The five coefficients on jet polynomials by the explicit formulas:
+    phi^x, phi^y, phi^xx and phi^yy expanded term by term from the total
+    derivatives of xi, eta and phi, and phi^xy from the characteristic."""
+    xi, eta, phi = (JetPolynomial.constant(c) for c in (vf.xi, vf.eta, vf.phi))
+    u_x, u_y = JETS[(1, 0)], JETS[(0, 1)]
+    u_xx, u_xy, u_yy = JETS[(2, 0)], JETS[(1, 1)], JETS[(0, 2)]
+    phi_dx, xi_dx, eta_dx = (f.D_x() for f in (phi, xi, eta))
+    phi_dy, xi_dy, eta_dy = (f.D_y() for f in (phi, xi, eta))
+    characteristic = phi - xi * u_x - eta * u_y
+    coeffs = {
+        (1, 0): phi_dx - xi_dx * u_x - eta_dx * u_y,
+        (0, 1): phi_dy - xi_dy * u_x - eta_dy * u_y,
+        (1, 1): characteristic.D_y().D_x() + xi * JETS[(2, 1)] + eta * JETS[(1, 2)],
+        (2, 0): phi_dx.D_x() - xi_dx * u_xx * 2 - eta_dx * u_xy * 2
+        - xi_dx.D_x() * u_x - eta_dx.D_x() * u_y,
+        (0, 2): phi_dy.D_y() - xi_dy * u_xy * 2 - eta_dy * u_yy * 2
+        - xi_dy.D_y() * u_x - eta_dy.D_y() * u_y,
+    }
+    return {k: jp.coeffs for k, jp in coeffs.items()}
+
+
 def _ref_manifold_action(vf, p):
     """The prolonged action on the equation with u_xy eliminated, built as
     one expression tree and collected at the end."""
@@ -537,6 +562,12 @@ def test_prolongation_coefficients_match_reference(seed):
             assert _keys(pf.coefficient(key).coeffs) == want[key], (vf, key)
 
 
+def test_characteristic_prolongation_matches_explicit_formulas(seed):
+    for vf in _reference_fields(seed):
+        got = {k: jp.coeffs for k, jp in prolong(vf).coefficients.items()}
+        assert got == _explicit_prolong(vf), vf
+
+
 # the last two put sums in the u_xy coefficient of phi^xy, so the elimination
 # multiplies sums by the coefficients of the substituted polynomial
 _NON_SYMMETRIES = (
@@ -601,8 +632,9 @@ def test_shared_monomial_collects_in_constant_add_nodes(monkeypatch, n):
 
 
 def test_third_order_guard_still_raises(monkeypatch):
-    # without the xi*u_xxy + eta*u_xyy correction the characteristic form
-    # leaves third-order jets in phi^xy
+    # the xi*u_(J,x) + eta*u_(J,y) terms cancel the third-order jets of
+    # D_J Q; without their u_xxy and u_xyy products some survive
+    assert prolong(symbolic_field()).coefficients
     third = (JETS[(2, 1)], JETS[(1, 2)])
     times = JetPolynomial.__mul__
 

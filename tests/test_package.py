@@ -82,9 +82,9 @@ _ERROR_BASES = {
     "fuchs.FuchsError": ValueError,
     "hyperdual.HyperDualError": ValueError,
     "jetpoly.JetPolynomialError": ExprError,
+    "jetpoly.ProlongationError": ExprError,
     "params.ParameterError": ExprError,
     "reduction.ReductionError": ValueError,
-    "vectorfield.ProlongationError": ExprError,
     "verification.VerificationError": ValueError,
 }
 
