@@ -29,7 +29,7 @@ from .expr import (
     pow_,
     _wrap,
 )
-from .jetpoly import JetPolynomial
+from .jetpoly import JetPolynomial, monomial
 from .normal import canonical_expr, is_zero
 from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
@@ -39,10 +39,15 @@ def thomas_delta(p: ThomasParams) -> Expr:
     return add(U_XY, mul(p.alpha, U_X), mul(p.beta, U_Y), mul(p.gamma, U_X, U_Y))
 
 
+# the monomials of thomas_delta other than u_xy, in the order alpha, beta, gamma
+_LOWER_TERMS = (monomial(U_X), monomial(U_Y), monomial(U_X, U_Y))
+
+
 def on_manifold(jp: JetPolynomial, p: ThomasParams) -> JetPolynomial:
     """u_xy eliminated through the equation itself: each u_xy^n becomes the
     n-th power of -(alpha u_x + beta u_y + gamma u_x u_y)."""
-    rest = JetPolynomial.from_expr(add(U_XY, mul(Rat(-1), thomas_delta(p))))
+    rest = JetPolynomial({m: mul(Rat(-1), c)
+                          for m, c in zip(_LOWER_TERMS, (p.alpha, p.beta, p.gamma))})
     return jp.substitute(U_XY, rest)
 
 

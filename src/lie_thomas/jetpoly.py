@@ -77,6 +77,14 @@ def _times(n: int, c: Expr) -> Expr:
 _MONO_ONE: JetMono = (0,) * len(_JET_LIST)
 
 
+def monomial(*jets: Sym) -> JetMono:
+    """The monomial key of the product of ``jets``."""
+    m = _MONO_ONE
+    for s in jets:
+        m = _bump(m, _JET_POS[s])
+    return m
+
+
 def mono_expr(mono: JetMono) -> Expr:
     return mul(*[pow_(s, n) for s, n in zip(_JET_LIST, mono) if n])
 
@@ -113,6 +121,12 @@ class JetPolynomial:
     def constant(cls, c: Expr) -> "JetPolynomial":
         return cls({_MONO_ONE: c})
 
+    @classmethod
+    def from_terms(cls, pairs) -> "JetPolynomial":
+        """The sum of (monomial, coefficient) pairs, each monomial's
+        coefficients added by one n-ary ``add``."""
+        return cls(_sum_terms(pairs))
+
     def monomials(self) -> Iterator[JetMono]:
         return iter(sorted(self.coeffs, key=mono_order_key))
 
@@ -127,7 +141,7 @@ class JetPolynomial:
         return all(is_zero(c) for c in self.coeffs.values())
 
     def __add__(self, other: "JetPolynomial") -> "JetPolynomial":
-        return JetPolynomial(_sum_terms((*self.coeffs.items(), *other.coeffs.items())))
+        return JetPolynomial.from_terms((*self.coeffs.items(), *other.coeffs.items()))
 
     def __sub__(self, other: "JetPolynomial") -> "JetPolynomial":
         return self + other * -1
@@ -170,7 +184,7 @@ class JetPolynomial:
                     raise ProlongationError("total derivative of a third-order jet "
                                             "expression needs fourth-order jets")
                 pairs.append((_bump(_bump(m, i, -1), up[i]), _times(n, c)))
-        return JetPolynomial(_sum_terms(pairs))
+        return JetPolynomial.from_terms(pairs)
 
     def substitute(self, jet: Sym, poly: "JetPolynomial") -> "JetPolynomial":
         """The jet coordinate ``jet`` replaced by the polynomial ``poly``:
@@ -181,7 +195,7 @@ class JetPolynomial:
             rest = _bump(m, i, -m[i])
             for pm, pc in _power(poly.coeffs, m[i]).items():
                 pairs.append((_mono_mul(rest, pm), mul(c, pc)))
-        return JetPolynomial(_sum_terms(pairs))
+        return JetPolynomial.from_terms(pairs)
 
 
 def _sum_terms(pairs) -> dict:
@@ -199,10 +213,15 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
+def product_terms(p: dict, q: dict) -> Iterator[tuple]:
+    """The (monomial, coefficient) pairs of the product of two coefficient
+    dicts, before they are collected."""
+    return ((_mono_mul(m1, m2), mul(c1, c2))
+            for m1, c1 in p.items() for m2, c2 in q.items())
+
+
 def _product(p: dict, q: dict) -> dict:
-    return _sum_terms(
-        (_mono_mul(m1, m2), mul(c1, c2)) for m1, c1 in p.items() for m2, c2 in q.items()
-    )
+    return _sum_terms(product_terms(p, q))
 
 
 def _power(p: dict, n: int) -> dict:

@@ -5,11 +5,18 @@ A field v = xi d/dx + eta d/dy + phi d/du with coefficients depending on
 coefficients.  They are computed as jet polynomials, each by the same
 formula from a total derivative of the characteristic
 Q = phi - xi u_x - eta u_y, using the native total derivatives of
-``jetpoly``; the third-order jets must cancel identically, which is checked
-on the monomial keys.
+``jetpoly``; every jet of order above |J| must cancel from phi^J, which is
+checked on the monomial keys.
+
+The prolongation depends on the field alone, not on the equation or its
+constants, so ``prolong`` is memoized by field value in a bounded
+least-recently-used cache: equal fields share one ProlongedField, which
+callers read and never mutate.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import Record
 from .expr import (
@@ -27,13 +34,19 @@ from .expr import (
     mul,
     _wrap,
 )
-from .jetpoly import JetPolynomial, ProlongationError
+from .jetpoly import JetPolynomial, ProlongationError, product_terms
 
 
 COEFF_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-# positions of the third-order jets in a JetPolynomial monomial key
-_THIRD_ORDER = tuple(i for i, s in enumerate(JETS.values()) if JET_ORDERS[s] == 3)
+# Fields ``prolong`` keeps.  Those met again and again carry no constants
+# (the symbolic field, v1..v3); one set of constants adds two more, v4 and
+# a v_g.
+PROLONG_MEMO_SIZE = 16
+
+# the order of the jet at each position of a JetPolynomial monomial key
+_ORDER_AT = tuple(JET_ORDERS[s] for s in JETS.values())
+_ORDINAL = {2: "second", 3: "third"}
 
 
 class VectorField(Record):
@@ -88,26 +101,39 @@ class ProlongedField(Record):
         return self.coefficients[tuple(key)]
 
 
+@lru_cache(maxsize=PROLONG_MEMO_SIZE)
 def prolong(vf: VectorField) -> ProlongedField:
     """Second prolongation of ``vf``, computed on jet polynomials.
 
     Every coefficient comes from the characteristic Q = phi - xi u_x - eta u_y
     by one formula (Olver, GTM 107, Thm 2.36):
-    phi^J = D_J Q + xi u_(J,x) + eta u_(J,y).  D_x Q and D_y Q are taken
-    once, and D_x D_x Q, D_y D_x Q and D_y D_y Q from them.  The added terms
-    cancel the jets of order |J| + 1 in D_J Q; that the third-order ones
-    cancel is checked on the monomial keys of every coefficient.
+    phi^J = D_J Q + xi u_(J,x) + eta u_(J,y), its three parts summed per
+    monomial by one n-ary add.  D_x Q and D_y Q are taken once, and
+    D_x D_x Q, D_y D_x Q and D_y D_y Q from them.  The added terms cancel
+    the jets of order |J| + 1 in D_J Q; that phi^J keeps no jet of order
+    above |J| is checked on the monomial keys of every coefficient.
+
+    Memoized by field value, keeping the ``PROLONG_MEMO_SIZE`` most
+    recently used fields: a field equal to one already prolonged gets the
+    same ProlongedField, whose ``base`` is the equal field seen first.  The
+    result is shared, so callers must not mutate it.
     """
     xi, eta, phi = (JetPolynomial.constant(c) for c in (vf.xi, vf.eta, vf.phi))
     q = phi - xi * JETS[(1, 0)] - eta * JETS[(0, 1)]
     q_x, q_y = q.D_x(), q.D_y()
     coeffs = {}
     for (i, j), d_q in zip(COEFF_KEYS, (q_x, q_y, q_x.D_x(), q_x.D_y(), q_y.D_y())):
-        jp = d_q + xi * JETS[(i + 1, j)] + eta * JETS[(i, j + 1)]
-        if any(m[k] for m in jp.coeffs for k in _THIRD_ORDER):
+        jp = JetPolynomial.from_terms((
+            *d_q.coeffs.items(),
+            *(xi * JETS[(i + 1, j)]).coeffs.items(),
+            *(eta * JETS[(i, j + 1)]).coeffs.items(),
+        ))
+        top = max((_ORDER_AT[k] for m in jp.coeffs for k, n in enumerate(m) if n),
+                  default=0)
+        if top > i + j:
             raise ProlongationError(
-                "third-order jets failed to cancel in prolongation coefficient %s"
-                % ((i, j),)
+                "%s-order jets failed to cancel in prolongation coefficient %s"
+                % (_ORDINAL[top], (i, j))
             )
         coeffs[(i, j)] = jp
     return ProlongedField(vf, coeffs)
@@ -115,14 +141,14 @@ def prolong(vf: VectorField) -> ProlongedField:
 
 def apply_prolonged(pf: ProlongedField, target: Expr) -> JetPolynomial:
     """The prolonged action of ``pf`` on ``target``, collected by jet
-    monomial."""
+    monomial: every monomial's contributions are summed by one n-ary add."""
     if max_jet_order(target) >= 3:
         raise ProlongationError("target depends on third-order jets")
     t = JetPolynomial.from_expr(target)
-    out = JetPolynomial({m: pf.base.apply(c) for m, c in t.coeffs.items()})
+    pairs = [(m, pf.base.apply(c)) for m, c in t.coeffs.items()]
     for key in COEFF_KEYS:
-        out = out + pf.coefficient(key) * t.diff(JETS[key])
-    return out
+        pairs += product_terms(pf.coefficient(key).coeffs, t.diff(JETS[key]).coeffs)
+    return JetPolynomial.from_terms(pairs)
 
 
 def vf_bracket(v: VectorField, w: VectorField) -> VectorField:

@@ -562,10 +562,18 @@ def test_prolongation_coefficients_match_reference(seed):
             assert _keys(pf.coefficient(key).coeffs) == want[key], (vf, key)
 
 
+def _coefficient_dicts(pf):
+    return {k: jp.coeffs for k, jp in pf.coefficients.items()}
+
+
+def test_memoized_prolongation_matches_a_fresh_derivation(seed):
+    for vf in _reference_fields(seed):
+        assert _coefficient_dicts(prolong(vf)) == _coefficient_dicts(prolong.__wrapped__(vf))
+
+
 def test_characteristic_prolongation_matches_explicit_formulas(seed):
     for vf in _reference_fields(seed):
-        got = {k: jp.coeffs for k, jp in prolong(vf).coefficients.items()}
-        assert got == _explicit_prolong(vf), vf
+        assert _coefficient_dicts(prolong(vf)) == _explicit_prolong(vf), vf
 
 
 # the last two put sums in the u_xy coefficient of phi^xy, so the elimination
@@ -642,5 +650,21 @@ def test_third_order_guard_still_raises(monkeypatch):
         return JetPolynomial({}) if other in third else times(self, other)
 
     monkeypatch.setattr(JetPolynomial, "__mul__", uncorrected)
+    prolong.cache_clear()
     with pytest.raises(ProlongationError, match="third-order jets"):
+        prolong(symbolic_field())
+
+
+def test_second_order_guard_raises(monkeypatch):
+    # without their u_xx, u_xy and u_yy products the first-order
+    # coefficients keep the second-order jets of D_x Q and D_y Q
+    second = (JETS[(2, 0)], JETS[(1, 1)], JETS[(0, 2)])
+    times = JetPolynomial.__mul__
+
+    def uncorrected(self, other):
+        return JetPolynomial({}) if other in second else times(self, other)
+
+    monkeypatch.setattr(JetPolynomial, "__mul__", uncorrected)
+    prolong.cache_clear()
+    with pytest.raises(ProlongationError, match=r"second-order jets .* \(1, 0\)"):
         prolong(symbolic_field())

@@ -1,7 +1,10 @@
 """Second prolongation against hand-expanded coefficient polynomials."""
 
+from fractions import Fraction
+
 import pytest
 
+from lie_thomas import cli
 from lie_thomas.expr import (
     GAMMA,
     JETS,
@@ -21,6 +24,7 @@ from lie_thomas.expr import (
 from lie_thomas.normal import equal, is_zero
 from lie_thomas.vectorfield import (
     COEFF_KEYS,
+    PROLONG_MEMO_SIZE,
     ProlongationError,
     VectorField,
     prolong,
@@ -28,7 +32,15 @@ from lie_thomas.vectorfield import (
     vf_bracket,
 )
 from lie_thomas.jetpoly import JetPolynomial
-from lie_thomas.determining import ThomasParams, v1, v2, v3, v4
+from lie_thomas.determining import (
+    ThomasParams,
+    check_symmetry,
+    determining_equations,
+    v1,
+    v2,
+    v3,
+    v4,
+)
 
 
 def _d(f, *vs):
@@ -137,3 +149,36 @@ def test_bracket_antisymmetry_and_known_value():
 def test_vectorfield_rejects_jets():
     with pytest.raises(Exception):
         VectorField(U_X, R(0), R(0))
+
+
+# --- the memo ---------------------------------------------------------------
+
+
+def _coefficient_keys(pf):
+    return {k: {m: c.key() for m, c in jp.coeffs.items()}
+            for k, jp in pf.coefficients.items()}
+
+
+def test_equal_fields_share_one_prolongation():
+    p = ThomasParams(2, Fraction(-1, 3), 5)
+    assert prolong(symbolic_field()) is prolong(symbolic_field())
+    assert prolong(v4(p)) is prolong(v4(ThomasParams(2, Fraction(-1, 3), 5)))
+
+
+def test_callers_leave_the_shared_prolongation_intact(capsys):
+    cached = prolong(symbolic_field())
+    p = ThomasParams()
+    determining_equations(p)
+    determining_equations(ThomasParams(1, 2, 3))
+    for vf in (v1(), v2(), v3(), v4(p)):
+        assert check_symmetry(vf, p)[0]
+    for fmt in ("text", "json", "latex"):
+        assert cli.main(["derive", "--show-prolongation", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert prolong(symbolic_field()) is cached
+    fresh = prolong.__wrapped__(symbolic_field())
+    assert _coefficient_keys(cached) == _coefficient_keys(fresh)
+
+
+def test_memo_is_bounded():
+    assert prolong.cache_info().maxsize == PROLONG_MEMO_SIZE
