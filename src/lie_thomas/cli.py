@@ -56,7 +56,7 @@ def _convert(kind, text: str, flag: str):
     InputError."""
     try:
         return kind(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise InputError("%s: %r is not %s" % (flag, text, _KIND_NAMES[kind])) from None
 
 
@@ -88,7 +88,7 @@ def _parse_constants(text: str) -> dict:
         val = val.strip()
         try:
             out[key] = Fraction(val)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             out[key] = val
     return out
 

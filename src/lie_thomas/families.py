@@ -7,14 +7,15 @@ Under w = exp(gamma u) the equation turns linear, and every closed form
 
 with f = exp, |cos| or the identity.  A builder only computes these
 coefficients.  The mix evaluates elementwise on floats, HyperDual points or
-grid rows, both linear forms through ``hyperdual.affine``, and its domain
-reads the same log argument on floats, so plotting and exact residual
-checks share one code path.  Case 1 is a ratio of Frobenius series with its
-own evaluator, lifted onto chi by ``hyperdual.lift``; its domain keeps the
-sums at each chi until the evaluator has read them, so a grid point sums
-each series once.  Where printed source formulas for a case
-disagree internally, the variant kept here is the one rederived from the
-reduced ODE; the residual tests are the arbiter.
+grid rows (a point and a row take the same operations), both linear forms
+through ``hyperdual.affine``, and its domain reads the same log argument on
+floats, so plotting and exact residual checks share one code path.  Case 1 is
+a ratio of Frobenius series with its own evaluator, lifted onto chi by
+``hyperdual.lift``; its domain keeps the sums at each chi until the
+evaluator has read them, so a grid point sums each series once.  Where
+printed source formulas for a case disagree internally, the variant kept
+here is the one rederived from the reduced ODE; the residual tests are the
+arbiter.
 
 Descriptors: ``descriptor()`` emits a JSON-able dict that rebuilds the
 family bit-for-bit through ``from_descriptor``; the sha256 digest of the
@@ -50,7 +51,7 @@ def _jsonable(v):
 def _numeric(v):
     try:
         return float(Fraction(v)) if isinstance(v, str) else float(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise FamilyError("constant %r is not a number" % (v,)) from None
 
 
@@ -62,7 +63,7 @@ def _param_strings(p: ThomasParams):
 def params_from_strings(d) -> ThomasParams:
     try:
         values = [Fraction(d[n]) for n in ("alpha", "beta", "gamma")]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
         raise FamilyError("descriptor parameters %r are not rationals" % (d,)) from None
     return ThomasParams(*values)
 

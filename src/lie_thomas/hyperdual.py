@@ -7,17 +7,15 @@ u_xy, exactly to floating round-off; no truncation step is involved.  The
 mixed derivative is the only second derivative the equation needs, which
 is why one pass suffices.
 
-``HyperDual(...)`` coerces its parts to float.  Arithmetic and lift results
-hold floats already and are built by the internal ``_hd``, which does not.
-``affine(a, x, b, y, c)`` is a x + b y + c as one hyper-dual, rounded as
-the composed operations are.
-
 A HyperDualRow holds one grid row of hyper-duals as four lists, so an
 evaluator runs once per row; element i of each result is rounded exactly
-as the HyperDual operation rounds element i.  A row has no order or truth
-value: an evaluator that branches on one raises instead of taking one
-branch for the whole row.  ``lift`` composes a function given by its value
-and two derivatives.
+as the HyperDual operation rounds element i.  Both take one operation set:
++ - * with their own kind and floats, / by a float, integer powers, abs,
+exp, log, cos and ``_lift``.  Neither has an order or truth value: an
+evaluator that branches on one raises instead of taking one branch for a
+whole row.  ``affine(a, x, b, y, c)`` is a x + b y + c, rounded as the
+composed operations are, and ``lift`` composes a function given by its
+value and two derivatives.
 """
 
 from __future__ import annotations
@@ -32,7 +30,15 @@ class HyperDualError(DomainError, ValueError):
     """An elementary function evaluated outside its real domain."""
 
 
+def _no_order(self, *_):
+    raise TypeError("a hyper-dual has no order or truth value; an evaluator "
+                    "must not branch on one")
+
+
 class HyperDual:
+    """One point: the single-point input and the reference each row
+    operation is rounded as."""
+
     __slots__ = ("value", "dx", "dy", "dxy")
 
     def __init__(self, value: float, dx: float = 0.0, dy: float = 0.0, dxy: float = 0.0):
@@ -41,42 +47,29 @@ class HyperDual:
         self.dy = float(dy)
         self.dxy = float(dxy)
 
-    @staticmethod
-    def x_at(x: float) -> "HyperDual":
-        return _hd(float(x), 1.0, 0.0, 0.0)
-
-    @staticmethod
-    def y_at(y: float) -> "HyperDual":
-        return _hd(float(y), 0.0, 1.0, 0.0)
-
     def __repr__(self):
         return "HyperDual(%r, %r, %r, %r)" % (self.value, self.dx, self.dy, self.dxy)
 
-    # --- ring operations -------------------------------------------------
-
     def __add__(self, other):
         if isinstance(other, HyperDual):
-            return _hd(self.value + other.value, self.dx + other.dx, self.dy + other.dy,
-                       self.dxy + other.dxy)
-        return _hd(self.value + other, self.dx, self.dy, self.dxy)
+            return HyperDual(self.value + other.value, self.dx + other.dx,
+                             self.dy + other.dy, self.dxy + other.dxy)
+        return HyperDual(self.value + other, self.dx, self.dy, self.dxy)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _hd(-self.value, -self.dx, -self.dy, -self.dxy)
+        return HyperDual(-self.value, -self.dx, -self.dy, -self.dxy)
 
     def __sub__(self, other):  # a - b rounds as a + (-b) does
-        if isinstance(other, HyperDual):
-            return _hd(self.value - other.value, self.dx - other.dx, self.dy - other.dy,
-                       self.dxy - other.dxy)
-        return _hd(self.value - other, self.dx, self.dy, self.dxy)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _hd(other - self.value, -self.dx, -self.dy, -self.dxy)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            return _hd(
+            return HyperDual(
                 self.value * other.value,
                 self.dx * other.value + self.value * other.dx,
                 self.dy * other.value + self.value * other.dy,
@@ -85,60 +78,31 @@ class HyperDual:
                 + self.dx * other.dy
                 + self.dy * other.dx,
             )
-        return _hd(self.value * other, self.dx * other, self.dy * other, self.dxy * other)
+        return HyperDual(self.value * other, self.dx * other, self.dy * other, self.dxy * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, HyperDual):
-            return self * other._reciprocal()
         return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
 
     def _reciprocal(self) -> "HyperDual":
         v = self.value
         return self._lift(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
-    def __pow__(self, n):
-        if isinstance(n, int):
-            if n == 0:
-                return _hd(1.0, 0.0, 0.0, 0.0)
-            if n < 0:
-                return self._reciprocal() ** (-n)
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
-        v = self.value
-        return self._lift(
-            math.pow(v, n),
-            n * math.pow(v, n - 1),
-            n * (n - 1) * math.pow(v, n - 2),
-        )
+    def __pow__(self, n: int):  # repeated products
+        if n < 0:
+            return self._reciprocal() ** (-n)
+        out = HyperDual(1.0) if n == 0 else self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     def __abs__(self):
         return -self if self.value < 0 else self
 
-    # comparisons look at the real part only (domain predicates)
-    def __lt__(self, other):
-        return self.value < _real(other)
-
-    def __le__(self, other):
-        return self.value <= _real(other)
-
-    def __gt__(self, other):
-        return self.value > _real(other)
-
-    def __ge__(self, other):
-        return self.value >= _real(other)
-
-    # --- analytic lifts ---------------------------------------------------
-
     def _lift(self, f: float, fp: float, fpp: float) -> "HyperDual":
         """Compose an analytic f given f, f', f'' at the real part."""
-        return _hd(f, fp * self.dx, fp * self.dy, fp * self.dxy + fpp * self.dx * self.dy)
+        return HyperDual(f, fp * self.dx, fp * self.dy, fp * self.dxy + fpp * self.dx * self.dy)
 
     def exp(self) -> "HyperDual":
         e = math.exp(self.value)
@@ -150,43 +114,18 @@ class HyperDual:
             raise HyperDualError("log of non-positive hyper-dual real part %r" % v)
         return self._lift(math.log(v), 1.0 / v, -1.0 / (v * v))
 
-    def sqrt(self) -> "HyperDual":
-        r = math.sqrt(self.value)
-        return self._lift(r, 0.5 / r, -0.25 / (r * self.value))
-
     def cos(self) -> "HyperDual":
         c = math.cos(self.value)
         return self._lift(c, -math.sin(self.value), -c)
 
-    def tan(self) -> "HyperDual":
-        t = math.tan(self.value)
-        sec2 = 1.0 + t * t
-        return self._lift(t, sec2, 2.0 * t * sec2)
-
-    def arctan(self) -> "HyperDual":
-        v = self.value
-        w = 1.0 + v * v
-        return self._lift(math.atan(v), 1.0 / w, -2.0 * v / (w * w))
-
-
-def _real(t):
-    return t.value if isinstance(t, HyperDual) else t
-
-
-def _hd(value: float, dx: float, dy: float, dxy: float) -> HyperDual:
-    """HyperDual of four floats, without the public constructor's coercion."""
-    h = object.__new__(HyperDual)
-    h.value, h.dx, h.dy, h.dxy = value, dx, dy, dxy
-    return h
+    __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_order
 
 
 class HyperDualRow:
     """Hyper-duals of one grid row: value, dx, dy and dxy are equal-length
-    lists of floats.  An evaluator given rows may use + - * with rows and
-    floats, / by a float, integer powers, abs, exp_, log_, cos_, affine and
-    lift.  A row has no sqrt, tan, arctan or non-integer power, divides by
-    no row, takes no HyperDual operand, and cannot be compared or tested
-    for truth."""
+    lists of floats.  An evaluator given rows may use what a HyperDual
+    has: + - * with rows and floats, / by a float, integer powers, abs,
+    exp_, log_, cos_, affine and lift.  A row takes no HyperDual operand."""
 
     __slots__ = ("value", "dx", "dy", "dxy")
 
@@ -272,10 +211,6 @@ class HyperDualRow:
         c = list(map(math.cos, self.value))
         return self._lift(c, [-math.sin(v) for v in self.value], list(map(neg, c)))
 
-    def _no_order(self, *_):
-        raise TypeError("a hyper-dual row has no order or truth value; an evaluator "
-                        "must not branch on one")
-
     __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_order
 
 
@@ -283,12 +218,9 @@ _DUALS = (HyperDual, HyperDualRow)
 
 
 def affine(a, x, b, y, c):
-    """a x + b y + c for float a, b, c; on two hyper-duals or two rows each part
-    is summed as the composed operations sum it, and c enters the value only."""
-    if isinstance(x, _DUALS) and type(y) is type(x):
-        if type(x) is HyperDual:
-            return _hd(x.value * a + y.value * b + c, x.dx * a + y.dx * b,
-                       x.dy * a + y.dy * b, x.dxy * a + y.dxy * b)
+    """a x + b y + c for float a, b, c; on two rows each part is summed as the
+    composed operations sum it, and c enters the value only."""
+    if isinstance(x, HyperDualRow) and type(y) is HyperDualRow:
         return HyperDualRow([u * a + v * b + c for u, v in zip(x.value, y.value)],
                             *([u * a + v * b for u, v in zip(p, q)]
                               for p, q in zip(x._parts()[1:], y._parts()[1:])))
@@ -304,7 +236,7 @@ def lift(t, fn):
 
 
 def seed(x: float, y: float):
-    return HyperDual.x_at(x), HyperDual.y_at(y)
+    return HyperDual(x, 1.0), HyperDual(y, 0.0, 1.0)
 
 
 def exp_(t):

@@ -341,6 +341,15 @@ _MISSING_DIR = object()  # stands for a path under a tmp_path directory that doe
      "--vector picks its own case and would ignore --coords"),
     (("reduce", "--vector", "1,1,3,1", "--case", "Case2_2", "--params", "1,1,1"),
      "would ignore --case"),
+    (("solve", "--case", "Case2_2", "--params", "1,1,1/0"), "--params: '1/0' is not"),
+    (("classify", "--vector", "1,1/0,3,1"), "--vector: '1/0' is not"),
+    (("solve", "--case", "Case2_2", "--constants", "a1=1/0"), "constant '1/0' is not a number"),
+    (("verify", "--family", "-", _descriptor(
+        family="case22", params=dict(_ONES, gamma="1/0"), constants={"a1": "1"})),
+     "descriptor parameters"),
+    (("verify", "--family", "-",
+      _descriptor(family="case22", params=_ONES, constants={"a1": "1/0"})),
+     "constant '1/0' is not a number"),
 ])
 def test_malformed_values_exit_3(capsys, monkeypatch, tmp_path, argv, message):
     if isinstance(argv[-1], _Stdin):

@@ -354,7 +354,7 @@ def _ref_case21b(p, a1=-1, a2=-1, A0=0.0, const=0.0):
     def u(x, y):  # through tan: log|cos| = -(1/2) log(1 + tan^2)
         chi = a2f * x - a1f * y
         phase = rate * chi + A0f
-        t = phase.tan() if isinstance(phase, HyperDual) else math.tan(phase)
+        t = math.tan(phase)
         return log_(1.0 + t * t) / (2 * A2) - drift * chi + y / a2f + constf
 
     return u, lambda x, y: abs(math.cos(rate * (a2f * x - a1f * y) + A0f)) > 0.05

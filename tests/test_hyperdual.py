@@ -33,15 +33,6 @@ def test_seed_and_arithmetic():
     _check(z, 0.7**2 * -0.4 + 2.1 + 0.4, 2 * 0.7 * -0.4 + 3, 0.7**2 - 1, 1.4)
 
 
-def test_division():
-    x, y = seed(1.3, 0.9)
-    # f = x/y: fx = 1/y, fy = -x/y^2, fxy = -1/y^2
-    z = x / y
-    _check(z, 1.3 / 0.9, 1 / 0.9, -1.3 / 0.81, -1 / 0.81)
-    z2 = 2.0 / y
-    _check(z2, 2 / 0.9, 0.0, -2 / 0.81, 0.0)
-
-
 def test_exp_log_chain():
     x, y = seed(0.5, 0.25)
     # f = log(exp(x*y)) must return x*y exactly up to rounding
@@ -64,16 +55,6 @@ def test_log_derivatives():
     _check(z, math.log(6.0), 0.5, 1 / 3, 0.0)
 
 
-def test_tan_derivatives():
-    x, y = seed(0.4, 0.2)
-    # f = tan(x y): f' = (1 + tan^2), fxy via product rule
-    z = (x * y).tan()
-    t = math.tan(0.08)
-    sec2 = 1 + t * t
-    fxy = sec2 + 2 * t * sec2 * 0.08
-    _check(z, t, 0.2 * sec2, 0.4 * sec2, fxy)
-
-
 def test_cos_derivatives():
     x, y = seed(0.4, 0.2)
     # f = cos(x y): fx = -y sin(xy), fy = -x sin(xy), fxy = -sin(xy) - xy cos(xy)
@@ -85,8 +66,6 @@ def test_cos_derivatives():
 
 def test_sqrt_and_pow():
     x, y = seed(4.0, 1.0)
-    z = x.sqrt()
-    _check(z, 2.0, 0.25, 0.0, 0.0)
     w = x**3
     _check(w, 64.0, 48.0, 0.0, 0.0)
 
@@ -98,22 +77,10 @@ def test_abs_and_neg():
     assert (-x).value == 2.0
 
 
-def test_arctan():
-    x, y = seed(1.0, 2.0)
-    z = (x * y).arctan()
-    # d/dx arctan(xy) = y/(1+x^2 y^2); dxy = (1 - x^2 y^2)/(1 + x^2 y^2)^2
-    _check(z, math.atan(2.0), 2 / 5, 1 / 5, (1 - 4) / 25)
-
-
 def test_log_domain_error():
     x, _ = seed(-1.0, 0.0)
     with pytest.raises(ValueError):
         log_(x)
-
-
-def test_comparisons_read_the_real_part():
-    x, y = seed(1.5, 2.5)
-    assert x < y and y > 1.5 and x >= 1.5
 
 
 def test_lift_with_derivatives():
@@ -149,7 +116,7 @@ def test_log_domain_error_is_a_package_error():
             moved(*pt)
 
 
-# --- the internal constructor and affine() -----------------------------------
+# --- affine() and the constructor ------------------------------------------
 
 
 def _bits(z):
@@ -206,10 +173,9 @@ def test_arithmetic_results_hold_floats():
     x, y = seed(1.5, 0.5)
     z = x * y + 1
     results = [
-        x + y, x + 1, 1 + x, x - y, x - 1, 1 - x, -x, x * y, x * 2, 2 * x, x / y,
-        x / 2, 2 / x, x**0, x**3, x**-2, x**0.5, abs(-x), z.exp(), z.log(), z.sqrt(),
-        z.cos(), z.tan(), z.arctan(), affine(2, x, 3, y, 1), HyperDual.x_at(2),
-        HyperDual.y_at(F(1, 2)), lift(x, lambda v: (4.0, 4.0, 2.0)),
+        x + y, x + 1, 1 + x, x - y, x - 1, 1 - x, -x, x * y, x * 2, 2 * x, x / 2,
+        x / F(1, 2), x**0, x**3, x**-2, abs(-x), z.exp(), z.log(), z.cos(),
+        affine(2, x, 3, y, 1), *seed(2, F(1, 2)), lift(x, lambda v: (4.0, 4.0, 2.0)),
     ]
     for r in results:
         assert isinstance(r, HyperDual)
@@ -303,6 +269,31 @@ def test_rows_have_no_order_or_truth_value():
                    lambda: x <= y, lambda: bool(x), lambda: 1.0 if x else 0.0):
         with pytest.raises(TypeError, match="must not branch"):
             branch()
+
+
+# names in a hyper-dual class that are not operations: construction,
+# representation and the stored parts
+_NOT_OPERATIONS = {"__module__", "__doc__", "__slots__", "__init__", "__repr__", "seed",
+                   "_parts", "value", "dx", "dy", "dxy"}
+
+
+def _operations(cls):
+    return set(vars(cls)) - _NOT_OPERATIONS
+
+
+def test_scalar_and_row_take_one_operation_set():
+    ops = _operations(HyperDual)
+    assert ops == _operations(HyperDualRow)
+    assert {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+            "__truediv__", "__pow__", "__abs__", "exp", "log", "cos", "_lift"} <= ops
+    assert not {"sqrt", "tan", "arctan", "__rtruediv__"} & ops
+    messages = set()
+    for x, y in (seed(0.5, 0.25), HyperDualRow.seed(0.5, [0.25])):
+        for branch in (lambda: x < y, lambda: x < 0.0, lambda: bool(x)):
+            with pytest.raises(TypeError) as err:
+                branch()
+            messages.add(str(err.value))
+    assert len(messages) == 1, messages
 
 
 def test_row_log_raises_the_scalar_error_at_the_first_bad_element():

@@ -169,6 +169,39 @@ def test_no_module_imports_a_name_it_does_not_use():
         assert not unused, (module, sorted(unused))
 
 
+def _dead_private_names(source: str):
+    """Private names (_x, not __x__) that a module-level def, class or
+    assignment of source binds and that no expression in it reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return {name for name in bound - read
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_dead_private_name_scan_sees_a_dead_helper():
+    probe = ("_A, _B = 1, 2\n_C: int = 3\n"
+             "def _f():\n    return _A\n"
+             "class _K:\n    pass\n"
+             "def _g():\n    return _f() + _C\n")
+    assert _dead_private_names(probe) == {"_B", "_K", "_g"}
+
+
+def test_no_module_defines_a_private_name_it_does_not_read():
+    pkg = os.path.dirname(lie_thomas.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                assert not _dead_private_names(fh.read()), name
+
+
 def test_no_function_imports_a_name_it_does_not_use():
     probe = "def f():\n    from math import exp, log\n    return log(2)\n"
     assert _unused_local_imports(probe) == {("f", "exp")}

@@ -156,7 +156,7 @@ def test_one_non_finite_residual_outranks_finite_ones():
 
 
 @pytest.mark.parametrize("evaluator, error", [
-    (lambda x, y: HyperDual.x_at(0.5) * HyperDual.y_at(0.5), TypeError),  # not a row
+    (lambda x, y: HyperDual(0.5, 1.0) * HyperDual(0.5, 0.0, 1.0), TypeError),  # not a row
     (lambda x, y: HyperDualRow.seed(0.5, [0.5])[0] * 2.0, ValueError),  # one point only
 ], ids=["scalar", "short-row"])
 def test_residual_grid_refuses_a_result_that_is_not_the_row(evaluator, error):
@@ -186,7 +186,7 @@ def _pointwise_residual_grid(family, p=None, grid=None):
             if not in_domain(x, y):
                 skipped += 1
                 continue
-            val = family(HyperDual.x_at(x), HyperDual.y_at(y))
+            val = family(*seed(x, y))
             if not isinstance(val, HyperDual):
                 val = HyperDual(float(val))
             r = abs(val.dxy + alpha * val.dx + beta * val.dy + gamma * val.dx * val.dy)
