@@ -5,9 +5,13 @@ dependent variable u, jet symbols for the partials of u up to third order,
 named rational constants, exp and log (the e^{-gamma*u} factor of v_g and
 the Case 1 invariant log(a1 - gamma*x) need nothing else), and
 unknown-function applications with registered partial-derivative symbols.
-Numeric leaves are exact fractions; simplification is structural only:
-flattening, like-term and like-factor collection, rational arithmetic,
-integer powers, exp/log cancellation.
+Numeric leaves are exact fractions (``Rat.value`` is always a
+``Fraction``); simplification is structural only: flattening, like-term
+and like-factor collection, rational arithmetic, integer powers, exp/log
+cancellation.  The kernel does no arithmetic whose result it already
+knows: ``add`` skips a zero constant and ``mul`` a unit factor, and the
+first other rational is kept as it is rather than formed as ``0 + q`` or
+``1 * q``.
 """
 
 from __future__ import annotations
@@ -212,42 +216,44 @@ class App(Expr):
         return (3, self.fn, self.arg.key())
 
 
-_F0, _F1 = Fraction(0), Fraction(1)
+_F1 = Fraction(1)
 ZERO = Rat(0)
 ONE = Rat(1)
 MINUS_ONE = Rat(-1)
 
 
-def _split_coeff(e):
-    """Split a non-Rat expression into (rational coefficient, rest)."""
-    if isinstance(e, Mul) and isinstance(e.factors[0], Rat):
-        rest = e.factors[1:]
-        rest_e = rest[0] if len(rest) == 1 else Mul(rest)
-        return e.factors[0].value, rest_e
-    return _F1, e
-
-
 def add(*terms):
-    const = _F0
+    """Sum in collected form.  A zero constant adds nothing and the first
+    nonzero constant is taken as it is, so no Fraction sum has a known
+    result."""
+    const = None
     acc: dict[Expr, Fraction] = {}
     stack = list(terms)
     while stack:
         t = stack.pop()
-        if isinstance(t, Add):
+        kind = type(t)
+        if kind is Add:
             stack.extend(t.terms)
-        elif isinstance(t, Rat):
-            const += t.value
-        else:
-            c, rest = _split_coeff(t)
-            prev = acc.get(rest)
-            acc[rest] = c if prev is None else prev + c
-    out = []
-    for rest in sorted(acc, key=lambda r: r.key()):
-        c = acc[rest]
-        if c == 0:
             continue
-        out.append(rest if c == 1 else mul(Rat(c), rest))
-    if const != 0:
+        if kind is Rat:
+            if t.value:
+                const = const + t.value if const else t.value
+            continue
+        c = _F1
+        if kind is Mul and type(t.factors[0]) is Rat:
+            c = t.factors[0].value
+            rest = t.factors[1:]
+            t = rest[0] if len(rest) == 1 else Mul(rest)
+        prev = acc.get(t)
+        acc[t] = prev + c if prev else c
+    out = []
+    for rest in sorted(acc, key=Expr.key) if len(acc) > 1 else acc:
+        c = acc[rest]
+        if c is _F1 or c == 1:
+            out.append(rest)
+        elif c:
+            out.append(mul(Rat(c), rest))
+    if const:
         out.insert(0, Rat(const))
     if not out:
         return ZERO
@@ -260,40 +266,50 @@ def mul(*factors):
     """Product in collected form.  No key of ``powers`` is a Rat, Mul or
     Pow, and the one merged exp application has exponent 1, so each
     collected factor is its base or ``Pow(base, n)`` as ``pow_`` would
-    build it."""
-    coeff = _F1
+    build it.  A unit factor multiplies nothing and the first other
+    rational is taken as it is, so no Fraction product has a known
+    result."""
+    coeff = None  # the product of the rational factors, when it is not one
     powers: dict[Expr, int] = {}
     exp_args = []
     stack = list(factors)
     while stack:
         f = stack.pop()
-        if isinstance(f, Mul):
+        kind = type(f)
+        if kind is Mul:
             stack.extend(f.factors)
-        elif isinstance(f, Rat):
-            coeff *= f.value
-        elif isinstance(f, Pow):
+        elif kind is Rat:
+            if f.value != 1:
+                if coeff is None:
+                    coeff = f.value
+                else:
+                    coeff = coeff * f.value
+                    if coeff == 1:
+                        coeff = None
+        elif kind is Pow:
             powers[f.base] = powers.get(f.base, 0) + f.exp
-        elif isinstance(f, App) and f.fn == "exp":
+        elif kind is App and f.fn == "exp":
             exp_args.append(f.arg)
         else:
             powers[f] = powers.get(f, 0) + 1
         if exp_args and not stack:
             combined = app("exp", add(*exp_args))
             exp_args = []
-            if isinstance(combined, App) and combined.fn == "exp":
+            if type(combined) is App and combined.fn == "exp":
                 powers[combined] = powers.get(combined, 0) + 1
             else:  # exp(log t) collapsed to t, or exp(0) to 1
                 stack.append(combined)
-    if coeff == 0:
+    if coeff is not None and not coeff:
         return ZERO
     out = [base if n == 1 else Pow(base, n) for base, n in powers.items() if n]
     if not out:
-        return Rat(coeff)
-    out.sort(key=Expr.key)
-    if len(out) == 1 and isinstance(out[0], Add) and coeff != 1:
+        return ONE if coeff is None else Rat(coeff)
+    if len(out) > 1:
+        out.sort(key=Expr.key)
+    elif coeff is not None and type(out[0]) is Add:
         # keep rational multiples of sums in collected form
         return add(*[mul(Rat(coeff), t) for t in out[0].terms])
-    if coeff != 1:
+    if coeff is not None:
         out.insert(0, Rat(coeff))
     if len(out) == 1:
         return out[0]

@@ -51,7 +51,7 @@ def _jsonable(v):
 def _numeric(v):
     try:
         return float(Fraction(v)) if isinstance(v, str) else float(v)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise FamilyError("constant %r is not a number" % (v,)) from None
 
 

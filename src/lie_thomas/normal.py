@@ -43,28 +43,35 @@ def _poly_const(c: Fraction) -> Poly:
     return {(): c} if c else {}
 
 
-_POLY_ONE = {(): Fraction(1)}
+_F1 = Fraction(1)
+_POLY_ONE = {(): _F1}
 
 
 def _poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for m, c in q.items():
-        s = out.get(m, Fraction(0)) + c
+        prev = out.get(m)
+        if prev is None:
+            out[m] = c
+            continue
+        s = prev + c
         if s:
             out[m] = s
         else:
-            out.pop(m, None)
+            del out[m]
     return out
 
 
-def _merge_exps(acc: dict) -> Fraction:
+def _merge_exps(acc: dict) -> int | Fraction:
     """Collapse exp atoms in a monomial accumulator: exp(a)^m * exp(b)^n
-    becomes the single atom exp(m*a + n*b).  Returns a rational factor
-    (1 normally; the collapsed value when the merged argument vanishes)."""
+    becomes the single atom exp(m*a + n*b).  Returns the rational factor
+    the merge leaves: the collapsed value when the merged application
+    is a rational, such as exp(log q) = q, and the int 1 otherwise, so that
+    a caller can skip multiplying by it."""
     exps = [(a, n) for a, n in acc.items()
             if n and isinstance(a, App) and a.fn == "exp"]
     if not exps or (len(exps) == 1 and exps[0][1] == 1):
-        return Fraction(1)
+        return 1
     arg = add(*[mul(Rat(Fraction(n)), a.arg) for a, n in exps])
     merged = app("exp", canonical_expr(arg))
     if isinstance(merged, Rat):
@@ -75,9 +82,9 @@ def _merge_exps(acc: dict) -> Fraction:
         for a, _ in exps:
             acc[a] = 0
         acc[merged] = acc.get(merged, 0) + 1
-        return Fraction(1)
+        return 1
     # argument collapse produced a non-atom; leave the factors unmerged
-    return Fraction(1)
+    return 1
 
 
 def _mono_mul(m1: Mono, m2: Mono):
@@ -103,13 +110,21 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
         return p
     out: Poly = {}
     for m1, c1 in p.items():
+        unit = c1 == 1
         for m2, c2 in q.items():
             k, m = _mono_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2 * k
+            c = c2 if unit else c1 if c2 == 1 else c1 * c2
+            if k != 1:
+                c = c * k
+            prev = out.get(m)
+            if prev is None:
+                out[m] = c
+                continue
+            s = prev + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
+                del out[m]
     return out
 
 
@@ -121,7 +136,7 @@ def _poly_pow(p: Poly, n: int) -> Poly:
 
 
 def _atom_poly(a: Expr) -> Poly:
-    return {((a, 1),): Fraction(1)}
+    return {((a, 1),): _F1}
 
 
 class NormalForm:

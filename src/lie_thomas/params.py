@@ -50,8 +50,10 @@ class ThomasParams(Record):
     def floats(self):
         if not self.is_numeric():
             raise ParameterError("parameters are symbolic")
-        return (
-            float(self.alpha.value),
-            float(self.beta.value),
-            float(self.gamma.value),
-        )
+        out = []
+        for name in ("alpha", "beta", "gamma"):
+            try:
+                out.append(float(getattr(self, name).value))
+            except OverflowError:
+                raise ParameterError("constant %s is too large for a float" % name) from None
+        return tuple(out)

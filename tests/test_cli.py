@@ -350,6 +350,16 @@ _MISSING_DIR = object()  # stands for a path under a tmp_path directory that doe
     (("verify", "--family", "-",
       _descriptor(family="case22", params=_ONES, constants={"a1": "1/0"})),
      "constant '1/0' is not a number"),
+    (("solve", "--case", "Case2_2", "--constants", "a1=1e400"),
+     "constant Fraction(10000"),
+    (("solve", "--case", "Case2_2", "--params", "1e400,1,1"),
+     "constant alpha is too large for a float"),
+    (("verify", "--family", "-",
+      _descriptor(family="case22", params=_ONES, constants={"a1": "1e400"})),
+     "constant '1e400' is not a number"),
+    (("verify", "--family", "-", _descriptor(
+        family="case22", params=dict(_ONES, gamma="1e400"), constants={"a1": "1"})),
+     "constant gamma is too large for a float"),
 ])
 def test_malformed_values_exit_3(capsys, monkeypatch, tmp_path, argv, message):
     if isinstance(argv[-1], _Stdin):

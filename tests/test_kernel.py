@@ -12,18 +12,23 @@ package did before it prolonged on jet polynomials.  ``_explicit_prolong``
 builds the same coefficients on jet polynomials with phi^x, phi^y, phi^xx
 and phi^yy expanded term by term, as ``prolong`` did before it took every
 coefficient from the characteristic.  ``_ref_mul``
-is ``expr.mul`` as it was with a second pass over the built factors.  The
-kernel must give structurally identical results (equal node keys), not
-merely equal values.
+is ``expr.mul`` as it was with a second pass over the built factors.
+``_full_add``, ``_full_mul``, ``_full_poly_add`` and ``_ref_poly_mul`` are
+the kernel's sums and products as they were before they skipped Fraction
+operations whose result is known: they multiply by every unit factor and
+by the exp-merge factor ``k``, and add every zero.  The kernel must give
+structurally identical results (equal node keys), not merely equal values.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lie_thomas import expr, jetpoly, normal
+from lie_thomas.algebra import commutator_table
 from lie_thomas.determining import (
     ThomasParams,
     check_symmetry,
@@ -201,6 +206,88 @@ def _ref_mul(*factors):
     return Mul(flat)
 
 
+def _full_add(*terms):
+    const = Fraction(0)
+    acc = {}
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Add):
+            stack.extend(t.terms)
+        elif isinstance(t, Rat):
+            const += t.value
+        else:
+            c, rest = Fraction(1), t
+            if isinstance(t, Mul) and isinstance(t.factors[0], Rat):
+                c = t.factors[0].value
+                rest = t.factors[1] if len(t.factors) == 2 else Mul(t.factors[1:])
+            prev = acc.get(rest)
+            acc[rest] = c if prev is None else prev + c
+    out = []
+    for rest in sorted(acc, key=lambda r: r.key()):
+        c = acc[rest]
+        if c == 0:
+            continue
+        out.append(rest if c == 1 else _full_mul(Rat(c), rest))
+    if const != 0:
+        out.insert(0, Rat(const))
+    if not out:
+        return ZERO
+    if len(out) == 1:
+        return out[0]
+    return Add(out)
+
+
+def _full_mul(*factors):
+    coeff = Fraction(1)
+    powers = {}
+    exp_args = []
+    stack = list(factors)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Mul):
+            stack.extend(f.factors)
+        elif isinstance(f, Rat):
+            coeff *= f.value
+        elif isinstance(f, Pow):
+            powers[f.base] = powers.get(f.base, 0) + f.exp
+        elif isinstance(f, App) and f.fn == "exp":
+            exp_args.append(f.arg)
+        else:
+            powers[f] = powers.get(f, 0) + 1
+        if exp_args and not stack:
+            combined = app("exp", _full_add(*exp_args))
+            exp_args = []
+            if isinstance(combined, App) and combined.fn == "exp":
+                powers[combined] = powers.get(combined, 0) + 1
+            else:
+                stack.append(combined)
+    if coeff == 0:
+        return ZERO
+    out = [base if n == 1 else Pow(base, n) for base, n in powers.items() if n]
+    if not out:
+        return Rat(coeff)
+    out.sort(key=lambda b: b.key())
+    if len(out) == 1 and isinstance(out[0], Add) and coeff != 1:
+        return _full_add(*[_full_mul(Rat(coeff), t) for t in out[0].terms])
+    if coeff != 1:
+        out.insert(0, Rat(coeff))
+    if len(out) == 1:
+        return out[0]
+    return Mul(out)
+
+
+def _full_poly_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, Fraction(0)) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
 def _ref_poly_mul(p, q):
     out = {}
     for m1, c1 in p.items():
@@ -236,7 +323,7 @@ def _ref_normal_form(e):
         num, den = {}, dict(unit)
         for t in e.terms:
             nf = _ref_normal_form(t)
-            num = normal._poly_add(_ref_poly_mul(num, nf.den), _ref_poly_mul(nf.num, den))
+            num = _full_poly_add(_ref_poly_mul(num, nf.den), _ref_poly_mul(nf.num, den))
             den = _ref_poly_mul(den, nf.den)
         return normal.NormalForm(num, den)
     if isinstance(e, Mul):
@@ -527,6 +614,90 @@ def test_normal_form_matches_generic_reference(case, seed, monkeypatch):
             mp.setattr(normal, "normal_form", _ref_normal_form)
             want = normal.canonical_expr(e)
         assert got.key() == want.key()
+
+
+_EXP_LOG = app("exp", add(app("log", R(2, 3)), X))  # times exp(-x) it is 2/3
+_EXP_LOG_SUMS = (add(_EXP_LOG, Y), add(app("exp", mul(Rat(-1), X)), ONE))
+_KERNEL_LEAVES = (ZERO, ONE, Rat(-1), R(2, 3), R(-5, 7), R(3), X, Y, U, ALPHA, _XI(),
+                  app("exp", X), app("exp", mul(Rat(-1), X)), app("log", Y), _EXP_LOG,
+                  *_EXP_LOG_SUMS, mul(*_EXP_LOG_SUMS))
+
+
+def test_kernel_matches_full_arithmetic_reference(seed, monkeypatch):
+    """``add``, ``mul`` and ``normal_form`` give what the kernel gives when it
+    does every Fraction operation, on trees that mix 0, +-1, other rationals,
+    cancelling sums, integer powers and exp/log; products of sums holding
+    exp(log(2/3) + x) and exp(-x) merge to the rational factor 2/3."""
+    merged = []
+    merge = normal._merge_exps
+
+    def counted_merge(acc):
+        k = merge(acc)
+        merged.append(k != 1)
+        return k
+
+    monkeypatch.setattr(normal, "_merge_exps", counted_merge)
+
+    def same_normal_form(e):
+        nf, ref = normal.normal_form(e), _ref_normal_form(e)
+        return nf.num == ref.num and nf.den == ref.den
+
+    assert all(same_normal_form(e) for e in _KERNEL_LEAVES)
+    assert any(merged)
+    rng = random.Random(seed)
+    pool = list(_KERNEL_LEAVES)
+    for _ in range(250):
+        args = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        kind = rng.random()
+        if kind < 0.15:
+            args.append(mul(Rat(-1), args[0]))  # a sum that cancels
+        if kind < 0.45:
+            got, want = add(*args), _full_add(*args)
+        elif kind < 0.85:
+            got, want = mul(*args), _full_mul(*args)
+        else:
+            base, n = add(*args), rng.choice((-2, -1, 2, 3))
+            if base == ZERO:
+                continue
+            got = want = pow_(base, n)
+        assert got.key() == want.key(), args
+        assert same_normal_form(got), got
+        # powers are not fed back, so exponents stay small
+        if kind < 0.85 and sum(1 for _ in _nodes(got)) <= 12:
+            pool.append(got)
+
+
+_KERNEL_MODULES = ("lie_thomas.expr", "lie_thomas.normal")
+
+
+def test_kernel_does_no_arithmetic_with_a_known_result(seed, monkeypatch):
+    """While the determining system and the commutator table are derived at
+    rational constants, no Fraction product or sum in ``expr`` or ``normal``
+    multiplies by one or adds zero."""
+    known = []
+
+    def watched(name, op, trivial):
+        def run(a, b):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller in _KERNEL_MODULES and trivial(a, b):
+                known.append((name, a, b))
+            return op(a, b)
+        return run
+
+    def unit(a, b):
+        return a == 1 or b == 1
+
+    def zero(a, b):
+        return a == 0 or b == 0
+
+    p = _rational_params(random.Random(seed))
+    with monkeypatch.context() as mp:
+        for name, trivial in (("__mul__", unit), ("__rmul__", unit),
+                              ("__add__", zero), ("__radd__", zero)):
+            mp.setattr(Fraction, name, watched(name, getattr(Fraction, name), trivial))
+        determining_equations(p)
+        commutator_table(p)
+    assert known == []
 
 
 def _rational_params(rng):
