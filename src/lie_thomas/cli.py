@@ -87,9 +87,15 @@ def _parse_constants(text: str) -> dict:
         key = key.strip()
         val = val.strip()
         try:
-            out[key] = Fraction(val)
+            q = Fraction(val)
         except (ValueError, ZeroDivisionError):
             out[key] = val
+            continue
+        try:
+            float(q)  # every numeric constant is used as a float
+        except OverflowError:
+            raise InputError("--constants: %r is too large for a float" % item.strip()) from None
+        out[key] = q
     return out
 
 

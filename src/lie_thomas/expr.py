@@ -437,6 +437,11 @@ _APP_DERIV = {
 }
 
 
+def _is_zero(e: Expr) -> bool:
+    """e is the rational 0, told by its node type, not by comparing keys."""
+    return type(e) is Rat and not e.value
+
+
 def differentiate(e: Expr, s: Sym) -> Expr:
     """Partial derivative treating every other atom as independent."""
     if not isinstance(s, Sym):
@@ -449,7 +454,7 @@ def differentiate(e: Expr, s: Sym) -> Expr:
         total = ZERO
         for i, a in enumerate(e.args):
             inner = differentiate(a, s)
-            if inner == ZERO:
+            if _is_zero(inner):
                 continue
             derivs = list(e.derivs)
             derivs[i] += 1
@@ -462,19 +467,19 @@ def differentiate(e: Expr, s: Sym) -> Expr:
         terms = []
         for i, f in enumerate(e.factors):
             df = differentiate(f, s)
-            if df == ZERO:
+            if _is_zero(df):
                 continue
             rest = e.factors[:i] + e.factors[i + 1 :]
             terms.append(mul(df, *rest))
         return add(*terms)
     if isinstance(e, Pow):
         db = differentiate(e.base, s)
-        if db == ZERO:
+        if _is_zero(db):
             return ZERO
         return mul(Rat(e.exp), pow_(e.base, e.exp - 1), db)
     if isinstance(e, App):
         da = differentiate(e.arg, s)
-        if da == ZERO:
+        if _is_zero(da):
             return ZERO
         return mul(_APP_DERIV[e.fn](e.arg), da)
     raise ExprError("cannot differentiate %r" % e)

@@ -8,11 +8,13 @@ Under w = exp(gamma u) the equation turns linear, and every closed form
 with f = exp, |cos| or the identity.  A builder only computes these
 coefficients.  The mix evaluates elementwise on floats, HyperDual points or
 grid rows (a point and a row take the same operations), both linear forms
-through ``hyperdual.affine``, and its domain reads the same log argument on
-floats, so plotting and exact residual checks share one code path.  Case 1 is
-a ratio of Frobenius series with its own evaluator, lifted onto chi by
-``hyperdual.lift``; its domain keeps the sums at each chi until the
-evaluator has read them, so a grid point sums each series once.  Where
+through ``hyperdual.affine``.  Its domain is the log argument w above a
+floor, computed directly on floats with the operations of w in their order,
+so it decides a point as w itself would.  Case 1 is a ratio of Frobenius
+series with its own evaluator, lifted onto chi by ``hyperdual.lift``; its
+domain keeps the sums at each chi until the evaluator has read them, so a
+grid point sums each series once, and it reads the second solution y_2 by
+value: y_2' is summed at the base point only.  Where
 printed source formulas for a case disagree internally, the variant kept
 here is the one rederived from the reduced ODE; the residual tests are the
 arbiter.
@@ -137,7 +139,11 @@ class ModeMix(Record):
         return u + log_(self.w(x, y)) / self.gamma
 
     def domain(self, x: float, y: float) -> bool:
-        return self.f is None or self.w(x, y) > self.floor
+        """w(x, y) > floor on floats: the operations of ``w`` in its order,
+        without the hyper-dual dispatch of ``affine``."""
+        if self.f is None:
+            return True
+        return self.a + self.c * self.f(self.p * x + self.q * y + self.r) > self.floor
 
 
 class Obstruction(Record):
@@ -242,7 +248,7 @@ def case1_solution(
             if len(memo) >= 1024:
                 memo.clear()
             y0, y1, y2 = series.eval(v)
-            out = memo[v] = y0, y1, y2, scale * (second.eval(v)[0] / y0 - q_base) + c0f
+            out = memo[v] = y0, y1, y2, scale * (second(v) / y0 - q_base) + c0f
         return out
 
     k_log = (beta * a1f + alpha * a2f) / gamma**2

@@ -7,6 +7,13 @@ Coefficients come from both the one-step recurrence and the closed product
 formula; tests pin their agreement.  ``fuchs_series`` truncates the one
 generator of the recurrence that ``coefficients_recurrence`` also reads.
 ``second_solution`` is the other branch.
+
+Both records carry, off their fields, the coefficients of their term-wise
+derivatives (n a_n, and n (n - 1) a_n for the series), computed once when
+the record is made.  Calling a record sums its value only; ``eval`` sums
+the value with its derivatives.  Each term is rounded as (n a_n) chi^(n-1)
+and (n (n - 1) a_n) chi^(n-2), with the powers of chi taken by repeated
+products, so precomputing changes no bit.
 """
 
 from __future__ import annotations
@@ -71,29 +78,54 @@ class FuchsSeries(Record):
     truncation: int
     tail_bound: float
 
+    def __post_init__(self):
+        # term-wise derivative coefficients, bound off the fields so that
+        # equality, hashing and repr see the series alone
+        c = self.coefficients
+        object.__setattr__(self, "_slopes", _slopes(c))
+        object.__setattr__(self, "_curvatures",
+                           tuple([n * (n - 1) * a for n, a in enumerate(c)]))
+
     def __call__(self, chi: float) -> float:
-        return self.eval(chi)[0]
+        """y at chi."""
+        return _value(self.coefficients, chi)
 
     def eval(self, chi: float):
         """(y, y', y'') at chi by term-wise differentiation."""
-        return _sum_series(self.coefficients, chi)
+        y = ypr = ypp = 0.0
+        power, prev, prev2 = 1.0, 0.0, 0.0  # chi^n, chi^(n-1), chi^(n-2)
+        for a, slope, curvature in zip(self.coefficients, self._slopes, self._curvatures):
+            y += a * power
+            ypr += slope * prev  # the n = 0 term, +-0.0 * 0.0, leaves 0.0
+            ypp += curvature * prev2  # as do the n = 0 and n = 1 terms
+            prev2, prev, power = prev, power, power * chi
+        return y, ypr, ypp
 
 
-def _sum_series(coefficients, chi: float):
-    y = ypr = ypp = 0.0
-    power = 1.0  # chi^n
-    prev_power = 0.0  # chi^(n-1)
-    prev2 = 0.0
-    for n, a in enumerate(coefficients):
+def _slopes(coefficients):
+    """n a_n for every n: the coefficients of the term-wise derivative,
+    each at the power chi^(n-1) of the term it came from."""
+    return tuple([n * a for n, a in enumerate(coefficients)])
+
+
+def _value(coefficients, chi: float) -> float:
+    """sum a_n chi^n, powers of chi taken by repeated products."""
+    y, power = 0.0, 1.0
+    for a in coefficients:
         y += a * power
-        if n >= 1:
-            ypr += n * a * prev_power
-        if n >= 2:
-            ypp += n * (n - 1) * a * prev2
-        prev2 = prev_power
-        prev_power = power
         power *= chi
-    return y, ypr, ypp
+    return y
+
+
+def _value_slope(coefficients, slopes, chi: float):
+    """(sum a_n chi^n, sum (n a_n) chi^(n-1)) in one pass."""
+    y = ypr = 0.0
+    power, prev = 1.0, 0.0
+    for a, slope in zip(coefficients, slopes):
+        y += a * power
+        ypr += slope * prev
+        prev, power = power, power * chi
+    return y, ypr
 
 
 def fuchs_series(e: float, m: float, chi_max: float) -> FuchsSeries:
@@ -129,21 +161,19 @@ class SecondSolution(Record):
     truncation: int
     tail_bound: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "_slopes", _slopes(self.coefficients))
+        object.__setattr__(self, "_log_slopes", _slopes(self.log_coefficients))
+
+    def __call__(self, chi: float) -> float:
+        """y_2 at chi != 0."""
+        s, v = _value(self.coefficients, chi), _value(self.log_coefficients, chi)
+        return abs(chi) ** self.rho * (s + math.log(abs(chi)) * v)
+
     def eval(self, chi: float):
-        """(y_2, y_2') at chi != 0.  S_d, S_v and their first derivatives
-        are summed in one pass over the powers of chi."""
-        logs = self.log_coefficients  # empty, or as long as S_d
-        s = ds = v = dv = 0.0
-        power, prev_power = 1.0, 0.0  # chi^n, chi^(n-1)
-        for n, a in enumerate(self.coefficients):
-            s += a * power
-            ds += n * a * prev_power  # the n = 0 term, +-0.0, leaves 0.0
-            if logs:
-                b = logs[n]
-                v += b * power
-                dv += n * b * prev_power
-            prev_power = power
-            power *= chi
+        """(y_2, y_2') at chi != 0."""
+        s, ds = _value_slope(self.coefficients, self._slopes, chi)
+        v, dv = _value_slope(self.log_coefficients, self._log_slopes, chi)
         log, scale = math.log(abs(chi)), abs(chi) ** self.rho
         s, ds = s + log * v, ds + log * dv + v / chi
         return scale * s, scale * (ds + self.rho * s / chi)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from .expr import Add, App, Expr, Func, Mul, Pow, Rat, Sym
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
+_ONE = Fraction(1)
 
 _GREEK = {
     "alpha": r"\alpha",
@@ -27,16 +28,18 @@ _GREEK = {
 
 
 def _split_mul(e: Mul):
-    coeff = Fraction(1)
+    """(rational coefficient, numerator factors, denominator factors); the
+    first rational factor is the coefficient as it is."""
+    coeff = None
     num, den = [], []
     for f in e.factors:
         if isinstance(f, Rat):
-            coeff *= f.value
+            coeff = f.value if coeff is None else coeff * f.value
         elif isinstance(f, Pow) and f.exp < 0:
             den.append(f.base if f.exp == -1 else Pow(f.base, -f.exp))
         else:
             num.append(f)
-    return coeff, num, den
+    return (_ONE if coeff is None else coeff), num, den
 
 
 def _text_frac(q: Fraction) -> str:

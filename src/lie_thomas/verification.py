@@ -5,8 +5,10 @@ with second-order dual numbers, so there is no finite-difference error in
 the check itself: any residual is a genuine property of the evaluator.
 
 ``residual_grid`` evaluates a family once per grid row, on a HyperDualRow
-of the row's in-domain points (``residual`` on a one-point row), so within
-a row the first operation that fails on any point raises.
+of the row's in-domain points, so within a row the first operation that
+fails on any point raises; ``residual`` evaluates one point on a scalar
+HyperDual, which rounds each operation as a row element does.  Both read
+the residual formula from one place.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from fractions import Fraction
 
 from .errors import DomainError, Record
-from .hyperdual import HyperDualRow, affine, exp_, log_
+from .hyperdual import HyperDual, HyperDualRow, affine, exp_, log_, seed
 from .params import ThomasParams
 
 
@@ -53,7 +55,10 @@ def _ticks(lo: float, hi: float, n: int):
 
 def residual(u, x: float, y: float, p: ThomasParams) -> float:
     """PDE residual of the evaluator u at one point, via dual numbers."""
-    return _residuals(u, x, [y], *p.floats())[0]
+    val = u(*seed(x, y))
+    if not isinstance(val, HyperDual):  # a constant
+        val = HyperDual(val)
+    return _pde_residuals([val.dx], [val.dy], [val.dxy], *p.floats())[0]
 
 
 def _residuals(u, x, ys, alpha, beta, gamma):
@@ -62,8 +67,14 @@ def _residuals(u, x, ys, alpha, beta, gamma):
     if not isinstance(val, HyperDualRow):  # a constant
         zeros = [0.0] * len(ys)
         val = HyperDualRow([float(val)] * len(ys), zeros, zeros, zeros)
-    return [dxy + alpha * dx + beta * dy + gamma * dx * dy
-            for dx, dy, dxy in zip(val.dx, val.dy, val.dxy)]
+    return _pde_residuals(val.dx, val.dy, val.dxy, alpha, beta, gamma)
+
+
+def _pde_residuals(dx, dy, dxy, alpha, beta, gamma):
+    """u_xy + alpha u_x + beta u_y + gamma u_x u_y at each point, from the
+    lists of u_x, u_y and u_xy."""
+    return [d_xy + alpha * d_x + beta * d_y + gamma * d_x * d_y
+            for d_x, d_y, d_xy in zip(dx, dy, dxy)]
 
 
 class GridReport(Record):

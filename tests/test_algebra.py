@@ -239,11 +239,12 @@ def test_transform_solution_residuals():
 
 
 def test_family_action_with_an_expression_g_evaluates_on_rows():
-    """residual() evaluates on a one-point grid row; an expression g with
-    positive and negative integer powers must give there the bits of one
-    scalar hyper-dual evaluation (this g is no solution, so r != 0)."""
+    """residual() evaluates one scalar hyper-dual point, and a grid
+    evaluates rows; an expression g with positive and negative integer
+    powers must give on a one-point row the bits of the scalar hyper-dual
+    evaluation (this g is no solution, so r != 0)."""
     from lie_thomas.hyperdual import exp_, log_, seed
-    from lie_thomas.verification import residual
+    from lie_thomas.verification import _residuals, residual
 
     p = ThomasParams(1, 1, 1)
     g = pow_(X + 3, 2) * pow_(Y + 3, -1) + X * Y
@@ -252,6 +253,7 @@ def test_family_action_with_an_expression_g_evaluates_on_rows():
         v = u(*seed(x, y))
         want = v.dxy + v.dx + v.dy + v.dx * v.dy
         assert float.hex(residual(u, x, y, p)) == float.hex(want) != float.hex(0.0)
+        assert float.hex(_residuals(u, x, [y], *p.floats())[0]) == float.hex(want)
 
 
 def test_group_word_inverse_round_trip():

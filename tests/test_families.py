@@ -621,6 +621,33 @@ def test_mode_mix_grid_reports_equal_the_composed_linear_forms(key):
     assert compared >= 20, compared
 
 
+@pytest.mark.parametrize("key", sorted(REFERENCES))
+def test_mode_mix_domain_is_w_above_its_floor(key):
+    """ModeMix.domain, computed on the floats directly, decides every point
+    of seeded grids as the test-side w(x, y) > floor and as the mix's own
+    w, which takes hyper-duals too, do."""
+    _, draw = REFERENCES[key]
+    rng = random.Random(20261017)
+    decided = Counter()
+    for _ in range(60):
+        p = ThomasParams(_rat(rng), _rat(rng), _rat(rng, zero_share=0.0))
+        fam, _ = _outcome(SOLUTION_BUILDERS[key], p, draw(rng, p))
+        if fam is None:
+            continue
+        mix = fam.evaluator
+        _, composed_domain = _composed_mix(mix)
+        x0, y0 = rng.uniform(-4.0, 1.0), rng.uniform(-4.0, 1.0)
+        grid = GridSpec(x0, x0 + rng.uniform(0.5, 6.0), 15, y0, y0 + rng.uniform(0.5, 6.0), 15)
+        for x, y in grid.points():
+            inside = mix.domain(x, y)
+            assert type(inside) is bool and inside == composed_domain(x, y), (p, x, y)
+            assert inside == (mix.f is None or mix.w(x, y) > mix.floor), (p, x, y)
+            decided[inside] += 1
+    assert decided[True] > 1000, decided
+    if key not in ("case21_affine", "case22", "constant"):  # these have no f
+        assert decided[False] > 0, decided
+
+
 CASE1_GRID_CONSTANTS = [
     {"a1": a1, "a2": a2, "c0": c0} for a1, a2, c0 in CASE1_CONSTANTS
 ] + [
@@ -681,23 +708,31 @@ def test_row_batched_grid_reports_equal_the_pointwise_kernel(key):
 
 
 def test_case1_sums_each_series_once_per_grid_point(monkeypatch):
-    fam = case1_solution(P, a1=F(0), a2=F(0), c0=F(1))
+    """Every entry point that sums a series is counted: eval and the
+    value-only call of both records.  The second solution's derivative is
+    summed at the base point only, when the family is built."""
     calls = Counter()
 
-    def counting(cls):
-        original = cls.eval
+    def counting(cls, name):
+        original = getattr(cls, name)
 
-        def eval(self, chi):
+        def summing(self, chi):
             calls[cls.__name__] += 1
+            calls[cls.__name__ + "." + name] += 1
             return original(self, chi)
 
-        monkeypatch.setattr(cls, "eval", eval)
+        monkeypatch.setattr(cls, name, summing)
 
-    counting(FuchsSeries)
-    counting(SecondSolution)
+    for cls in (FuchsSeries, SecondSolution):
+        counting(cls, "eval")
+        counting(cls, "__call__")
+    fam = case1_solution(P, a1=F(0), a2=F(0), c0=F(1))
+    assert calls["SecondSolution.eval"] == 1, calls
+    calls.clear()
     report = residual_grid(fam, grid=GridSpec(-2.0, -0.1, 20, -2.0, -0.1, 20))
     assert report.evaluated + report.skipped == 400 and report.evaluated > 300
     assert 0 < calls["FuchsSeries"] <= 400 and 0 < calls["SecondSolution"] <= 400, calls
+    assert calls["SecondSolution.eval"] == 0, calls
 
 
 def test_case1_domain_alone_keeps_a_bounded_memo():

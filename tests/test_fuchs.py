@@ -9,7 +9,6 @@ from scipy.special import i0, j0, jv, k0, y0
 
 from lie_thomas.fuchs import (
     FuchsError,
-    _sum_series,
     coefficient_closed,
     coefficients_recurrence,
     fuchs_series,
@@ -152,6 +151,45 @@ def test_second_solution_pole_exponents_rejected():
             second_solution(float(e), 1.0, 1.0)
 
 
+def _sum_series(coefficients, chi):
+    """FuchsSeries.eval as it was before its derivative coefficients were
+    precomputed: n a and n (n - 1) a formed per term, behind per-term tests."""
+    y = ypr = ypp = 0.0
+    power = 1.0  # chi^n
+    prev_power = 0.0  # chi^(n-1)
+    prev2 = 0.0
+    for n, a in enumerate(coefficients):
+        y += a * power
+        if n >= 1:
+            ypr += n * a * prev_power
+        if n >= 2:
+            ypp += n * (n - 1) * a * prev2
+        prev2 = prev_power
+        prev_power = power
+        power *= chi
+    return y, ypr, ypp
+
+
+def _one_pass_eval(solution, chi):
+    """SecondSolution.eval as it was before its derivative coefficients were
+    precomputed: S_d and S_v summed in one pass, with a per-term log test."""
+    logs = solution.log_coefficients
+    s = ds = v = dv = 0.0
+    power, prev_power = 1.0, 0.0
+    for n, a in enumerate(solution.coefficients):
+        s += a * power
+        ds += n * a * prev_power
+        if logs:
+            b = logs[n]
+            v += b * power
+            dv += n * b * prev_power
+        prev_power = power
+        power *= chi
+    log, scale = math.log(abs(chi)), abs(chi) ** solution.rho
+    s, ds = s + log * v, ds + log * dv + v / chi
+    return scale * s, scale * (ds + solution.rho * s / chi)
+
+
 def _two_loop_eval(solution, chi):
     """SecondSolution.eval summing S_d and S_v in separate passes, each with
     its dropped second-derivative sum."""
@@ -171,3 +209,42 @@ def test_second_solution_one_pass_equals_two_loops(e, seed):
         for _ in range(40):
             chi = rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 5.0)
             assert y2.eval(chi) == _two_loop_eval(y2, chi), (e, m, chi)
+
+
+def _hex(values):
+    return tuple(map(float.hex, values))
+
+
+def _seeded_arguments(seed, e):
+    """(m, chis) with 30 chis of both signs, up to and past chi_max = 5."""
+    rng = random.Random("%s/%r" % (seed, e))
+    for m in (1.0, -0.6, 2.3, rng.uniform(-8.0, 8.0)):
+        yield m, [rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 6.0) for _ in range(30)]
+
+
+# non-integer e, and integer e, where the second solution takes its log branch
+EXPONENTS = [0.5, 2.7, -0.3, 1.0 + 1e-3, 1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_series_eval_and_call_keep_the_per_term_bits(e, seed):
+    """eval on the precomputed derivative coefficients rounds every term and
+    every partial sum as the per-term loop did; the value-only call gives
+    the bits of eval's value."""
+    for m, chis in _seeded_arguments(seed, e):
+        s = fuchs_series(e, m, 5.0)
+        for chi in chis:
+            got = s.eval(chi)
+            assert _hex(got) == _hex(_sum_series(s.coefficients, chi)), (e, m, chi)
+            assert float.hex(s(chi)) == float.hex(got[0]), (e, m, chi)
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_second_solution_eval_and_call_keep_the_one_pass_bits(e, seed):
+    for m, chis in _seeded_arguments(seed, e):
+        y2 = second_solution(e, m, 5.0)
+        assert bool(y2.log_coefficients) == (e == round(e))
+        for chi in chis:
+            got = y2.eval(chi)
+            assert _hex(got) == _hex(_one_pass_eval(y2, chi)), (e, m, chi)
+            assert float.hex(y2(chi)) == float.hex(got[0]), (e, m, chi)

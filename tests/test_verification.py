@@ -14,6 +14,7 @@ from lie_thomas.verification import (
     GridSpec,
     GridReport,
     VerificationError,
+    _residuals,
     oracle_solution,
     oracle_solutions,
     residual,
@@ -60,6 +61,24 @@ def test_residual_detects_non_solution():
 def test_residual_wraps_plain_returns():
     r = residual(lambda x, y: 2.5, 0.1, 0.2, P)
     assert r == 0.0
+
+
+def test_residual_at_a_point_is_its_row_residual():
+    """residual() evaluates one scalar hyper-dual; it gives each in-domain
+    point the bits the row pass gives it."""
+    fams = [case22_solution(P, a1=F(2)), case21b_solution(P, a1=F(-1), a2=F(-1), A0=F(0)),
+            case1_solution(P, a1=F(0), a2=F(0), c0=F(1)),
+            oracle_solution(P, [(0.5, 1.0), (-2.0, 0.3)])]
+    for fam in fams:
+        in_domain = getattr(fam, "domain", lambda x, y: True)
+        compared = 0
+        for x, ys in GridSpec(-2.0, -0.1, 7, -2.0, -0.1, 7).rows():
+            kept = [y for y in ys if in_domain(x, y)]
+            rows = _residuals(fam, x, kept, *P.floats())
+            scalar = [residual(fam, x, y, P) for y in kept]
+            assert list(map(float.hex, scalar)) == list(map(float.hex, rows)), (fam, x)
+            compared += len(kept)
+        assert compared > 30
 
 
 def test_oracle_dispersion_locus():
