@@ -420,10 +420,9 @@ def _build_family(args, p: ThomasParams):
     if key is None:
         if args.case is None:
             raise InputError("wanted --case TAG (or --family KEY)")
-        if args.case == "Case2_3":
-            raise families.FamilyError(
-                "Case2_3 is obstructed: the reduction forces alpha*beta = 0"
-            )
+        if args.case in families.OBSTRUCTIONS:
+            raise families.FamilyError("%s is obstructed: %s"
+                                       % (args.case, families.OBSTRUCTIONS[args.case]))
         key = families.TAG_BUILDERS.get(args.case)
         if key is None:
             raise InputError("no solution family for tag %r" % args.case)
@@ -634,13 +633,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_grid(argv) -> list:
-    """Rewrite ``--grid VALUE`` as ``--grid=VALUE``: argparse would read a
-    separate value that starts with '-' (a negative xmin) as an option."""
+def _join_values(argv) -> list:
+    """Rewrite ``--name -VALUE`` as ``--name=-VALUE`` for every option:
+    argparse would read a separate value that starts with '-' (a negative
+    number) as an option.  -h is the only option spelled with one '-'; a
+    flag that takes no value rejects the joined form as it rejected the
+    stray value."""
     out = []
     for a in argv:
-        if out and out[-1] == "--grid" and not a.startswith("--"):
-            out[-1] = "--grid=" + a
+        prev = out[-1] if out else ""
+        dashed = a[:1] == "-" and a[:2] != "--" and a != "-h"
+        if dashed and prev[:2] == "--" and "=" not in prev:
+            out[-1] = prev + "=" + a
         else:
             out.append(a)
     return out
@@ -648,7 +652,7 @@ def _join_grid(argv) -> list:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

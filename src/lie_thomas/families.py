@@ -470,7 +470,22 @@ def case31b_solution(p: ThomasParams, a2=2, k=1.0, const=0.0) -> SolutionFamily:
 # --- trivial content ----------------------------------------------------------
 
 
+# the tags whose vectors have a3 = a4 = 0: translations in (x, y), under
+# which a constant u is invariant
+_CONSTANT_TAGS = ("Case3_1a", "Case3_1b", "Case3_2")
+
+# why each obstructed tag has no invariant solution
+OBSTRUCTIONS = {
+    "Case2_3": "the reduction forces alpha*beta = 0; no solution otherwise",
+    "Case2_4": "its vector v3 = d/du has characteristic 1 on every graph; "
+               "no u(x, y) is invariant",
+}
+
+
 def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2") -> SolutionFamily:
+    if tag not in _CONSTANT_TAGS:
+        raise FamilyError("a constant is invariant only for %s, not %r"
+                          % (", ".join(_CONSTANT_TAGS), tag))
     gamma = p.floats()[2]  # like every family, a constant state needs numeric parameters
     mix = ModeMix(gamma, 0.0, 0.0, _numeric(c))
     return SolutionFamily(
@@ -479,13 +494,10 @@ def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2") -> SolutionFamily:
 
 
 def trivial_solutions(p: ThomasParams, c=0.0):
-    """Constant families for the translation-invariant cases plus the
-    recorded obstructions."""
-    return [
-        constant_solution(p, c, tag="Case3_2"),
-        constant_solution(p, c, tag="Case2_4"),
-        Obstruction("Case2_3", "reduction forces alpha*beta = 0; no solution otherwise"),
-        Obstruction("Case2_4", "invariants (y, x) involve no u; no reduction ansatz"),
+    """The constant family of the translation case plus the recorded
+    obstructions."""
+    return [constant_solution(p, c, tag="Case3_2")] + [
+        Obstruction(tag, note) for tag, note in OBSTRUCTIONS.items()
     ]
 
 
@@ -500,8 +512,8 @@ SOLUTION_BUILDERS = {
     "constant": constant_solution,
 }
 
-# builder key of each canonical tag that has a solution family; Case2_3 is
-# obstructed and Zero has no reduction
+# builder key of each canonical tag that has a solution family; the
+# OBSTRUCTIONS tags have none and Zero has no reduction
 TAG_BUILDERS = {
     "Case1": "case1",
     "Case2_1a": "case21a",
@@ -509,6 +521,5 @@ TAG_BUILDERS = {
     "Case2_2": "case22",
     "Case3_1a": "case31a",
     "Case3_1b": "case31b",
-    "Case2_4": "constant",
     "Case3_2": "constant",
 }

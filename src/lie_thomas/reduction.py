@@ -1,15 +1,17 @@
 """Invariant coordinates and reduced ODEs for each canonical case.
 
 For a canonical generator v the pair (chi, varsigma) solves v(chi) =
-v(varsigma) = 0; writing u through varsigma(chi) and pushing the chain rule
-through the equation leaves an ODE in varsigma.  Every reduced equation
-here is rederived from that substitution, and verify_reduction re-runs the
-derivation symbolically, so transcription errors cannot survive: the
-substituted equation must be a nonzero multiple of the stored ODE.
+v(varsigma) = 0.  The ansatz varsigma = F(chi), pushed through the chain
+rule, gives the jets of u from that same pair (chain_rule_jets), and
+putting them into the equation leaves an ODE in F.  verify_reduction
+redoes that substitution symbolically on the pair that invariants returns
+and reduce prints: the substituted equation must be a nonzero multiple of
+the stored ODE, so neither a stored ODE nor a printed pair can drift from
+the other.
 
-Naming: s1 and s2 below are the opaque symbols varsigma_chi and
-varsigma_chichi standing for the first and second derivative of varsigma;
-first-order cases are conventionally written in theta = varsigma_chi.
+Naming: S1 and S2 below are the opaque symbols varsigma_chi and
+varsigma_chichi standing for F' and F''; first-order cases are
+conventionally written in theta = varsigma_chi.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .expr import (
     VAR,
     X,
     Y,
-    ZERO,
     add,
+    differentiate,
     log,
     mul,
     pow_,
@@ -59,14 +61,9 @@ class ReducedODE(Record):
     aux: tuple = ()  # named constants, e.g. (("e", ...), ("m", ...)) for the Fuchs form
 
 
-def _case_coords(c):
-    a1, a2 = (_wrap(x) for x in (c.coords[0], c.coords[1]))
-    return a1, a2
-
-
 def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
     tag = c.tag
-    a1, a2 = _case_coords(c)
+    a1, a2 = map(_wrap, c.coords[:2])
     if tag == "Case1":
         # generator (a1 - gamma x) d/dx + (a2 + gamma y) d/dy + (beta x - alpha y) d/du
         lin_x = add(a1, mul(Rat(-1), p.gamma, X))
@@ -115,7 +112,7 @@ def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
 
 def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
     tag = c.tag
-    a1, a2 = _case_coords(c)
+    a1, a2 = map(_wrap, c.coords[:2])
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
     if tag == "Case1":
         # gamma^2 chi s2 + gamma^3 chi s1^2 + gamma (gamma - beta a1 - alpha a2) s1 + alpha beta / gamma = 0
@@ -185,50 +182,34 @@ def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
 
 def chain_rule_jets(c, p: ThomasParams = ThomasParams()):
     """(u_x, u_y, u_xy) of the invariant ansatz, as expressions in x, y and
-    the opaque symbols varsigma_chi, varsigma_chichi."""
-    tag = c.tag
-    a1, a2 = _case_coords(c)
-    alpha, beta, gamma = p.alpha, p.beta, p.gamma
-    if tag == "Case1":
-        lin_x = add(a1, mul(Rat(-1), gamma, X))
-        lin_y = add(a2, mul(gamma, Y))
-        u_x = add(
-            mul(Rat(-1), gamma, lin_y, S1),
-            mul(Rat(-1), beta, pow_(gamma, -1)),
-            mul(add(mul(beta, a1), mul(alpha, a2)), pow_(gamma, -1), pow_(lin_x, -1)),
-        )
-        u_y = add(mul(gamma, lin_x, S1), mul(Rat(-1), alpha, pow_(gamma, -1)))
-        u_xy = add(
-            mul(Rat(-1), pow_(gamma, 2), lin_x, lin_y, S2),
-            mul(Rat(-1), pow_(gamma, 2), S1),
-        )
-        return u_x, u_y, u_xy
-    if tag in ("Case2_1a", "Case2_1b"):
-        u_x = mul(a2, S1)
-        u_y = add(pow_(a2, -1), mul(Rat(-1), a1, S1))
-        u_xy = mul(Rat(-1), a1, a2, S2)
-        return u_x, u_y, u_xy
-    if tag == "Case2_2":
-        return pow_(a1, -1), mul(Rat(-1), pow_(a1, -1), S1), ZERO
-    if tag == "Case2_3":
-        return (
-            mul(Rat(-1), beta, pow_(gamma, -1)),
-            mul(pow_(gamma, -1), S1),
-            ZERO,
-        )
-    if tag in ("Case3_1a", "Case3_1b"):
-        return S1, mul(Rat(-1), pow_(a2, -1), S1), mul(Rat(-1), pow_(a2, -1), S2)
-    if tag == "Case3_2":
-        if not is_zero(a1):
-            return ZERO, S1, ZERO
-        return S1, ZERO, ZERO
-    raise ReductionError("no invariant ansatz for %r" % tag)
+    the opaque symbols varsigma_chi, varsigma_chichi: the chain rule on the
+    pair that invariants() returns."""
+    return _jets(invariants(c, p), c.tag)
+
+
+def _jets(pair: InvariantPair, tag: str):
+    """Solve varsigma(x, y, u) = F(chi(x, y)) for the jets of u.  Every
+    varsigma here is k*u + r(x, y) with a constant k = varsigma_u, so the
+    ansatz differentiated by x reads k*u_x + r_x = F'*chi_x; differentiating
+    varsigma by x or y treats u as independent, which leaves r_x and r_xy."""
+    chi, vs = pair.chi, pair.varsigma
+    vs_u = differentiate(vs, U)
+    if is_zero(vs_u):
+        raise ReductionError("no invariant ansatz for %r" % tag)
+    chi_x, chi_y = differentiate(chi, X), differentiate(chi, Y)
+    vs_x, vs_y = differentiate(vs, X), differentiate(vs, Y)
+    chi_xy, vs_xy = differentiate(chi_x, Y), differentiate(vs_x, Y)
+    inv_k, minus = pow_(vs_u, -1), Rat(-1)
+    u_x = mul(add(mul(S1, chi_x), mul(minus, vs_x)), inv_k)
+    u_y = mul(add(mul(S1, chi_y), mul(minus, vs_y)), inv_k)
+    u_xy = mul(add(mul(S2, chi_x, chi_y), mul(S1, chi_xy), mul(minus, vs_xy)), inv_k)
+    return u_x, u_y, u_xy
 
 
 # nonzero multiplier k with  Delta|ansatz = k * reduced_ode.lhs, per case
 def _multiplier(c, p: ThomasParams) -> Expr:
     tag = c.tag
-    a1, a2 = _case_coords(c)
+    a1, a2 = map(_wrap, c.coords[:2])
     if tag == "Case1":
         return Rat(-1)
     if tag in ("Case2_1a", "Case2_1b"):
@@ -245,16 +226,14 @@ def _multiplier(c, p: ThomasParams) -> Expr:
 
 
 def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
-    """Substitute the chain-rule jets into the equation and confirm the
-    result is the stored nonzero multiple of the reduced ODE, with chi
-    expanded in (x, y)."""
-    u_x, u_y, u_xy = chain_rule_jets(c, p)
-    delta_sub = add(
-        u_xy, mul(p.alpha, u_x), mul(p.beta, u_y), mul(p.gamma, mul(u_x, u_y))
-    )
+    """Substitute the chain-rule jets of invariants(c, p) into the equation
+    and confirm the result is the stored nonzero multiple of the reduced
+    ODE, with that pair's chi expanded in (x, y)."""
+    pair = invariants(c, p)
+    u_x, u_y, u_xy = _jets(pair, c.tag)
+    delta_sub = add(u_xy, mul(p.alpha, u_x), mul(p.beta, u_y), mul(p.gamma, u_x, u_y))
     ode = reduced_ode(c, p)
-    chi_xy = invariants(c, p).chi
-    lhs_expanded = substitute(ode.lhs, {CHI: chi_xy})
+    lhs_expanded = substitute(ode.lhs, {CHI: pair.chi})
     k = _multiplier(c, p)
     if is_zero(k):
         raise ReductionError("stored multiplier is zero for %s" % c.tag)

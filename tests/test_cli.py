@@ -194,11 +194,13 @@ def test_command_loads_only_its_modules(argv, absent):
         assert "hashlib" not in loaded
 
 
-def test_obstruction_case_exits_3(capsys):
-    rc, _, err = _run(capsys, "solve", "--case", "Case2_3",
+@pytest.mark.parametrize("tag", ["Case2_3", "Case2_4"])
+def test_obstruction_case_exits_3(capsys, tag):
+    rc, _, err = _run(capsys, "solve", "--case", tag,
                       "--params", "1,1,1")
     assert rc == 3
     assert "error[" in err
+    assert "%s is obstructed: %s" % (tag, families.OBSTRUCTIONS[tag]) in err
 
 
 def test_bad_vector_exits_3(capsys):
@@ -292,6 +294,38 @@ _ONES = {"alpha": "1", "beta": "1", "gamma": "1"}
 _MISSING_DIR = object()  # stands for a path under a tmp_path directory that does not exist
 
 
+@pytest.mark.parametrize("source", ["flag", "descriptor"])
+def test_constant_family_needs_a_translation_tag(capsys, monkeypatch, source):
+    """A constant family tagged with any other tag than Case3_1a, Case3_1b
+    or Case3_2 is refused, whether the tag comes from --constants or from a
+    descriptor."""
+    if source == "flag":
+        argv = ("solve", "--family", "constant", "--constants", "tag=foo")
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_descriptor(
+            family="constant", params=_ONES, constants={"c": 0.0, "tag": "Case2_4"})))
+        argv = ("verify", "--family", "-")
+    rc, _, err = _run(capsys, *argv)
+    assert rc == 3
+    assert "error[FamilyError]: a constant is invariant only for" in err
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (("classify", "--vector", "-1,0,1,0", "--params", "0,1,1"),
+     ("classify", "--vector=-1,0,1,0", "--params", "0,1,1")),
+    (("classify", "--vector", "1,0,1,0", "--params", "-1,1,1"),
+     ("classify", "--vector", "1,0,1,0", "--params=-1,1,1")),
+    (("reduce", "--case", "Case2_3", "--coords", "-1,0,1,0", "--params", "0,1,1"),
+     ("reduce", "--case", "Case2_3", "--coords=-1,0,1,0", "--params", "0,1,1")),
+])
+def test_negative_value_as_separate_argument(capsys, spaced, joined):
+    """Every option, not only `--grid`, takes a separate value that starts
+    with '-' as its value: the spaced form prints what the `=` form prints."""
+    rc, out, err = _run(capsys, *spaced)
+    assert rc == 0 and not err
+    assert _run(capsys, *joined) == (0, out, "")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("classify", "--vector", "1,a,3,1"), "--vector: 'a' is not a rational"),
     (("classify", "--vector", "1,1,3,1", "--params", "1,1,x"), "--params"),
@@ -323,7 +357,7 @@ _MISSING_DIR = object()  # stands for a path under a tmp_path directory that doe
       _descriptor(family="case22", params=_ONES, constants={"a1": [1]})),
      "constant [1] is not a number"),
     (("solve", "--case", "Case1", "--constants", "chi_lo=abc"), "constant 'abc' is not a number"),
-    (("solve", "--case", "Case2_4", "--params", "symbolic"), "parameters are symbolic"),
+    (("solve", "--case", "Case2_4", "--params", "symbolic"), "Case2_4 is obstructed"),
     (("solve", "--case", "Case3_2", "--params", "symbolic", "--format", "csv"),
      "parameters are symbolic"),
     (("classify", "--vector", "1,1,3,1", "--output", _MISSING_DIR), "--output: cannot write"),

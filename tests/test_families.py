@@ -131,11 +131,21 @@ def test_constant_solution():
     assert _max_residual(fam, GridSpec(-1, 1, 5, -1, 1, 5)) == 0.0
 
 
+def test_constant_solution_needs_a_translation_tag():
+    # a constant u is invariant only under a vector with a3 = a4 = 0
+    for tag in TAGS:
+        if tag in ("Case3_1a", "Case3_1b", "Case3_2"):
+            assert constant_solution(P, tag=tag).tag == tag
+        else:
+            with pytest.raises(FamilyError, match="not %r" % tag):
+                constant_solution(P, tag=tag)
+
+
 def test_trivial_solutions():
     out = trivial_solutions(P)
     fams = [o for o in out if isinstance(o, SolutionFamily)]
     obs = [o for o in out if isinstance(o, Obstruction)]
-    assert {f.tag for f in fams} == {"Case3_2", "Case2_4"}
+    assert {f.tag for f in fams} == {"Case3_2"}
     assert {o.tag for o in obs} == {"Case2_3", "Case2_4"}
     for o in obs:
         assert o.note
@@ -265,7 +275,7 @@ def test_case1_descriptor_digest_pinned():
 
 
 def test_tag_builders_name_real_tags_and_builders():
-    assert set(TAG_BUILDERS) == set(TAGS) - {"Case2_3", "Zero"}
+    assert set(TAG_BUILDERS) == set(TAGS) - {"Case2_3", "Case2_4", "Zero"}
     assert set(TAG_BUILDERS.values()) <= set(SOLUTION_BUILDERS)
     for tag, key in TAG_BUILDERS.items():
         constants = {"tag": tag} if key == "constant" else {}

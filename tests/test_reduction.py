@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from lie_thomas import reduction
 from lie_thomas.classifier import CanonicalCase
 from lie_thomas.determining import ThomasParams
+from lie_thomas.expr import X, add
 from lie_thomas.normal import is_zero
 from lie_thomas.printer import to_text
 from lie_thomas.reduction import (
+    InvariantPair,
     ReductionError,
     annihilation_residuals,
     chain_rule_jets,
@@ -59,6 +62,31 @@ def test_verify_reduction(tag, coords, p):
             verify_reduction(case, p)
     else:
         assert verify_reduction(case, p)
+
+
+# Every entry whose varsigma involves u, each shifted by chi.  Case2_3 is
+# shifted by x instead: its reduced equation alpha*beta = 0 holds no
+# derivative of varsigma, so varsigma + chi, itself an invariant, reduces to
+# the same equation.
+SHIFTED = [(t, c, p) for t, c, p in ALL_CASES if t != "Case2_4"]
+
+
+@pytest.mark.parametrize("tag,coords,p", SHIFTED, ids=[f"{t}-{c}" for t, c, _ in SHIFTED])
+def test_verify_reduction_reads_the_printed_varsigma(monkeypatch, tag, coords, p):
+    """The certificate covers the varsigma that invariants returns: a pair
+    whose varsigma is shifted no longer fits the stored ODE."""
+    original = reduction.invariants
+
+    def shifted(c, p):
+        pair = original(c, p)
+        shift = X if c.tag == "Case2_3" else pair.chi
+        return InvariantPair(pair.chi, add(pair.varsigma, shift), pair.domain)
+
+    case = _case(tag, coords)
+    assert verify_reduction(case, p)
+    monkeypatch.setattr(reduction, "invariants", shifted)
+    with pytest.raises(ReductionError, match="reduction mismatch"):
+        verify_reduction(case, p)
 
 
 def test_case1_ode_shape():
