@@ -426,8 +426,6 @@ def _build_family(args, p: ThomasParams):
         key = families.TAG_BUILDERS.get(args.case)
         if key is None:
             raise InputError("no solution family for tag %r" % args.case)
-        if key == "constant":
-            constants.setdefault("tag", args.case)
     elif key not in families.SOLUTION_BUILDERS:
         raise InputError("--family: %r is not one of %s"
                          % (key, ", ".join(families.SOLUTION_BUILDERS)))

@@ -5,19 +5,26 @@ Under w = exp(gamma u) the equation turns linear, and every closed form
 
     u = lam x + mu y + k + (1/gamma) log(a + c f(p x + q y + r)),
 
-with f = exp, |cos| or the identity.  A builder only computes these
-coefficients.  The mix evaluates elementwise on floats, HyperDual points or
-grid rows (a point and a row take the same operations), both linear forms
-through ``hyperdual.affine``.  Its domain is the log argument w above a
-floor, computed directly on floats with the operations of w in their order,
-so it decides a point as w itself would.  Case 1 is a ratio of Frobenius
-series with its own evaluator, lifted onto chi by ``hyperdual.lift``; its
-domain keeps the sums at each chi until the evaluator has read them, so a
-grid point sums each series once, and it reads the second solution y_2 by
-value: y_2' is summed at the base point only.  Where
-printed source formulas for a case disagree internally, the variant kept
-here is the one rederived from the reduced ODE; the residual tests are the
-arbiter.
+with f = exp, |cos| or the identity.  The mix evaluates elementwise on
+floats, HyperDual points or grid rows (a point and a row take the same
+operations), both linear forms through ``hyperdual.affine``.  Its domain is
+the log argument w above a floor, computed directly on floats with the
+operations of w in their order, so it decides a point as w itself would.
+Case 1 is a ratio of Frobenius series with its own evaluator, lifted onto
+chi by ``hyperdual.lift``; its domain keeps the sums at each chi until the
+evaluator has read them, so a grid point sums each series once, and it
+reads the second solution y_2 by value: y_2' is summed at the base point
+only.  Where printed source formulas for a case disagree internally, the
+variant kept here is the one rederived from the reduced ODE; the residual
+tests are the arbiter.
+
+Builders: a body registered by ``@_builder(key, tag)`` only computes the
+coefficients; it takes p and float constants and returns (evaluator,
+domain, note).  The type of each default sets how a constant is passed and
+recorded: an int default is an exact coordinate (a1, a2), passed as a
+float and recorded as given (a Fraction as an int or "n/d"); a float
+default is a number, passed and recorded as a float; a str default is a
+choice (root, tag), passed and recorded as given.
 
 Descriptors: ``descriptor()`` emits a JSON-able dict that rebuilds the
 family bit-for-bit through ``from_descriptor``; the sha256 digest of the
@@ -166,31 +173,63 @@ def from_descriptor(d) -> SolutionFamily:
 
 
 def build_family(key, p: ThomasParams, constants: dict) -> SolutionFamily:
-    """SOLUTION_BUILDERS[key](p, **constants), where an unknown key or a
-    constant the builder does not take is a FamilyError.  The names come
-    from the builder's code object, which needs no import."""
+    """SOLUTION_BUILDERS[key](p, **constants); an unknown key is a FamilyError."""
     builder = SOLUTION_BUILDERS.get(key) if isinstance(key, str) else None
     if builder is None:
         raise FamilyError("unknown family %r" % (key,))
-    code = builder.__code__
-    unknown = sorted(set(constants) - set(code.co_varnames[1:code.co_argcount]))
-    if unknown:
-        raise FamilyError("family %r takes no constant %s" % (key, ", ".join(unknown)))
     return builder(p, **constants)
+
+
+# builder key -> builder, in registration order; TAG_BUILDERS maps each
+# canonical tag to the first builder registered for it (the OBSTRUCTIONS
+# tags have none and Zero has no reduction)
+SOLUTION_BUILDERS = {}
+TAG_BUILDERS = {}
+
+
+def _builder(key, tag=None):
+    """Register a body as SOLUTION_BUILDERS[key] (see the module docstring).
+    The builder checks the constant names, then the parameters, then
+    converts the constants; without a tag, the ``tag`` constant names the
+    case the family solves."""
+
+    def register(body):
+        code = body.__code__
+        names = code.co_varnames[1:code.co_argcount]
+        defaults = dict(zip(names, body.__defaults__))
+        rules = {n: type(v) for n, v in defaults.items()}
+        TAG_BUILDERS.setdefault(tag or defaults["tag"], key)
+
+        def build(p: ThomasParams, *args, **kwargs) -> SolutionFamily:
+            given = dict(zip(names, args))
+            if len(args) > len(names) or given.keys() & kwargs.keys():
+                raise TypeError("%s() takes each of %s once" % (body.__name__, ", ".join(names)))
+            unknown = sorted(set(kwargs) - set(names))
+            if unknown:
+                raise FamilyError("family %r takes no constant %s" % (key, ", ".join(unknown)))
+            p.floats()  # symbolic parameters fail before any constant
+            given = {**defaults, **given, **kwargs}
+            values = {n: v if rules[n] is str else _numeric(v) for n, v in given.items()}
+            evaluator, domain, note = body(p, **values)
+            constants = {n: _jsonable(v) if rules[n] is int else values[n]
+                         for n, v in given.items()}
+            return SolutionFamily(key, tag or values["tag"], p, constants, evaluator, domain,
+                                  note)
+
+        build.__name__ = build.__qualname__ = body.__name__
+        build.__doc__ = body.__doc__
+        SOLUTION_BUILDERS[key] = build
+        return build
+
+    return register
 
 
 # --- Case 1: Frobenius series assembly ----------------------------------------
 
 
-def case1_solution(
-    p: ThomasParams,
-    a1=0,
-    a2=0,
-    c0=1.0,
-    const=0.0,
-    chi_lo=-4.5,
-    chi_hi=-0.005,
-) -> SolutionFamily:
+@_builder("case1", "Case1")
+def case1_solution(p: ThomasParams, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5,
+                   chi_hi=-0.005):
     """Invariant solution of the scaling case on one sign branch of chi.
 
     theta = z_p + 1/f  on top of the series solution y_p of the linearized
@@ -207,15 +246,12 @@ def case1_solution(
     g_p = (gamma/C)(y_2/y_p)(chi) - (gamma/C)(y_2/y_p)(base).
     """
     alpha, beta, gamma = p.floats()
-    a1f, a2f = _numeric(a1), _numeric(a2)
-    c0f, constf = _numeric(c0), _numeric(const)
-    chi_lo, chi_hi = _numeric(chi_lo), _numeric(chi_hi)
     if not chi_lo < chi_hi:
         raise FamilyError("empty chi interval")
     if chi_lo < 0 < chi_hi:
         raise FamilyError("chi interval must avoid the singular point chi = 0")
 
-    e = (gamma - beta * a1f - alpha * a2f) / gamma
+    e = (gamma - beta * a1 - alpha * a2) / gamma
     m = alpha * beta / gamma**2
     chi_far = max(abs(chi_lo), abs(chi_hi))
     series = fuchs_series(e, m, chi_far)
@@ -248,10 +284,10 @@ def case1_solution(
             if len(memo) >= 1024:
                 memo.clear()
             y0, y1, y2 = series.eval(v)
-            out = memo[v] = y0, y1, y2, scale * (second(v) / y0 - q_base) + c0f
+            out = memo[v] = y0, y1, y2, scale * (second(v) / y0 - q_base) + c0
         return out
 
-    k_log = (beta * a1f + alpha * a2f) / gamma**2
+    k_log = (beta * a1 + alpha * a2) / gamma**2
 
     def pieces(v: float):
         y0, y1, y2, G = sums(v)
@@ -265,65 +301,59 @@ def case1_solution(
         return varsigma, theta, theta_prime
 
     def evaluator(x, y):
-        lin_x = a1f - gamma * x
-        lin_y = a2f + gamma * y
+        lin_x = a1 - gamma * x
+        lin_y = a2 + gamma * y
         out = lift(lin_x * lin_y, pieces)
         memo.clear()
         out = out - (beta / gamma) * x - (alpha / gamma**2) * lin_y
         if k_log != 0.0:
             out = out - k_log * log_(lin_x)
-        return out + constf
+        return out + const
 
     margin = 0.01 * (chi_hi - chi_lo)
 
     def domain(x: float, y: float) -> bool:
-        lin_x = a1f - gamma * x
-        chi = lin_x * (a2f + gamma * y)
+        lin_x = a1 - gamma * x
+        chi = lin_x * (a2 + gamma * y)
         if not (chi_lo + margin < chi < chi_hi - margin):
             return False
         if k_log != 0.0 and lin_x < 1e-9:
             return False
         return abs(sums(chi)[3]) > 1e-4
 
-    return SolutionFamily(
-        "case1",
-        "Case1",
-        p,
-        {
-            "a1": _jsonable(a1),
-            "a2": _jsonable(a2),
-            "c0": c0f,
-            "const": constf,
-            "chi_lo": chi_lo,
-            "chi_hi": chi_hi,
-        },
-        evaluator,
-        domain,
-        note="series branch with quadrature-defined second factor",
-    )
+    return evaluator, domain, "series branch with quadrature-defined second factor"
 
 
 # --- Case 2.1a: real constant root plus exponential correction ---------------
 
 
-def _case21_root(p: ThomasParams, a1f, a2f, root: str):
+def _case21_root(p: ThomasParams, a1, a2, root: str):
     alpha, beta, gamma = p.floats()
-    b_lin = alpha * a2f - beta * a1f + gamma
-    disc = b_lin**2 + 4 * gamma * beta * a1f
+    b_lin = alpha * a2 - beta * a1 + gamma
+    disc = b_lin**2 + 4 * gamma * beta * a1
     if disc < 0:
         raise FamilyError("negative discriminant %g; no real constant root" % disc)
     sqrt_d = math.sqrt(disc)
     sign = {"+": 1.0, "-": -1.0}.get(root)
     if sign is None:
         raise FamilyError("root must be '+' or '-'")
-    theta0 = (b_lin + sign * sqrt_d) / (2 * a1f * a2f * gamma)
-    c_rate = sign * sqrt_d / (a1f * a2f)
+    theta0 = (b_lin + sign * sqrt_d) / (2 * a1 * a2 * gamma)
+    c_rate = sign * sqrt_d / (a1 * a2)
     return theta0, c_rate
 
 
-def case21a_solution(
-    p: ThomasParams, a1=1, a2=2, A=5000.0, root="+", const=0.0
-) -> SolutionFamily:
+def _case21_degenerate(p: ThomasParams, a2, const):
+    """a1 = 0: the constant root of the algebraic reduction, no correction."""
+    alpha, beta, gamma = p.floats()
+    b0 = alpha * a2 + gamma
+    if b0 == 0:
+        raise FamilyError("alpha*a2 + gamma = 0 leaves no constant root")
+    mix = ModeMix(gamma, -beta / (a2 * b0) * a2, 1 / a2, const)
+    return mix, mix.domain, "degenerate stratum: affine solution of the algebraic reduction"
+
+
+@_builder("case21a", "Case2_1a")
+def case21a_solution(p: ThomasParams, a1=1, a2=2, A=5000.0, root="+", const=0.0):
     """u = (1/gamma) log(A - (gamma/C) e^{-C chi}) + theta0 chi + y/a2 + const
     on chi = a2 x - a1 y, where theta0 is a constant root of the reduced
     Riccati equation and C = (2 a1 a2 gamma theta0 - B)/(a1 a2).
@@ -331,53 +361,37 @@ def case21a_solution(
     Degenerate branches: a1 = 0 gives the affine solution of the algebraic
     reduction; a double root (C = 0) falls back to the logarithmic
     correction u = theta0 chi + (1/gamma) log|gamma chi + A| + y/a2."""
-    alpha, beta, gamma = p.floats()
-    a1f, a2f = _numeric(a1), _numeric(a2)
-    Af, constf = _numeric(A), _numeric(const)
-    if a2f == 0:
+    if a2 == 0:
         raise FamilyError("a2 must be nonzero for the 2.1 invariants")
-
-    constants = {"a1": _jsonable(a1), "a2": _jsonable(a2), "A": Af, "root": root,
-                 "const": constf}
-    if a1f == 0:
-        b0 = alpha * a2f + gamma
-        if b0 == 0:
-            raise FamilyError("alpha*a2 + gamma = 0 leaves no constant root")
-        theta0 = -beta / (a2f * b0)
-        mix = ModeMix(gamma, theta0 * a2f, 1 / a2f, constf)
-        note = "degenerate stratum: affine solution of the algebraic reduction"
-    else:
-        theta0, c_rate = _case21_root(p, a1f, a2f, root)
-        lam, mu = theta0 * a2f, 1 / a2f - theta0 * a1f
-        if c_rate == 0.0:
-            mix = ModeMix(gamma, lam, mu, constf, Af, gamma, _identity, a2f, -a1f)
-            note = "double-root fallback with logarithmic correction"
-        else:
-            mix = ModeMix(gamma, lam, mu, constf, Af, -gamma / c_rate, exp_,
-                          -c_rate * a2f, c_rate * a1f)
-            note = "constant Riccati root with exponential correction"
-    return SolutionFamily("case21a", "Case2_1a", p, constants, mix, mix.domain, note)
+    if a1 == 0:
+        return _case21_degenerate(p, a2, const)
+    gamma = p.floats()[2]
+    theta0, c_rate = _case21_root(p, a1, a2, root)
+    lam, mu = theta0 * a2, 1 / a2 - theta0 * a1
+    if c_rate == 0.0:
+        mix = ModeMix(gamma, lam, mu, const, A, gamma, _identity, a2, -a1)
+        return mix, mix.domain, "double-root fallback with logarithmic correction"
+    mix = ModeMix(gamma, lam, mu, const, A, -gamma / c_rate, exp_, -c_rate * a2, c_rate * a1)
+    return mix, mix.domain, "constant Riccati root with exponential correction"
 
 
-def case21_affine(p: ThomasParams, a1=1, a2=2, root="+", const=0.0) -> SolutionFamily:
+@_builder("case21_affine", "Case2_1a")
+def case21_affine(p: ThomasParams, a1=1, a2=2, root="+", const=0.0):
     """The correction-free limit: u = theta0 chi + y/a2 + const."""
-    a1f, a2f = _numeric(a1), _numeric(a2)
-    constf = _numeric(const)
-    if a2f == 0:
+    if a2 == 0:
         raise FamilyError("a2 must be nonzero")
-    if a1f == 0:
-        return case21a_solution(p, a1, a2, A=0.0, root=root, const=const)
-    theta0, _ = _case21_root(p, a1f, a2f, root)
-    mix = ModeMix(p.floats()[2], theta0 * a2f, 1 / a2f - theta0 * a1f, constf)
-    constants = {"a1": _jsonable(a1), "a2": _jsonable(a2), "root": root, "const": constf}
-    return SolutionFamily("case21_affine", "Case2_1a", p, constants, mix, mix.domain,
-                          "constant-root solution (limit of unbounded correction amplitude)")
+    if a1 == 0:
+        return _case21_degenerate(p, a2, const)
+    theta0, _ = _case21_root(p, a1, a2, root)
+    mix = ModeMix(p.floats()[2], theta0 * a2, 1 / a2 - theta0 * a1, const)
+    return mix, mix.domain, "constant-root solution (limit of unbounded correction amplitude)"
 
 
 # --- Case 2.1b: oscillatory branch -------------------------------------------
 
 
-def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0) -> SolutionFamily:
+@_builder("case21b", "Case2_1b")
+def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0):
     """Negative-discriminant branch:
 
         theta = sqrt(Xi) tan(phi) - A1/(2 A2),  phi = A2 sqrt(Xi) chi + A0,
@@ -387,13 +401,11 @@ def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0) -> Soluti
     so w = |cos(phi)|.  The domain |cos(phi)| > 0.05 keeps away from the
     poles of tan."""
     alpha, beta, gamma = p.floats()
-    a1f, a2f = _numeric(a1), _numeric(a2)
-    A0f, constf = _numeric(A0), _numeric(const)
-    if a1f == 0 or a2f == 0:
+    if a1 == 0 or a2 == 0:
         raise FamilyError("the oscillatory branch needs a1*a2 != 0")
-    A1 = (alpha * a2f - beta * a1f + gamma) / (a1f * a2f)
+    A1 = (alpha * a2 - beta * a1 + gamma) / (a1 * a2)
     A2 = -gamma
-    A3 = beta / (a1f * a2f**2)
+    A3 = beta / (a1 * a2**2)
     Xi = (4 * A2 * A3 - A1 * A1) / (4 * A2 * A2)
     if Xi <= 0:
         raise FamilyError(
@@ -402,69 +414,58 @@ def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0) -> Soluti
         )
     rate = A2 * math.sqrt(Xi)
     drift = A1 / (2 * A2)
-    mix = ModeMix(gamma, -drift * a2f, drift * a1f + 1 / a2f, constf, 0.0, 1.0, _abs_cos,
-                  rate * a2f, -rate * a1f, A0f, floor=0.05)
-    constants = {"a1": _jsonable(a1), "a2": _jsonable(a2), "A0": A0f, "const": constf}
-    return SolutionFamily("case21b", "Case2_1b", p, constants, mix, mix.domain,
-                          "tangent separation branch; antiderivative taken as -log|cos|")
+    mix = ModeMix(gamma, -drift * a2, drift * a1 + 1 / a2, const, 0.0, 1.0, _abs_cos,
+                  rate * a2, -rate * a1, A0, floor=0.05)
+    return mix, mix.domain, "tangent separation branch; antiderivative taken as -log|cos|"
 
 
 # --- Case 2.2: affine ---------------------------------------------------------
 
 
-def case22_solution(p: ThomasParams, a1=1, const=0.0) -> SolutionFamily:
+@_builder("case22", "Case2_2")
+def case22_solution(p: ThomasParams, a1=1, const=0.0):
     alpha, beta, gamma = p.floats()
-    a1f, constf = _numeric(a1), _numeric(const)
-    if a1f == 0:
+    if a1 == 0:
         raise FamilyError("a1 = 0 has no 2.2 reduction")
-    denom = beta * a1f + gamma
+    denom = beta * a1 + gamma
     if denom == 0:
         raise FamilyError("beta*a1 + gamma = 0 admits no solution (obstructed case)")
-    mix = ModeMix(gamma, 1 / a1f, -alpha / denom, constf)
-    return SolutionFamily("case22", "Case2_2", p, {"a1": _jsonable(a1), "const": constf},
-                          mix, mix.domain,
-                          "affine solution; coincides with a single-mode linearization profile")
+    mix = ModeMix(gamma, 1 / a1, -alpha / denom, const)
+    return mix, mix.domain, "affine solution; coincides with a single-mode linearization profile"
 
 
 # --- Case 3.1a / 3.1b: traveling waves ----------------------------------------
 
 
-def case31a_solution(p: ThomasParams, k0=5.0, const=0.0) -> SolutionFamily:
+@_builder("case31a", "Case3_1a")
+def case31a_solution(p: ThomasParams, k0=5.0, const=0.0):
     """u = (1/gamma) log(gamma (x - y/a2) + k0) + const with a2 = beta/alpha."""
     alpha, beta, gamma = p.floats()
     if alpha == 0:
         raise FamilyError("this branch needs alpha != 0 (a2 = beta/alpha)")
-    a2f = beta / alpha
-    if a2f == 0:
+    a2 = beta / alpha
+    if a2 == 0:
         raise FamilyError("beta = 0 collapses the invariant direction")
-    k0f, constf = _numeric(k0), _numeric(const)
-    mix = ModeMix(gamma, 0.0, 0.0, constf, k0f, gamma, _identity, 1.0, -1 / a2f)
-    return SolutionFamily("case31a", "Case3_1a", p, {"k0": k0f, "const": constf}, mix,
-                          mix.domain, "logarithmic traveling wave along the balanced direction")
+    mix = ModeMix(gamma, 0.0, 0.0, const, k0, gamma, _identity, 1.0, -1 / a2)
+    return mix, mix.domain, "logarithmic traveling wave along the balanced direction"
 
 
-def case31b_solution(p: ThomasParams, a2=2, k=1.0, const=0.0) -> SolutionFamily:
+@_builder("case31b", "Case3_1b")
+def case31b_solution(p: ThomasParams, a2=2, k=1.0, const=0.0):
     """u = -(1/gamma) log(1 + gamma/(k s e^{s chi} - gamma)) + const with
     s = beta - alpha*a2 and chi = x - y/a2, that is w = 1 - (gamma/(k s))
     e^{-s chi}; k = 0 leaves no point with w > 0.  s = 0 falls back to the
     logarithmic form of the balanced branch."""
     alpha, beta, gamma = p.floats()
-    a2f = _numeric(a2)
-    kf, constf = _numeric(k), _numeric(const)
-    if a2f == 0:
+    if a2 == 0:
         raise FamilyError("a2 must be nonzero")
-    s = beta - alpha * a2f
+    s = beta - alpha * a2
     if s == 0:
-        mix = ModeMix(gamma, 0.0, 0.0, constf, kf, gamma, _identity, 1.0, -1 / a2f)
-        note = "drift-free limit; logarithmic profile"
-    else:
-        c = -gamma / (kf * s) if kf else -math.inf
-        mix = ModeMix(gamma, 0.0, 0.0, constf, 1.0, c, exp_, -s, s / a2f)
-        note = "exponential-profile traveling wave"
-    return SolutionFamily(
-        "case31b", "Case3_1b", p, {"a2": _jsonable(a2), "k": kf, "const": constf},
-        mix, mix.domain, note,
-    )
+        mix = ModeMix(gamma, 0.0, 0.0, const, k, gamma, _identity, 1.0, -1 / a2)
+        return mix, mix.domain, "drift-free limit; logarithmic profile"
+    c = -gamma / (k * s) if k else -math.inf
+    mix = ModeMix(gamma, 0.0, 0.0, const, 1.0, c, exp_, -s, s / a2)
+    return mix, mix.domain, "exponential-profile traveling wave"
 
 
 # --- trivial content ----------------------------------------------------------
@@ -482,15 +483,13 @@ OBSTRUCTIONS = {
 }
 
 
-def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2") -> SolutionFamily:
+@_builder("constant")
+def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2"):
     if tag not in _CONSTANT_TAGS:
         raise FamilyError("a constant is invariant only for %s, not %r"
                           % (", ".join(_CONSTANT_TAGS), tag))
-    gamma = p.floats()[2]  # like every family, a constant state needs numeric parameters
-    mix = ModeMix(gamma, 0.0, 0.0, _numeric(c))
-    return SolutionFamily(
-        "constant", tag, p, {"c": mix.k, "tag": tag}, mix, mix.domain, note="constant state"
-    )
+    mix = ModeMix(p.floats()[2], 0.0, 0.0, c)
+    return mix, mix.domain, "constant state"
 
 
 def trivial_solutions(p: ThomasParams, c=0.0):
@@ -499,27 +498,3 @@ def trivial_solutions(p: ThomasParams, c=0.0):
     return [constant_solution(p, c, tag="Case3_2")] + [
         Obstruction(tag, note) for tag, note in OBSTRUCTIONS.items()
     ]
-
-
-SOLUTION_BUILDERS = {
-    "case1": case1_solution,
-    "case21a": case21a_solution,
-    "case21_affine": case21_affine,
-    "case21b": case21b_solution,
-    "case22": case22_solution,
-    "case31a": case31a_solution,
-    "case31b": case31b_solution,
-    "constant": constant_solution,
-}
-
-# builder key of each canonical tag that has a solution family; the
-# OBSTRUCTIONS tags have none and Zero has no reduction
-TAG_BUILDERS = {
-    "Case1": "case1",
-    "Case2_1a": "case21a",
-    "Case2_1b": "case21b",
-    "Case2_2": "case22",
-    "Case3_1a": "case31a",
-    "Case3_1b": "case31b",
-    "Case3_2": "constant",
-}

@@ -56,7 +56,8 @@ class ReducedODE(Record):
     order: int
     dependent: str  # "varsigma" or "theta" (= varsigma_chi)
     lhs: Expr  # expression in chi, varsigma_chi, varsigma_chichi; ODE is lhs = 0
-    kind: str  # riccati | bernoulli | fuchs | linear-first-order | algebraic | inconsistent
+    # riccati | bernoulli | fuchs | linear-first-order | algebraic | inconsistent | identity
+    kind: str
     note: str = ""
     aux: tuple = ()  # named constants, e.g. (("e", ...), ("m", ...)) for the Fuchs form
 
@@ -154,6 +155,9 @@ def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
         return ReducedODE(1, "varsigma", lhs, "linear-first-order")
     if tag == "Case2_3":
         lhs = mul(alpha, beta)
+        if is_zero(lhs):
+            return ReducedODE(0, "varsigma", lhs, "identity",
+                              note="alpha*beta = 0: every varsigma = F(chi) solves the equation")
         return ReducedODE(
             0,
             "varsigma",

@@ -20,6 +20,7 @@ from lie_thomas.families import (
     ModeMix,
     Obstruction,
     SolutionFamily,
+    build_family,
     case1_solution,
     case21_affine,
     case21a_solution,
@@ -172,10 +173,96 @@ def test_descriptor_digest_is_content_hash():
 
 
 def test_builder_registry_covers_families():
-    assert set(SOLUTION_BUILDERS) == {
+    # registration order is the order `solve --family` lists the keys in
+    assert list(SOLUTION_BUILDERS) == [
         "case1", "case21a", "case21_affine", "case21b", "case22",
         "case31a", "case31b", "constant",
+    ]
+    assert TAG_BUILDERS == {
+        "Case1": "case1",
+        "Case2_1a": "case21a",
+        "Case2_1b": "case21b",
+        "Case2_2": "case22",
+        "Case3_1a": "case31a",
+        "Case3_1b": "case31b",
+        "Case3_2": "constant",
     }
+
+
+# (builder key, constants) -> descriptor digest at P; every builder at its
+# defaults and the branches that record a degenerate stratum
+DIGESTS = [
+    ("case1", {}, "b8cd9d0d46e8ca599a57e09a309169674a4e114d147139e654341df80cf617e7"),
+    ("case21a", {}, "6574f15a6c800a38eb3444ae583ce797d42068fedcbce3cf2d4ca6ea2ba01146"),
+    ("case21_affine", {}, "caca365f8bc8c713ae96b3d081753436ac2c3739f03106c19c5998017325ac3a"),
+    ("case21b", {}, "35664e23be1ffcfd26f80b4013c5eb0e4af2f75dbf857d915b1a2426cb62596a"),
+    ("case22", {}, "12c3cd3aac842949360c776a84df52d392069fb024a4eccfc8c7e8feb2e8cd9f"),
+    ("case31a", {}, "3cdb56a9f96514df2ad50a9e88157f3221b010dcb4193c88fbe69237ab3b704c"),
+    ("case31b", {}, "9b6c8fd972f9f5808d5bf144d5fdb7de01e32a0433d8eb294ae7f66f9427bb05"),
+    ("constant", {}, "e5788a71b9b47e314714666d9ecd36ac800349875a710d159468a4576d275459"),
+    ("case21a", {"a1": F(0)}, "6c6fb80745359e006eb3463fc53020ff6805620c1b24637e1cbdea9844946bd0"),
+    ("case31b", {"a2": F(1)}, "d11ebab67c5d8315c1b9a495cc6845efa7033c5263e6b31dcd6f640fe0539f91"),
+    ("constant", {"tag": "Case3_1a"},
+     "8700397e8b9e1f64536533f467ba5bd516ad8add614c41f76874c8566359f349"),
+    # names its own builder and records only the constants case21_affine takes
+    ("case21_affine", {"a1": F(0)},
+     "a5e1a105ec82c5ddec83a91dbff3c2fdc747093e61751b7b37a643692e8fd74e"),
+]
+
+
+@pytest.mark.parametrize("key, constants, digest", DIGESTS, ids=[
+    "-".join([k, *("%s=%s" % kv for kv in c.items())]) for k, c, _ in DIGESTS])
+def test_descriptor_digests_pinned(key, constants, digest):
+    """Every builder's digest, and the digest of the family its descriptor
+    rebuilds."""
+    fam = build_family(key, P, constants)
+    assert fam.family == key
+    assert fam.digest() == digest
+    assert from_descriptor(json.loads(fam.descriptor_json())).digest() == digest
+
+
+def test_degenerate_affine_records_its_own_constants():
+    fam = case21_affine(P, a1=F(0), a2=F(3))
+    assert fam.family == "case21_affine" and fam.tag == "Case2_1a"
+    assert fam.constants == {"a1": 0, "a2": 3, "root": "+", "const": 0.0}
+    # a case21a descriptor at a1 = 0, as case21_affine emitted before it kept its own key,
+    # rebuilds the same function
+    old = case21a_solution(P, a1=F(0), a2=F(3), A=0.0)
+    assert old.note == fam.note
+    for x, y in [(0.3, 0.4), (-1.2, 0.8)]:
+        assert from_descriptor(old.descriptor())(x, y) == fam(x, y)
+
+
+@pytest.mark.parametrize("build, args", [
+    (case1_solution, (F(1), F(-2), F(1), 0.5)),
+    (case21a_solution, (F(1), F(2), F(100), "-", F(1, 2))),
+    (case21_affine, (F(1), F(2), "+", 1.25)),
+    (case21b_solution, (F(-1), F(-1), F(1, 3))),
+    (case22_solution, (F(2), "1/4")),
+    (case31a_solution, (F(10),)),
+    (case31b_solution, (F(2), F(3))),
+    (constant_solution, (F(3, 2), "Case3_1b")),
+])
+def test_positional_and_keyword_constants_agree(build, args):
+    fam = build(P, *args)
+    assert fam.digest() != build(P).digest()
+    keyword = dict(zip(fam.constants, args))  # the constants in signature order
+    assert build(P, **keyword).digest() == fam.digest()
+    first, *rest = keyword.items()
+    assert build(P, first[1], **dict(rest)).digest() == fam.digest()
+    with pytest.raises(TypeError):
+        build(P, *args, **dict([first]))
+
+
+@pytest.mark.parametrize("key", list(SOLUTION_BUILDERS))
+def test_unknown_constant_is_a_family_error(key):
+    message = "family %r takes no constant bogus" % key
+    with pytest.raises(FamilyError, match=message):
+        build_family(key, P, {"bogus": 1})
+    with pytest.raises(FamilyError, match=message):
+        SOLUTION_BUILDERS[key](P, bogus=1)
+    with pytest.raises(FamilyError, match=message):  # before the parameters are read
+        SOLUTION_BUILDERS[key](ThomasParams(), bogus=1)
 
 
 def test_from_descriptor_rejects_unknown():
@@ -199,6 +286,17 @@ def test_symbolic_params_rejected():
 
     with pytest.raises(ParameterError):
         case22_solution(ThomasParams(), a1=F(2))
+
+
+@pytest.mark.parametrize("key", list(SOLUTION_BUILDERS))
+def test_symbolic_params_fail_before_the_constants(key):
+    from lie_thomas.determining import ParameterError
+
+    first = next(iter(SOLUTION_BUILDERS[key](P).constants))
+    with pytest.raises(FamilyError, match="is not a number"):
+        build_family(key, P, {first: "two"})
+    with pytest.raises(ParameterError):
+        build_family(key, ThomasParams(), {first: "two"})
 
 
 def _quadrature_case1(p, a1, a2, c0):

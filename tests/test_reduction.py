@@ -136,6 +136,18 @@ def test_case23_inconsistent():
     assert to_text(ode.lhs) == "1"
 
 
+def test_case23_is_an_identity_where_alpha_beta_vanishes():
+    # the residual of u = (F(y) - beta x)/gamma is -alpha*beta/gamma, so at
+    # alpha*beta = 0 every F solves the equation
+    case = _case("Case2_3", (-1, 0, 1, 0))
+    for params in (ThomasParams(0, 1, 1), ThomasParams(1, 0, 2), ThomasParams(alpha=0, gamma=1)):
+        ode = reduced_ode(case, params)
+        assert (ode.kind, ode.order, to_text(ode.lhs)) == ("identity", 0, "0")
+        assert "every varsigma = F(chi) solves the equation" in ode.note
+        assert verify_reduction(case, params)
+    assert reduced_ode(case, SYM).kind == "inconsistent"
+
+
 def test_case24_has_no_ansatz():
     with pytest.raises(ReductionError):
         reduced_ode(_case("Case2_4", (0, 0, 1, 0)), NUM)
