@@ -3,8 +3,8 @@
 Immutable expression trees over the independent variables (x, y), the
 dependent variable u, jet symbols for the partials of u up to third order,
 named rational constants, exp and log (the e^{-gamma*u} factor of v_g and
-the Case 1 invariant log(a1 - gamma*x) need nothing else), and
-unknown-function applications with registered partial-derivative symbols.
+the Case 1 invariant log(a1 - gamma*x) need nothing else), and unknown
+functions, each an atom of its own variables (xi_xu of (x, y, u), g of (x, y)).
 Numeric leaves are exact fractions (``Rat.value`` is always a
 ``Fraction``); simplification is structural only: flattening, like-term
 and like-factor collection, rational arithmetic, integer powers, exp/log
@@ -133,37 +133,25 @@ class Sym(Expr):
 
 
 class Func(Expr):
-    """Unknown-function application with a registered derivative multiset.
+    """The unknown function `name` of the variables named in `params`,
+    differentiated `derivs[i]` times by the i-th: a leaf, like Sym."""
 
-    `params` are the canonical argument names, `derivs` counts derivatives
-    per slot, `args` the actual argument expressions.
-    """
+    __slots__ = ("name", "params", "derivs")
 
-    __slots__ = ("name", "params", "derivs", "args")
-
-    def __init__(self, name, params, derivs, args):
+    def __init__(self, name, params, derivs):
         self._hash = None
         self._key = None
         self.name = name
         self.params = tuple(params)
         self.derivs = tuple(derivs)
-        self.args = tuple(args)
 
     def _compute_key(self):
-        return (2, self.name, self.derivs, tuple(a.key() for a in self.args))
+        return (2, self.name, self.derivs, tuple(Sym(p, VAR).key() for p in self.params))
 
     @property
     def suffix(self):
-        parts = []
-        for p, n in zip(self.params, self.derivs):
-            parts.append(p * n)
-        s = "".join(parts)
+        s = "".join(p * n for p, n in zip(self.params, self.derivs))
         return "_" + s if s else ""
-
-    def has_canonical_args(self):
-        return all(
-            isinstance(a, Sym) and a.name == p for a, p in zip(self.args, self.params)
-        )
 
 
 class Add(Expr):
@@ -400,33 +388,26 @@ def R(p, q=1) -> Rat:
 
 
 class UFunc:
-    """Factory for an unknown function of fixed arguments.
+    """Factory for an unknown function of fixed variables.
 
-    ``f = UFunc("f", ("x", "y")); f()`` is the application f(x, y) and
+    ``f = UFunc("f", ("x", "y")); f()`` is the function f of (x, y) and
     ``f.d("x", "y")`` the registered derivative symbol f_xy.
     """
 
-    __slots__ = ("name", "params", "param_syms")
+    __slots__ = ("name", "params")
 
     def __init__(self, name, params=("x", "y", "u")):
         self.name = name
         self.params = tuple(params)
-        self.param_syms = tuple(Sym(p, VAR) for p in self.params)
 
-    def __call__(self, *args):
-        if not args:
-            args = self.param_syms
-        if len(args) != len(self.params):
-            raise ExprError("%s expects %d arguments" % (self.name, len(self.params)))
-        return Func(self.name, self.params, (0,) * len(self.params), tuple(_wrap(a) for a in args))
+    def __call__(self):
+        return Func(self.name, self.params, (0,) * len(self.params))
 
     def d(self, *wrt):
-        derivs = [0] * len(self.params)
-        for w in wrt:
-            if w not in self.params:
-                raise ExprError("%s has no argument %r" % (self.name, w))
-            derivs[self.params.index(w)] += 1
-        return Func(self.name, self.params, tuple(derivs), self.param_syms)
+        unknown = [w for w in wrt if w not in self.params]
+        if unknown:
+            raise ExprError("%s has no argument %r" % (self.name, unknown[0]))
+        return Func(self.name, self.params, tuple(wrt.count(p) for p in self.params))
 
 
 # --- calculus -------------------------------------------------------------
@@ -443,7 +424,7 @@ def _is_zero(e: Expr) -> bool:
 
 
 def differentiate(e: Expr, s: Sym) -> Expr:
-    """Partial derivative treating every other atom as independent."""
+    """Partial derivative by s; a Func depends on its own variables only."""
     if not isinstance(s, Sym):
         raise ExprError("can only differentiate with respect to a symbol")
     if isinstance(e, Rat):
@@ -451,16 +432,10 @@ def differentiate(e: Expr, s: Sym) -> Expr:
     if isinstance(e, Sym):
         return ONE if e == s else ZERO
     if isinstance(e, Func):
-        total = ZERO
-        for i, a in enumerate(e.args):
-            inner = differentiate(a, s)
-            if _is_zero(inner):
-                continue
-            derivs = list(e.derivs)
-            derivs[i] += 1
-            outer = Func(e.name, e.params, tuple(derivs), e.args)
-            total = add(total, mul(outer, inner))
-        return total
+        if s.kind != VAR or s.name not in e.params:
+            return ZERO
+        i = e.params.index(s.name)
+        return Func(e.name, e.params, e.derivs[:i] + (e.derivs[i] + 1,) + e.derivs[i + 1:])
     if isinstance(e, Add):
         return add(*[differentiate(t, s) for t in e.terms])
     if isinstance(e, Mul):
@@ -499,7 +474,7 @@ def max_jet_order(e: Expr) -> int:
 
 
 def atoms(e: Expr) -> Iterator[Expr]:
-    """Yield every Sym and Func node (including those inside App args)."""
+    """Yield every Sym and Func leaf (including those inside App args)."""
     stack = [e]
     seen = set()
     while stack:
@@ -509,8 +484,6 @@ def atoms(e: Expr) -> Iterator[Expr]:
         seen.add(id(n))
         if isinstance(n, (Sym, Func)):
             yield n
-            if isinstance(n, Func):
-                stack.extend(n.args)
         elif isinstance(n, Add):
             stack.extend(n.terms)
         elif isinstance(n, Mul):
@@ -523,8 +496,10 @@ def atoms(e: Expr) -> Iterator[Expr]:
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
     """Simultaneous replacement of subtrees; keys are matched as whole
-    nodes."""
+    nodes.  A Func is a function of its own variables, so binding one of
+    them, other than by replacing the whole Func, is an ExprError."""
     table = {_wrap(k): _wrap(v) for k, v in bindings.items()}
+    moved = {k.name for k in table if type(k) is Sym and k.kind == VAR}
 
     def walk(n):
         if n in table:
@@ -532,7 +507,9 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
         if isinstance(n, (Rat, Sym)):
             return n
         if isinstance(n, Func):
-            return Func(n.name, n.params, n.derivs, tuple(walk(a) for a in n.args))
+            if moved.intersection(n.params):
+                raise ExprError("cannot bind a variable of %s%s" % (n.name, n.suffix))
+            return n
         if isinstance(n, Add):
             return add(*[walk(t) for t in n.terms])
         if isinstance(n, Mul):

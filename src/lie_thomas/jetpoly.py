@@ -232,16 +232,16 @@ def _power(p: dict, n: int) -> dict:
 
 
 def _collect(e: Expr) -> dict:
-    """Expand ``e`` into {jet-mono: coeff}; rejects jets in denominators,
-    inside function applications, or under unknown functions."""
-    if isinstance(e, Rat) or (isinstance(e, Sym) and e.kind != "jet"):
+    """Expand ``e`` into {jet-mono: coeff}; rejects jets in denominators
+    or inside an exp or log argument."""
+    if isinstance(e, (Rat, Func)) or (isinstance(e, Sym) and e.kind != "jet"):
         return {_MONO_ONE: e} if e != ZERO else {}
     if isinstance(e, Sym):
         return {_bump(_MONO_ONE, _JET_POS[e]): ONE}
-    if isinstance(e, (Func, App)):
+    if isinstance(e, App):
         if contains_jet(e):
             raise JetPolynomialError(
-                "derivative symbols inside a function argument: %r" % e
+                "derivative symbols inside an exp or log argument: %r" % e
             )
         return {_MONO_ONE: e}
     if isinstance(e, Add):

@@ -1,8 +1,9 @@
 """Rational normal form and structural zero-testing.
 
 Expressions are flattened into a fraction of multivariate polynomials whose
-"atoms" are symbols, unknown-function applications, and elementary-function
-applications with canonically rebuilt arguments.  Equality of two
+"atoms" are symbols, unknown functions (each an atom of its own variables,
+taken as it is), and exp/log applications with canonically rebuilt
+arguments.  Equality of two
 expressions is decided by cross-multiplying and zero-testing; this is sound
 and complete for rational expressions in algebraically independent atoms,
 which covers the polynomial-in-jets determining machinery.  exp factors
@@ -160,13 +161,10 @@ class NormalForm:
 
 
 def _rebuild_atom(e: Expr) -> Expr:
-    """Atom with canonically renormalized insides (Func/App args)."""
-    if isinstance(e, Sym):
+    """Atom in canonical form: a Sym or Func leaf is already, and an App
+    gets its argument renormalized."""
+    if isinstance(e, (Sym, Func)):
         return e
-    if isinstance(e, Func):
-        if all(isinstance(a, Sym) for a in e.args):  # canonical_expr(Sym) is that Sym
-            return e
-        return Func(e.name, e.params, e.derivs, tuple(canonical_expr(a) for a in e.args))
     if isinstance(e, App):
         return app(e.fn, canonical_expr(e.arg))
     raise ExprError("not an atom: %r" % e)
@@ -176,7 +174,7 @@ def normal_form(e: Expr) -> NormalForm:
     if isinstance(e, Rat):
         return NormalForm(_poly_const(e.value), dict(_POLY_ONE))
     if isinstance(e, (Sym, Func)):
-        return NormalForm(_atom_poly(_rebuild_atom(e)), dict(_POLY_ONE))
+        return NormalForm(_atom_poly(e), dict(_POLY_ONE))
     if isinstance(e, App):
         atom = _rebuild_atom(e)
         if isinstance(atom, App):

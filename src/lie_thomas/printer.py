@@ -56,9 +56,7 @@ def _txt(e: Expr, prec: int) -> str:
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Func):
-        if e.has_canonical_args():
-            return e.name + e.suffix
-        return e.name + e.suffix + "(" + ", ".join(_txt(a, _PREC_ADD) for a in e.args) + ")"
+        return e.name + e.suffix
     if isinstance(e, App):
         return e.fn + "(" + _txt(e.arg, _PREC_ADD) + ")"
     if isinstance(e, Pow):
@@ -127,10 +125,7 @@ def _ltx(e: Expr, prec: int) -> str:
     if isinstance(e, Sym):
         return _latex_name(e.name)
     if isinstance(e, Func):
-        base = _latex_name(e.name + e.suffix)
-        if e.has_canonical_args():
-            return base
-        return base + r"\left(" + ", ".join(_ltx(a, _PREC_ADD) for a in e.args) + r"\right)"
+        return _latex_name(e.name + e.suffix)
     if isinstance(e, App):
         return "\\" + e.fn + r"\left(" + _ltx(e.arg, _PREC_ADD) + r"\right)"
     if isinstance(e, Pow):

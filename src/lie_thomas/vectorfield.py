@@ -83,14 +83,10 @@ class VectorField(Record):
         return VectorField(mul(c, self.xi), mul(c, self.eta), mul(c, self.phi))
 
 
-def symbolic_field(xi_name="xi", eta_name="eta", phi_name="phi") -> VectorField:
-    """Fully symbolic field whose coefficient derivatives stay as registered
-    symbols (xi_x, phi_uu, ...)."""
-    return VectorField(
-        UFunc(xi_name, ("x", "y", "u"))(),
-        UFunc(eta_name, ("x", "y", "u"))(),
-        UFunc(phi_name, ("x", "y", "u"))(),
-    )
+def symbolic_field() -> VectorField:
+    """Fully symbolic field xi, eta, phi of (x, y, u), whose coefficient
+    derivatives stay as registered symbols (xi_x, phi_uu, ...)."""
+    return VectorField(UFunc("xi")(), UFunc("eta")(), UFunc("phi")())
 
 
 class ProlongedField(Record):

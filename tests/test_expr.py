@@ -9,6 +9,8 @@ from lie_thomas.expr import (
     BETA,
     GAMMA,
     JETS,
+    PARAM,
+    ZERO,
     U,
     U_X,
     U_XY,
@@ -17,8 +19,11 @@ from lie_thomas.expr import (
     X,
     Y,
     EvalError,
+    ExprError,
+    Func,
     R,
     Rat,
+    Sym,
     contains_jet,
     differentiate,
     evaluate,
@@ -78,6 +83,41 @@ def test_function_atoms():
     assert to_text(fxy) == "f_xy"
     # mixed partials commute
     assert differentiate(differentiate(fe, Y), X) == fxy
+
+
+def test_func_keys_pinned():
+    # the keys every sort order, determining row and printed term order rest on
+    assert UFunc("xi")().key() == (
+        2, "xi", (0, 0, 0), ((1, 0, "x"), (1, 0, "y"), (1, 0, "u")))
+    assert UFunc("g", ("x", "y"))().key() == (2, "g", (0, 0), ((1, 0, "x"), (1, 0, "y")))
+    assert UFunc("xi").d("x", "u", "u").key() == (
+        2, "xi", (1, 0, 2), ((1, 0, "x"), (1, 0, "y"), (1, 0, "u")))
+
+
+def test_differentiate_func_by_its_variables():
+    xi = UFunc("xi")
+    for var, name in ((X, "x"), (Y, "y"), (U, "u")):
+        d = differentiate(xi(), var)
+        assert type(d) is Func and d == xi.d(name)
+        assert differentiate(d, X) == xi.d(name, "x")
+    g = UFunc("g", ("x", "y"))
+    assert differentiate(g.d("x"), Y) == g.d("x", "y") == g.d("y", "x")
+    for other in (U, U_X, JETS[(1, 1)], Sym("x", PARAM), ALPHA):
+        assert differentiate(g(), other) == ZERO
+        assert differentiate(g.d("y"), other) == ZERO
+
+
+def test_substitute_cannot_move_a_func_variable():
+    xi = UFunc("xi")
+    with pytest.raises(ExprError, match="xi"):
+        substitute(X + xi(), {X: Y})
+    with pytest.raises(ExprError, match="xi_u"):
+        substitute(exp(xi.d("u")), {U: R(0)})
+    # a whole Func node is still a binding key, and a Func is left as it is
+    # when no binding names one of its variables
+    assert substitute(X * xi.d("x"), {xi.d("x"): R(2)}) == R(2) * X
+    g = UFunc("g", ("x", "y"))
+    assert substitute(U * g(), {U: R(3), Sym("x", PARAM): R(1)}) == R(3) * g()
 
 
 def test_substitute_simultaneous():
