@@ -24,7 +24,7 @@ _EXPORTS = {
     "algebra": (
         "AlgebraElement", "GroupElement", "GroupWord", "adjoint", "adjoint_table",
         "basis_element", "commutator", "commutator_table", "g_element",
-        "group_action", "lie_series_adjoint", "transform_solution",
+        "group_action", "transform_solution",
     ),
     "classifier": ("CanonicalCase", "classify", "orbit_invariance_check"),
     "params": ("ThomasParams",),

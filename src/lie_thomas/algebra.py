@@ -237,29 +237,6 @@ def adjoint_table(p: ThomasParams = ThomasParams(), eps: Expr | None = None):
     ]
 
 
-def lie_series_adjoint(
-    i: int,
-    eps,
-    w: AlgebraElement,
-    p: ThomasParams = ThomasParams(),
-    order: int = 12,
-) -> AlgebraElement:
-    """Ad(exp(eps*v_i)) w summed term by term from iterated brackets,
-    truncated at the given order.  Independent of the closed forms."""
-    v = basis_element(i)
-    eps = _coord(eps)
-    total = w
-    term = w
-    sign_eps = mul(Rat(-1), eps)
-    for n in range(1, order + 1):
-        term = commutator(v, term, p)
-        if term.is_zero():
-            break
-        coeff = mul(pow_(sign_eps, n), Rat(Fraction(1, math.factorial(n))))
-        total = total + term.scale(coeff)
-    return total
-
-
 # --- one-parameter groups ---------------------------------------------------
 
 

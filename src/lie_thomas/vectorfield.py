@@ -146,11 +146,3 @@ def apply_prolonged(pf: ProlongedField, target: Expr) -> JetPolynomial:
         pairs += product_terms(pf.coefficient(key).coeffs, t.diff(JETS[key]).coeffs)
     return JetPolynomial.from_terms(pairs)
 
-
-def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """Lie bracket [v, w] of point fields."""
-    return VectorField(
-        v.apply(w.xi) - w.apply(v.xi),
-        v.apply(w.eta) - w.apply(v.eta),
-        v.apply(w.phi) - w.apply(v.phi),
-    )

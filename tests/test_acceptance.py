@@ -20,7 +20,6 @@ from lie_thomas.algebra import (
     basis_element,
     commutator_table,
     g_element,
-    lie_series_adjoint,
     transform_solution,
 )
 from lie_thomas.classifier import (
@@ -74,6 +73,7 @@ from lie_thomas.normal import equal, is_zero
 from lie_thomas.printer import to_text
 from lie_thomas.reduction import annihilation_residuals, verify_reduction
 from lie_thomas.verification import GridSpec, oracle_solutions, residual, residual_grid
+from oracles import lie_series_adjoint
 
 F = Fraction
 SYM = ThomasParams()

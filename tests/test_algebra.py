@@ -20,7 +20,6 @@ from lie_thomas.algebra import (
     commutator_table,
     g_element,
     group_action,
-    lie_series_adjoint,
     transform_solution,
 )
 from lie_thomas.determining import ParameterError, ThomasParams, exponential_g, v_g
@@ -41,8 +40,8 @@ from lie_thomas.expr import (
 )
 from lie_thomas.hyperdual import HyperDual, exp_, log_, seed
 from lie_thomas.normal import equal, is_zero
-from lie_thomas.vectorfield import vf_bracket
 from lie_thomas.verification import oracle_solutions
+from oracles import lie_series_adjoint, vf_bracket
 
 
 def _el_equal(a: AlgebraElement, b: AlgebraElement) -> bool:

@@ -1,11 +1,13 @@
 """Canonical-case assignment: coverage, exact word replay, orbit stability."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from lie_thomas.algebra import AlgebraElement, adjoint
+from lie_thomas import classifier
+from lie_thomas.algebra import AlgebraElement, AlgebraError, adjoint, adjoint_scaling
 from lie_thomas.classifier import (
     TAGS,
     CanonicalCase,
@@ -15,7 +17,7 @@ from lie_thomas.classifier import (
     orbit_invariance_check,
 )
 from lie_thomas.determining import ThomasParams
-from lie_thomas.expr import Rat
+from lie_thomas.expr import Rat, param
 
 
 P = ThomasParams(1, 1, 1)
@@ -154,3 +156,138 @@ def test_nonzero_scale_preserves_tag(rng):
         c = Fraction(rng.randint(1, 7), rng.randint(1, 5))
         scaled = el.scale(c)
         assert classify(el, P).tag == classify(scaled, P).tag
+
+
+def _q(rng, zero_share=0.25):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("op", ["scale", "v1", "v2", "v3", "v4"])
+def test_each_word_entry_is_the_closed_form(op, rng):
+    zeros = set()
+    for _ in range(250):
+        alpha, beta = _q(rng, 0.3), _q(rng, 0.3)
+        p = ThomasParams(alpha, beta, _q(rng, 0))
+        coords = tuple(_q(rng) for _ in range(4))
+        val = _q(rng, 0.1 if op == "scale" else 0)
+        el = AlgebraElement(*coords)
+        if op == "scale":
+            closed = el.scale(val)
+        elif op == "v4":
+            val = abs(val)
+            closed = adjoint_scaling(Rat(val), el, p)
+        else:
+            closed = adjoint(int(op[1]), Rat(val), el, p)
+        moved = apply_word(coords, ((op, val),), p)
+        assert moved == closed.coords_exact(), (op, val, coords, p)
+        assert all(type(c) is Fraction for c in moved)
+        zeros |= {name for name, c in (("alpha", alpha), ("beta", beta)) if c == 0}
+    assert zeros == {"alpha", "beta"}
+
+
+def test_word_entries_outside_the_maps_are_rejected():
+    with pytest.raises(ClassificationError, match="t > 0"):
+        apply_word((1, 1, 1, 1), (("v4", 0),), P)
+    with pytest.raises(ClassificationError, match="t > 0"):
+        apply_word((1, 1, 1, 1), (("v4", -2),), P)
+    with pytest.raises(ClassificationError, match="unknown word entry 'v5'"):
+        apply_word((1, 1, 1, 1), (("v5", 1),), P)
+
+
+def test_error_order_g_part_then_constants_then_coordinates():
+    from lie_thomas.algebra import g_element
+    from lie_thomas.determining import exponential_g
+    from lie_thomas.expr import R
+
+    g, _ = exponential_g(R(2), P)
+    eps = param("epsilon")
+    with pytest.raises(ClassificationError, match="g part"):
+        classify(AlgebraElement(eps, 0, 0, 0) + g_element(g), ThomasParams())
+    with pytest.raises(ClassificationError, match="numeric"):
+        classify(AlgebraElement(eps, 0, 0, 0), ThomasParams())
+    with pytest.raises(AlgebraError, match="not rational"):
+        classify(AlgebraElement(eps, 0, 0, 0), P)
+
+
+def test_orbit_check_certifies_the_exact_map_against_the_closed_form(monkeypatch):
+    el = AlgebraElement(1, 2, 3, 4)  # Case1 on its whole orbit, so no tag can change
+    assert orbit_invariance_check(el, P, trials=4, rng=random.Random(5))
+    exact = classifier._move
+
+    def off_by_one(op, val, coords, params):
+        a1, a2, a3, a4 = exact(op, val, coords, params)
+        return (a1 + 1, a2, a3, a4)
+
+    monkeypatch.setattr(classifier, "_move", off_by_one)
+    assert not orbit_invariance_check(el, P, trials=4, rng=random.Random(5))
+
+
+# Pins of the classifier's output and of the draws of the orbit check, with
+# literals taken from the closed-form implementation.  The constants include
+# alpha = 0, beta = 0 and alpha = beta = 0.
+PIN_PARAMS = ((1, 1, 1), (2, -3, 5), (0, 2, -1), (3, 0, 2), (0, 0, 1), (-1, -1, 3))
+CLASSIFY_PIN = "2c23edd004cf2d8a6c359c8a3ddcbdf11d294d9f8613508502831cd0cf8db34c"
+ORBIT_PIN = "22921ba00ca295786531ab15e359395119063b747bacc5bb317c9bdad72666cb"
+
+
+def _pin_cases(n, seed=21):
+    """Seeded vectors with zero coordinates mixed in; a fifth of them built to
+    land on Case2_3 (a1 = -gamma*a3/beta) or Case3_1a (a2 = beta*a1/alpha)
+    where the constants allow it."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        constants = rng.choice(PIN_PARAMS)
+        alpha, beta, gamma = (Fraction(c) for c in constants)
+        a = [_q(rng, 0.35) for _ in range(4)]
+        kind = rng.random()
+        if kind < 0.1 and beta:
+            a[0], a[1], a[3] = -gamma * a[2] / beta, Fraction(0), Fraction(0)
+        elif kind < 0.2 and alpha:
+            a[1], a[2], a[3] = beta * a[0] / alpha, Fraction(0), Fraction(0)
+        yield ThomasParams(*constants), AlgebraElement(*a)
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _classified(el, p):
+    case = classify(el, p)
+    return case.tag, case.coords, case.word
+
+
+def _orbit_and_next_draw(el, p, seed, trials):
+    rng = random.Random(seed)
+    return orbit_invariance_check(el, p, trials=trials, rng=rng), rng.random()
+
+
+def test_classify_pin():
+    outcomes = [_outcome(lambda: _classified(el, p)) for p, el in _pin_cases(6000)]
+    tags = {line.split("'")[1] for line in outcomes if line.startswith("(")}
+    assert tags == set(TAGS)
+    assert any(line.startswith("ClassificationError") for line in outcomes)
+    assert _digest(outcomes) == CLASSIFY_PIN
+
+
+def test_orbit_check_pin():
+    outcomes = [_outcome(lambda: _orbit_and_next_draw(el, p, k, 6))
+                for k, (p, el) in enumerate(_pin_cases(600, seed=22))]
+    assert _digest(outcomes) == ORBIT_PIN
+
+
+@pytest.mark.parametrize("coords, seed, draw", [
+    ((1, -2, 3, 2), 7, 0.28960928633167626),
+    ((2, -1, 1, 0), 8, 0.25835670603191274),
+])
+def test_orbit_check_leaves_the_rng_where_it_did(coords, seed, draw):
+    el = AlgebraElement(*[Fraction(c) for c in coords])
+    assert _orbit_and_next_draw(el, P, seed, 12) == (True, draw)

@@ -29,7 +29,6 @@ from lie_thomas.vectorfield import (
     VectorField,
     prolong,
     symbolic_field,
-    vf_bracket,
 )
 from lie_thomas.jetpoly import JetPolynomial
 from lie_thomas.determining import (
@@ -41,6 +40,7 @@ from lie_thomas.determining import (
     v3,
     v4,
 )
+from oracles import vf_bracket
 
 
 def _d(f, *vs):
