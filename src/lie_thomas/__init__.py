@@ -37,7 +37,7 @@ _EXPORTS = {
         "case22_solution", "case31a_solution", "case31b_solution",
         "from_descriptor", "trivial_solutions",
     ),
-    "fuchs": ("FuchsSeries", "fuchs_series", "fuchs_solution"),
+    "fuchs": ("FuchsSeries", "fuchs_series"),
     "hyperdual": ("HyperDual",),
     "printer": ("to_latex", "to_text"),
     "reduction": ("invariants", "reduced_ode", "verify_reduction"),

@@ -5,6 +5,8 @@ form, one-parameter group actions, and solution transport.
 Each group exp(eps*v) is written once, as a flow: a base map (x, y) ->
 (x', y') and a lift (x, y, u) -> u'.  Transport moves a solution's graph:
 the new u at (x, y) lifts the old graph point over base_{-eps}(x, y).
+The adjoint closed forms are written once too, by `adjoint_coords` in plain
+arithmetic, for Expr and Fraction coordinate tuples alike.
 
 Basis fields:
 
@@ -40,7 +42,6 @@ from .expr import (
     evaluate,
     mul,
     param,
-    pow_,
     _wrap,
 )
 from .determining import ThomasParams, general_symmetry
@@ -175,47 +176,43 @@ def commutator_table(p: ThomasParams = ThomasParams(), g: Expr | None = None):
     return [[commutator(r, c, p) for c in basis] for r in basis]
 
 
-def adjoint(i: int, eps, w: AlgebraElement, p: ThomasParams = ThomasParams()) -> AlgebraElement:
-    """Closed-form Ad(exp(eps*v_i)) on span{v1..v4}.
+def adjoint_coords(i: int, val, coords, params):
+    """Ad(exp(eps*v_i)) on coordinates (a1, a2, a3, a4) over the constants
+    (alpha, beta, gamma); val is eps for v1..v3 and t = e^{-gamma*eps} for
+    v4.  Plain arithmetic, so one body serves Expr and Fraction coordinates.
 
     Convention: Ad(exp(eps*v)) w = w - eps [v, w] + eps^2/2 [v,[v,w]] - ...
     The nilpotent rows terminate; the scaling row sums to exponentials.
     """
+    alpha, beta, gamma = params
+    a1, a2, a3, a4 = coords
+    if i == 1:
+        return (a1 + val * gamma * a4, a2, a3 - val * beta * a4, a4)
+    if i == 2:
+        return (a1, a2 - val * gamma * a4, a3 + val * alpha * a4, a4)
+    if i == 3:
+        return coords
+    grow = 1 / val
+    a3 += a1 * beta / gamma * (1 - val) - a2 * alpha / gamma * (grow - 1)
+    return (a1 * val, a2 * grow, a3, a4)
+
+
+def _adjoint(i: int, val, w: AlgebraElement, p: ThomasParams) -> AlgebraElement:
+    """adjoint_coords on an element: the one check that i names a basis
+    generator and that w has no g part."""
     if i not in (1, 2, 3, 4):
         raise AlgebraError("adjoint index must be 1..4, got %r" % i)
     if w.has_g():
         raise AlgebraError("adjoint closed forms cover the finite part only")
+    return AlgebraElement(*adjoint_coords(i, val, w.coords(), (p.alpha, p.beta, p.gamma)))
+
+
+def adjoint(i: int, eps, w: AlgebraElement, p: ThomasParams = ThomasParams()) -> AlgebraElement:
+    """Closed-form Ad(exp(eps*v_i)) on span{v1..v4}."""
     eps = _coord(eps)
-    a1, a2, a3, a4 = w.coords()
-    if i == 1:
-        return AlgebraElement(
-            add(a1, mul(eps, p.gamma, a4)),
-            a2,
-            add(a3, mul(Rat(-1), eps, p.beta, a4)),
-            a4,
-        )
-    if i == 2:
-        return AlgebraElement(
-            a1,
-            add(a2, mul(Rat(-1), eps, p.gamma, a4)),
-            add(a3, mul(eps, p.alpha, a4)),
-            a4,
-        )
-    if i == 3:
-        return w
-    decay = app("exp", mul(Rat(-1), p.gamma, eps))
-    grow = app("exp", mul(p.gamma, eps))
-    return _v4_adjoint(decay, grow, w, p)
-
-
-def _v4_adjoint(decay: Expr, grow: Expr, w: AlgebraElement, p: ThomasParams) -> AlgebraElement:
-    a1, a2, a3, a4 = w.coords()
-    a3_new = add(
-        a3,
-        mul(a1, p.beta, pow_(p.gamma, -1), add(Rat(1), mul(Rat(-1), decay))),
-        mul(Rat(-1), a2, p.alpha, pow_(p.gamma, -1), add(grow, Rat(-1))),
-    )
-    return AlgebraElement(mul(a1, decay), mul(a2, grow), a3_new, a4)
+    if i == 4:  # the v4 map takes t = e^{-gamma*eps}
+        eps = app("exp", mul(Rat(-1), p.gamma, eps))
+    return _adjoint(i, eps, w, p)
 
 
 def adjoint_scaling(t, w: AlgebraElement, p: ThomasParams = ThomasParams()) -> AlgebraElement:
@@ -224,7 +221,7 @@ def adjoint_scaling(t, w: AlgebraElement, p: ThomasParams = ThomasParams()) -> A
     t = _coord(t)
     if isinstance(t, Rat) and t.value <= 0:
         raise AlgebraError("scaling parameter must be positive")
-    return _v4_adjoint(t, pow_(t, -1), w, p)
+    return _adjoint(4, t, w, p)
 
 
 def adjoint_table(p: ThomasParams = ThomasParams(), eps: Expr | None = None):

@@ -23,8 +23,8 @@ rational arithmetic.  The case tree:
 Everything runs on exact (a1, a2, a3, a4) Fraction tuples.  The tag is
 read off the unscaled coordinates, the divisions of the tree multiplied
 out.  Each word entry is one exact map: "scale" multiplies all
-coordinates, "v1"/"v2"/"v3" are the polynomial adjoint maps, and "v4" is
-the v4 adjoint parametrized by t = e^{-gamma*eps} > 0.  Words from
+coordinates, and "v1".."v4" run `algebra.adjoint_coords` on the tuple
+("v4" in t = e^{-gamma*eps} > 0).  Words from
 `classify` hold only scale, v1 and v2 entries; v4 entries come only from
 the orbit moves of `orbit_invariance_check`.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraElement, adjoint, adjoint_scaling
+from .algebra import AlgebraElement, adjoint, adjoint_coords, adjoint_scaling
 from .errors import DomainError, Record
 from .expr import Rat
 from .params import ThomasParams
@@ -79,24 +79,20 @@ def _fraction(q):
     return q if type(q) is Fraction else Fraction(q)
 
 
+_GENERATORS = {"v1": 1, "v2": 2, "v3": 3, "v4": 4}
+
+
 def _move(op, val, coords, params):
-    """One word entry applied to exact coordinates."""
-    alpha, beta, gamma = params
-    a1, a2, a3, a4 = coords
+    """One word entry on exact coordinates; v1..v4 by algebra.adjoint_coords."""
     if op == "scale":
+        a1, a2, a3, a4 = coords
         return (a1 * val, a2 * val, a3 * val, a4 * val)
-    if op == "v1":
-        return (a1 + val * gamma * a4, a2, a3 - val * beta * a4, a4)
-    if op == "v2":
-        return (a1, a2 - val * gamma * a4, a3 + val * alpha * a4, a4)
-    if op == "v3":
-        return coords
-    if op == "v4":  # val is t = e^{-gamma*eps}
-        if val <= 0:
-            raise ClassificationError("a v4 entry needs t > 0, got %s" % val)
-        a3 += a1 * beta / gamma * (1 - val) - a2 * alpha / gamma * (1 / val - 1)
-        return (a1 * val, a2 / val, a3, a4)
-    raise ClassificationError("unknown word entry %r" % (op,))
+    i = _GENERATORS.get(op)
+    if i is None:
+        raise ClassificationError("unknown word entry %r" % (op,))
+    if i == 4 and val <= 0:  # val is t = e^{-gamma*eps}
+        raise ClassificationError("a v4 entry needs t > 0, got %s" % val)
+    return adjoint_coords(i, val, coords, params)
 
 
 def _tag(coords, params):
@@ -161,8 +157,8 @@ def orbit_invariance_check(
     The v4 adjoint on a4 = 0 elements can create or destroy the v3
     coordinate (crossing the Case2/Case3 boundary), so it is drawn only
     when a4 != 0, as t = e^{-gamma*eps} to stay exact.  The first move is
-    also made by the closed form of `algebra`, and any difference from
-    the exact word-entry map fails the check.
+    also made on the Expr path of the same closed forms (`algebra.adjoint`),
+    and any difference from `_move` fails the check.
 
     As drawn, the check cannot fail: the v1/v2 adjoints move a1, a2, a3
     only by multiples of a4 and the v3 adjoint is the identity, so on
@@ -176,13 +172,14 @@ def orbit_invariance_check(
         return True
     params = _exact_params(p)
     coords = v.coords_exact()
-    choices = [1, 2, 3, 4] if coords[3] != 0 else [1, 2, 3]
+    ops = ("v1", "v2", "v3", "v4") if coords[3] != 0 else ("v1", "v2", "v3")
     for trial in range(trials):
-        i = rng.choice(choices)
-        low = 1 if i == 4 else -12
+        op = rng.choice(ops)
+        low = 1 if op == "v4" else -12
         val = Fraction(rng.randint(low, 12), rng.randint(1, 12))
-        moved = _move("v%d" % i, val, coords, params)
+        moved = _move(op, val, coords, params)
         if not trial:
+            i = _GENERATORS[op]
             closed = adjoint_scaling(Rat(val), v, p) if i == 4 else adjoint(i, Rat(val), v, p)
             if closed.coords_exact() != moved:
                 return False

@@ -3,9 +3,9 @@
 The equation has a regular singular point at chi = 0; the exponent-zero
 Frobenius branch y = sum a_n chi^n with a_0 = 1 has an infinite radius of
 convergence, so the partial sums evaluate the solution on the whole line.
-Coefficients come from both the one-step recurrence and the closed product
-formula; tests pin their agreement.  ``fuchs_series`` truncates the one
-generator of the recurrence that ``coefficients_recurrence`` also reads.
+Coefficients come from the one-step recurrence; the tests pin them to the
+closed product formula.  ``fuchs_series`` truncates the one generator of
+the recurrence that ``coefficients_recurrence`` also reads.
 ``second_solution`` is the other branch.
 
 Both records carry, off their fields, the coefficients of their term-wise
@@ -53,22 +53,6 @@ def coefficients_recurrence(e, m, n_max: int):
     _check_e(float(e))
     a = Fraction(1) if isinstance(e, Fraction) and isinstance(m, Fraction) else 1.0
     return [a, *islice(_recurrence(e, m, a), n_max)]
-
-
-def coefficient_closed(e, m, n: int):
-    """a_n = (-m)^n / (n! * e (e+1) ... (e+n-1))."""
-    _check_e(float(e))
-    if n == 0:
-        return Fraction(1) if isinstance(e, Fraction) else 1.0
-    if isinstance(e, Fraction) and isinstance(m, Fraction):
-        poch = Fraction(1)
-        for k in range(n):
-            poch *= e + k
-        return (-m) ** n / (Fraction(math.factorial(n)) * poch)
-    poch = 1.0
-    for k in range(n):
-        poch *= e + k
-    return (-float(m)) ** n / (math.factorial(n) * poch)
 
 
 class FuchsSeries(Record):
@@ -213,15 +197,6 @@ def second_solution(e: float, m: float, chi_max: float) -> SecondSolution:
                          "(|chi| <= %r)" % (_MAX_TERMS, chi_max))
     tail = (n + 1) ** 2 * scaled * (1.0 + abs(dlog))
     return SecondSolution(-big_n, tuple(log_coeffs), tuple(coeffs), n, tail)
-
-
-def fuchs_solution(e: float, m: float, chi: float) -> float:
-    return fuchs_series(e, m, abs(chi))(chi)
-
-
-def ode_residual(series: FuchsSeries, chi: float) -> float:
-    y, ypr, ypp = series.eval(chi)
-    return chi * ypp + series.e * ypr + series.m * y
 
 
 def zero_bracket(series: FuchsSeries, lo: float, hi: float, samples: int = 256):

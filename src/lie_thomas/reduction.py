@@ -248,10 +248,3 @@ def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
             % (c.tag, canonical_expr(delta_sub), k, canonical_expr(lhs_expanded))
         )
     return True
-
-
-def annihilation_residuals(c, p: ThomasParams = ThomasParams()):
-    """(v(chi), v(varsigma)) for the canonical field; both must vanish."""
-    v = c.element().to_field(p)
-    pair = invariants(c, p)
-    return v.apply(pair.chi), v.apply(pair.varsigma)

@@ -62,18 +62,18 @@ from lie_thomas.families import (
     case31a_solution,
     case31b_solution,
 )
-from lie_thomas.fuchs import (
-    coefficient_closed,
-    coefficients_recurrence,
-    fuchs_series,
-    ode_residual,
-)
+from lie_thomas.fuchs import coefficients_recurrence, fuchs_series
 from lie_thomas.jetpoly import mono_expr
 from lie_thomas.normal import equal, is_zero
 from lie_thomas.printer import to_text
-from lie_thomas.reduction import annihilation_residuals, verify_reduction
+from lie_thomas.reduction import verify_reduction
 from lie_thomas.verification import GridSpec, oracle_solutions, residual, residual_grid
-from oracles import lie_series_adjoint
+from oracles import (
+    annihilation_residuals,
+    coefficient_closed,
+    lie_series_adjoint,
+    ode_residual,
+)
 
 F = Fraction
 SYM = ThomasParams()

@@ -195,6 +195,12 @@ def test_adjoint_rejects_g_part():
     g, _ = exponential_g(R(1), p)
     with pytest.raises(AlgebraError):
         adjoint(1, R(1), g_element(g), p)
+    # both entry points refuse a g part next to finite coordinates
+    w = AlgebraElement(1, 2, 3, 0) + g_element(g)
+    with pytest.raises(AlgebraError, match="finite part only"):
+        adjoint(4, R(1), w, p)
+    with pytest.raises(AlgebraError, match="finite part only"):
+        adjoint_scaling(R(2), w, p)
 
 
 def test_group_one_parameter_property():

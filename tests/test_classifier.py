@@ -1,6 +1,7 @@
 """Canonical-case assignment: coverage, exact word replay, orbit stability."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from lie_thomas.classifier import (
 )
 from lie_thomas.determining import ThomasParams
 from lie_thomas.expr import Rat, param
+from oracles import lie_series_adjoint
 
 
 P = ThomasParams(1, 1, 1)
@@ -164,9 +166,15 @@ def _q(rng, zero_share=0.25):
     return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
 
 
+def _series_coords(i, eps, coords, p, order):
+    """Ad(exp(eps*v_i)) summed from iterated brackets: a reference for
+    apply_word that shares no code with it."""
+    return lie_series_adjoint(i, Rat(eps), AlgebraElement(*coords), p, order).coords_exact()
+
+
 @pytest.mark.parametrize("op", ["scale", "v1", "v2", "v3", "v4"])
 def test_each_word_entry_is_the_closed_form(op, rng):
-    zeros = set()
+    strata = set()
     for _ in range(250):
         alpha, beta = _q(rng, 0.3), _q(rng, 0.3)
         p = ThomasParams(alpha, beta, _q(rng, 0))
@@ -183,8 +191,23 @@ def test_each_word_entry_is_the_closed_form(op, rng):
         moved = apply_word(coords, ((op, val),), p)
         assert moved == closed.coords_exact(), (op, val, coords, p)
         assert all(type(c) is Fraction for c in moved)
-        zeros |= {name for name, c in (("alpha", alpha), ("beta", beta)) if c == 0}
-    assert zeros == {"alpha", "beta"}
+        if op in ("v1", "v2", "v3"):  # the series terminates by order 4
+            assert moved == _series_coords(int(op[1]), val, coords, p, 4), (op, val, coords, p)
+        strata.add((alpha == 0, beta == 0))
+    assert strata == {(False, False), (True, False), (False, True), (True, True)}
+    if op != "v4":
+        return
+    # the v4 series does not terminate: hold the entry at t = e^{-gamma*eps}
+    # to it in floats, |gamma*eps| <= 9/5 putting order 30 far below 1e-12
+    for alpha, beta in ((_q(rng, 0), _q(rng, 0)), (0, _q(rng, 0)), (_q(rng, 0), 0), (0, 0)):
+        for eps in (Fraction(1, 5), Fraction(-1, 7), Fraction(1, 10)):
+            gamma = _q(rng, 0)
+            p = ThomasParams(alpha, beta, gamma)
+            coords = tuple(_q(rng) for _ in range(4))
+            moved = apply_word(coords, (("v4", Fraction(math.exp(-gamma * eps))),), p)
+            series = _series_coords(4, eps, coords, p, 30)
+            for a, b in zip(moved, series):
+                assert abs(a - b) <= 1e-12 * max(1, abs(b)), (eps, coords, p)
 
 
 def test_word_entries_outside_the_maps_are_rejected():

@@ -9,14 +9,12 @@ from scipy.special import i0, j0, jv, k0, y0
 
 from lie_thomas.fuchs import (
     FuchsError,
-    coefficient_closed,
     coefficients_recurrence,
     fuchs_series,
-    fuchs_solution,
-    ode_residual,
     second_solution,
     zero_bracket,
 )
+from oracles import coefficient_closed, fuchs_solution, ode_residual
 
 F = Fraction
 

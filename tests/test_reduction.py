@@ -13,12 +13,12 @@ from lie_thomas.printer import to_text
 from lie_thomas.reduction import (
     InvariantPair,
     ReductionError,
-    annihilation_residuals,
     chain_rule_jets,
     invariants,
     reduced_ode,
     verify_reduction,
 )
+from oracles import annihilation_residuals
 
 F = Fraction
 SYM = ThomasParams()
