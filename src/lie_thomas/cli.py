@@ -347,17 +347,25 @@ def _cmd_reduce(args) -> int:
             raise InputError("--vector picks its own case and would ignore %s; give one "
                              "of them" % ("--case" if args.case else "--coords"))
         case = classify(AlgebraElement(*_parse_vector(args.vector)), p)
-    elif args.case and args.coords:
-        coords = _parse_vector(args.coords, "--coords")
-        if not p.is_numeric():
-            raise InputError("--coords needs numeric --params to check the vector is canonical")
-        case = classify(AlgebraElement(*coords), p)
-        if case.tag != args.case or case.word:
-            raise InputError("--coords: (%s) is not a canonical %s vector; its form is %s (%s)"
-                             % (args.coords, args.case, case.tag,
-                                ", ".join(map(str, case.coords))))
     elif args.case:
-        case = CanonicalCase(args.case, _default_coords(args.case, p), ())
+        # at numeric params the given or default coordinates must classify
+        # to --case unmoved; symbolic params cannot classify them
+        if args.coords:
+            coords = _parse_vector(args.coords, "--coords")
+            given = "--coords: (%s)" % args.coords
+        else:
+            coords = _default_coords(args.case, p)
+            given = "--case: the default (%s)" % ", ".join(map(str, coords))
+        if p.is_numeric():
+            case = classify(AlgebraElement(*coords), p)
+            if case.tag != args.case or case.word:
+                raise InputError("%s is not a canonical %s vector; its form is %s (%s)"
+                                 % (given, args.case, case.tag,
+                                    ", ".join(map(str, case.coords))))
+        elif args.coords:
+            raise InputError("--coords needs numeric --params to check the vector is canonical")
+        else:
+            case = CanonicalCase(args.case, coords, ())
     else:
         raise InputError("reduce wants --vector or --case")
     pair = invariants(case, p)

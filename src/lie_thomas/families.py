@@ -19,12 +19,14 @@ variant kept here is the one rederived from the reduced ODE; the residual
 tests are the arbiter.
 
 Builders: a body registered by ``@_builder(key, tag)`` only computes the
-coefficients; it takes p and float constants and returns (evaluator,
-domain, note).  The type of each default sets how a constant is passed and
-recorded: an int default is an exact coordinate (a1, a2), passed as a
-float and recorded as given (a Fraction as an int or "n/d"); a float
-default is a number, passed and recorded as a float; a str default is a
-choice (root, tag), passed and recorded as given.
+coefficients: floats in, (evaluator, domain, note) out.  Its first three
+arguments are alpha, beta, gamma, which the builder converts from the
+ThomasParams once per build; no body sees the ThomasParams.  The type of
+each constant's default sets how it is passed and recorded: an int
+default is an exact coordinate (a1, a2), passed as a float and recorded
+as given (a Fraction as an int or "n/d"); a float default is a number,
+passed and recorded as a float; a str default is a choice (root, tag),
+passed and recorded as given.
 
 Descriptors: ``descriptor()`` emits a JSON-able dict that rebuilds the
 family bit-for-bit through ``from_descriptor``; the sha256 digest of the
@@ -188,14 +190,15 @@ TAG_BUILDERS = {}
 
 
 def _builder(key, tag=None):
-    """Register a body as SOLUTION_BUILDERS[key] (see the module docstring).
-    The builder checks the constant names, then the parameters, then
-    converts the constants; without a tag, the ``tag`` constant names the
-    case the family solves."""
+    """Register body(alpha, beta, gamma, *constants) as
+    SOLUTION_BUILDERS[key](p, *constants) (see the module docstring).  The
+    builder checks the constant names, then converts the parameters, so
+    symbolic ones fail before any constant, then converts the constants;
+    without a tag, the ``tag`` constant names the case the family solves."""
 
     def register(body):
         code = body.__code__
-        names = code.co_varnames[1:code.co_argcount]
+        names = code.co_varnames[3:code.co_argcount]
         defaults = dict(zip(names, body.__defaults__))
         rules = {n: type(v) for n, v in defaults.items()}
         TAG_BUILDERS.setdefault(tag or defaults["tag"], key)
@@ -207,10 +210,10 @@ def _builder(key, tag=None):
             unknown = sorted(set(kwargs) - set(names))
             if unknown:
                 raise FamilyError("family %r takes no constant %s" % (key, ", ".join(unknown)))
-            p.floats()  # symbolic parameters fail before any constant
+            floats = p.floats()
             given = {**defaults, **given, **kwargs}
             values = {n: v if rules[n] is str else _numeric(v) for n, v in given.items()}
-            evaluator, domain, note = body(p, **values)
+            evaluator, domain, note = body(*floats, **values)
             constants = {n: _jsonable(v) if rules[n] is int else values[n]
                          for n, v in given.items()}
             return SolutionFamily(key, tag or values["tag"], p, constants, evaluator, domain,
@@ -228,7 +231,7 @@ def _builder(key, tag=None):
 
 
 @_builder("case1", "Case1")
-def case1_solution(p: ThomasParams, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5,
+def case1_solution(alpha, beta, gamma, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5,
                    chi_hi=-0.005):
     """Invariant solution of the scaling case on one sign branch of chi.
 
@@ -245,7 +248,6 @@ def case1_solution(p: ThomasParams, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5,
     y_2 is W = C |chi|^(-e), so (y_2/y_p)' = C |chi|^(-e) y_p^(-2) and
     g_p = (gamma/C)(y_2/y_p)(chi) - (gamma/C)(y_2/y_p)(base).
     """
-    alpha, beta, gamma = p.floats()
     if not chi_lo < chi_hi:
         raise FamilyError("empty chi interval")
     if chi_lo < 0 < chi_hi:
@@ -327,8 +329,7 @@ def case1_solution(p: ThomasParams, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5,
 # --- Case 2.1a: real constant root plus exponential correction ---------------
 
 
-def _case21_root(p: ThomasParams, a1, a2, root: str):
-    alpha, beta, gamma = p.floats()
+def _case21_root(alpha, beta, gamma, a1, a2, root: str):
     b_lin = alpha * a2 - beta * a1 + gamma
     disc = b_lin**2 + 4 * gamma * beta * a1
     if disc < 0:
@@ -342,9 +343,8 @@ def _case21_root(p: ThomasParams, a1, a2, root: str):
     return theta0, c_rate
 
 
-def _case21_degenerate(p: ThomasParams, a2, const):
+def _case21_degenerate(alpha, beta, gamma, a2, const):
     """a1 = 0: the constant root of the algebraic reduction, no correction."""
-    alpha, beta, gamma = p.floats()
     b0 = alpha * a2 + gamma
     if b0 == 0:
         raise FamilyError("alpha*a2 + gamma = 0 leaves no constant root")
@@ -353,7 +353,7 @@ def _case21_degenerate(p: ThomasParams, a2, const):
 
 
 @_builder("case21a", "Case2_1a")
-def case21a_solution(p: ThomasParams, a1=1, a2=2, A=5000.0, root="+", const=0.0):
+def case21a_solution(alpha, beta, gamma, a1=1, a2=2, A=5000.0, root="+", const=0.0):
     """u = (1/gamma) log(A - (gamma/C) e^{-C chi}) + theta0 chi + y/a2 + const
     on chi = a2 x - a1 y, where theta0 is a constant root of the reduced
     Riccati equation and C = (2 a1 a2 gamma theta0 - B)/(a1 a2).
@@ -364,9 +364,8 @@ def case21a_solution(p: ThomasParams, a1=1, a2=2, A=5000.0, root="+", const=0.0)
     if a2 == 0:
         raise FamilyError("a2 must be nonzero for the 2.1 invariants")
     if a1 == 0:
-        return _case21_degenerate(p, a2, const)
-    gamma = p.floats()[2]
-    theta0, c_rate = _case21_root(p, a1, a2, root)
+        return _case21_degenerate(alpha, beta, gamma, a2, const)
+    theta0, c_rate = _case21_root(alpha, beta, gamma, a1, a2, root)
     lam, mu = theta0 * a2, 1 / a2 - theta0 * a1
     if c_rate == 0.0:
         mix = ModeMix(gamma, lam, mu, const, A, gamma, _identity, a2, -a1)
@@ -376,14 +375,14 @@ def case21a_solution(p: ThomasParams, a1=1, a2=2, A=5000.0, root="+", const=0.0)
 
 
 @_builder("case21_affine", "Case2_1a")
-def case21_affine(p: ThomasParams, a1=1, a2=2, root="+", const=0.0):
+def case21_affine(alpha, beta, gamma, a1=1, a2=2, root="+", const=0.0):
     """The correction-free limit: u = theta0 chi + y/a2 + const."""
     if a2 == 0:
         raise FamilyError("a2 must be nonzero")
     if a1 == 0:
-        return _case21_degenerate(p, a2, const)
-    theta0, _ = _case21_root(p, a1, a2, root)
-    mix = ModeMix(p.floats()[2], theta0 * a2, 1 / a2 - theta0 * a1, const)
+        return _case21_degenerate(alpha, beta, gamma, a2, const)
+    theta0, _ = _case21_root(alpha, beta, gamma, a1, a2, root)
+    mix = ModeMix(gamma, theta0 * a2, 1 / a2 - theta0 * a1, const)
     return mix, mix.domain, "constant-root solution (limit of unbounded correction amplitude)"
 
 
@@ -391,7 +390,7 @@ def case21_affine(p: ThomasParams, a1=1, a2=2, root="+", const=0.0):
 
 
 @_builder("case21b", "Case2_1b")
-def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0):
+def case21b_solution(alpha, beta, gamma, a1=-1, a2=-1, A0=0.0, const=0.0):
     """Negative-discriminant branch:
 
         theta = sqrt(Xi) tan(phi) - A1/(2 A2),  phi = A2 sqrt(Xi) chi + A0,
@@ -400,7 +399,6 @@ def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0):
     and since A2 = -gamma, (1/(2 A2)) log(1 + tan^2) = (1/gamma) log|cos|,
     so w = |cos(phi)|.  The domain |cos(phi)| > 0.05 keeps away from the
     poles of tan."""
-    alpha, beta, gamma = p.floats()
     if a1 == 0 or a2 == 0:
         raise FamilyError("the oscillatory branch needs a1*a2 != 0")
     A1 = (alpha * a2 - beta * a1 + gamma) / (a1 * a2)
@@ -423,8 +421,7 @@ def case21b_solution(p: ThomasParams, a1=-1, a2=-1, A0=0.0, const=0.0):
 
 
 @_builder("case22", "Case2_2")
-def case22_solution(p: ThomasParams, a1=1, const=0.0):
-    alpha, beta, gamma = p.floats()
+def case22_solution(alpha, beta, gamma, a1=1, const=0.0):
     if a1 == 0:
         raise FamilyError("a1 = 0 has no 2.2 reduction")
     denom = beta * a1 + gamma
@@ -438,9 +435,8 @@ def case22_solution(p: ThomasParams, a1=1, const=0.0):
 
 
 @_builder("case31a", "Case3_1a")
-def case31a_solution(p: ThomasParams, k0=5.0, const=0.0):
+def case31a_solution(alpha, beta, gamma, k0=5.0, const=0.0):
     """u = (1/gamma) log(gamma (x - y/a2) + k0) + const with a2 = beta/alpha."""
-    alpha, beta, gamma = p.floats()
     if alpha == 0:
         raise FamilyError("this branch needs alpha != 0 (a2 = beta/alpha)")
     a2 = beta / alpha
@@ -451,12 +447,11 @@ def case31a_solution(p: ThomasParams, k0=5.0, const=0.0):
 
 
 @_builder("case31b", "Case3_1b")
-def case31b_solution(p: ThomasParams, a2=2, k=1.0, const=0.0):
+def case31b_solution(alpha, beta, gamma, a2=2, k=1.0, const=0.0):
     """u = -(1/gamma) log(1 + gamma/(k s e^{s chi} - gamma)) + const with
     s = beta - alpha*a2 and chi = x - y/a2, that is w = 1 - (gamma/(k s))
     e^{-s chi}; k = 0 leaves no point with w > 0.  s = 0 falls back to the
     logarithmic form of the balanced branch."""
-    alpha, beta, gamma = p.floats()
     if a2 == 0:
         raise FamilyError("a2 must be nonzero")
     s = beta - alpha * a2
@@ -484,11 +479,11 @@ OBSTRUCTIONS = {
 
 
 @_builder("constant")
-def constant_solution(p: ThomasParams, c=0.0, tag="Case3_2"):
+def constant_solution(alpha, beta, gamma, c=0.0, tag="Case3_2"):
     if tag not in _CONSTANT_TAGS:
         raise FamilyError("a constant is invariant only for %s, not %r"
                           % (", ".join(_CONSTANT_TAGS), tag))
-    mix = ModeMix(p.floats()[2], 0.0, 0.0, c)
+    mix = ModeMix(gamma, 0.0, 0.0, c)
     return mix, mix.domain, "constant state"
 
 

@@ -147,9 +147,7 @@ class JetPolynomial:
         return self + other * -1
 
     def __mul__(self, other) -> "JetPolynomial":
-        """Product with a JetPolynomial, a jet symbol or a rational."""
-        if isinstance(other, JetPolynomial):
-            return JetPolynomial(_product(self.coeffs, other.coeffs))
+        """Product with a jet symbol or a rational."""
         if other in _JET_POS:
             i = _JET_POS[other]
             return JetPolynomial({_bump(m, i): c for m, c in self.coeffs.items()})

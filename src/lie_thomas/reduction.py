@@ -142,13 +142,16 @@ def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
             mul(beta, pow_(a2, -1)),
         )
         if is_zero(a1):
-            return ReducedODE(
-                0,
-                "theta",
-                canonical_expr(lhs),
-                "algebraic",
-                note="derivative terms vanish with a1 = 0; theta is a constant root",
-            )
+            lhs = canonical_expr(lhs)
+            if not is_zero(add(mul(alpha, a2), gamma)):
+                return ReducedODE(0, "theta", lhs, "algebraic", note="derivative terms "
+                                  "vanish with a1 = 0; theta is a constant root")
+            # alpha*a2 + gamma = 0 leaves lhs = beta/a2
+            if is_zero(lhs):
+                return ReducedODE(0, "theta", lhs, "identity", note="a1 = beta = alpha*a2 + "
+                                  "gamma = 0: every varsigma = F(chi) solves the equation")
+            return ReducedODE(0, "theta", lhs, "inconsistent", note="a1 = alpha*a2 + gamma = 0 "
+                              "leaves beta/a2 = 0; no theta solves it")
         return ReducedODE(1, "theta", lhs, "riccati")
     if tag == "Case2_2":
         lhs = add(mul(add(mul(beta, a1), gamma), S1), mul(Rat(-1), a1, alpha))
@@ -173,7 +176,10 @@ def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
         lhs = add(S2, mul(add(beta, mul(Rat(-1), a2, alpha)), S1), mul(gamma, pow_(S1, 2)))
         return ReducedODE(1, "theta", lhs, "bernoulli")
     if tag == "Case3_2":
-        coeff = beta if not is_zero(a1) else alpha
+        name, coeff = ("beta", beta) if not is_zero(a1) else ("alpha", alpha)
+        if is_zero(coeff):
+            return ReducedODE(0, "varsigma", Rat(0), "identity",
+                              note="%s = 0: every varsigma = F(chi) solves the equation" % name)
         return ReducedODE(
             1,
             "varsigma",

@@ -40,7 +40,8 @@ from lie_thomas.expr import (
 )
 from lie_thomas.hyperdual import HyperDual, exp_, log_, seed
 from lie_thomas.normal import equal, is_zero
-from lie_thomas.verification import oracle_solutions
+from lie_thomas.families import case21a_solution
+from lie_thomas.verification import oracle_solutions, residual
 from oracles import lie_series_adjoint, vf_bracket
 
 
@@ -269,6 +270,22 @@ def test_group_word_inverse_round_trip():
     assert max(abs(a - b) for a, b in zip(pt, back)) < 1e-12
     both = (w * w.inverse()).apply(pt, p)
     assert max(abs(a - b) for a, b in zip(pt, both)) < 1e-12
+
+
+def test_group_transport_round_trip_keeps_a_family_a_solution():
+    """A word transported and then its inverse gives back f; the moved
+    family still solves the equation."""
+    p = ThomasParams(1, 1, 1)
+    f = case21a_solution(p)
+    el = GroupElement(4, 0.4)
+    w = GroupWord((GroupElement(1, 0.3), el, GroupElement(3, 1.0),
+                   GroupElement("g", 0.05, lambda x, y: 1.0)))
+    moved = w.transport(f, p)
+    backs = (el.inverse().transport(el.transport(f, p), p), w.inverse().transport(moved, p),
+             (w * w.inverse()).transport(f, p))
+    for x, y in _points(random.Random(9006)):
+        assert all(abs(back(x, y) - f(x, y)) < 1e-12 for back in backs), (x, y)
+        assert abs(residual(moved, x, y, p)) < 1e-8, (x, y)
 
 
 # --- one flow per generator ---------------------------------------------------

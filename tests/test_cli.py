@@ -91,6 +91,42 @@ def test_reduce_by_case_with_coords(capsys):
     assert doc["ode"]["kind"] == "linear-first-order"
 
 
+@pytest.mark.parametrize("case, params, default, tag", [
+    ("Case2_2", "1,-1,1", "1, 0, 1, 0", "Case2_3"),
+    ("Case2_1a", "-1,-1,1", "1, 2, 1, 0", "Case2_1b"),
+    ("Case2_1b", "0,0,1", "-1, -1, 1, 0", "Case2_1a"),
+    ("Case3_1b", "1,2,1", "1, 2, 0, 0", "Case3_1a"),
+])
+def test_reduce_by_case_checks_its_default_coordinates(capsys, case, params, default, tag):
+    """At numeric params the default coordinates of --case pass the check
+    that --coords gets; where they belong to another tag, reduce names it."""
+    rc, out, err = _run(capsys, "reduce", "--case", case, "--params", params)
+    assert rc == 3 and not out
+    assert ("--case: the default (%s) is not a canonical %s vector; its form is %s (%s)"
+            % (default, case, tag, default)) in err
+
+
+@pytest.mark.parametrize("case, params, canonical, kind", [
+    ("Case2_3", "1,2,1", "(-1/2, 0, 1, 0)", "inconsistent"),
+    ("Case3_1a", "1,2,1", "(1, 2, 0, 0)", "bernoulli"),
+])
+def test_reduce_by_case_computes_the_parameter_defaults(capsys, case, params, canonical, kind):
+    rc, out, err = _run(capsys, "reduce", "--case", case, "--params", params)
+    assert rc == 0 and not err
+    assert "tag: %s\ncanonical coordinates: %s\n" % (case, canonical) in out
+    assert ", %s): " % kind in out
+
+
+@pytest.mark.parametrize("case, params, message", [
+    ("Case2_3", "1,0,1", "Case2_3 needs beta != 0"),
+    ("Case3_1a", "0,2,1", "Case3_1a needs alpha != 0"),
+])
+def test_reduce_parameter_defaults_refuse_a_vanishing_divisor(capsys, case, params, message):
+    rc, out, err = _run(capsys, "reduce", "--case", case, "--params", params)
+    assert rc == 3 and not out
+    assert "error[InputError]: %s" % message in err
+
+
 def test_solve_verify_pipeline(tmp_path, capsys):
     rc, out, _ = _run(capsys, "solve", "--case", "Case2_2",
                       "--params", "1,1,1", "--constants", "a1=2",

@@ -21,6 +21,7 @@ from lie_thomas.expr import (
     EvalError,
     ExprError,
     Func,
+    Pow,
     R,
     Rat,
     Sym,
@@ -146,6 +147,17 @@ def test_printer_latex():
     assert to_latex(U_XY) == "u_{xy}"
     assert to_latex(GAMMA * U_X) == "\\gamma u_{x}"
     assert "\\frac" in to_latex(R(1, 2) * X)
+
+
+def test_printer_latex_bare_rationals():
+    """A non-integer rational alone, as a sum term and as the base of a
+    power: a negative one is parenthesized only where it binds tighter than
+    a sum."""
+    assert to_latex(R(3, 4)) == r"\frac{3}{4}"
+    assert to_latex(R(-3, 4)) == r"-\frac{3}{4}"
+    assert to_latex(X + R(-1, 2)) == r"-\frac{1}{2} + x"
+    assert to_latex(Y + R(1, 2)) == r"\frac{1}{2} + y"
+    assert to_latex(Pow(R(-3, 4), 2)) == r"(-\frac{3}{4})^{2}"
 
 
 def test_normal_form_equality():

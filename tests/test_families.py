@@ -83,6 +83,14 @@ def test_case21a_negative_discriminant_rejected():
         case21a_solution(P, a1=F(-1), a2=F(-1), A=F(1), root="+")
 
 
+def test_case21a_double_root_falls_back_to_the_log_correction():
+    # B = alpha*a2 - beta*a1 + gamma = -2 and B^2 + 4 gamma beta a1 = 0
+    fam = case21a_solution(P, a1=F(-1), a2=F(-4))
+    assert fam.note == "double-root fallback with logarithmic correction"
+    assert fam.evaluator.f.__name__ == "_identity"
+    assert _max_residual(fam, GridSpec(-2, 2, 50, -2, 2, 50)) < 1e-14
+
+
 def test_case21a_degenerate_a1():
     fam = case21a_solution(P, a1=F(0), a2=F(3), A=F(100), root="+")
     assert _max_residual(fam, GridSpec(-2, 2, 15, -2, 2, 15)) < 1e-9

@@ -148,6 +148,26 @@ def test_case23_is_an_identity_where_alpha_beta_vanishes():
     assert reduced_ode(case, SYM).kind == "inconsistent"
 
 
+@pytest.mark.parametrize("tag, coords, params, kind, lhs", [
+    # Case3_2's coefficient (alpha for d/dy, beta for d/dx) vanishes
+    ("Case3_2", (0, 1, 0, 0), ThomasParams(0, 1, 1), "identity", "0"),
+    ("Case3_2", (1, 0, 0, 0), ThomasParams(1, 0, 1), "identity", "0"),
+    # a1 = 0 and alpha*a2 + gamma = 0 leave lhs = beta/a2
+    ("Case2_1a", (0, -1, 1, 0), ThomasParams(1, 0, 1), "identity", "0"),
+    ("Case2_1a", (0, -1, 1, 0), ThomasParams(1, 2, 1), "inconsistent", "-2"),
+], ids=["Case3_2-y", "Case3_2-x", "Case2_1a-identity", "Case2_1a-inconsistent"])
+def test_degenerate_strata_name_their_kind(tag, coords, params, kind, lhs):
+    case = _case(tag, coords)
+    ode = reduced_ode(case, params)
+    assert (ode.kind, ode.order, to_text(ode.lhs)) == (kind, 0, lhs)
+    if kind == "identity":
+        assert "every varsigma = F(chi) solves the equation" in ode.note
+    assert verify_reduction(case, params)
+    # off the stratum, the kinds stay as they were
+    assert reduced_ode(case, SYM).kind == ("linear-first-order" if tag == "Case3_2"
+                                           else "algebraic")
+
+
 def test_case24_has_no_ansatz():
     with pytest.raises(ReductionError):
         reduced_ode(_case("Case2_4", (0, 0, 1, 0)), NUM)
