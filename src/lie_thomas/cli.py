@@ -130,6 +130,7 @@ def _render_expr(e, fmt: str) -> str:
 def _element_str(el, fmt: str) -> str:
     """Linear-combination label for a basis table entry."""
     from .normal import is_zero
+    from .printer import join_signed
 
     one, minus_one = Rat(Fraction(1)), Rat(Fraction(-1))
     terms = []
@@ -150,12 +151,7 @@ def _element_str(el, fmt: str) -> str:
     if el.has_g():
         body = _render_expr(el.g, fmt)
         terms.append("v_{%s}" % body if fmt == "latex" else "v[%s]" % body)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return join_signed(terms) if terms else "0"
 
 
 def _param_dict(p: ThomasParams) -> dict:

@@ -344,10 +344,15 @@ def _case21_root(alpha, beta, gamma, a1, a2, root: str):
 
 
 def _case21_degenerate(alpha, beta, gamma, a2, const):
-    """a1 = 0: the constant root of the algebraic reduction, no correction."""
+    """a1 = 0: the constant root of the algebraic reduction, no correction.
+    Where alpha*a2 + gamma = beta = 0 every theta solves it (the identity
+    stratum), and the theta = 0 member u = y/a2 + const stands for them."""
     b0 = alpha * a2 + gamma
     if b0 == 0:
-        raise FamilyError("alpha*a2 + gamma = 0 leaves no constant root")
+        if beta != 0:
+            raise FamilyError("alpha*a2 + gamma = 0 leaves no constant root")
+        mix = ModeMix(gamma, 0.0, 1 / a2, const)
+        return mix, mix.domain, "identity stratum: every theta solves; the theta = 0 member"
     mix = ModeMix(gamma, -beta / (a2 * b0) * a2, 1 / a2, const)
     return mix, mix.domain, "degenerate stratum: affine solution of the algebraic reduction"
 

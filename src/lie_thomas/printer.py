@@ -27,6 +27,15 @@ _GREEK = {
 }
 
 
+def join_signed(terms) -> str:
+    """Rendered terms as one sum: a term after the first is written '- t'
+    when it starts with a minus sign, else '+ t'."""
+    parts = [terms[0]]
+    for s in terms[1:]:
+        parts.append("- " + s[1:].lstrip() if s.startswith("-") else "+ " + s)
+    return " ".join(parts)
+
+
 def _split_mul(e: Mul):
     """(rational coefficient, numerator factors, denominator factors); the
     first rational factor is the coefficient as it is."""
@@ -64,14 +73,7 @@ def _txt(e: Expr, prec: int) -> str:
             str(e.exp) if e.exp >= 0 else "(" + str(e.exp) + ")"
         )
     if isinstance(e, Add):
-        parts = []
-        for t in e.terms:
-            s = _txt(t, _PREC_ADD)
-            if parts:
-                parts.append("- " + s[1:].lstrip() if s.startswith("-") else "+ " + s)
-            else:
-                parts.append(s)
-        s = " ".join(parts)
+        s = join_signed([_txt(t, _PREC_ADD) for t in e.terms])
         return "(" + s + ")" if prec > _PREC_ADD else s
     if isinstance(e, Mul):
         coeff, num, den = _split_mul(e)
@@ -131,14 +133,7 @@ def _ltx(e: Expr, prec: int) -> str:
     if isinstance(e, Pow):
         return _ltx(e.base, _PREC_ATOM) + "^{" + str(e.exp) + "}"
     if isinstance(e, Add):
-        parts = []
-        for t in e.terms:
-            s = _ltx(t, _PREC_ADD)
-            if parts:
-                parts.append("- " + s[1:].lstrip() if s.startswith("-") else "+ " + s)
-            else:
-                parts.append(s)
-        s = " ".join(parts)
+        s = join_signed([_ltx(t, _PREC_ADD) for t in e.terms])
         return r"\left(" + s + r"\right)" if prec > _PREC_ADD else s
     if isinstance(e, Mul):
         coeff, num, den = _split_mul(e)

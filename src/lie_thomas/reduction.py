@@ -7,7 +7,10 @@ putting them into the equation leaves an ODE in F.  verify_reduction
 redoes that substitution symbolically on the pair that invariants returns
 and reduce prints: the substituted equation must be a nonzero multiple of
 the stored ODE, so neither a stored ODE nor a printed pair can drift from
-the other.
+the other.  Each case states that multiple beside its equation, as the
+factor m in lhs = m * Delta|ansatz, in the one switch that reduced_ode
+reads.  An order-0 reduction is an identity or inconsistent, by one rule
+(_order0).
 
 Naming: S1 and S2 below are the opaque symbols varsigma_chi and
 varsigma_chichi standing for F' and F''; first-order cases are
@@ -112,6 +115,22 @@ def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
 
 
 def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
+    return _reduction(c, p)[0]
+
+
+def _order0(lhs, dependent, zero_condition, inconsistent_note=""):
+    """An order-0 reduction is an identity when every varsigma = F(chi)
+    solves it (lhs is zero) and inconsistent when none does."""
+    if is_zero(lhs):
+        return ReducedODE(0, dependent, lhs, "identity", note="%s: every varsigma = F(chi) "
+                          "solves the equation" % zero_condition)
+    return ReducedODE(0, dependent, lhs, "inconsistent", note=inconsistent_note)
+
+
+def _reduction(c, p: ThomasParams):
+    """(ReducedODE, m) with lhs = m * Delta|ansatz: each case's equation and
+    the nonzero factor its normalization leaves, m written without division
+    so that a degenerate case still returns its ODE."""
     tag = c.tag
     a1, a2 = map(_wrap, c.coords[:2])
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
@@ -126,14 +145,9 @@ def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
         )
         e = mul(drift, pow_(gamma, -1))
         m = mul(alpha, beta, pow_(gamma, -2))
-        return ReducedODE(
-            2,
-            "varsigma",
-            lhs,
-            "fuchs",
-            note="linearizes to chi y'' + e y' + m y = 0 via varsigma_chi = y'/(gamma y)",
-            aux=(("e", e), ("m", m)),
-        )
+        return ReducedODE(2, "varsigma", lhs, "fuchs", note="linearizes to chi y'' + e y' + "
+                          "m y = 0 via varsigma_chi = y'/(gamma y)",
+                          aux=(("e", e), ("m", m))), Rat(-1)
     if tag in ("Case2_1a", "Case2_1b"):
         lhs = add(
             mul(Rat(-1), a1, a2, S2),
@@ -141,52 +155,35 @@ def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
             mul(Rat(-1), gamma, a1, a2, pow_(S1, 2)),
             mul(beta, pow_(a2, -1)),
         )
-        if is_zero(a1):
-            lhs = canonical_expr(lhs)
-            if not is_zero(add(mul(alpha, a2), gamma)):
-                return ReducedODE(0, "theta", lhs, "algebraic", note="derivative terms "
-                                  "vanish with a1 = 0; theta is a constant root")
-            # alpha*a2 + gamma = 0 leaves lhs = beta/a2
-            if is_zero(lhs):
-                return ReducedODE(0, "theta", lhs, "identity", note="a1 = beta = alpha*a2 + "
-                                  "gamma = 0: every varsigma = F(chi) solves the equation")
-            return ReducedODE(0, "theta", lhs, "inconsistent", note="a1 = alpha*a2 + gamma = 0 "
-                              "leaves beta/a2 = 0; no theta solves it")
-        return ReducedODE(1, "theta", lhs, "riccati")
+        if not is_zero(a1):
+            return ReducedODE(1, "theta", lhs, "riccati"), Rat(1)
+        lhs = canonical_expr(lhs)
+        if not is_zero(add(mul(alpha, a2), gamma)):
+            return ReducedODE(0, "theta", lhs, "algebraic", note="derivative terms vanish "
+                              "with a1 = 0; theta is a constant root"), Rat(1)
+        # alpha*a2 + gamma = 0 leaves lhs = beta/a2
+        return _order0(lhs, "theta", "a1 = beta = alpha*a2 + gamma = 0", "a1 = alpha*a2 + "
+                       "gamma = 0 leaves beta/a2 = 0; no theta solves it"), Rat(1)
     if tag == "Case2_2":
         lhs = add(mul(add(mul(beta, a1), gamma), S1), mul(Rat(-1), a1, alpha))
-        return ReducedODE(1, "varsigma", lhs, "linear-first-order")
+        return (ReducedODE(1, "varsigma", lhs, "linear-first-order"),
+                mul(Rat(-1), pow_(a1, 2)))
     if tag == "Case2_3":
-        lhs = mul(alpha, beta)
-        if is_zero(lhs):
-            return ReducedODE(0, "varsigma", lhs, "identity",
-                              note="alpha*beta = 0: every varsigma = F(chi) solves the equation")
-        return ReducedODE(
-            0,
-            "varsigma",
-            lhs,
-            "inconsistent",
-            note="reduction forces alpha*beta = 0; no solution for generic constants",
-        )
+        return _order0(mul(alpha, beta), "varsigma", "alpha*beta = 0", "reduction forces "
+                       "alpha*beta = 0; no solution for generic constants"), mul(Rat(-1), gamma)
     if tag == "Case2_4":
         raise ReductionError(
             "Case2_4 invariants (y, x) give no ansatz for u; no reduced equation"
         )
     if tag in ("Case3_1a", "Case3_1b"):
         lhs = add(S2, mul(add(beta, mul(Rat(-1), a2, alpha)), S1), mul(gamma, pow_(S1, 2)))
-        return ReducedODE(1, "theta", lhs, "bernoulli")
+        return ReducedODE(1, "theta", lhs, "bernoulli"), mul(Rat(-1), a2)
     if tag == "Case3_2":
         name, coeff = ("beta", beta) if not is_zero(a1) else ("alpha", alpha)
         if is_zero(coeff):
-            return ReducedODE(0, "varsigma", Rat(0), "identity",
-                              note="%s = 0: every varsigma = F(chi) solves the equation" % name)
-        return ReducedODE(
-            1,
-            "varsigma",
-            mul(coeff, S1),
-            "linear-first-order",
-            note="varsigma is constant whenever the coefficient is nonzero",
-        )
+            return _order0(Rat(0), "varsigma", name + " = 0"), Rat(1)
+        return ReducedODE(1, "varsigma", mul(coeff, S1), "linear-first-order", note="varsigma "
+                          "is constant whenever the coefficient is nonzero"), Rat(1)
     raise ReductionError("unknown case tag %r" % tag)
 
 
@@ -216,25 +213,6 @@ def _jets(pair: InvariantPair, tag: str):
     return u_x, u_y, u_xy
 
 
-# nonzero multiplier k with  Delta|ansatz = k * reduced_ode.lhs, per case
-def _multiplier(c, p: ThomasParams) -> Expr:
-    tag = c.tag
-    a1, a2 = map(_wrap, c.coords[:2])
-    if tag == "Case1":
-        return Rat(-1)
-    if tag in ("Case2_1a", "Case2_1b"):
-        return Rat(1)
-    if tag == "Case2_2":
-        return mul(Rat(-1), pow_(a1, -2))
-    if tag == "Case2_3":
-        return mul(Rat(-1), pow_(p.gamma, -1))
-    if tag in ("Case3_1a", "Case3_1b"):
-        return mul(Rat(-1), pow_(a2, -1))
-    if tag == "Case3_2":
-        return Rat(1)
-    raise ReductionError("no reduction to verify for %r" % tag)
-
-
 def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
     """Substitute the chain-rule jets of invariants(c, p) into the equation
     and confirm the result is the stored nonzero multiple of the reduced
@@ -242,11 +220,11 @@ def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
     pair = invariants(c, p)
     u_x, u_y, u_xy = _jets(pair, c.tag)
     delta_sub = add(u_xy, mul(p.alpha, u_x), mul(p.beta, u_y), mul(p.gamma, u_x, u_y))
-    ode = reduced_ode(c, p)
+    ode, m = _reduction(c, p)
     lhs_expanded = substitute(ode.lhs, {CHI: pair.chi})
-    k = _multiplier(c, p)
-    if is_zero(k):
+    if is_zero(m):
         raise ReductionError("stored multiplier is zero for %s" % c.tag)
+    k = pow_(m, -1)
     diff = add(delta_sub, mul(Rat(-1), k, lhs_expanded))
     if not is_zero(diff):
         raise ReductionError(

@@ -421,3 +421,14 @@ def test_non_finite_floats_are_refused_as_inexact(bad):
         adjoint(1, bad, basis_element(4), p)
     with pytest.raises(ParameterError, match="must be exact"):
         ThomasParams(bad, 1, 1)
+
+
+def test_element_difference_adds_the_negated_element():
+    v = AlgebraElement(1, 2, 3, 4, g=X * Y)
+    w = AlgebraElement(Fraction(1, 2), -1, 0, 2, g=X)
+    assert v - w == v + w.scale(-1)
+    assert (v - w).coords_exact() == (Fraction(1, 2), 3, 3, 2)
+    assert is_zero((v - w).g - (X * Y - X))
+    assert (v - v).is_zero()
+    with pytest.raises(TypeError):
+        v - 1

@@ -314,3 +314,8 @@ def test_orbit_check_pin():
 def test_orbit_check_leaves_the_rng_where_it_did(coords, seed, draw):
     el = AlgebraElement(*[Fraction(c) for c in coords])
     assert _orbit_and_next_draw(el, P, seed, 12) == (True, draw)
+
+
+def test_orbit_check_makes_its_own_rng_when_given_none():
+    for el in (AlgebraElement(1, 2, 3, 4), AlgebraElement(0, 1, 0, 0), AlgebraElement()):
+        assert orbit_invariance_check(el, P, trials=3)

@@ -430,6 +430,21 @@ def test_negative_value_as_separate_argument(capsys, spaced, joined):
     (("verify", "--family", "-", _descriptor(
         family="case22", params=dict(_ONES, gamma="1e400"), constants={"a1": "1"})),
      "constant gamma is too large for a float"),
+    (("classify", "--vector", "1,1,3,1", "--params", "1,1"),
+     "--params wants 'alpha,beta,gamma' or 'symbolic'"),
+    (("solve", "--case", "Case2_2", "--constants", "a1"), "--constants wants key=value pairs"),
+    (("solve", "--case", "Case2_2", "--format", "csv", "--grid", "0,1,3"),
+     "--grid wants xmin,xmax,nx,ymin,ymax,ny"),
+    (("reduce", "--case", "Case9", "--params", "symbolic"),
+     "no default coordinates for tag 'Case9'"),
+    (("reduce", "--case", "Case2_3", "--params", "symbolic"),
+     "Case2_3 default coordinates need numeric parameters"),
+    (("reduce", "--params", "1,1,1"), "reduce wants --vector or --case"),
+    (("solve", "--params", "1,1,1"), "wanted --case TAG (or --family KEY)"),
+    (("solve", "--case", "Zero"), "no solution family for tag 'Zero'"),
+    (("solve", "--case", "Case1", "--format", "csv", "--grid=0.1,0.2,3,0.1,0.2,3"),
+     "domain excludes every grid point"),
+    (("verify", "--family", "-", _Stdin("not json")), "--family: descriptor is not JSON"),
 ])
 def test_malformed_values_exit_3(capsys, monkeypatch, tmp_path, argv, message):
     if isinstance(argv[-1], _Stdin):

@@ -223,6 +223,9 @@ def test_parameter_coercion():
         ThomasParams(1, 1, 0)  # gamma must not vanish
     with pytest.raises(ParameterError):
         ThomasParams(0.5, 1, 1)  # non-integral floats are ambiguous
+    with pytest.raises(ParameterError, match="cannot use 'a'"):
+        ThomasParams("a", 1, 1)
+    assert ThomasParams(2.0, 1, 1).alpha == R(2)
     p = ThomasParams(Fraction(1, 2), 1, 2)
     assert p.is_numeric()
     assert p.floats() == (0.5, 1.0, 2.0)
@@ -255,3 +258,9 @@ def test_every_field_builder_is_the_general_symmetry(p):
     assert key(v2()) == key(general_symmetry(b=1, p=p))
     assert key(v3()) == key(general_symmetry(a=1, p=p))
     assert key(v4(p)) == key(general_symmetry(k=1, p=p))
+
+
+def test_determining_system_iterates_its_rows():
+    system = determining_equations(ThomasParams())
+    assert len(system) == 12
+    assert list(system) == list(system.rows)

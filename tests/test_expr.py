@@ -179,3 +179,5 @@ def test_canonical_expr_deterministic():
 def test_app_equality_through_normal_form():
     assert is_zero(exp(X + Y) - exp(Y + X))
     assert not is_zero(exp(X) - exp(Y))
+    # an argument that canonicalizes to 0 collapses the application to 1
+    assert is_zero(exp((X + 1) * (X - 1) - X**2 + 1) - 1)

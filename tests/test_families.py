@@ -96,6 +96,23 @@ def test_case21a_degenerate_a1():
     assert _max_residual(fam, GridSpec(-2, 2, 15, -2, 2, 15)) < 1e-9
 
 
+@pytest.mark.parametrize("build", [case21a_solution, case21_affine])
+def test_case21a_identity_stratum_builds_the_theta_zero_member(build):
+    # a1 = 0 and alpha*a2 + gamma = beta = 0: every theta solves the
+    # algebraic reduction, and the family is u = y/a2 + const
+    fam = build(ThomasParams(1, 0, 1), a1=F(0), a2=F(-1), const=F(1, 2))
+    assert fam.note == "identity stratum: every theta solves; the theta = 0 member"
+    assert fam(0.3, -1.2) == pytest.approx(1.7, abs=1e-15)
+    assert _max_residual(fam, GridSpec(-2, 2, 50, -2, 2, 50)) < 1e-14
+
+
+@pytest.mark.parametrize("build", [case21a_solution, case21_affine])
+def test_case21a_inconsistent_stratum_refuses(build):
+    # alpha*a2 + gamma = 0 with beta != 0 leaves beta/a2 = 0: no theta
+    with pytest.raises(FamilyError, match="alpha\\*a2 \\+ gamma = 0 leaves no constant root"):
+        build(ThomasParams(1, 2, 1), a1=F(0), a2=F(-1))
+
+
 def test_case21_affine_limit():
     fam = case21_affine(P, a1=F(1), a2=F(2))
     assert _max_residual(fam, GridSpec(-2, 2, 15, -2, 2, 15)) < 1e-11
