@@ -44,9 +44,8 @@ from .expr import (
     param,
     _wrap,
 )
-from .determining import ThomasParams, general_symmetry
 from .normal import is_zero
-from .vectorfield import VectorField
+from .params import ThomasParams
 
 
 class AlgebraError(ExprError):
@@ -96,7 +95,10 @@ class AlgebraElement(Record):
     def is_zero(self) -> bool:
         return all(is_zero(a) for a in self.coords()) and not self.has_g()
 
-    def to_field(self, p: ThomasParams) -> VectorField:
+    def to_field(self, p: ThomasParams):
+        """The element as a vectorfield.VectorField."""
+        from .determining import general_symmetry  # here: tables and classify never load it
+
         return general_symmetry(self.a3, self.a2, self.a1, self.a4, self.g, p, check=False)
 
     def __add__(self, other):

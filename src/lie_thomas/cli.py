@@ -4,7 +4,9 @@ Subcommands cover the full pipeline: derive the determining system, print
 the algebra tables, classify a vector, reduce a canonical case, build a
 solution family, verify it on a grid, and generate independent oracle
 solutions.  Each command builds one document, which _render writes as
-text, latex, json or csv (--format; env default via LIE_THOMAS_FORMAT).
+text, latex, json or csv (--format, default text).  run() parses --params
+once, so every command reads its ThomasParams in args.params; derive,
+tables and reduce default it to symbolic, the others to 1,1,1.
 Exit codes: 0 success, 2 usage, 3 domain/math error.
 """
 
@@ -14,7 +16,6 @@ import argparse
 import io
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -41,11 +42,6 @@ _PROLONG_LABELS = {
     (2, 0): "phi^xx",
     (0, 2): "phi^yy",
 }
-
-
-def _default_format() -> str:
-    fmt = os.environ.get("LIE_THOMAS_FORMAT", "text")
-    return fmt if fmt in FORMATS else "text"
 
 
 _KIND_NAMES = {Fraction: "a rational", float: "a number", int: "an integer"}
@@ -204,7 +200,7 @@ def _cmd_derive(args) -> int:
 
     if args.show_prolongation and args.format == "csv":
         raise InputError("--show-prolongation has no csv form; use text, latex or json")
-    p = _parse_params(args.params)
+    p = args.params
     rows = [(mono_expr(m), c) for m, c in determining_equations(p).rows]
     doc = {"schema": SCHEMA, "kind": "determining-system", "params": _param_dict(p),
            "rows": [{"monomial": m, "coefficient": c} for m, c in rows]}
@@ -238,7 +234,7 @@ def _cmd_derive(args) -> int:
 def _cmd_tables(args) -> int:
     from .algebra import adjoint_table, commutator_table
 
-    p = _parse_params(args.params)
+    p = args.params
     comm = commutator_table(p)
     adj = adjoint_table(p)
     basis = ["v1", "v2", "v3", "v4", "v[g]"]
@@ -277,7 +273,7 @@ def _cmd_classify(args) -> int:
     from .algebra import AlgebraElement
     from .classifier import classify
 
-    p = _parse_params(args.params)
+    p = args.params
     vec = _parse_vector(args.vector)
     case = classify(AlgebraElement(*vec), p)
     doc = {
@@ -337,7 +333,7 @@ def _cmd_reduce(args) -> int:
     from .classifier import CanonicalCase, classify
     from .reduction import ReductionError, invariants, reduced_ode
 
-    p = _parse_params(args.params)
+    p = args.params
     if args.vector:
         if args.case or args.coords:
             raise InputError("--vector picks its own case and would ignore %s; give one "
@@ -437,8 +433,7 @@ def _build_family(args, p: ThomasParams):
 
 
 def _cmd_solve(args) -> int:
-    p = _parse_params(args.params)
-    fam = _build_family(args, p)
+    fam = _build_family(args, args.params)
     doc = fam.descriptor()
     doc["digest"] = fam.digest()
 
@@ -476,13 +471,9 @@ def _cmd_verify(args) -> int:
     from .families import from_descriptor
     from .verification import residual_grid
 
-    if args.family:
-        fam = from_descriptor(_read_descriptor(args.family))
-        p = fam.params
-    else:
-        p = _parse_params(args.params)
-        fam = _build_family(args, p)
-    report = residual_grid(fam, p, _parse_grid(args.grid))
+    fam = (from_descriptor(_read_descriptor(args.family)) if args.family
+           else _build_family(args, args.params))
+    report = residual_grid(fam, fam.params, _parse_grid(args.grid))
     tol = _parse_tolerance(args.tolerance)
     passed = None if tol is None else report.max_residual < tol
     doc = {
@@ -523,7 +514,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     from .verification import oracle_solutions, residual_grid
 
-    p = _parse_params(args.params)
+    p = args.params
     if args.count < 1:
         raise InputError("--count: %d is not a positive integer" % args.count)
     rng = random.Random(args.seed)
@@ -571,62 +562,59 @@ def build_parser() -> argparse.ArgumentParser:
         "+ gamma*u_x*u_y = 0",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=FORMATS, default=_default_format(),
-        help="output format (default from LIE_THOMAS_FORMAT, else text)",
-    )
+    common.add_argument("--format", choices=FORMATS, default="text",
+                        help="output format (default text)")
     common.add_argument("--output", help="write output to this path instead of stdout")
+    # --params, declared once per default; run() parses it
+    symbolic, numeric = (argparse.ArgumentParser(add_help=False, parents=[common])
+                         for _ in range(2))
+    for parent, default in ((symbolic, "symbolic"), (numeric, "1,1,1")):
+        parent.add_argument("--params", default=default,
+                            help="alpha,beta,gamma or symbolic (default %(default)s)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("derive", parents=[common],
+    sp = sub.add_parser("derive", parents=[symbolic],
                         help="determining system for the symmetry generators")
-    sp.add_argument("--params", default="symbolic")
     sp.add_argument("--show-prolongation", action="store_true")
     sp.set_defaults(func=_cmd_derive)
 
-    sp = sub.add_parser("tables", parents=[common],
+    sp = sub.add_parser("tables", parents=[symbolic],
                         help="commutator and adjoint tables")
-    sp.add_argument("--params", default="symbolic")
     sp.set_defaults(func=_cmd_tables)
 
-    sp = sub.add_parser("classify", parents=[common],
+    sp = sub.add_parser("classify", parents=[numeric],
                         help="canonical case of a symmetry vector")
     sp.add_argument("--vector", required=True, help="a1,a2,a3,a4 (rationals)")
-    sp.add_argument("--params", default="1,1,1")
     sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("reduce", parents=[common],
+    sp = sub.add_parser("reduce", parents=[symbolic],
                         help="invariants and reduced ODE of a canonical case")
     sp.add_argument("--vector", help="classify this vector first")
     sp.add_argument("--case", help="canonical tag, e.g. Case2_1a")
     sp.add_argument("--coords", help="canonical coordinates a1,a2,a3,a4 of --case, not --vector")
-    sp.add_argument("--params", default="symbolic")
     sp.set_defaults(func=_cmd_reduce)
 
-    sp = sub.add_parser("solve", parents=[common],
+    sp = sub.add_parser("solve", parents=[numeric],
                         help="build an invariant solution family")
     sp.add_argument("--case", help="canonical tag")
     sp.add_argument("--family", dest="family_builder",
                     help="builder key (overrides --case)")
-    sp.add_argument("--params", default="1,1,1")
     sp.add_argument("--constants", help="key=value,... builder constants")
     sp.add_argument("--grid", help="xmin,xmax,nx,ymin,ymax,ny (csv sampling)")
     sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("verify", parents=[common],
+    sp = sub.add_parser("verify", parents=[numeric],
                         help="grid residual check of a family")
     sp.add_argument("--family", help="descriptor JSON path, or - for stdin")
     sp.add_argument("--case", help="canonical tag (build like solve)")
-    sp.add_argument("--params", default="1,1,1")
     sp.add_argument("--constants", help="key=value,... builder constants")
     sp.add_argument("--grid", help="xmin,xmax,nx,ymin,ymax,ny")
     sp.add_argument("--tolerance", help="fail (exit 3) above this residual")
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("oracle", parents=[common],
+    sp = sub.add_parser("oracle", parents=[numeric],
                         help="independent exact solutions from the exponential mix")
-    sp.add_argument("--params", default="1,1,1")
     sp.add_argument("--count", type=int, default=3)
     sp.add_argument("--seed", type=int, default=20260815)
     sp.add_argument("--grid", help="xmin,xmax,nx,ymin,ymax,ny")
@@ -655,6 +643,7 @@ def _join_values(argv) -> list:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    args.params = _parse_params(args.params)
     return args.func(args)
 
 

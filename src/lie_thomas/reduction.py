@@ -65,9 +65,22 @@ class ReducedODE(Record):
     aux: tuple = ()  # named constants, e.g. (("e", ...), ("m", ...)) for the Fuchs form
 
 
+def _refuse_degenerate(tag, a1, a2):
+    """Refuse a case without invariants, for invariants and reduced_ode
+    alike: the zero element, and a Case2_1, Case2_2 or Case3_1 vector whose
+    invariants would divide by a zero coordinate."""
+    if tag in ("Case2_1a", "Case2_1b", "Case3_1a", "Case3_1b") and is_zero(a2):
+        raise ReductionError("%s invariants need a2 != 0" % tag[:-1])
+    if tag == "Case2_2" and is_zero(a1):
+        raise ReductionError("Case2_2 invariants need a1 != 0")
+    if tag == "Zero":
+        raise ReductionError("the zero element generates no reduction")
+
+
 def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
     tag = c.tag
     a1, a2 = map(_wrap, c.coords[:2])
+    _refuse_degenerate(tag, a1, a2)
     if tag == "Case1":
         # generator (a1 - gamma x) d/dx + (a2 + gamma y) d/dy + (beta x - alpha y) d/du
         lin_x = add(a1, mul(Rat(-1), p.gamma, X))
@@ -86,22 +99,16 @@ def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
             "x != a1/gamma (log branch uses a1 - gamma*x > 0); chi != 0",
         )
     if tag in ("Case2_1a", "Case2_1b"):
-        if is_zero(a2):
-            raise ReductionError("Case2_1 invariants need a2 != 0")
         chi = add(mul(a2, X), mul(Rat(-1), a1, Y))
         varsigma = add(U, mul(Rat(-1), pow_(a2, -1), Y))
         return InvariantPair(chi, varsigma, "entire plane")
     if tag == "Case2_2":
-        if is_zero(a1):
-            raise ReductionError("Case2_2 invariants need a1 != 0")
         return InvariantPair(Y, add(mul(Rat(-1), a1, U), X), "entire plane")
     if tag == "Case2_3":
         return InvariantPair(Y, add(mul(p.beta, X), mul(p.gamma, U)), "entire plane")
     if tag == "Case2_4":
         return InvariantPair(Y, X, "entire plane; varsigma does not involve u")
     if tag in ("Case3_1a", "Case3_1b"):
-        if is_zero(a2):
-            raise ReductionError("Case3_1 invariants need a2 != 0")
         chi = add(X, mul(Rat(-1), pow_(a2, -1), Y))
         return InvariantPair(chi, U, "entire plane")
     if tag == "Case3_2":
@@ -109,8 +116,6 @@ def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
             # x-translation mirror: invariants of d/dx
             return InvariantPair(Y, U, "entire plane")
         return InvariantPair(X, U, "entire plane")
-    if tag == "Zero":
-        raise ReductionError("the zero element generates no reduction")
     raise ReductionError("unknown case tag %r" % tag)
 
 
@@ -129,10 +134,11 @@ def _order0(lhs, dependent, zero_condition, inconsistent_note=""):
 
 def _reduction(c, p: ThomasParams):
     """(ReducedODE, m) with lhs = m * Delta|ansatz: each case's equation and
-    the nonzero factor its normalization leaves, m written without division
-    so that a degenerate case still returns its ODE."""
+    the nonzero factor its normalization leaves, m written without division.
+    A case without invariants is refused first, as invariants refuses it."""
     tag = c.tag
     a1, a2 = map(_wrap, c.coords[:2])
+    _refuse_degenerate(tag, a1, a2)
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
     if tag == "Case1":
         # gamma^2 chi s2 + gamma^3 chi s1^2 + gamma (gamma - beta a1 - alpha a2) s1 + alpha beta / gamma = 0

@@ -192,14 +192,15 @@ def test_import_loads_neither_scipy_nor_numpy():
 _SYMBOLIC = {"normal", "jetpoly", "vectorfield", "determining", "algebra",
              "classifier", "reduction", "printer"}
 _NUMERIC = {"families", "fuchs", "hyperdual", "verification"}
+_DERIVE = {"jetpoly", "vectorfield", "determining"}  # only derive runs these
 
 
 @pytest.mark.parametrize("argv, absent", [
     (("derive", "--params", "symbolic"),
      _NUMERIC | {"algebra", "classifier", "reduction"}),
-    (("tables", "--params", "symbolic"), _NUMERIC | {"reduction"}),
-    (("classify", "--vector", "1,1,3,1"), _NUMERIC | {"reduction"}),
-    (("reduce", "--vector", "1,1,3,1", "--params", "1,1,1"), _NUMERIC),
+    (("tables", "--params", "symbolic"), _NUMERIC | _DERIVE | {"reduction"}),
+    (("classify", "--vector", "1,1,3,1"), _NUMERIC | _DERIVE | {"reduction"}),
+    (("reduce", "--vector", "1,1,3,1", "--params", "1,1,1"), _NUMERIC | _DERIVE),
     (("solve", "--case", "Case1"), _SYMBOLIC),
     (("verify", "--case", "Case2_2", "--grid=-1,1,3,-1,1,3"), _SYMBOLIC),
     (("oracle", "--count", "1", "--grid=-1,1,3,-1,1,3"),
@@ -279,12 +280,22 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["tag"] == "Case2_4"
 
 
-def test_format_env_default(capsys, monkeypatch):
+def test_format_reads_no_environment(capsys, monkeypatch):
+    """--format defaults to text whatever the environment holds."""
+    argv = ("classify", "--vector", "1,1,3,1", "--params", "1,1,1")
+    plain = _run(capsys, *argv)
     monkeypatch.setenv("LIE_THOMAS_FORMAT", "json")
-    rc, out, _ = _run(capsys, "classify", "--vector", "1,1,3,1",
-                      "--params", "1,1,1")
+    assert _run(capsys, *argv) == plain
+    assert plain[1].startswith("input vector: (1, 1, 3, 1)\n")
+
+
+@pytest.mark.parametrize("command", ["derive", "tables", "classify", "reduce", "solve",
+                                     "verify", "oracle"])
+def test_help_lists_params_once(capsys, command):
+    """Each command takes --params from exactly one parent parser."""
+    rc, out, _ = _run(capsys, command, "--help")
     assert rc == 0
-    assert json.loads(out)["tag"] == "Case1"
+    assert len(re.findall(r"^ +--params PARAMS\b", out, re.M)) == 1
 
 
 def test_solve_csv_grid(capsys):
@@ -445,6 +456,8 @@ def test_negative_value_as_separate_argument(capsys, spaced, joined):
     (("solve", "--case", "Case1", "--format", "csv", "--grid=0.1,0.2,3,0.1,0.2,3"),
      "domain excludes every grid point"),
     (("verify", "--family", "-", _Stdin("not json")), "--family: descriptor is not JSON"),
+    (("verify", "--family", "missing.json", "--params", "1,1"),
+     "--params wants 'alpha,beta,gamma' or 'symbolic'"),
 ])
 def test_malformed_values_exit_3(capsys, monkeypatch, tmp_path, argv, message):
     if isinstance(argv[-1], _Stdin):

@@ -1,5 +1,6 @@
 """Invariant coordinates, reduced equations, and substitution checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,22 @@ def test_chain_rule_jets_are_consistent():
 def test_unknown_tag_rejected():
     with pytest.raises(ReductionError):
         invariants(CanonicalCase("Case9", (F(1), F(0), F(0), F(0)), ()), NUM)
+
+
+@pytest.mark.parametrize("tag,coords", [
+    ("Case2_1a", (1, 0, 1, 0)),
+    ("Case2_1b", (-1, 0, 1, 0)),
+    ("Case2_2", (0, 0, 1, 0)),
+    ("Case3_1a", (1, 0, 0, 0)),
+    ("Case3_1b", (2, 0, 0, 0)),
+    ("Zero", (0, 0, 0, 0)),
+])
+def test_reduced_ode_refuses_what_invariants_refuses(tag, coords):
+    """A case without invariants has no reduced ODE either, with the same
+    ReductionError, at numeric and symbolic parameters alike."""
+    case = _case(tag, coords)
+    for p in (NUM, SYM):
+        with pytest.raises(ReductionError) as refused:
+            invariants(case, p)
+        with pytest.raises(ReductionError, match="^%s$" % re.escape(str(refused.value))):
+            reduced_ode(case, p)
