@@ -34,8 +34,7 @@ _EXPORTS = {
     ),
     "families": (
         "SolutionFamily", "case1_solution", "case21a_solution", "case21b_solution",
-        "case22_solution", "case31a_solution", "case31b_solution",
-        "from_descriptor", "trivial_solutions",
+        "case22_solution", "case31a_solution", "case31b_solution", "from_descriptor",
     ),
     "fuchs": ("FuchsSeries", "fuchs_series"),
     "hyperdual": ("HyperDual",),
@@ -45,7 +44,7 @@ _EXPORTS = {
     "verification": ("GridSpec", "oracle_solutions", "residual", "residual_grid"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"errors", "jetpoly", "normal"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cases", "errors", "jetpoly", "normal"}
 
 __all__ = [*_ORIGIN, "__version__"]
 

@@ -2,31 +2,14 @@
 
 Any nonzero v = a1 v1 + a2 v2 + a3 v3 + a4 v4 is driven to a canonical
 form by generator rescaling and the adjoint maps that stay inside exact
-rational arithmetic.  The case tree:
+rational arithmetic.  The case tree lives in `cases`, whose `tag` reads
+it off the unscaled coordinates.
 
-    a4 != 0                -> Case1       (scale a4 to 1, then kill a3:)
-        beta != 0:            with Ad(exp((a3/beta) v1)), a1 -> a1 + gamma*a3/beta
-        beta = 0, alpha != 0: with Ad(exp((-a3/alpha) v2)), a2 -> a2 + gamma*a3/alpha
-        alpha = beta = 0:     a3 != 0 is obstructed (a3 is adjoint-invariant there)
-    a4 = 0, a3 != 0        -> Case2_*     (scale a3 to 1)
-        a1*a2 != 0:           2_1a / 2_1b by the sign of
-                              D = (alpha*a2 - beta*a1 + gamma)^2 + 4*gamma*beta*a1
-        a1 = 0, a2 != 0:      2_1a (the quadratic degenerates, D = (alpha*a2+gamma)^2 >= 0)
-        a2 = 0, a1 != 0:      2_2, or 2_3 when a1 = -gamma/beta
-        a1 = a2 = 0:          2_4
-    a4 = a3 = 0            -> Case3_*
-        a1 != 0:              scale a1 to 1; 3_1a when a2 = beta/alpha, 3_1b when a2 != 0
-                              otherwise (a2 = 0) the x-translation mirror of 3_2
-        a1 = 0, a2 != 0:      3_2 (scale to (0,1,0,0))
-    zero vector            -> Zero
-
-Everything runs on exact (a1, a2, a3, a4) Fraction tuples.  The tag is
-read off the unscaled coordinates, the divisions of the tree multiplied
-out.  Each word entry is one exact map: "scale" multiplies all
-coordinates, and "v1".."v4" run `algebra.adjoint_coords` on the tuple
-("v4" in t = e^{-gamma*eps} > 0).  Words from
-`classify` hold only scale, v1 and v2 entries; v4 entries come only from
-the orbit moves of `orbit_invariance_check`.
+Everything runs on exact (a1, a2, a3, a4) Fraction tuples.  Each word
+entry is one exact map: "scale" multiplies all coordinates, and "v1".."v4"
+run `algebra.adjoint_coords` on the tuple ("v4" in t = e^{-gamma*eps} >
+0).  Words from `classify` hold only scale, v1 and v2 entries; v4 entries
+come only from the orbit moves of `orbit_invariance_check`.
 """
 
 from __future__ import annotations
@@ -35,22 +18,10 @@ import random
 from fractions import Fraction
 
 from .algebra import AlgebraElement, adjoint, adjoint_coords, adjoint_scaling
+from .cases import tag
 from .errors import DomainError, Record
 from .expr import Rat
 from .params import ThomasParams
-
-TAGS = (
-    "Case1",
-    "Case2_1a",
-    "Case2_1b",
-    "Case2_2",
-    "Case2_3",
-    "Case2_4",
-    "Case3_1a",
-    "Case3_1b",
-    "Case3_2",
-    "Zero",
-)
 
 
 class ClassificationError(DomainError, ValueError):
@@ -95,25 +66,6 @@ def _move(op, val, coords, params):
     return adjoint_coords(i, val, coords, params)
 
 
-def _tag(coords, params):
-    """The case of the tree above, read on unscaled coordinates with its
-    divisions multiplied out."""
-    alpha, beta, gamma = params
-    a1, a2, a3, a4 = coords
-    if a4:
-        return "Case1"
-    if a3:
-        if a2:
-            disc = (alpha * a2 - beta * a1 + gamma * a3) ** 2 + 4 * gamma * beta * a1 * a3
-            return "Case2_1a" if disc >= 0 else "Case2_1b"
-        if not a1:
-            return "Case2_4"
-        return "Case2_3" if beta * a1 + gamma * a3 == 0 else "Case2_2"
-    if a1 and a2:
-        return "Case3_1a" if alpha and alpha * a2 == beta * a1 else "Case3_1b"
-    return "Case3_2" if a1 or a2 else "Zero"
-
-
 def apply_word(coords, word, p: ThomasParams):
     """Replay a word of (entry, value) pairs on raw coordinates, exactly."""
     params = _exact_params(p)
@@ -143,7 +95,7 @@ def classify(v: AlgebraElement, p: ThomasParams) -> CanonicalCase:
                 "cannot cancel the v3 coordinate when alpha = beta = 0"
             )
     word = tuple(word)
-    return CanonicalCase(_tag(coords, params), apply_word(coords, word, p), word)
+    return CanonicalCase(tag(coords, params), apply_word(coords, word, p), word)
 
 
 def orbit_invariance_check(
@@ -167,8 +119,8 @@ def orbit_invariance_check(
     """
     if rng is None:
         rng = random.Random(0)
-    tag = classify(v, p).tag
-    if tag == "Zero":
+    start = classify(v, p).tag
+    if start == "Zero":
         return True
     params = _exact_params(p)
     coords = v.coords_exact()
@@ -183,6 +135,6 @@ def orbit_invariance_check(
             closed = adjoint_scaling(Rat(val), v, p) if i == 4 else adjoint(i, Rat(val), v, p)
             if closed.coords_exact() != moved:
                 return False
-        if _tag(moved, params) != tag:
+        if tag(moved, params) != start:
             return False
     return True

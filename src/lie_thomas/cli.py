@@ -6,7 +6,9 @@ solution family, verify it on a grid, and generate independent oracle
 solutions.  Each command builds one document, which _render writes as
 text, latex, json or csv (--format, default text).  run() parses --params
 once, so every command reads its ThomasParams in args.params; derive,
-tables and reduce default it to symbolic, the others to 1,1,1.
+tables and reduce default it to symbolic, the others to 1,1,1.  reduce
+--case and solve/verify --case start from the tag's default coordinates in
+the case table (`cases`) and refuse a vector that is not canonical there.
 Exit codes: 0 success, 2 usage, 3 domain/math error.
 """
 
@@ -303,29 +305,39 @@ def _cmd_classify(args) -> int:
 
 
 def _default_coords(tag: str, p: ThomasParams):
-    table = {
-        "Case1": (0, 0, 0, 1),
-        "Case2_1a": (1, 2, 1, 0),
-        "Case2_1b": (-1, -1, 1, 0),
-        "Case2_2": (1, 0, 1, 0),
-        "Case2_4": (0, 0, 1, 0),
-        "Case3_1b": (1, 2, 0, 0),
-        "Case3_2": (0, 1, 0, 0),
-    }
-    if tag in table:
-        return tuple(Fraction(c) for c in table[tag])
-    if tag not in ("Case2_3", "Case3_1a"):
+    from .cases import CASES
+
+    coords = getattr(CASES.get(tag), "coords", None)
+    if coords is None:
         raise InputError("no default coordinates for tag %r" % tag)
-    if not p.is_numeric():
-        raise InputError("%s default coordinates need numeric parameters" % tag)
-    alpha, beta, gamma = (v.value for v in (p.alpha, p.beta, p.gamma))
-    if tag == "Case2_3":
-        if beta == 0:
-            raise InputError("Case2_3 needs beta != 0")
-        return (-gamma / beta, Fraction(0), Fraction(1), Fraction(0))
-    if alpha == 0:
-        raise InputError("Case3_1a needs alpha != 0")
-    return (Fraction(1), beta / alpha, Fraction(0), Fraction(0))
+    if isinstance(coords[0], str):
+        need, pinned = coords
+        if not p.is_numeric():
+            raise InputError("%s default coordinates need numeric parameters" % tag)
+        params = _param_dict(p)
+        if not params[need]:
+            raise InputError("%s needs %s != 0" % (tag, need))
+        coords = pinned(**params)
+    return tuple(Fraction(c) for c in coords)
+
+
+def _refuse_unless_canonical(tag: str, coords, given: str, p: ThomasParams) -> None:
+    """Refuse coords unless classify, at numeric p, gives them tag with an
+    empty word: the tree reads tag, the first nonzero of a4, a3, a1, a2 is 1
+    and a3*a4 = 0.  classify runs only to word a refusal."""
+    from .cases import tag as tree_tag
+
+    a1, a2, a3, a4 = coords
+    unmoved = (a4 or a3 or a1 or a2) == 1 and not (a3 and a4)
+    if unmoved and tree_tag(coords, _param_dict(p).values()) == tag:
+        return
+    from .algebra import AlgebraElement
+    from .classifier import classify
+
+    case = classify(AlgebraElement(*coords), p)
+    if case.tag != tag or case.word:
+        raise InputError("%s is not a canonical %s vector; its form is %s (%s)"
+                         % (given, tag, case.tag, ", ".join(map(str, case.coords))))
 
 
 def _cmd_reduce(args) -> int:
@@ -349,15 +361,10 @@ def _cmd_reduce(args) -> int:
             coords = _default_coords(args.case, p)
             given = "--case: the default (%s)" % ", ".join(map(str, coords))
         if p.is_numeric():
-            case = classify(AlgebraElement(*coords), p)
-            if case.tag != args.case or case.word:
-                raise InputError("%s is not a canonical %s vector; its form is %s (%s)"
-                                 % (given, args.case, case.tag,
-                                    ", ".join(map(str, case.coords))))
+            _refuse_unless_canonical(args.case, coords, given, p)
         elif args.coords:
             raise InputError("--coords needs numeric --params to check the vector is canonical")
-        else:
-            case = CanonicalCase(args.case, coords, ())
+        case = CanonicalCase(args.case, coords, ())
     else:
         raise InputError("reduce wants --vector or --case")
     pair = invariants(case, p)
@@ -413,23 +420,33 @@ def _cmd_reduce(args) -> int:
 
 
 def _build_family(args, p: ThomasParams):
+    """The family of --family KEY, or the family of --case TAG on the tag's
+    default coordinates, whose a1 and a2 the family's constants replace; at
+    p that vector must be a canonical TAG vector, as in reduce --case."""
     from . import families
+    from .cases import CASES
 
     constants = _parse_constants(args.constants or "")
     key = getattr(args, "family_builder", None)
+    if key is not None:
+        if key not in families.SOLUTION_BUILDERS:
+            raise InputError("--family: %r is not one of %s"
+                             % (key, ", ".join(families.SOLUTION_BUILDERS)))
+        return families.build_family(key, p, constants)
+    if args.case is None:
+        raise InputError("wanted --case TAG (or --family KEY)")
+    note = getattr(CASES.get(args.case), "obstruction", "")
+    if note:
+        raise families.FamilyError("%s is obstructed: %s" % (args.case, note))
+    key = families.TAG_BUILDERS.get(args.case)
     if key is None:
-        if args.case is None:
-            raise InputError("wanted --case TAG (or --family KEY)")
-        if args.case in families.OBSTRUCTIONS:
-            raise families.FamilyError("%s is obstructed: %s"
-                                       % (args.case, families.OBSTRUCTIONS[args.case]))
-        key = families.TAG_BUILDERS.get(args.case)
-        if key is None:
-            raise InputError("no solution family for tag %r" % args.case)
-    elif key not in families.SOLUTION_BUILDERS:
-        raise InputError("--family: %r is not one of %s"
-                         % (key, ", ".join(families.SOLUTION_BUILDERS)))
-    return families.build_family(key, p, constants)
+        raise InputError("no solution family for tag %r" % args.case)
+    fam = families.build_family(key, p, constants)
+    coords = tuple(Fraction(fam.constants.get(name, c)) for name, c
+                   in zip(("a1", "a2", "a3", "a4"), _default_coords(args.case, p)))
+    _refuse_unless_canonical(args.case, coords, "--case: the family's vector (%s)"
+                             % ", ".join(map(str, coords)), p)
+    return fam
 
 
 def _cmd_solve(args) -> int:

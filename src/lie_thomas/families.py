@@ -26,7 +26,9 @@ each constant's default sets how it is passed and recorded: an int
 default is an exact coordinate (a1, a2), passed as a float and recorded
 as given (a Fraction as an int or "n/d"); a float default is a number,
 passed and recorded as a float; a str default is a choice (root, tag),
-passed and recorded as given.
+passed and recorded as given.  Each tag's builder is the first registered
+for it (TAG_BUILDERS); the case table `cases.CASES` records the tags that
+have none, and the tags under which the constant family is invariant.
 
 Descriptors: ``descriptor()`` emits a JSON-able dict that rebuilds the
 family bit-for-bit through ``from_descriptor``; the sha256 digest of the
@@ -39,6 +41,7 @@ import json
 import math
 from fractions import Fraction
 
+from .cases import CASES
 from .errors import DomainError, Record
 from .fuchs import fuchs_series, second_solution, zero_bracket
 from .hyperdual import affine, cos_, exp_, lift, log_
@@ -155,13 +158,6 @@ class ModeMix(Record):
         return self.a + self.c * self.f(self.p * x + self.q * y + self.r) > self.floor
 
 
-class Obstruction(Record):
-    """A case with no invariant solution, carrying the reason."""
-
-    tag: str
-    note: str
-
-
 def from_descriptor(d) -> SolutionFamily:
     if not (isinstance(d, dict) and d.get("schema") == "lie-thomas/1"
             and d.get("kind") == "solution-family"):
@@ -183,8 +179,8 @@ def build_family(key, p: ThomasParams, constants: dict) -> SolutionFamily:
 
 
 # builder key -> builder, in registration order; TAG_BUILDERS maps each
-# canonical tag to the first builder registered for it (the OBSTRUCTIONS
-# tags have none and Zero has no reduction)
+# canonical tag to the first builder registered for it (the tags with an
+# obstruction in cases.CASES have none, and Zero has no reduction)
 SOLUTION_BUILDERS = {}
 TAG_BUILDERS = {}
 
@@ -468,33 +464,14 @@ def case31b_solution(alpha, beta, gamma, a2=2, k=1.0, const=0.0):
     return mix, mix.domain, "exponential-profile traveling wave"
 
 
-# --- trivial content ----------------------------------------------------------
-
-
-# the tags whose vectors have a3 = a4 = 0: translations in (x, y), under
-# which a constant u is invariant
-_CONSTANT_TAGS = ("Case3_1a", "Case3_1b", "Case3_2")
-
-# why each obstructed tag has no invariant solution
-OBSTRUCTIONS = {
-    "Case2_3": "the reduction forces alpha*beta = 0; no solution otherwise",
-    "Case2_4": "its vector v3 = d/du has characteristic 1 on every graph; "
-               "no u(x, y) is invariant",
-}
+# --- constants ----------------------------------------------------------------
 
 
 @_builder("constant")
 def constant_solution(alpha, beta, gamma, c=0.0, tag="Case3_2"):
-    if tag not in _CONSTANT_TAGS:
+    translations = [t for t, case in CASES.items() if case.constant]
+    if tag not in translations:
         raise FamilyError("a constant is invariant only for %s, not %r"
-                          % (", ".join(_CONSTANT_TAGS), tag))
+                          % (", ".join(translations), tag))
     mix = ModeMix(gamma, 0.0, 0.0, c)
     return mix, mix.domain, "constant state"
-
-
-def trivial_solutions(p: ThomasParams, c=0.0):
-    """The constant family of the translation case plus the recorded
-    obstructions."""
-    return [constant_solution(p, c, tag="Case3_2")] + [
-        Obstruction(tag, note) for tag, note in OBSTRUCTIONS.items()
-    ]

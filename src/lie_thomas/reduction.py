@@ -19,6 +19,7 @@ conventionally written in theta = varsigma_chi.
 
 from __future__ import annotations
 
+from .cases import CASES
 from .errors import DomainError, Record
 from .expr import (
     Expr,
@@ -67,12 +68,11 @@ class ReducedODE(Record):
 
 def _refuse_degenerate(tag, a1, a2):
     """Refuse a case without invariants, for invariants and reduced_ode
-    alike: the zero element, and a Case2_1, Case2_2 or Case3_1 vector whose
-    invariants would divide by a zero coordinate."""
-    if tag in ("Case2_1a", "Case2_1b", "Case3_1a", "Case3_1b") and is_zero(a2):
-        raise ReductionError("%s invariants need a2 != 0" % tag[:-1])
-    if tag == "Case2_2" and is_zero(a1):
-        raise ReductionError("Case2_2 invariants need a1 != 0")
+    alike: the zero element, and a vector whose invariants would divide by
+    its zero coordinate, the divisor of the case table."""
+    divisor = getattr(CASES.get(tag), "divisor", 0)
+    if divisor and is_zero((a1, a2)[divisor - 1]):
+        raise ReductionError("%s invariants need a%d != 0" % (tag.rstrip("ab"), divisor))
     if tag == "Zero":
         raise ReductionError("the zero element generates no reduction")
 

@@ -9,8 +9,8 @@ import pytest
 
 from lie_thomas import classifier
 from lie_thomas.algebra import AlgebraElement, AlgebraError, adjoint, adjoint_scaling
+from lie_thomas.cases import TAGS
 from lie_thomas.classifier import (
-    TAGS,
     CanonicalCase,
     ClassificationError,
     apply_word,

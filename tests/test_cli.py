@@ -4,17 +4,23 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import lie_thomas
 from lie_thomas import families
-from lie_thomas.cli import main
+from lie_thomas.algebra import AlgebraElement
+from lie_thomas.cases import CASES, TAGS
+from lie_thomas.classifier import ClassificationError, classify
+from lie_thomas.cli import _refuse_unless_canonical, main
 from lie_thomas.determining import ThomasParams
+from lie_thomas.errors import DomainError
 
 
 def _run(capsys, *argv):
@@ -127,6 +133,54 @@ def test_reduce_parameter_defaults_refuse_a_vanishing_divisor(capsys, case, para
     assert "error[InputError]: %s" % message in err
 
 
+_NOT_CANONICAL = ("--case: the family's vector (1, 2, 0, 0) is not a canonical Case3_1b "
+                  "vector; its form is Case3_1a (1, 2, 0, 0)")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("solve", "--case", "Case3_1b", "--params", "1,2,1"), _NOT_CANONICAL),
+    (("solve", "--case", "Case3_1b", "--params", "1,2,1", "--constants", "a2=2"),
+     _NOT_CANONICAL),
+    (("verify", "--case", "Case3_1b", "--params", "1,2,1"), _NOT_CANONICAL),
+    (("verify", "--case", "Case3_1b", "--params", "1,2,1", "--constants", "a2=2"),
+     _NOT_CANONICAL),
+    (("solve", "--case", "Case3_1b", "--params", "1,2,1", "--constants", "a2=3"), None),
+    (("solve", "--case", "Case2_2", "--params", "1,1,1", "--constants", "a1=2",
+      "--format", "json"), None),
+], ids=["solve", "solve-a2=2", "verify", "verify-a2=2", "solve-a2=3", "readme-solve"])
+def test_case_families_pass_the_reduce_check(capsys, argv, refusal):
+    """solve and verify --case check the vector their family is built on
+    (the tag's default coordinates with the family's a1, a2 in place) as
+    reduce --case checks its own; the README's solve example passes."""
+    rc, out, err = _run(capsys, *argv)
+    if refusal is None:
+        assert rc == 0 and not err
+    else:
+        assert rc == 3 and not out
+        assert "error[InputError]: %s" % refusal in err
+
+
+def test_canonical_check_accepts_what_classify_leaves_unmoved():
+    """The check accepts a vector under a tag exactly when classify gives it
+    that tag with an empty word, though it runs classify only to refuse."""
+    rng = random.Random(26)
+    for _ in range(300):
+        p = ThomasParams(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((-1, 1, 2)))
+        coords = tuple(Fraction(rng.choice((-1, 0, 0, 1, 1, 2)), rng.choice((1, 2)))
+                       for _ in range(4))
+        try:
+            case = classify(AlgebraElement(*coords), p)
+        except ClassificationError:
+            case = None
+        for tag in TAGS:
+            try:
+                _refuse_unless_canonical(tag, coords, "v", p)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == (case is not None and case.tag == tag and not case.word)
+
+
 def test_solve_verify_pipeline(tmp_path, capsys):
     rc, out, _ = _run(capsys, "solve", "--case", "Case2_2",
                       "--params", "1,1,1", "--constants", "a1=2",
@@ -237,7 +291,7 @@ def test_obstruction_case_exits_3(capsys, tag):
                       "--params", "1,1,1")
     assert rc == 3
     assert "error[" in err
-    assert "%s is obstructed: %s" % (tag, families.OBSTRUCTIONS[tag]) in err
+    assert "%s is obstructed: %s" % (tag, CASES[tag].obstruction) in err
 
 
 def test_bad_vector_exits_3(capsys):

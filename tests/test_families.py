@@ -11,14 +11,13 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from lie_thomas.classifier import TAGS
+from lie_thomas.cases import CASES, TAGS
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import (
     SOLUTION_BUILDERS,
     TAG_BUILDERS,
     FamilyError,
     ModeMix,
-    Obstruction,
     SolutionFamily,
     build_family,
     case1_solution,
@@ -30,7 +29,6 @@ from lie_thomas.families import (
     case31b_solution,
     constant_solution,
     from_descriptor,
-    trivial_solutions,
     _numeric,
 )
 from lie_thomas.fuchs import (
@@ -171,16 +169,6 @@ def test_constant_solution_needs_a_translation_tag():
         else:
             with pytest.raises(FamilyError, match="not %r" % tag):
                 constant_solution(P, tag=tag)
-
-
-def test_trivial_solutions():
-    out = trivial_solutions(P)
-    fams = [o for o in out if isinstance(o, SolutionFamily)]
-    obs = [o for o in out if isinstance(o, Obstruction)]
-    assert {f.tag for f in fams} == {"Case3_2"}
-    assert {o.tag for o in obs} == {"Case2_3", "Case2_4"}
-    for o in obs:
-        assert o.note
 
 
 def test_descriptor_roundtrip():
@@ -403,8 +391,24 @@ def test_case1_descriptor_digest_pinned():
     )
 
 
+def test_builder_default_coordinates_are_the_tables():
+    # a builder's default a1, a2 are the coordinates of its tag's default vector
+    checked = set()
+    for key in SOLUTION_BUILDERS:
+        fam = build_family(key, P, {})
+        for i, name in enumerate(("a1", "a2")):
+            if name in fam.constants:
+                assert fam.constants[name] == CASES[fam.tag].coords[i], (key, name)
+                checked.add(key)
+    assert checked == {"case1", "case21a", "case21_affine", "case21b", "case22", "case31b"}
+
+
 def test_tag_builders_name_real_tags_and_builders():
-    assert set(TAG_BUILDERS) == set(TAGS) - {"Case2_3", "Case2_4", "Zero"}
+    # every tag has a record, and every one without an obstruction but Zero a builder
+    assert set(CASES) == set(TAGS)
+    unobstructed = {tag for tag in TAGS if not CASES[tag].obstruction}
+    assert unobstructed == set(TAGS) - {"Case2_3", "Case2_4"}
+    assert set(TAG_BUILDERS) == unobstructed - {"Zero"}
     assert set(TAG_BUILDERS.values()) <= set(SOLUTION_BUILDERS)
     for tag, key in TAG_BUILDERS.items():
         constants = {"tag": tag} if key == "constant" else {}

@@ -13,11 +13,12 @@ import pytest
 
 import lie_thomas
 from lie_thomas.algebra import AlgebraElement, AlgebraError, GroupElement, GroupWord
+from lie_thomas.cases import Case
 from lie_thomas.classifier import CanonicalCase
 from lie_thomas.determining import DeterminingSystem
 from lie_thomas.errors import Record
 from lie_thomas.expr import ALPHA, BETA, GAMMA, ZERO, Rat, U, X, Y
-from lie_thomas.families import ModeMix, Obstruction, SolutionFamily
+from lie_thomas.families import ModeMix, SolutionFamily
 from lie_thomas.fuchs import FuchsSeries, SecondSolution
 from lie_thomas.params import ParameterError, ThomasParams
 from lie_thomas.reduction import InvariantPair, ReducedODE
@@ -61,6 +62,11 @@ RECORDS = {
         ("Case1", (Fraction(4), Fraction(1), Fraction(0), Fraction(1)),
          (("scale", Fraction(1, 2)),)),
     ),
+    Case: (
+        ["coords", ("divisor", _default(0)), ("obstruction", _default("")),
+         ("constant", _default(False))],
+        ((1, 2, 0, 0), 2, "a note", True),
+    ),
     InvariantPair: (["chi", "varsigma", "domain"], (X, U, "x != 0")),
     ReducedODE: (
         ["order", "dependent", "lhs", "kind", ("note", _default("")), ("aux", _default(()))],
@@ -78,7 +84,6 @@ RECORDS = {
          ("r", _default(0.0)), ("floor", _default(1e-9))],
         (1.0, -0.5, 0.25, 2.0, 1.5, -1.0, abs, 0.5, -2.0, 0.125, 1e-6),
     ),
-    Obstruction: (["tag", "note"], ("Case2_3", "no invariant solution")),
     FuchsSeries: (["e", "m", "coefficients", "truncation", "tail_bound"],
                   (1.0, 0.5, (1.0, -0.25), 2, 1e-17)),
     SecondSolution: (["rho", "log_coefficients", "coefficients", "truncation", "tail_bound"],
@@ -153,7 +158,7 @@ def test_repr_equality_and_hash_match_the_twin(cls):
     assert repr(rec) == repr(twin)
     assert rec == cls(*values) and not rec != cls(*values)
     assert rec != twin and twin != rec
-    other = Obstruction("Zero", "") if cls is not Obstruction else GridReport(0.0, (), 0, 0)
+    other = Case(None) if cls is not Case else GridReport(0.0, (), 0, 0)
     assert rec != other and not rec == other
     assert (rec == other) == (twin == other)
     assert _outcome(lambda: hash(rec)) == _outcome(lambda: hash(twin))
