@@ -17,7 +17,9 @@
         a1 = 0, a2 != 0:      3_2 (scale to (0,1,0,0))
     zero vector            -> Zero
 
-`tag` reads the tree on unscaled coordinates.  A tag's family builder is
+`tag` reads the tree on unscaled coordinates, and `word` gives the adjoint
+word that `classify` replays to reach the canonical form; a vector is
+canonical for its tag where that word is empty.  A tag's family builder is
 `families.TAG_BUILDERS`, and its invariants and reduced ODE are the
 switches of `reduction`.  This module imports only `errors`, so any
 command reads the table without loading the symbolic or numeric stack.
@@ -43,6 +45,21 @@ def tag(coords, params):
     if a1 and a2:
         return "Case3_1a" if alpha and alpha * a2 == beta * a1 else "Case3_1b"
     return "Case3_2" if a1 or a2 else "Zero"
+
+
+def word(coords, params):
+    """classify's adjoint word on Fraction coordinates: scale the first
+    nonzero of a4, a3, a1, a2 to 1, then cancel a3 against a4 by v1 (beta
+    != 0) or v2 (alpha != 0); None where alpha = beta = 0 leaves a3*a4 != 0."""
+    alpha, beta, _ = params
+    a1, a2, a3, a4 = coords
+    pivot = a4 or a3 or a1 or a2
+    scale = (("scale", 1 / pivot),) if pivot not in (0, 1) else ()
+    if not (a4 and a3):
+        return scale
+    if beta:
+        return scale + (("v1", a3 / a4 / beta),)
+    return scale + (("v2", -a3 / a4 / alpha),) if alpha else None
 
 
 class Case(Record):

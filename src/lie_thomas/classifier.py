@@ -2,8 +2,8 @@
 
 Any nonzero v = a1 v1 + a2 v2 + a3 v3 + a4 v4 is driven to a canonical
 form by generator rescaling and the adjoint maps that stay inside exact
-rational arithmetic.  The case tree lives in `cases`, whose `tag` reads
-it off the unscaled coordinates.
+rational arithmetic.  The case tree (`tag`) and the word that reaches the
+canonical form (`word`) live in `cases`, read off unscaled coordinates.
 
 Everything runs on exact (a1, a2, a3, a4) Fraction tuples.  Each word
 entry is one exact map: "scale" multiplies all coordinates, and "v1".."v4"
@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import cases
 from .algebra import AlgebraElement, adjoint, adjoint_coords, adjoint_scaling
-from .cases import tag
 from .errors import DomainError, Record
 from .expr import Rat
 from .params import ThomasParams
@@ -81,21 +81,12 @@ def classify(v: AlgebraElement, p: ThomasParams) -> CanonicalCase:
         raise ClassificationError(
             "classification covers the span of v1..v4; drop the g part first"
         )
-    alpha, beta, _ = params = _exact_params(p)
-    coords = a1, a2, a3, a4 = v.coords_exact()
-    pivot = a4 or a3 or a1 or a2
-    word = [("scale", 1 / pivot)] if pivot not in (0, 1) else []
-    if a4 and a3:
-        if beta:
-            word.append(("v1", a3 / a4 / beta))
-        elif alpha:
-            word.append(("v2", -a3 / a4 / alpha))
-        else:
-            raise ClassificationError(
-                "cannot cancel the v3 coordinate when alpha = beta = 0"
-            )
-    word = tuple(word)
-    return CanonicalCase(tag(coords, params), apply_word(coords, word, p), word)
+    params = _exact_params(p)
+    coords = v.coords_exact()
+    word = cases.word(coords, params)
+    if word is None:
+        raise ClassificationError("cannot cancel the v3 coordinate when alpha = beta = 0")
+    return CanonicalCase(cases.tag(coords, params), apply_word(coords, word, p), word)
 
 
 def orbit_invariance_check(
@@ -135,6 +126,6 @@ def orbit_invariance_check(
             closed = adjoint_scaling(Rat(val), v, p) if i == 4 else adjoint(i, Rat(val), v, p)
             if closed.coords_exact() != moved:
                 return False
-        if tag(moved, params) != start:
+        if cases.tag(moved, params) != start:
             return False
     return True

@@ -7,8 +7,9 @@ solutions.  Each command builds one document, which _render writes as
 text, latex, json or csv (--format, default text).  run() parses --params
 once, so every command reads its ThomasParams in args.params; derive,
 tables and reduce default it to symbolic, the others to 1,1,1.  reduce
---case and solve/verify --case start from the tag's default coordinates in
-the case table (`cases`) and refuse a vector that is not canonical there.
+--case reduces the tag's default coordinates in the case table (`cases`),
+and every family that solve or verify builds or reads has its vector
+checked: each refuses a vector that is not canonical for its tag there.
 Exit codes: 0 success, 2 usage, 3 domain/math error.
 """
 
@@ -67,11 +68,11 @@ def _parse_params(text: str) -> ThomasParams:
     return ThomasParams(*(_convert(Fraction, s, "--params") for s in parts))
 
 
-def _parse_vector(text: str, flag: str = "--vector"):
+def _parse_vector(text: str):
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 4:
-        raise InputError("%s wants four comma-separated rationals" % flag)
-    return tuple(_convert(Fraction, s, flag) for s in parts)
+        raise InputError("--vector wants four comma-separated rationals")
+    return tuple(_convert(Fraction, s, "--vector") for s in parts)
 
 
 def _parse_constants(text: str) -> dict:
@@ -322,22 +323,19 @@ def _default_coords(tag: str, p: ThomasParams):
 
 
 def _refuse_unless_canonical(tag: str, coords, given: str, p: ThomasParams) -> None:
-    """Refuse coords unless classify, at numeric p, gives them tag with an
-    empty word: the tree reads tag, the first nonzero of a4, a3, a1, a2 is 1
-    and a3*a4 = 0.  classify runs only to word a refusal."""
-    from .cases import tag as tree_tag
+    """Refuse coords, named by the text given, unless classify at numeric p
+    gives them tag with an empty word; classify runs only to word a refusal."""
+    from . import cases
 
-    a1, a2, a3, a4 = coords
-    unmoved = (a4 or a3 or a1 or a2) == 1 and not (a3 and a4)
-    if unmoved and tree_tag(coords, _param_dict(p).values()) == tag:
+    params = _param_dict(p).values()
+    if cases.word(coords, params) == () and cases.tag(coords, params) == tag:
         return
     from .algebra import AlgebraElement
     from .classifier import classify
 
-    case = classify(AlgebraElement(*coords), p)
-    if case.tag != tag or case.word:
-        raise InputError("%s is not a canonical %s vector; its form is %s (%s)"
-                         % (given, tag, case.tag, ", ".join(map(str, case.coords))))
+    case = classify(AlgebraElement(*coords), p)  # raises where the word is None
+    raise InputError("%s (%s) is not a canonical %s vector; its form is %s (%s)" % (
+        given, ", ".join(map(str, coords)), tag, case.tag, ", ".join(map(str, case.coords))))
 
 
 def _cmd_reduce(args) -> int:
@@ -346,24 +344,14 @@ def _cmd_reduce(args) -> int:
     from .reduction import ReductionError, invariants, reduced_ode
 
     p = args.params
+    if args.vector and args.case:
+        raise InputError("--vector picks its own case and would ignore --case; give one of them")
     if args.vector:
-        if args.case or args.coords:
-            raise InputError("--vector picks its own case and would ignore %s; give one "
-                             "of them" % ("--case" if args.case else "--coords"))
         case = classify(AlgebraElement(*_parse_vector(args.vector)), p)
     elif args.case:
-        # at numeric params the given or default coordinates must classify
-        # to --case unmoved; symbolic params cannot classify them
-        if args.coords:
-            coords = _parse_vector(args.coords, "--coords")
-            given = "--coords: (%s)" % args.coords
-        else:
-            coords = _default_coords(args.case, p)
-            given = "--case: the default (%s)" % ", ".join(map(str, coords))
-        if p.is_numeric():
-            _refuse_unless_canonical(args.case, coords, given, p)
-        elif args.coords:
-            raise InputError("--coords needs numeric --params to check the vector is canonical")
+        coords = _default_coords(args.case, p)
+        if p.is_numeric():  # symbolic params cannot classify the default
+            _refuse_unless_canonical(args.case, coords, "--case: the default", p)
         case = CanonicalCase(args.case, coords, ())
     else:
         raise InputError("reduce wants --vector or --case")
@@ -419,34 +407,39 @@ def _cmd_reduce(args) -> int:
 # --- solve / verify -----------------------------------------------------------
 
 
+def _checked_family(fam, flag: str):
+    """fam, once its vector (its tag's default coordinates with its own a1
+    and a2 in place) passes reduce --case's check; a refusal names flag."""
+    try:
+        default = _default_coords(fam.tag, fam.params)
+    except InputError as exc:  # the tag has no vector at these params
+        raise InputError("%s: %s" % (flag, exc)) from None
+    coords = tuple(Fraction(fam.constants.get(name, c))
+                   for name, c in zip(("a1", "a2", "a3", "a4"), default))
+    _refuse_unless_canonical(fam.tag, coords, flag + ": the family's vector", fam.params)
+    return fam
+
+
 def _build_family(args, p: ThomasParams):
-    """The family of --family KEY, or the family of --case TAG on the tag's
-    default coordinates, whose a1 and a2 the family's constants replace; at
-    p that vector must be a canonical TAG vector, as in reduce --case."""
+    """The checked family of --family KEY, or of --case TAG by its builder."""
     from . import families
     from .cases import CASES
 
     constants = _parse_constants(args.constants or "")
-    key = getattr(args, "family_builder", None)
-    if key is not None:
-        if key not in families.SOLUTION_BUILDERS:
-            raise InputError("--family: %r is not one of %s"
-                             % (key, ", ".join(families.SOLUTION_BUILDERS)))
-        return families.build_family(key, p, constants)
-    if args.case is None:
-        raise InputError("wanted --case TAG (or --family KEY)")
-    note = getattr(CASES.get(args.case), "obstruction", "")
-    if note:
-        raise families.FamilyError("%s is obstructed: %s" % (args.case, note))
-    key = families.TAG_BUILDERS.get(args.case)
+    key, flag = getattr(args, "family_builder", None), "--family"
     if key is None:
-        raise InputError("no solution family for tag %r" % args.case)
-    fam = families.build_family(key, p, constants)
-    coords = tuple(Fraction(fam.constants.get(name, c)) for name, c
-                   in zip(("a1", "a2", "a3", "a4"), _default_coords(args.case, p)))
-    _refuse_unless_canonical(args.case, coords, "--case: the family's vector (%s)"
-                             % ", ".join(map(str, coords)), p)
-    return fam
+        if args.case is None:
+            raise InputError("wanted --case TAG (or --family KEY)")
+        note = getattr(CASES.get(args.case), "obstruction", "")
+        if note:
+            raise families.FamilyError("%s is obstructed: %s" % (args.case, note))
+        key, flag = families.TAG_BUILDERS.get(args.case), "--case"
+        if key is None:
+            raise InputError("no solution family for tag %r" % args.case)
+    elif key not in families.SOLUTION_BUILDERS:
+        raise InputError("--family: %r is not one of %s"
+                         % (key, ", ".join(families.SOLUTION_BUILDERS)))
+    return _checked_family(families.build_family(key, p, constants), flag)
 
 
 def _cmd_solve(args) -> int:
@@ -488,8 +481,8 @@ def _cmd_verify(args) -> int:
     from .families import from_descriptor
     from .verification import residual_grid
 
-    fam = (from_descriptor(_read_descriptor(args.family)) if args.family
-           else _build_family(args, args.params))
+    fam = (_checked_family(from_descriptor(_read_descriptor(args.family)), "--family")
+           if args.family else _build_family(args, args.params))
     report = residual_grid(fam, fam.params, _parse_grid(args.grid))
     tol = _parse_tolerance(args.tolerance)
     passed = None if tol is None else report.max_residual < tol
@@ -609,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="invariants and reduced ODE of a canonical case")
     sp.add_argument("--vector", help="classify this vector first")
     sp.add_argument("--case", help="canonical tag, e.g. Case2_1a")
-    sp.add_argument("--coords", help="canonical coordinates a1,a2,a3,a4 of --case, not --vector")
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("solve", parents=[numeric],

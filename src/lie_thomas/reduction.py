@@ -175,8 +175,8 @@ def _reduction(c, p: ThomasParams):
         return (ReducedODE(1, "varsigma", lhs, "linear-first-order"),
                 mul(Rat(-1), pow_(a1, 2)))
     if tag == "Case2_3":
-        return _order0(mul(alpha, beta), "varsigma", "alpha*beta = 0", "reduction forces "
-                       "alpha*beta = 0; no solution for generic constants"), mul(Rat(-1), gamma)
+        return (_order0(mul(alpha, beta), "varsigma", "alpha*beta = 0",
+                        CASES["Case2_3"].obstruction), mul(Rat(-1), gamma))
     if tag == "Case2_4":
         raise ReductionError(
             "Case2_4 invariants (y, x) give no ansatz for u; no reduced equation"

@@ -18,7 +18,7 @@ from lie_thomas import families
 from lie_thomas.algebra import AlgebraElement
 from lie_thomas.cases import CASES, TAGS
 from lie_thomas.classifier import ClassificationError, classify
-from lie_thomas.cli import _refuse_unless_canonical, main
+from lie_thomas.cli import InputError, _default_coords, _refuse_unless_canonical, main
 from lie_thomas.determining import ThomasParams
 from lie_thomas.errors import DomainError
 
@@ -88,15 +88,6 @@ def test_reduce_by_vector(capsys):
     assert doc["ode"]["order"] == 2
 
 
-def test_reduce_by_case_with_coords(capsys):
-    rc, out, _ = _run(capsys, "reduce", "--case", "Case2_2",
-                      "--coords", "2,0,1,0", "--params", "1,1,1",
-                      "--format", "json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["ode"]["kind"] == "linear-first-order"
-
-
 @pytest.mark.parametrize("case, params, default, tag", [
     ("Case2_2", "1,-1,1", "1, 0, 1, 0", "Case2_3"),
     ("Case2_1a", "-1,-1,1", "1, 2, 1, 0", "Case2_1b"),
@@ -104,8 +95,9 @@ def test_reduce_by_case_with_coords(capsys):
     ("Case3_1b", "1,2,1", "1, 2, 0, 0", "Case3_1a"),
 ])
 def test_reduce_by_case_checks_its_default_coordinates(capsys, case, params, default, tag):
-    """At numeric params the default coordinates of --case pass the check
-    that --coords gets; where they belong to another tag, reduce names it."""
+    """At numeric params the default coordinates of --case must be a
+    canonical vector of the tag; where they belong to another tag, reduce
+    names it."""
     rc, out, err = _run(capsys, "reduce", "--case", case, "--params", params)
     assert rc == 3 and not out
     assert ("--case: the default (%s) is not a canonical %s vector; its form is %s (%s)"
@@ -158,6 +150,65 @@ def test_case_families_pass_the_reduce_check(capsys, argv, refusal):
     else:
         assert rc == 3 and not out
         assert "error[InputError]: %s" % refusal in err
+
+
+@pytest.mark.parametrize("params, count", [
+    ("1,1,1", 9), ("2,3,5/7", 9), ("-1/2,5,2/7", 8), ("1,2,1", 8), ("0,1,1", 7),
+])
+def test_reduce_by_case_prints_what_its_default_vector_prints(capsys, params, count):
+    """At numeric params reduce --case is reduce --vector on the tag's
+    default coordinates, for every tag whose default is canonical there."""
+    p = ThomasParams(*map(Fraction, params.split(",")))
+    tags = []
+    for tag in TAGS:
+        try:
+            coords = _default_coords(tag, p)
+        except InputError:  # Zero, or a default whose divisor vanishes at p
+            continue
+        case = classify(AlgebraElement(*coords), p)
+        if case.tag != tag or case.word:
+            continue
+        tags.append(tag)
+        vector = ",".join(map(str, coords))
+        for fmt in ("text", "json"):
+            by_case = _run(capsys, "reduce", "--case", tag, "--params", params, "--format", fmt)
+            assert by_case[0] == 0
+            assert by_case == _run(capsys, "reduce", "--vector", vector, "--params", params,
+                                   "--format", fmt)
+    assert len(tags) == count
+
+
+_CASE31A_FORM = ("the family's vector (1, 2, 0, 0) is not a canonical Case3_1b vector; "
+                 "its form is Case3_1a (1, 2, 0, 0)")
+
+
+@pytest.mark.parametrize("argv, stdin, refusal", [
+    (("solve", "--family", "case31b", "--params", "1,2,1"), None, _CASE31A_FORM),
+    (("solve", "--family", "constant", "--constants", "tag=Case3_1b", "--params", "1,2,1"),
+     None, _CASE31A_FORM),
+    (("verify", "--family", "-"), "case31b", _CASE31A_FORM),
+    (("solve", "--family", "constant", "--constants", "tag=Case3_1a", "--params", "0,1,1"),
+     None, "Case3_1a needs alpha != 0"),
+], ids=["solve-family", "solve-constant", "verify-descriptor", "no-case31a-vector"])
+def test_every_family_road_passes_the_reduce_check(capsys, monkeypatch, argv, stdin, refusal):
+    """A family from --family KEY or from a --family descriptor gets the
+    check that --case families get, and its refusal names --family."""
+    if stdin is not None:
+        fam = families.build_family(stdin, ThomasParams(1, 2, 1), {})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fam.descriptor_json()))
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 3 and not out
+    assert "error[InputError]: --family: %s" % refusal in err
+
+
+@pytest.mark.parametrize("key", list(families.SOLUTION_BUILDERS))
+def test_every_builder_at_its_defaults_passes_the_reduce_check(capsys, monkeypatch, key):
+    rc, out, err = _run(capsys, "solve", "--family", key, "--params", "1,1,1",
+                        "--format", "json")
+    assert rc == 0 and not err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    rc, out, err = _run(capsys, "verify", "--family", "-", "--tolerance", "1e-6")
+    assert rc == 0 and not err
 
 
 def test_canonical_check_accepts_what_classify_leaves_unmoved():
@@ -416,8 +467,8 @@ def test_constant_family_needs_a_translation_tag(capsys, monkeypatch, source):
      ("classify", "--vector=-1,0,1,0", "--params", "0,1,1")),
     (("classify", "--vector", "1,0,1,0", "--params", "-1,1,1"),
      ("classify", "--vector", "1,0,1,0", "--params=-1,1,1")),
-    (("reduce", "--case", "Case2_3", "--coords", "-1,0,1,0", "--params", "0,1,1"),
-     ("reduce", "--case", "Case2_3", "--coords=-1,0,1,0", "--params", "0,1,1")),
+    (("reduce", "--vector", "-1,0,1,0", "--params", "0,1,1"),
+     ("reduce", "--vector=-1,0,1,0", "--params", "0,1,1")),
 ])
 def test_negative_value_as_separate_argument(capsys, spaced, joined):
     """Every option, not only `--grid`, takes a separate value that starts
@@ -464,16 +515,6 @@ def test_negative_value_as_separate_argument(capsys, spaced, joined):
     (("classify", "--vector", "1,1,3,1", "--output", _MISSING_DIR), "--output: cannot write"),
     (("derive", "--show-prolongation", "--format", "csv"),
      "--show-prolongation has no csv form"),
-    (("reduce", "--case", "Case1", "--coords", "0,1,0,0", "--params", "1,1,1"),
-     "--coords: (0,1,0,0) is not a canonical Case1 vector; its form is Case3_2"),
-    (("reduce", "--case", "Case3_2", "--coords", "1,2,3,4", "--params", "1,1,1"),
-     "is not a canonical Case3_2 vector; its form is Case1"),
-    (("reduce", "--case", "Case2_2", "--coords", "4,0,2,0", "--params", "1,1,1"),
-     "--coords: (4,0,2,0) is not a canonical Case2_2 vector; its form is Case2_2 (2, 0, 1, 0)"),
-    (("reduce", "--case", "Case2_2", "--coords", "2,0,1,0", "--params", "symbolic"),
-     "--coords needs numeric --params"),
-    (("reduce", "--vector", "1,1,3,1", "--coords", "9,9,9,9", "--params", "1,1,1"),
-     "--vector picks its own case and would ignore --coords"),
     (("reduce", "--vector", "1,1,3,1", "--case", "Case2_2", "--params", "1,1,1"),
      "would ignore --case"),
     (("solve", "--case", "Case2_2", "--params", "1,1,1/0"), "--params: '1/0' is not"),

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+from lie_thomas import families
 from lie_thomas.cases import CASES, TAGS
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import (
@@ -61,6 +62,23 @@ def test_case1_with_log_term():
     fam = case1_solution(P, a1=F(1), a2=F(-2), c0=F(1))
     grid = GridSpec(-3.5, -0.5, 16, 0.2, 1.8, 16)
     assert _max_residual(fam, grid) < 1e-9
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1), (F(1, 2), 1, 2)])
+def test_case1_residual_sees_a_bent_series_coefficient(monkeypatch, params):
+    """The Case 1 residual checks the series independently: with a_2 of
+    y_p bent by 1 %, criterion 5's inner grid reads above its 1e-6 bound."""
+    exact = families.fuchs_series
+
+    def bent(*args):
+        s = exact(*args)
+        c = list(s.coefficients)
+        c[2] *= 1.01
+        return FuchsSeries(s.e, s.m, tuple(c), s.truncation, s.tail_bound)
+
+    monkeypatch.setattr(families, "fuchs_series", bent)
+    fam = case1_solution(ThomasParams(*params), a1=F(0), a2=F(0), c0=F(1))
+    assert _max_residual(fam, GridSpec(-2.0, -0.1, 50, -2.0, -0.1, 50)) > 1e-6
 
 
 @pytest.mark.parametrize("a1, a2", [(1, 0), (3, -1)], ids=["e=0", "e=-1"])
