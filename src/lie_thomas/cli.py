@@ -439,7 +439,10 @@ def _build_family(args, p: ThomasParams):
     elif key not in families.SOLUTION_BUILDERS:
         raise InputError("--family: %r is not one of %s"
                          % (key, ", ".join(families.SOLUTION_BUILDERS)))
-    return _checked_family(families.build_family(key, p, constants), flag)
+    fam = families.build_family(key, p, constants)
+    if flag == "--case" and fam.tag != args.case:
+        raise InputError("--case %s: the family is tagged %s" % (args.case, fam.tag))
+    return _checked_family(fam, flag)
 
 
 def _cmd_solve(args) -> int:

@@ -12,11 +12,11 @@ the log argument w above a floor, computed directly on floats with the
 operations of w in their order, so it decides a point as w itself would.
 Case 1 is a ratio of Frobenius series with its own evaluator, lifted onto
 chi by ``hyperdual.lift``; its domain keeps the sums at each chi until the
-evaluator has read them, so a grid point sums each series once, and it
-reads the second solution y_2 by value: y_2' is summed at the base point
-only.  Where printed source formulas for a case disagree internally, the
-variant kept here is the one rederived from the reduced ODE; the residual
-tests are the arbiter.
+evaluator has read them, so a grid point makes one pass over both series
+for y_p, y_p', y_p'' and the second solution's value y_2; y_2' is summed at
+the base point only.  Where printed source formulas for a case disagree
+internally, the variant kept here is the one rederived from the reduced
+ODE; the residual tests are the arbiter.
 
 Builders: a body registered by ``@_builder(key, tag)`` only computes the
 coefficients: floats in, (evaluator, domain, note) out.  Its first three
@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .cases import CASES
 from .errors import DomainError, Record
-from .fuchs import fuchs_series, second_solution, zero_bracket
+from .fuchs import fuchs_series, joint_table, second_solution, series_sums, zero_bracket
 from .hyperdual import affine, cos_, exp_, lift, log_
 from .params import ThomasParams
 
@@ -270,19 +270,18 @@ def case1_solution(alpha, beta, gamma, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.
     y2_base, y2p_base = second.eval(base)
     scale = gamma / ((y_base * y2p_base - yp_base * y2_base) * abs(base) ** e)  # gamma/C
     q_base = y2_base / y_base
-
-    memo = {}
+    table, memo = joint_table(series, second), {}
 
     def sums(v: float):
-        """(y_p, y_p', y_p'', g_p + c0) at v, kept until the evaluator clears
-        them: domain() and the evaluator read the same chi at a grid point.
-        Calls to domain() alone keep at most 1024 sums."""
+        """(y_p, y_p', y_p'', g_p + c0) at v from one pass, kept until the
+        evaluator clears them: domain() and the evaluator read the same chi
+        at a grid point.  Calls to domain() alone keep at most 1024 sums."""
         out = memo.get(v)
         if out is None:
             if len(memo) >= 1024:
                 memo.clear()
-            y0, y1, y2 = series.eval(v)
-            out = memo[v] = y0, y1, y2, scale * (second(v) / y0 - q_base) + c0
+            y0, y1, y2, s, log_s = series_sums(table, v)
+            out = memo[v] = y0, y1, y2, scale * (second.value(v, s, log_s) / y0 - q_base) + c0
         return out
 
     k_log = (beta * a1 + alpha * a2) / gamma**2

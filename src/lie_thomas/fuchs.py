@@ -8,19 +8,20 @@ closed product formula.  ``fuchs_series`` truncates the one generator of
 the recurrence that ``coefficients_recurrence`` also reads.
 ``second_solution`` is the other branch.
 
-Both records carry, off their fields, the coefficients of their term-wise
-derivatives (n a_n, and n (n - 1) a_n for the series), computed once when
-the record is made.  Calling a record sums its value only; ``eval`` sums
-the value with its derivatives.  Each term is rounded as (n a_n) chi^(n-1)
-and (n (n - 1) a_n) chi^(n-2), with the powers of chi taken by repeated
-products, so precomputing changes no bit.
+Both records build, off their fields, one table of coefficient rows when
+made: the value rows and term-wise derivative rows (n a_n, and n (n - 1)
+a_n for the series), each moved down to the power of chi it multiplies.
+``series_sums``, the one loop that sums a table, feeds up to five sums from
+one chain of powers of chi taken by repeated products, each sum adding its
+terms in order of n.  Calling a record and ``eval`` are views of that pass;
+``joint_table`` gives a Case 1 point y, y', y'' and y_2 in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 
 from .errors import DomainError, Record
 
@@ -63,53 +64,78 @@ class FuchsSeries(Record):
     tail_bound: float
 
     def __post_init__(self):
-        # term-wise derivative coefficients, bound off the fields so that
-        # equality, hashing and repr see the series alone
         c = self.coefficients
-        object.__setattr__(self, "_slopes", _slopes(c))
-        object.__setattr__(self, "_curvatures",
-                           tuple([n * (n - 1) * a for n, a in enumerate(c)]))
+        object.__setattr__(self, "_table", _table((c, 0), (c, 1), (c, 2)))
 
     def __call__(self, chi: float) -> float:
         """y at chi."""
-        return _value(self.coefficients, chi)
+        return series_sums(self._table, chi)[0]
 
     def eval(self, chi: float):
         """(y, y', y'') at chi by term-wise differentiation."""
-        y = ypr = ypp = 0.0
-        power, prev, prev2 = 1.0, 0.0, 0.0  # chi^n, chi^(n-1), chi^(n-2)
-        for a, slope, curvature in zip(self.coefficients, self._slopes, self._curvatures):
-            y += a * power
-            ypr += slope * prev  # the n = 0 term, +-0.0 * 0.0, leaves 0.0
-            ypp += curvature * prev2  # as do the n = 0 and n = 1 terms
-            prev2, prev, power = prev, power, power * chi
-        return y, ypr, ypp
+        return series_sums(self._table, chi)[:3]
 
 
-def _slopes(coefficients):
-    """n a_n for every n: the coefficients of the term-wise derivative,
-    each at the power chi^(n-1) of the term it came from."""
-    return tuple([n * a for n, a in enumerate(coefficients)])
+def _table(*rows):
+    """The columns ``series_sums`` walks for up to five rows (c, k): the k-th
+    term-wise derivative of sum c_n chi^n, (n! / (n - k)!) c_n moved down to
+    the power chi^(n-k) it multiplies.  Column n holds each row's term at
+    chi^n; shorter and missing rows are padded with 0.0."""
+    rows = [[math.perm(n, k) * a for n, a in enumerate(c)][k:] for c, k in rows]
+    return tuple(zip_longest(*rows, *[()] * (5 - len(rows)), fillvalue=0.0))
 
 
-def _value(coefficients, chi: float) -> float:
-    """sum a_n chi^n, powers of chi taken by repeated products."""
-    y, power = 0.0, 1.0
-    for a in coefficients:
-        y += a * power
+def series_sums(table, chi: float):
+    """sum_n row[n] chi^n for each of a table's five rows, in one pass: one
+    chain of powers of chi, taken by repeated products, feeds every sum,
+    and each sum adds its terms in order of n."""
+    s0 = s1 = s2 = s3 = s4 = 0.0
+    power = 1.0
+    for c0, c1, c2, c3, c4 in table:
+        s0 += c0 * power
+        s1 += c1 * power
+        s2 += c2 * power
+        s3 += c3 * power
+        s4 += c4 * power
         power *= chi
-    return y
+    return s0, s1, s2, s3, s4
 
 
-def _value_slope(coefficients, slopes, chi: float):
-    """(sum a_n chi^n, sum (n a_n) chi^(n-1)) in one pass."""
-    y = ypr = 0.0
-    power, prev = 1.0, 0.0
-    for a, slope in zip(coefficients, slopes):
-        y += a * power
-        ypr += slope * prev
-        prev, power = power, power * chi
-    return y, ypr
+class SecondSolution(Record):
+    """y_2 = |chi|^rho (log|chi| S_v + S_d); S_v is empty unless e is an integer."""
+
+    rho: float
+    log_coefficients: tuple  # S_v
+    coefficients: tuple  # S_d
+    truncation: int
+    tail_bound: float
+
+    def __post_init__(self):
+        d, v = self.coefficients, self.log_coefficients
+        object.__setattr__(self, "_table", _table((d, 0), (d, 1), (v, 0), (v, 1)))
+
+    def __call__(self, chi: float) -> float:
+        """y_2 at chi != 0."""
+        s, _, v, _, _ = series_sums(self._table, chi)
+        return self.value(chi, s, v)
+
+    def value(self, chi: float, s: float, v: float) -> float:
+        """y_2 at chi != 0 from its sums S_d = s and S_v = v there."""
+        return abs(chi) ** self.rho * (s + math.log(abs(chi)) * v)
+
+    def eval(self, chi: float):
+        """(y_2, y_2') at chi != 0."""
+        s, ds, v, dv, _ = series_sums(self._table, chi)
+        log, scale = math.log(abs(chi)), abs(chi) ** self.rho
+        s, ds = s + log * v, ds + log * dv + v / chi
+        return scale * s, scale * (ds + self.rho * s / chi)
+
+
+def joint_table(series: FuchsSeries, second: SecondSolution):
+    """The table whose sums at chi are (y, y', y'', S_d, S_v): both
+    Frobenius branches in one pass, y_2 = ``second.value(chi, S_d, S_v)``."""
+    c = series.coefficients
+    return _table((c, 0), (c, 1), (c, 2), (second.coefficients, 0), (second.log_coefficients, 0))
 
 
 def fuchs_series(e: float, m: float, chi_max: float) -> FuchsSeries:
@@ -134,33 +160,6 @@ def fuchs_series(e: float, m: float, chi_max: float) -> FuchsSeries:
             )
     tail = (n + 1) ** 2 * scaled
     return FuchsSeries(e, m, tuple(coeffs), len(coeffs) - 1, tail)
-
-
-class SecondSolution(Record):
-    """y_2 = |chi|^rho (log|chi| S_v + S_d); S_v is empty unless e is an integer."""
-
-    rho: float
-    log_coefficients: tuple  # S_v
-    coefficients: tuple  # S_d
-    truncation: int
-    tail_bound: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "_slopes", _slopes(self.coefficients))
-        object.__setattr__(self, "_log_slopes", _slopes(self.log_coefficients))
-
-    def __call__(self, chi: float) -> float:
-        """y_2 at chi != 0."""
-        s, v = _value(self.coefficients, chi), _value(self.log_coefficients, chi)
-        return abs(chi) ** self.rho * (s + math.log(abs(chi)) * v)
-
-    def eval(self, chi: float):
-        """(y_2, y_2') at chi != 0."""
-        s, ds = _value_slope(self.coefficients, self._slopes, chi)
-        v, dv = _value_slope(self.log_coefficients, self._log_slopes, chi)
-        log, scale = math.log(abs(chi)), abs(chi) ** self.rho
-        s, ds = s + log * v, ds + log * dv + v / chi
-        return scale * s, scale * (ds + self.rho * s / chi)
 
 
 def second_solution(e: float, m: float, chi_max: float) -> SecondSolution:

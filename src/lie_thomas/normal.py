@@ -10,6 +10,14 @@ which covers the polynomial-in-jets determining machinery.  exp factors
 meeting inside one monomial are merged into a single atom (exp(a)*exp(b)
 -> exp(a+b)), so products like exp(t) * exp(-t) cancel structurally even
 when the factors come from different levels of the tree.
+
+The merge stops short in one place: where the merged argument collapses
+to a non-atom (exp(y) * exp(log(x + 2) - y) is 2 + x), the exp factors
+stay unmerged, as independent atoms.  So ``equal`` can say "not equal" for
+atoms that are algebraically dependent: h = (exp(y) + 1)*(exp(log(x + 2)
+- y) + 1) against ``canonical_expr(h)``, whose rebuild through ``mul``
+does collapse that product.  It never gives a false zero: a polynomial
+that vanishes in independent atoms vanishes at any values of them.
 """
 
 from __future__ import annotations

@@ -211,6 +211,21 @@ def test_every_builder_at_its_defaults_passes_the_reduce_check(capsys, monkeypat
     assert rc == 0 and not err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_case_builds_a_family_of_its_own_tag(capsys, command):
+    """--case TAG refuses a family whose constants give it another tag, and
+    names both; solve --family KEY builds it."""
+    argv = ("--constants", "tag=Case3_1a", "--params", "1,1,1")
+    rc, out, err = _run(capsys, command, "--case", "Case3_2", *argv)
+    assert rc == 3 and not out
+    assert "error[InputError]: --case Case3_2: the family is tagged Case3_1a" in err
+    rc, out, err = _run(capsys, command, "--case", "Case3_2", "--constants", "tag=Case3_2")
+    assert rc == 0 and "family: constant (tag Case3_2)" in out and not err
+    if command == "solve":  # verify's --family reads a descriptor
+        rc, out, err = _run(capsys, command, "--family", "constant", *argv)
+        assert rc == 0 and "family: constant (tag Case3_1a)" in out and not err
+
+
 def test_canonical_check_accepts_what_classify_leaves_unmoved():
     """The check accepts a vector under a tag exactly when classify gives it
     that tag with an empty word, though it runs classify only to refuse."""

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from lie_thomas import families
+from lie_thomas import families, fuchs
 from lie_thomas.cases import CASES, TAGS
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import (
@@ -35,7 +35,6 @@ from lie_thomas.families import (
 from lie_thomas.fuchs import (
     FuchsError,
     FuchsSeries,
-    SecondSolution,
     fuchs_series,
     second_solution,
 )
@@ -869,31 +868,38 @@ def test_row_batched_grid_reports_equal_the_pointwise_kernel(key):
 
 
 def test_case1_sums_each_series_once_per_grid_point(monkeypatch):
-    """Every entry point that sums a series is counted: eval and the
-    value-only call of both records.  The second solution's derivative is
-    summed at the base point only, when the family is built."""
-    calls = Counter()
+    """fuchs.series_sums is the one entry that sums a series, so every sum is
+    counted, by the table it walks.  Each evaluated grid point sums the
+    joint table of both series once; the second solution's own table, whose
+    sums carry y_2', is summed at the base point only, when the family is
+    built."""
+    records, calls = {}, Counter()
 
-    def counting(cls, name):
-        original = getattr(cls, name)
+    def keeping(name):
+        build = getattr(families, name)
 
-        def summing(self, chi):
-            calls[cls.__name__] += 1
-            calls[cls.__name__ + "." + name] += 1
-            return original(self, chi)
+        def kept(*args):
+            records[name] = build(*args)
+            return records[name]
 
-        monkeypatch.setattr(cls, name, summing)
+        monkeypatch.setattr(families, name, kept)
 
-    for cls in (FuchsSeries, SecondSolution):
-        counting(cls, "eval")
-        counting(cls, "__call__")
+    def counting(table, chi):
+        owner = {id(r._table): name for name, r in records.items()}
+        calls[owner.get(id(table), "joint")] += 1
+        return kernel(table, chi)
+
+    kernel = fuchs.series_sums
+    keeping("fuchs_series")
+    keeping("second_solution")
+    monkeypatch.setattr(fuchs, "series_sums", counting)
+    monkeypatch.setattr(families, "series_sums", counting)
     fam = case1_solution(P, a1=F(0), a2=F(0), c0=F(1))
-    assert calls["SecondSolution.eval"] == 1, calls
+    assert calls["second_solution"] == 1 and calls["joint"] == 0, calls
     calls.clear()
     report = residual_grid(fam, grid=GridSpec(-2.0, -0.1, 20, -2.0, -0.1, 20))
     assert report.evaluated + report.skipped == 400 and report.evaluated > 300
-    assert 0 < calls["FuchsSeries"] <= 400 and 0 < calls["SecondSolution"] <= 400, calls
-    assert calls["SecondSolution.eval"] == 0, calls
+    assert calls == {"joint": report.evaluated}, calls
 
 
 def test_case1_domain_alone_keeps_a_bounded_memo():

@@ -9,9 +9,13 @@ from scipy.special import i0, j0, jv, k0, y0
 
 from lie_thomas.fuchs import (
     FuchsError,
+    FuchsSeries,
+    SecondSolution,
     coefficients_recurrence,
     fuchs_series,
+    joint_table,
     second_solution,
+    series_sums,
     zero_bracket,
 )
 from oracles import coefficient_closed, fuchs_solution, ode_residual
@@ -246,3 +250,29 @@ def test_second_solution_eval_and_call_keep_the_one_pass_bits(e, seed):
             got = y2.eval(chi)
             assert _hex(got) == _hex(_one_pass_eval(y2, chi)), (e, m, chi)
             assert float.hex(y2(chi)) == float.hex(got[0]), (e, m, chi)
+
+
+def test_joint_sums_take_every_term_of_rows_of_unequal_length():
+    """A table pads its shorter rows, it does not cut the longer ones: each
+    sum takes every term of its own row, and here each row's last terms
+    move its sum by far more than one ulp."""
+    series = FuchsSeries(1.0, 1.0, (1.0, -2.0, 3.0), 2, 0.0)
+    second = SecondSolution(0.0, (5.0,), (1.0, 1.0, 1.0, 1.0, 1.0, 1.0), 5, 0.0)
+    # y = 1 - 2 chi + 3 chi^2, S_d = 1 + chi + ... + chi^5, S_v = 5
+    assert series_sums(joint_table(series, second), 2.0) == (9.0, 10.0, 6.0, 63.0, 5.0)
+    assert series.eval(2.0) == (9.0, 10.0, 6.0)
+    # S_d' = 1 + 2 chi + ... + 5 chi^4 = 129, and S_v' = 0
+    assert second.eval(2.0) == (63.0 + math.log(2.0) * 5.0, 129.0 + 5.0 / 2.0)
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_joint_sums_keep_the_bits_of_both_records(e, seed):
+    """One pass over the joint table gives eval's (y, y', y'') and the bits
+    of y_2, though the two series are truncated at different lengths."""
+    for m, chis in _seeded_arguments(seed, e):
+        s, y2 = fuchs_series(e, m, 5.0), second_solution(e, m, 5.0)
+        table = joint_table(s, y2)
+        for chi in chis:
+            y, ypr, ypp, sd, sv = series_sums(table, chi)
+            assert _hex((y, ypr, ypp)) == _hex(s.eval(chi)), (e, m, chi)
+            assert float.hex(y2.value(chi, sd, sv)) == float.hex(y2(chi)), (e, m, chi)
