@@ -11,7 +11,10 @@ and like-factor collection, rational arithmetic, integer powers, exp/log
 cancellation.  The kernel does no arithmetic whose result it already
 knows: ``add`` skips a zero constant and ``mul`` a unit factor, and the
 first other rational is kept as it is rather than formed as ``0 + q`` or
-``1 * q``.
+``1 * q``.  Nor does it collect what is collected already: ``Add`` and
+``Mul`` nodes are built only in this module, by ``add``, ``mul`` and
+``scale``, so a sum or product with one operand that is not a Rat is
+built directly from that operand.
 """
 
 from __future__ import annotations
@@ -213,7 +216,28 @@ MINUS_ONE = Rat(-1)
 def add(*terms):
     """Sum in collected form.  A zero constant adds nothing and the first
     nonzero constant is taken as it is, so no Fraction sum has a known
-    result."""
+    result.  One term that is not a Rat is the sum, its constant merged."""
+    const = other = None
+    for t in terms:
+        if type(t) is Rat:
+            if t.value:
+                const = const + t.value if const else t.value
+        elif other is None:
+            other = t
+        else:
+            break
+    else:
+        if not const:
+            return ZERO if other is None else other
+        if other is None:
+            return Rat(const)
+        terms = other.terms if type(other) is Add else (other,)
+        if type(terms[0]) is Rat:
+            const += terms[0].value
+            terms = terms[1:]
+        if const:
+            terms = (Rat(const),) + terms
+        return terms[0] if len(terms) == 1 else Add(terms)
     const = None
     acc: dict[Expr, Fraction] = {}
     stack = list(terms)
@@ -240,7 +264,7 @@ def add(*terms):
         if c is _F1 or c == 1:
             out.append(rest)
         elif c:
-            out.append(mul(Rat(c), rest))
+            out.append(scale(c, rest))
     if const:
         out.insert(0, Rat(const))
     if not out:
@@ -256,7 +280,22 @@ def mul(*factors):
     collected factor is its base or ``Pow(base, n)`` as ``pow_`` would
     build it.  A unit factor multiplies nothing and the first other
     rational is taken as it is, so no Fraction product has a known
-    result."""
+    result.  One factor that is not a Rat is scaled by the others."""
+    coeff = other = None
+    for f in factors:
+        if type(f) is Rat:
+            if f.value != 1:
+                coeff = f.value if coeff is None else coeff * f.value
+                if coeff == 1:
+                    coeff = None
+        elif other is None:
+            other = f
+        else:
+            break
+    else:
+        if other is None:
+            return ONE if coeff is None else Rat(coeff)
+        return other if coeff is None else scale(coeff, other)
     coeff = None  # the product of the rational factors, when it is not one
     powers: dict[Expr, int] = {}
     exp_args = []
@@ -295,13 +334,33 @@ def mul(*factors):
     if len(out) > 1:
         out.sort(key=Expr.key)
     elif coeff is not None and type(out[0]) is Add:
-        # keep rational multiples of sums in collected form
-        return add(*[mul(Rat(coeff), t) for t in out[0].terms])
+        return scale(coeff, out[0])
     if coeff is not None:
         out.insert(0, Rat(coeff))
     if len(out) == 1:
         return out[0]
     return Mul(out)
+
+
+def scale(q, e):
+    """``mul(Rat(q), e)`` for a collected e, built without collecting e
+    again: a Mul's leading rational absorbs q, and a sum is scaled term by
+    term in its own order, so a rational multiple of a sum stays a sum."""
+    if q == 1:
+        return e
+    if not q:
+        return ZERO
+    if type(e) is Rat:
+        return Rat(q) if e.value == 1 else Rat(q * e.value)
+    if type(e) is Add:
+        return Add([scale(q, t) for t in e.terms])
+    factors = e.factors if type(e) is Mul else (e,)
+    if type(factors[0]) is Rat:
+        q *= factors[0].value
+        factors = factors[1:]
+        if q == 1:
+            return factors[0] if len(factors) == 1 else Mul(factors)
+    return Mul((Rat(q),) + factors)
 
 
 def pow_(base, n):

@@ -450,11 +450,15 @@ def case31a_solution(alpha, beta, gamma, k0=5.0, const=0.0):
 def case31b_solution(alpha, beta, gamma, a2=2, k=1.0, const=0.0):
     """u = -(1/gamma) log(1 + gamma/(k s e^{s chi} - gamma)) + const with
     s = beta - alpha*a2 and chi = x - y/a2, that is w = 1 - (gamma/(k s))
-    e^{-s chi}; k = 0 leaves no point with w > 0.  s = 0 falls back to the
+    e^{-s chi}; k = 0 leaves no point with w > 0.  s = 0 is a Case3_1a
+    vector where alpha != 0, and at alpha = beta = 0 it falls back to the
     logarithmic form of the balanced branch."""
     if a2 == 0:
         raise FamilyError("a2 must be nonzero")
     s = beta - alpha * a2
+    if s == 0 and alpha:
+        raise FamilyError("a2 = beta/alpha makes (1, a2, 0, 0) a Case3_1a vector; "
+                          "its family is case31a")
     if s == 0:
         mix = ModeMix(gamma, 0.0, 0.0, const, k, gamma, _identity, 1.0, -1 / a2)
         return mix, mix.domain, "drift-free limit; logarithmic profile"

@@ -37,6 +37,7 @@ from .expr import (
     differentiate,
     mul,
     pow_,
+    scale,
 )
 from .normal import is_zero
 
@@ -68,10 +69,6 @@ def _mono_mul(m1: JetMono, m2: JetMono) -> JetMono:
 
 def _bump(m: JetMono, i: int, n: int = 1) -> JetMono:
     return m[:i] + (m[i] + n,) + m[i + 1 :]
-
-
-def _times(n: int, c: Expr) -> Expr:
-    return c if n == 1 else mul(Rat(n), c)
 
 
 _MONO_ONE: JetMono = (0,) * len(_JET_LIST)
@@ -152,14 +149,14 @@ class JetPolynomial:
             i = _JET_POS[other]
             return JetPolynomial({_bump(m, i): c for m, c in self.coeffs.items()})
         if isinstance(other, (int, Fraction)):
-            return JetPolynomial({m: mul(Rat(other), c) for m, c in self.coeffs.items()})
+            return JetPolynomial({m: scale(other, c) for m, c in self.coeffs.items()})
         return NotImplemented
 
     def diff(self, jet: Sym) -> "JetPolynomial":
         """Partial derivative by the jet coordinate ``jet``."""
         i = _JET_POS[jet]
         return JetPolynomial(
-            {_bump(m, i, -1): _times(m[i], c) for m, c in self.coeffs.items() if m[i]}
+            {_bump(m, i, -1): scale(m[i], c) for m, c in self.coeffs.items() if m[i]}
         )
 
     def D_x(self) -> "JetPolynomial":
@@ -181,7 +178,7 @@ class JetPolynomial:
                 if up[i] is None:
                     raise ProlongationError("total derivative of a third-order jet "
                                             "expression needs fourth-order jets")
-                pairs.append((_bump(_bump(m, i, -1), up[i]), _times(n, c)))
+                pairs.append((_bump(_bump(m, i, -1), up[i]), scale(n, c)))
         return JetPolynomial.from_terms(pairs)
 
     def substitute(self, jet: Sym, poly: "JetPolynomial") -> "JetPolynomial":

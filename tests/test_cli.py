@@ -125,17 +125,17 @@ def test_reduce_parameter_defaults_refuse_a_vanishing_divisor(capsys, case, para
     assert "error[InputError]: %s" % message in err
 
 
-_NOT_CANONICAL = ("--case: the family's vector (1, 2, 0, 0) is not a canonical Case3_1b "
-                  "vector; its form is Case3_1a (1, 2, 0, 0)")
+_CASE31A_SLOPE = ("error[FamilyError]: a2 = beta/alpha makes (1, a2, 0, 0) a Case3_1a "
+                  "vector; its family is case31a")
 
 
 @pytest.mark.parametrize("argv, refusal", [
-    (("solve", "--case", "Case3_1b", "--params", "1,2,1"), _NOT_CANONICAL),
+    (("solve", "--case", "Case3_1b", "--params", "1,2,1"), _CASE31A_SLOPE),
     (("solve", "--case", "Case3_1b", "--params", "1,2,1", "--constants", "a2=2"),
-     _NOT_CANONICAL),
-    (("verify", "--case", "Case3_1b", "--params", "1,2,1"), _NOT_CANONICAL),
+     _CASE31A_SLOPE),
+    (("verify", "--case", "Case3_1b", "--params", "1,2,1"), _CASE31A_SLOPE),
     (("verify", "--case", "Case3_1b", "--params", "1,2,1", "--constants", "a2=2"),
-     _NOT_CANONICAL),
+     _CASE31A_SLOPE),
     (("solve", "--case", "Case3_1b", "--params", "1,2,1", "--constants", "a2=3"), None),
     (("solve", "--case", "Case2_2", "--params", "1,1,1", "--constants", "a1=2",
       "--format", "json"), None),
@@ -143,13 +143,15 @@ _NOT_CANONICAL = ("--case: the family's vector (1, 2, 0, 0) is not a canonical C
 def test_case_families_pass_the_reduce_check(capsys, argv, refusal):
     """solve and verify --case check the vector their family is built on
     (the tag's default coordinates with the family's a1, a2 in place) as
-    reduce --case checks its own; the README's solve example passes."""
+    reduce --case checks its own, and the builders refuse a vector of
+    another case themselves: case31b refuses the Case3_1a slope
+    a2 = beta/alpha; the README's solve example passes."""
     rc, out, err = _run(capsys, *argv)
     if refusal is None:
         assert rc == 0 and not err
     else:
         assert rc == 3 and not out
-        assert "error[InputError]: %s" % refusal in err
+        assert refusal in err
 
 
 @pytest.mark.parametrize("params, count", [
@@ -178,27 +180,29 @@ def test_reduce_by_case_prints_what_its_default_vector_prints(capsys, params, co
     assert len(tags) == count
 
 
-_CASE31A_FORM = ("the family's vector (1, 2, 0, 0) is not a canonical Case3_1b vector; "
-                 "its form is Case3_1a (1, 2, 0, 0)")
+_CASE31A_FORM = ("error[InputError]: --family: the family's vector (1, 2, 0, 0) is not a "
+                 "canonical Case3_1b vector; its form is Case3_1a (1, 2, 0, 0)")
 
 
 @pytest.mark.parametrize("argv, stdin, refusal", [
-    (("solve", "--family", "case31b", "--params", "1,2,1"), None, _CASE31A_FORM),
+    (("solve", "--family", "case31b", "--params", "1,2,1"), None, _CASE31A_SLOPE),
     (("solve", "--family", "constant", "--constants", "tag=Case3_1b", "--params", "1,2,1"),
      None, _CASE31A_FORM),
-    (("verify", "--family", "-"), "case31b", _CASE31A_FORM),
+    (("verify", "--family", "-"), {"tag": "Case3_1b"}, _CASE31A_FORM),
     (("solve", "--family", "constant", "--constants", "tag=Case3_1a", "--params", "0,1,1"),
-     None, "Case3_1a needs alpha != 0"),
+     None, "error[InputError]: --family: Case3_1a needs alpha != 0"),
 ], ids=["solve-family", "solve-constant", "verify-descriptor", "no-case31a-vector"])
 def test_every_family_road_passes_the_reduce_check(capsys, monkeypatch, argv, stdin, refusal):
-    """A family from --family KEY or from a --family descriptor gets the
-    check that --case families get, and its refusal names --family."""
+    """A family from --family KEY or from a --family descriptor (here a
+    constant one, with the stdin constants) gets the check that --case
+    families get, and its refusal names --family; case31b refuses the
+    Case3_1a slope itself."""
     if stdin is not None:
-        fam = families.build_family(stdin, ThomasParams(1, 2, 1), {})
+        fam = families.build_family("constant", ThomasParams(1, 2, 1), stdin)
         monkeypatch.setattr(sys, "stdin", io.StringIO(fam.descriptor_json()))
     rc, out, err = _run(capsys, *argv)
     assert rc == 3 and not out
-    assert "error[InputError]: --family: %s" % refusal in err
+    assert refusal in err
 
 
 @pytest.mark.parametrize("key", list(families.SOLUTION_BUILDERS))

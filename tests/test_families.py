@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from lie_thomas import families, fuchs
+from lie_thomas import cases, families, fuchs
 from lie_thomas.cases import CASES, TAGS
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import (
@@ -166,9 +166,17 @@ def test_case31b_residual():
     assert _max_residual(fam, GridSpec(0.5, 3, 20, -1, 1, 20)) < 1e-10
 
 
-def test_case31b_resonant_slope_falls_back_to_log():
-    # w = beta - alpha a2 = 0 at a2 = 1 collapses to the a2 = beta/alpha form
-    fam = case31b_solution(P, a2=F(1), k=F(10))
+def test_case31b_refuses_a_case31a_slope():
+    """s = beta - alpha a2 = 0 with alpha != 0 makes (1, a2, 0, 0) a Case3_1a
+    vector, so case31b refuses it; at alpha = beta = 0 every a2 gives s = 0
+    and a Case3_1b vector, and the logarithmic profile is its family."""
+    with pytest.raises(FamilyError, match="Case3_1a vector; its family is case31a"):
+        case31b_solution(P, a2=F(1), k=F(10))
+    drift_free = ThomasParams(0, 0, 1)
+    assert cases.tag((1, 1, 0, 0), (0, 0, 1)) == "Case3_1b"
+    fam = case31b_solution(drift_free, a2=F(1), k=F(10))
+    assert fam.note == "drift-free limit; logarithmic profile"
+    assert fam.digest() == "bd9a965fd05db782e567eef975dfaae0086193dad72d9d11503be8b9ed64518f"
     assert _max_residual(fam, GridSpec(0.5, 2, 12, -2, -0.5, 12)) < 1e-10
 
 
@@ -237,7 +245,6 @@ DIGESTS = [
     ("case31b", {}, "9b6c8fd972f9f5808d5bf144d5fdb7de01e32a0433d8eb294ae7f66f9427bb05"),
     ("constant", {}, "e5788a71b9b47e314714666d9ecd36ac800349875a710d159468a4576d275459"),
     ("case21a", {"a1": F(0)}, "6c6fb80745359e006eb3463fc53020ff6805620c1b24637e1cbdea9844946bd0"),
-    ("case31b", {"a2": F(1)}, "d11ebab67c5d8315c1b9a495cc6845efa7033c5263e6b31dcd6f640fe0539f91"),
     ("constant", {"tag": "Case3_1a"},
      "8700397e8b9e1f64536533f467ba5bd516ad8add614c41f76874c8566359f349"),
     # names its own builder and records only the constants case21_affine takes
@@ -552,6 +559,9 @@ def _ref_case31b(p, a2=2, k=1.0, const=0.0):
     if a2f == 0:
         raise FamilyError("a2 must be nonzero")
     s = beta - alpha * a2f
+    if s == 0 and alpha:
+        raise FamilyError("a2 = beta/alpha makes (1, a2, 0, 0) a Case3_1a vector; "
+                          "its family is case31a")
     if s == 0:
         return _ref_log_wave(gamma, a2f, kf, constf)
 

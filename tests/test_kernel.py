@@ -20,7 +20,9 @@ by the exp-merge factor ``k``, and add every zero.  The kernel must give
 structurally identical results (equal node keys), not merely equal values.
 """
 
+import ast
 import math
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -69,6 +71,7 @@ from lie_thomas.expr import (
     max_jet_order,
     mul,
     pow_,
+    scale,
     substitute,
 )
 from lie_thomas import hyperdual
@@ -527,6 +530,13 @@ def _is_exp(e):
     return isinstance(e, App) and e.fn == "exp"
 
 
+def _rest(t):
+    """A sum's term without its rational coefficient."""
+    if not (isinstance(t, Mul) and isinstance(t.factors[0], Rat)):
+        return t
+    return t.factors[1] if len(t.factors) == 2 else Mul(t.factors[1:])
+
+
 # --- products and the function table ----------------------------------------
 
 
@@ -557,13 +567,17 @@ def test_exp_log_collapse_feeds_t_back_through_mul(t):
 
 
 def test_corpus_is_in_collected_form(seed):
-    """No Pow has a Rat, Mul, Pow or exp base, and a Mul holds at most one
-    Rat, first, then factors of distinct bases sorted by key."""
+    """No Pow has a Rat, Mul, Pow or exp base, a Mul holds at most one
+    Rat, first, then factors of distinct bases sorted by key, and an Add
+    holds at most one Rat, nonzero and first, then terms whose rests (the
+    term without its rational coefficient) are distinct and sorted by key.
+    The corpus includes what ``scale`` and the one-operand paths build."""
     rng = random.Random(seed)
     corpus = []
     for _ in range(60):
         corpus += [random_jet_polynomial(rng), random_rational_expr(rng),
                    mul(*random_factors(rng))]
+    corpus += [got for got, _ in _fast_path_cases(rng)]
     for e in corpus:
         for n in _nodes(e):
             if isinstance(n, Pow):
@@ -577,6 +591,12 @@ def test_corpus_is_in_collected_form(seed):
                 assert keys == sorted(keys), n
                 bases = [f.base if isinstance(f, Pow) else f for f in rest]
                 assert len(set(bases)) == len(bases), n
+            if isinstance(n, Add):
+                assert len(n.terms) > 1 and n.terms[0] != ZERO, n
+                rest = n.terms[1:] if isinstance(n.terms[0], Rat) else n.terms
+                assert not any(isinstance(t, (Rat, Add)) for t in rest), n
+                keys = [_rest(t).key() for t in rest]
+                assert all(a < b for a, b in zip(keys, keys[1:])), n
 
 
 @pytest.mark.parametrize("fn", expr.APP_FUNCTIONS)
@@ -784,6 +804,121 @@ def test_determining_rows_match_reference(monkeypatch, seed):
         assert _row_keys(p) == rows, p
 
 
+# --- fast paths -------------------------------------------------------------
+
+
+_FAST_PATH_LEAVES = (mul(R(2), add(X, ONE), Y), add(R(3), X), app("exp", mul(R(2), U)),
+                     app("log", add(X, Y)))
+# 2 * 1/2 is exactly one before the 3, and 1 + -1 exactly zero before the 5
+_RATIONAL_RUNS = ((), (R(-2, 3),), (R(2), R(1, 2), R(3)), (ONE, Rat(-1), R(5)))
+
+
+def _fast_path_cases(rng):
+    """(built, reference) pairs: ``scale`` against ``_full_mul`` by its
+    rational, and ``mul``/``add`` against ``_full_mul``/``_full_add`` with
+    one operand that is not a Rat, or none, on the kernel's leaves (0, +-1,
+    exp/log atoms and sums of them), a product holding a sum, a sum with a
+    constant, and a random corpus."""
+    corpus = [*_KERNEL_LEAVES, *_FAST_PATH_LEAVES]
+    for _ in range(30):
+        corpus += [random_jet_polynomial(rng), random_rational_expr(rng),
+                   mul(*random_factors(rng))]
+    cases = []
+    for e in corpus:
+        for q in (0, 1, -1, Fraction(2, 3), _rational(rng).value):
+            cases.append((scale(q, e), _full_mul(Rat(q), e)))
+        drawn = tuple(_rational(rng) for _ in range(rng.randint(1, 3)))
+        for run in _RATIONAL_RUNS + (drawn,):
+            for args in (run + (e,), (e,) + run):
+                cases.append((mul(*args), _full_mul(*args)))
+                cases.append((add(*args), _full_add(*args)))
+    return cases
+
+
+def test_fast_paths_match_full_arithmetic_reference(seed, monkeypatch):
+    """``scale`` and the one-operand paths of ``mul`` and ``add`` build the
+    node the full collection builds, and make no Fraction product by one
+    or sum with zero on the way."""
+    known = []
+
+    def watched(op, trivial):
+        def run(a, b):
+            if sys._getframe(1).f_globals.get("__name__") in _KERNEL_MODULES and trivial in (a, b):
+                known.append((op.__name__, a, b))
+            return op(a, b)
+        return run
+
+    for name, trivial in (("__mul__", 1), ("__rmul__", 1), ("__add__", 0), ("__radd__", 0)):
+        monkeypatch.setattr(Fraction, name, watched(getattr(Fraction, name), trivial))
+    cases = _fast_path_cases(random.Random(seed))
+    monkeypatch.undo()
+    assert len(cases) > 2000
+    for got, want in cases:
+        assert got.key() == want.key(), want
+    assert known == []
+
+
+# --- numeric oracle ---------------------------------------------------------
+
+
+_VALUED_ATOMS = (X, Y, U, ALPHA, BETA, GAMMA, app("log", X), app("log", add(X, Y)))
+
+
+def _valued_expr(rng, depth):
+    """A random expression over atoms that have values, built by ``scale``,
+    the operators and the one-operand paths of ``add`` and ``mul``."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_VALUED_ATOMS) if rng.random() < 0.8 else _rational(rng)
+    a, b = _valued_expr(rng, depth - 1), _valued_expr(rng, depth - 1)
+    q = _rational(rng)
+    build = rng.choice((
+        lambda: scale(q.value, a),
+        lambda: a + b,
+        lambda: a - b,
+        lambda: -a,
+        lambda: q * a,
+        lambda: a * b,
+        lambda: add(q, a, R(1, 3)),
+        lambda: mul(R(2), a, q),
+        lambda: pow_(a, 2),
+        lambda: pow_(add(ONE, pow_(a, 2)), -1),  # positive wherever a is real
+        lambda: app("exp", scale(Fraction(rng.randint(-2, 2), 4), rng.choice((X, U)))),
+    ))
+    return build()
+
+
+def _values(e, points):
+    return [evaluate(e, env) for env in points]
+
+
+def _agree(u, v):
+    return all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9) for a, b in zip(u, v))
+
+
+def test_equal_and_canonical_expr_keep_numeric_values(seed):
+    """Where ``normal.equal`` says two expressions are equal they agree at
+    three seeded rational points, and ``canonical_expr`` keeps the value
+    of what it rebuilds.  One direction only: ``equal`` may miss an
+    equality between dependent exp atoms."""
+    rng = random.Random(seed)
+    # every atom value above 1, so each log is positive and defined
+    points = [{s.name: Fraction(rng.randint(5, 19), 4) for s in _VALUED_ATOMS[:6]}
+              for _ in range(3)]
+    exprs = [_valued_expr(rng, 3) for _ in range(320)]
+    equal_pairs = 0
+    for e, f in zip(exprs, exprs[1:] + exprs[:1]):
+        values = _values(e, points)
+        assert _agree(values, _values(normal.canonical_expr(e), points)), e
+        q = _rational(rng)
+        for a, b in ((e, f), (e - f, f - e), (e - f, -(f - e)),
+                     (q * (e + f), scale(q.value, e) + q * f), (mul(e, f), mul(f, e, ONE))):
+            if normal.equal(a, b):
+                equal_pairs += 1
+                assert _agree(_values(a, points), _values(b, points)), (a, b)
+    # equal sees nearly all of the three equalities built for each expression
+    assert equal_pairs >= 2.5 * len(exprs)
+
+
 # --- complexity and guard ---------------------------------------------------
 
 
@@ -839,3 +974,19 @@ def test_second_order_guard_raises(monkeypatch):
     prolong.cache_clear()
     with pytest.raises(ProlongationError, match=r"second-order jets .* \(1, 0\)"):
         prolong(symbolic_field())
+
+
+def test_only_expr_builds_sums_and_products():
+    """The fast paths take every Add and Mul operand to be in collected
+    form, which holds while only ``add``, ``mul`` and ``scale`` in ``expr``
+    build them."""
+    builders = set()
+    for path in sorted(pathlib.Path(expr.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in ("Add", "Mul"):
+                        builders.add((path.name, getattr(top, "name", None)))
+    assert builders == {("expr.py", "add"), ("expr.py", "mul"), ("expr.py", "scale")}
