@@ -42,6 +42,7 @@ from .expr import (
     evaluate,
     mul,
     param,
+    _is_zero,
     _wrap,
 )
 from .normal import is_zero
@@ -153,13 +154,19 @@ def commutator(v: AlgebraElement, w: AlgebraElement, p: ThomasParams = ThomasPar
     c3 = add(mul(p.beta, s14), mul(Rat(-1), p.alpha, s24))
 
     def action(coeffs: AlgebraElement, g: Expr) -> Expr:
-        # ad of the finite part on a family element
-        return add(
-            mul(coeffs.a1, differentiate(g, X)),
-            mul(coeffs.a2, differentiate(g, Y)),
-            mul(Rat(-1), coeffs.a3, p.gamma, g),
-            mul(coeffs.a4, _psi(g, p)),
-        )
+        # ad of the finite part on a family element; a term whose
+        # coefficient is a rational zero is not built
+        a1, a2, a3, a4 = coeffs.coords()
+        terms = []
+        if not _is_zero(a1):
+            terms.append(mul(a1, differentiate(g, X)))
+        if not _is_zero(a2):
+            terms.append(mul(a2, differentiate(g, Y)))
+        if not _is_zero(a3):
+            terms.append(mul(Rat(-1), a3, p.gamma, g))
+        if not _is_zero(a4):
+            terms.append(mul(a4, _psi(g, p)))
+        return add(*terms)
 
     g_new = ZERO
     if w.has_g():

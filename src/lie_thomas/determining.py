@@ -5,13 +5,27 @@ equation and eliminating u_xy on the solution manifold yields twelve
 monomial coefficients that must vanish; their integration collapses the
 symmetry algebra to four explicit fields plus an infinite family indexed by
 solutions g of the linearized equation alpha*g_x + beta*g_y + g_xy = 0.
+
+The system is derived once per process, at the symbolic constants: its
+rows are polynomials in (alpha, beta, gamma) and linear in the partials of
+xi, eta and phi, so every other reading is a substitution into them.  The
+rows at rational constants bind the constants in each row's normal-form
+polynomial.  ``check_symmetry`` binds the constants and each partial to
+the matching partial of the given field's coefficient; only a field whose
+rows do not all vanish is prolonged itself, to give its residual.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import Record
 from .expr import (
+    ALPHA,
+    BETA,
+    GAMMA,
     Expr,
+    Func,
     Rat,
     U,
     U_X,
@@ -30,7 +44,7 @@ from .expr import (
     _wrap,
 )
 from .jetpoly import JetPolynomial, monomial
-from .normal import canonical_expr, is_zero
+from .normal import canonical_expr, is_zero, normal_form, poly_at, poly_expr
 from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
 
@@ -51,6 +65,11 @@ def on_manifold(jp: JetPolynomial, p: ThomasParams) -> JetPolynomial:
     return jp.substitute(U_XY, rest)
 
 
+def _manifold_action(vf: VectorField, p: ThomasParams) -> JetPolynomial:
+    """The prolonged action of vf on the equation, on the solution manifold."""
+    return on_manifold(apply_prolonged(prolong(vf), thomas_delta(p)), p)
+
+
 class DeterminingSystem(Record):
     rows: tuple  # ordered (jet monomial, Expr) pairs
 
@@ -61,17 +80,92 @@ class DeterminingSystem(Record):
         return len(self.rows)
 
 
+_CONSTANTS = (ALPHA, BETA, GAMMA)
+_VARS = {"x": X, "y": Y, "u": U}
+_FIELD = symbolic_field()
+
+
+def _derivation_steps(partials) -> tuple:
+    """(partial, lower partial, variable) triples for ``partials`` and the
+    partials they are taken from: each is one derivative of a partial of
+    one order less, listed before it."""
+    steps = {}
+    todo = list(partials)
+    while todo:
+        a = todo.pop()
+        if a in steps or not any(a.derivs):
+            continue
+        i = next(i for i, n in enumerate(a.derivs) if n)
+        lower = Func(a.name, a.params, a.derivs[:i] + (a.derivs[i] - 1,) + a.derivs[i + 1:])
+        steps[a] = (a, lower, _VARS[a.params[i]])
+        todo.append(lower)
+    return tuple(sorted(steps.values(), key=lambda step: sum(step[0].derivs)))
+
+
+@cache
+def _symbolic_system():
+    """(system, polys, steps): the determining system at the symbolic
+    constants, derived once; each row's normal-form polynomial, in row
+    order; and the derivation steps of the partials of xi, eta and phi
+    that the rows hold.  Every row is a polynomial, so its normal form has
+    denominator one and the row rebuilt from the numerator is its
+    ``canonical_expr``."""
+    rows, polys = [], []
+    for m, c in _manifold_action(_FIELD, ThomasParams()).items():
+        poly = normal_form(c).num
+        rows.append((m, poly_expr(poly)))
+        polys.append(poly)
+    partials = {a for poly in polys for mono in poly for a, _ in mono if type(a) is Func}
+    return DeterminingSystem(tuple(rows)), tuple(polys), _derivation_steps(partials)
+
+
 def determining_equations(p: ThomasParams = ThomasParams()) -> DeterminingSystem:
     """Monomial coefficients of the prolonged symbolic action on the
-    equation, after eliminating u_xy on the solution manifold."""
-    jp = on_manifold(apply_prolonged(prolong(symbolic_field()), thomas_delta(p)), p)
-    return DeterminingSystem(tuple((m, canonical_expr(c)) for m, c in jp.items()))
+    equation, after eliminating u_xy on the solution manifold.
+
+    Read off the symbolic system: rational constants are bound in each
+    row's polynomial, whose normal form is unique, so the rows equal those
+    derived at p key for key (every row holds a term free of the
+    constants, so none vanishes).  Constants other than rationals and
+    their own symbols are derived at p."""
+    system, polys, _ = _symbolic_system()
+    values = {}
+    for s, c in zip(_CONSTANTS, (p.alpha, p.beta, p.gamma)):
+        if type(c) is Rat:
+            values[s] = c.value
+        elif c != s:
+            jp = _manifold_action(_FIELD, p)
+            return DeterminingSystem(tuple((m, canonical_expr(e)) for m, e in jp.items()))
+    if not values:
+        return system
+    return DeterminingSystem(tuple((m, poly_expr(poly_at(poly, values)))
+                                   for (m, _), poly in zip(system, polys)))
+
+
+def _row_at(poly, values: dict) -> Expr:
+    """The row of normal-form polynomial ``poly`` with every atom a replaced
+    by the expression values[a]."""
+    return add(*[mul(Rat(c), *[pow_(values[a], n) for a, n in m]) for m, c in poly.items()])
 
 
 def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     """(flag, residual): flag is True iff the prolonged action of vf on the
-    equation vanishes on the solution manifold."""
-    jp = on_manifold(apply_prolonged(prolong(vf), thomas_delta(p)), p)
+    equation vanishes on the solution manifold.
+
+    Decided on the symbolic system: the constants are bound to p and each
+    partial of xi, eta and phi to that partial of vf's coefficient, which
+    commutes with the prolongation and with taking each jet monomial's
+    coefficient.  When every row is then zero, vf is a symmetry; otherwise
+    vf is prolonged itself, so that a failing field's flag and residual
+    are those of its own prolonged action."""
+    _, polys, steps = _symbolic_system()
+    values = {ALPHA: p.alpha, BETA: p.beta, GAMMA: p.gamma,
+              _FIELD.xi: vf.xi, _FIELD.eta: vf.eta, _FIELD.phi: vf.phi}
+    for a, lower, var in steps:
+        values[a] = differentiate(values[lower], var)
+    if all(is_zero(_row_at(poly, values)) for poly in polys):
+        return True, ZERO
+    jp = _manifold_action(vf, p)
     if jp.is_zero():
         return True, ZERO
     return False, jp.to_expr()

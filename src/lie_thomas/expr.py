@@ -11,7 +11,8 @@ and like-factor collection, rational arithmetic, integer powers, exp/log
 cancellation.  The kernel does no arithmetic whose result it already
 knows: ``add`` skips a zero constant and ``mul`` a unit factor, and the
 first other rational is kept as it is rather than formed as ``0 + q`` or
-``1 * q``.  Nor does it collect what is collected already: ``Add`` and
+``1 * q``; a zero factor makes the product zero before the other factors
+are collected.  Nor does it collect what is collected already: ``Add`` and
 ``Mul`` nodes are built only in this module, by ``add``, ``mul`` and
 ``scale``, so a sum or product with one operand that is not a Rat is
 built directly from that operand.
@@ -278,13 +279,16 @@ def mul(*factors):
     """Product in collected form.  No key of ``powers`` is a Rat, Mul or
     Pow, and the one merged exp application has exponent 1, so each
     collected factor is its base or ``Pow(base, n)`` as ``pow_`` would
-    build it.  A unit factor multiplies nothing and the first other
-    rational is taken as it is, so no Fraction product has a known
-    result.  One factor that is not a Rat is scaled by the others."""
+    build it.  A zero factor ends the product at once, a unit factor
+    multiplies nothing and the first other rational is taken as it is, so
+    no Fraction product has a known result.  One factor that is not a Rat
+    is scaled by the others."""
     coeff = other = None
     for f in factors:
         if type(f) is Rat:
             if f.value != 1:
+                if not f.value:
+                    return ZERO
                 coeff = f.value if coeff is None else coeff * f.value
                 if coeff == 1:
                     coeff = None
@@ -307,6 +311,8 @@ def mul(*factors):
             stack.extend(f.factors)
         elif kind is Rat:
             if f.value != 1:
+                if not f.value:
+                    return ZERO
                 if coeff is None:
                     coeff = f.value
                 else:
@@ -326,8 +332,6 @@ def mul(*factors):
                 powers[combined] = powers.get(combined, 0) + 1
             else:  # exp(log t) collapsed to t, or exp(0) to 1
                 stack.append(combined)
-    if coeff is not None and not coeff:
-        return ZERO
     out = [base if n == 1 else Pow(base, n) for base, n in powers.items() if n]
     if not out:
         return ONE if coeff is None else Rat(coeff)

@@ -229,7 +229,7 @@ def _mono_expr(m: Mono) -> Expr:
     return mul(*[pow_(a, n) for a, n in m])
 
 
-def _poly_expr(p: Poly) -> Expr:
+def poly_expr(p: Poly) -> Expr:
     if not p:
         return ZERO
     terms = []
@@ -238,11 +238,43 @@ def _poly_expr(p: Poly) -> Expr:
     return add(*terms)
 
 
+def poly_at(p: Poly, values: dict) -> Poly:
+    """``p`` with each atom that ``values`` maps to a Fraction replaced by
+    it, like monomials merged and zero sums dropped.  A monomial holding an
+    atom bound to zero is left out and a unit power multiplies nothing, so
+    no Fraction product has a known result."""
+    out: Poly = {}
+    for m, c in p.items():
+        rest = []
+        for a, n in m:
+            v = values.get(a)
+            if v is None:
+                rest.append((a, n))
+            elif not v:
+                break
+            else:
+                q = v if n == 1 else v**n
+                if q != 1:
+                    c = q if c == 1 else c * q
+        else:
+            rest = tuple(rest)
+            prev = out.get(rest)
+            if prev is None:
+                out[rest] = c
+                continue
+            s = prev + c
+            if s:
+                out[rest] = s
+            else:
+                del out[rest]
+    return out
+
+
 def canonical_expr(e: Expr) -> Expr:
     """Rebuild through the normal form; canonical for rational content."""
     nf = normal_form(e)
-    num = _poly_expr(nf.num)
-    den = _poly_expr(nf.den)
+    num = poly_expr(nf.num)
+    den = poly_expr(nf.den)
     if den == ONE:
         return num
     return mul(num, pow_(den, -1))

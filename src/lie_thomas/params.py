@@ -43,11 +43,22 @@ class ThomasParams(Record):
             object.__setattr__(self, name, _coerce_param(getattr(self, name)))
         if isinstance(self.gamma, Rat) and self.gamma.value == 0:
             raise ParameterError("gamma must be nonzero")
+        try:
+            floats = self._convert()
+        except ParameterError:
+            floats = None
+        object.__setattr__(self, "_floats", floats)
 
     def is_numeric(self) -> bool:
         return all(isinstance(getattr(self, n), Rat) for n in ("alpha", "beta", "gamma"))
 
     def floats(self):
+        """(alpha, beta, gamma) as floats, converted once when the record
+        is built; a ParameterError when a constant is symbolic or too large
+        for a float."""
+        return self._convert() if self._floats is None else self._floats
+
+    def _convert(self):
         if not self.is_numeric():
             raise ParameterError("parameters are symbolic")
         out = []

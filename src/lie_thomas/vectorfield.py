@@ -39,9 +39,10 @@ from .jetpoly import JetPolynomial, ProlongationError, product_terms
 
 COEFF_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-# Fields ``prolong`` keeps.  Those met again and again carry no constants
-# (the symbolic field, v1..v3); one set of constants adds two more, v4 and
-# a v_g.
+# Fields ``prolong`` keeps.  The determining system prolongs the symbolic
+# field once per process, and ``check_symmetry`` prolongs only a field that
+# fails, to give its residual, so the memo serves direct callers such as
+# ``derive --show-prolongation``, which prolong the symbolic field again.
 PROLONG_MEMO_SIZE = 16
 
 # the order of the jet at each position of a JetPolynomial monomial key

@@ -231,6 +231,16 @@ def test_parameter_coercion():
     assert p.floats() == (0.5, 1.0, 2.0)
 
 
+def test_floats_are_converted_once():
+    p = ThomasParams(Fraction(1, 3), -2, 7)
+    assert p.floats() is p.floats()
+    assert p.floats() == (1 / 3, -2.0, 7.0)
+    with pytest.raises(ParameterError, match="^parameters are symbolic$"):
+        ThomasParams(alpha=1, beta=2).floats()
+    with pytest.raises(ParameterError, match="^constant beta is too large for a float$"):
+        ThomasParams(1, 10**400, 10**400).floats()
+
+
 def test_delta_shape():
     d = thomas_delta(ThomasParams())
     assert is_zero(d - (U_XY + ALPHA * U_X + BETA * U_Y + GAMMA * U_X * U_Y))

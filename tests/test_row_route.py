@@ -1,0 +1,101 @@
+"""Differential tests of the row route: the determining system is derived
+once, at the symbolic constants, and read off at any others.
+
+``_derived_rows`` derives the system at the constants themselves, and
+``_prolonged_flag`` decides invariance by prolonging the field itself, the
+way ``determining_equations`` and ``check_symmetry`` did before they read
+the symbolic system.  The row route must give the same row keys and the
+same flag.  The generators are checked at their own constants and at
+every permutation of them, so a route that binds the rows at permuted
+constants calls some field a symmetry that is not one; a v_g whose g
+misses the linearized equation breaks only the first row.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from lie_thomas.determining import (
+    ThomasParams,
+    check_symmetry,
+    determining_equations,
+    exponential_g,
+    on_manifold,
+    thomas_delta,
+    v1,
+    v2,
+    v3,
+    v4,
+    v_g,
+)
+from lie_thomas.expr import U, X, Y, app, param
+from lie_thomas.normal import canonical_expr
+from lie_thomas.vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
+
+from test_kernel import _NON_SYMMETRIES, _rational_params, _reference_fields
+
+
+def _manifold_action(vf, p):
+    return on_manifold(apply_prolonged(prolong(vf), thomas_delta(p)), p)
+
+
+def _derived_rows(p):
+    return [(m, canonical_expr(c).key()) for m, c in _manifold_action(symbolic_field(), p).items()]
+
+
+def _prolonged_flag(vf, p):
+    return _manifold_action(vf, p).is_zero()
+
+
+_UNIT_CONSTANTS = [ThomasParams(*c) for c in ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))]
+# one constant a rational, the others symbols: their own, or another one
+_MIXED_CONSTANTS = [ThomasParams(alpha=2), ThomasParams(beta=Fraction(-1, 3), gamma=5),
+                    ThomasParams(param("a"), 0, 1)]
+
+
+def test_rows_match_the_derivation_at_the_constants(seed):
+    rng = random.Random(seed)
+    params = [ThomasParams(), *_UNIT_CONSTANTS, *_MIXED_CONSTANTS,
+              *[_rational_params(rng) for _ in range(40)]]
+    for p in params:
+        assert [(m, c.key()) for m, c in determining_equations(p).rows] == _derived_rows(p), p
+
+
+def _bent(vf):
+    """vf with one coefficient bent at a time; eta + y breaks only the
+    second row where alpha is not zero."""
+    return [VectorField(vf.xi + X * X, vf.eta, vf.phi),
+            VectorField(vf.xi, vf.eta + Y, vf.phi),
+            VectorField(vf.xi, vf.eta, vf.phi + U * U)]
+
+
+def test_check_symmetry_flag_matches_the_prolonged_field(seed):
+    rng = random.Random(seed)
+    # three distinct nonzero rationals, in every order
+    triple = (Fraction(rng.randint(1, 9), 2), Fraction(-rng.randint(1, 9), 3), Fraction(5, 4))
+    params = [ThomasParams(), *[ThomasParams(*t) for t in itertools.permutations(triple)]]
+    flags = []
+    for own in params:
+        lam = Fraction(rng.randint(1, 5), 7)  # lam + beta is never zero
+        g, mu = exponential_g(lam, own)
+        off = app("exp", lam * X + (mu + 1) * Y)  # misses the linearized equation
+        generators = [v1(), v2(), v3(), v4(own), v_g(g, own)]
+        pairs = [(vf, p) for vf in generators + [v_g(off, own, check=False)] for p in params]
+        pairs += [(bent, own) for vf in generators for bent in _bent(vf)]
+        for vf, p in pairs:
+            flag = check_symmetry(vf, p)[0]
+            assert flag == _prolonged_flag(vf, p), (vf, p)
+            flags.append(flag)
+    assert True in flags and False in flags
+    for p in params[:2]:
+        for vf in [*_reference_fields(seed), *_NON_SYMMETRIES]:
+            assert check_symmetry(vf, p)[0] == _prolonged_flag(vf, p), (vf, p)
+
+
+def test_a_field_that_fails_keeps_its_own_residual():
+    p = ThomasParams(Fraction(2, 3), Fraction(-1, 2), 3)
+    for vf in _bent(v4(p)):
+        ok, residual = check_symmetry(vf, p)
+        assert not ok
+        assert residual.key() == _manifold_action(vf, p).to_expr().key()
+    assert check_symmetry(v4(p).scale(2), p) == (True, 0)
