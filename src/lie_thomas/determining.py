@@ -2,9 +2,12 @@
 
 Applying the prolonged action of a fully symbolic point field to the
 equation and eliminating u_xy on the solution manifold yields twelve
-monomial coefficients that must vanish; their integration collapses the
-symmetry algebra to four explicit fields plus an infinite family indexed by
-solutions g of the linearized equation alpha*g_x + beta*g_y + g_xy = 0.
+monomial coefficients that must vanish.  Where alpha*beta != 0 their
+integration collapses the symmetry algebra to four explicit fields plus an
+infinite family indexed by solutions g of the linearized equation
+alpha*g_x + beta*g_y + g_xy = 0.  Where alpha*beta = 0 the rows admit more:
+xi(x) d/dx - (beta/gamma) xi(x) d/du and eta(y) d/dy - (alpha/gamma) eta(y)
+d/du for every xi and eta (ledger slug most-general-symmetry-alpha-beta-zero).
 
 The system is derived once per process, at the symbolic constants: its
 rows are polynomials in (alpha, beta, gamma) and linear in the partials of
@@ -222,8 +225,9 @@ def general_symmetry(
     p: ThomasParams = ThomasParams(),
     check: bool = True,
 ) -> VectorField:
-    """Most general point symmetry: xi = -k*gamma*x + c, eta = k*gamma*y + b,
-    phi = -(g/gamma) e^{-gamma u} + k*(beta*x - alpha*y) + a."""
+    """Most general point symmetry where alpha*beta != 0: xi = -k*gamma*x + c,
+    eta = k*gamma*y + b, phi = -(g/gamma) e^{-gamma u} + k*(beta*x - alpha*y)
+    + a.  Where alpha*beta = 0 the algebra is larger (see the module notes)."""
     a, b, c, k = (_wrap(t) for t in (a, b, c, k))
     xi = add(mul(Rat(-1), k, p.gamma, X), c)
     eta = add(mul(k, p.gamma, Y), b)

@@ -563,27 +563,29 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     them, other than by replacing the whole Func, is an ExprError."""
     table = {_wrap(k): _wrap(v) for k, v in bindings.items()}
     moved = {k.name for k in table if type(k) is Sym and k.kind == VAR}
+    return _substituted(e, table, moved)
 
-    def walk(n):
-        if n in table:
-            return table[n]
-        if isinstance(n, (Rat, Sym)):
-            return n
-        if isinstance(n, Func):
-            if moved.intersection(n.params):
-                raise ExprError("cannot bind a variable of %s%s" % (n.name, n.suffix))
-            return n
-        if isinstance(n, Add):
-            return add(*[walk(t) for t in n.terms])
-        if isinstance(n, Mul):
-            return mul(*[walk(f) for f in n.factors])
-        if isinstance(n, Pow):
-            return pow_(walk(n.base), n.exp)
-        if isinstance(n, App):
-            return app(n.fn, walk(n.arg))
-        raise ExprError("cannot substitute into %r" % n)
 
-    return walk(e)
+def _substituted(n, table, moved):
+    """substitute's walk, a module function rather than a closure that
+    calls itself, so that a call leaves no reference cycle to collect."""
+    if n in table:
+        return table[n]
+    if isinstance(n, (Rat, Sym)):
+        return n
+    if isinstance(n, Func):
+        if moved.intersection(n.params):
+            raise ExprError("cannot bind a variable of %s%s" % (n.name, n.suffix))
+        return n
+    if isinstance(n, Add):
+        return add(*[_substituted(t, table, moved) for t in n.terms])
+    if isinstance(n, Mul):
+        return mul(*[_substituted(f, table, moved) for f in n.factors])
+    if isinstance(n, Pow):
+        return pow_(_substituted(n.base, table, moved), n.exp)
+    if isinstance(n, App):
+        return app(n.fn, _substituted(n.arg, table, moved))
+    raise ExprError("cannot substitute into %r" % n)
 
 
 def _apply_named(fn: str, v):

@@ -3,14 +3,26 @@
 For a canonical generator v the pair (chi, varsigma) solves v(chi) =
 v(varsigma) = 0.  The ansatz varsigma = F(chi), pushed through the chain
 rule, gives the jets of u from that same pair (chain_rule_jets), and
-putting them into the equation leaves an ODE in F.  verify_reduction
-redoes that substitution symbolically on the pair that invariants returns
-and reduce prints: the substituted equation must be a nonzero multiple of
-the stored ODE, so neither a stored ODE nor a printed pair can drift from
-the other.  Each case states that multiple beside its equation, as the
-factor m in lhs = m * Delta|ansatz, in the one switch that reduced_ode
-reads.  An order-0 reduction is an identity or inconsistent, by one rule
-(_order0).
+putting them into the equation leaves an ODE in F.  Each case states its
+ODE beside the nonzero factor m in lhs = m * Delta|ansatz, in the one
+switch that reduced_ode reads (_reduction).  An order-0 reduction is an
+identity or inconsistent, by one rule (_order0).
+
+The reduction is proved once per stratum.  Each branch of _reduction is a
+stratum, keyed (tag, kind, where), and STRATA holds its representative:
+a1, a2 and the constants symbolic, except where the branch fixes them
+(a1 = 0, alpha*a2 + gamma = 0, alpha = 0 or beta = 0).  proved_stratum
+substitutes the chain-rule jets of the representative's invariants into
+the equation and confirms with is_zero that the result is 1/m times the
+stored ODE: an identity in the free symbols wherever its divisors (the
+factors of m and of d(varsigma)/du, and every constant the pair or the ODE
+divides by) do not vanish.  That runs once per stratum and process.
+verify_reduction then checks each call against the proof: no divisor
+vanishes at the call's values, and the representative, with the call's
+a1, a2, alpha, beta and gamma substituted, is the call (the link): its
+coordinates and constants, the pair that invariants returns and reduce
+prints, and the ODE and m of _reduction.  So neither a stored ODE nor a
+printed pair can drift from the proved identity.
 
 Naming: S1 and S2 below are the opaque symbols varsigma_chi and
 varsigma_chichi standing for F' and F''; first-order cases are
@@ -19,10 +31,21 @@ conventionally written in theta = varsigma_chi.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .cases import CASES
 from .errors import DomainError, Record
 from .expr import (
+    ALPHA,
+    BETA,
+    GAMMA,
+    PARAM,
+    ZERO,
+    Add,
+    App,
     Expr,
+    Mul,
+    Pow,
     Rat,
     Sym,
     U,
@@ -133,9 +156,12 @@ def _order0(lhs, dependent, zero_condition, inconsistent_note=""):
 
 
 def _reduction(c, p: ThomasParams):
-    """(ReducedODE, m) with lhs = m * Delta|ansatz: each case's equation and
-    the nonzero factor its normalization leaves, m written without division.
-    A case without invariants is refused first, as invariants refuses it."""
+    """(ReducedODE, m, where) with lhs = m * Delta|ansatz: each case's
+    equation, the nonzero factor its normalization leaves, m written without
+    division, and the relation the branch adds to the tag's generic stratum
+    ("" on the generic one).  (tag, kind, where) keys the branch's stratum
+    in STRATA.  A case without invariants is refused first, as invariants
+    refuses it."""
     tag = c.tag
     a1, a2 = map(_wrap, c.coords[:2])
     _refuse_degenerate(tag, a1, a2)
@@ -153,7 +179,7 @@ def _reduction(c, p: ThomasParams):
         m = mul(alpha, beta, pow_(gamma, -2))
         return ReducedODE(2, "varsigma", lhs, "fuchs", note="linearizes to chi y'' + e y' + "
                           "m y = 0 via varsigma_chi = y'/(gamma y)",
-                          aux=(("e", e), ("m", m))), Rat(-1)
+                          aux=(("e", e), ("m", m))), Rat(-1), ""
     if tag in ("Case2_1a", "Case2_1b"):
         lhs = add(
             mul(Rat(-1), a1, a2, S2),
@@ -162,34 +188,36 @@ def _reduction(c, p: ThomasParams):
             mul(beta, pow_(a2, -1)),
         )
         if not is_zero(a1):
-            return ReducedODE(1, "theta", lhs, "riccati"), Rat(1)
+            return ReducedODE(1, "theta", lhs, "riccati"), Rat(1), ""
         lhs = canonical_expr(lhs)
         if not is_zero(add(mul(alpha, a2), gamma)):
             return ReducedODE(0, "theta", lhs, "algebraic", note="derivative terms vanish "
-                              "with a1 = 0; theta is a constant root"), Rat(1)
+                              "with a1 = 0; theta is a constant root"), Rat(1), "a1 = 0"
         # alpha*a2 + gamma = 0 leaves lhs = beta/a2
         return _order0(lhs, "theta", "a1 = beta = alpha*a2 + gamma = 0", "a1 = alpha*a2 + "
-                       "gamma = 0 leaves beta/a2 = 0; no theta solves it"), Rat(1)
+                       "gamma = 0 leaves beta/a2 = 0; no theta solves it"), Rat(1), "a1 = 0"
     if tag == "Case2_2":
         lhs = add(mul(add(mul(beta, a1), gamma), S1), mul(Rat(-1), a1, alpha))
         return (ReducedODE(1, "varsigma", lhs, "linear-first-order"),
-                mul(Rat(-1), pow_(a1, 2)))
+                mul(Rat(-1), pow_(a1, 2)), "")
     if tag == "Case2_3":
-        return (_order0(mul(alpha, beta), "varsigma", "alpha*beta = 0",
-                        CASES["Case2_3"].obstruction), mul(Rat(-1), gamma))
+        ode = _order0(mul(alpha, beta), "varsigma", "alpha*beta = 0",
+                      CASES["Case2_3"].obstruction)
+        where = "" if ode.kind == "inconsistent" else "alpha = 0" if is_zero(alpha) else "beta = 0"
+        return ode, mul(Rat(-1), gamma), where
     if tag == "Case2_4":
         raise ReductionError(
             "Case2_4 invariants (y, x) give no ansatz for u; no reduced equation"
         )
     if tag in ("Case3_1a", "Case3_1b"):
         lhs = add(S2, mul(add(beta, mul(Rat(-1), a2, alpha)), S1), mul(gamma, pow_(S1, 2)))
-        return ReducedODE(1, "theta", lhs, "bernoulli"), mul(Rat(-1), a2)
+        return ReducedODE(1, "theta", lhs, "bernoulli"), mul(Rat(-1), a2), ""
     if tag == "Case3_2":
-        name, coeff = ("beta", beta) if not is_zero(a1) else ("alpha", alpha)
+        name, coeff, where = ("beta", beta, "") if not is_zero(a1) else ("alpha", alpha, "a1 = 0")
         if is_zero(coeff):
-            return _order0(Rat(0), "varsigma", name + " = 0"), Rat(1)
+            return _order0(Rat(0), "varsigma", name + " = 0"), Rat(1), where
         return ReducedODE(1, "varsigma", mul(coeff, S1), "linear-first-order", note="varsigma "
-                          "is constant whenever the coefficient is nonzero"), Rat(1)
+                          "is constant whenever the coefficient is nonzero"), Rat(1), where
     raise ReductionError("unknown case tag %r" % tag)
 
 
@@ -219,22 +247,142 @@ def _jets(pair: InvariantPair, tag: str):
     return u_x, u_y, u_xy
 
 
-def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
-    """Substitute the chain-rule jets of invariants(c, p) into the equation
-    and confirm the result is the stored nonzero multiple of the reduced
-    ODE, with that pair's chi expanded in (x, y)."""
-    pair = invariants(c, p)
-    u_x, u_y, u_xy = _jets(pair, c.tag)
+class Stratum(Record):
+    """The representative a branch of _reduction is proved at: a case of
+    its own, with (a1, a2) and the constants symbolic except where the
+    branch fixes them."""
+
+    tag: str
+    coords: tuple
+    params: ThomasParams
+
+
+A1 = Sym("a1", PARAM)
+A2 = Sym("a2", PARAM)
+
+
+def _strata():
+    generic, a1_zero = (A1, A2), (ZERO, A2)
+    symbolic = ThomasParams()
+    alpha_zero, beta_zero = ThomasParams(0, BETA, GAMMA), ThomasParams(ALPHA, 0, GAMMA)
+    on_the_root = mul(Rat(-1), GAMMA, pow_(A2, -1))  # alpha*a2 + gamma = 0
+    rows = [
+        ("Case1", "fuchs", "", generic, symbolic),
+        ("Case2_2", "linear-first-order", "", generic, symbolic),
+        ("Case2_3", "inconsistent", "", generic, symbolic),
+        ("Case2_3", "identity", "alpha = 0", generic, alpha_zero),
+        ("Case2_3", "identity", "beta = 0", generic, beta_zero),
+        ("Case3_2", "linear-first-order", "", generic, symbolic),  # invariants of d/dx
+        ("Case3_2", "identity", "", generic, beta_zero),
+        ("Case3_2", "linear-first-order", "a1 = 0", a1_zero, symbolic),  # of d/dy
+        ("Case3_2", "identity", "a1 = 0", a1_zero, alpha_zero),
+    ]
+    for tag in ("Case2_1a", "Case2_1b"):
+        rows += [(tag, "riccati", "", generic, symbolic),
+                 (tag, "algebraic", "a1 = 0", a1_zero, symbolic),
+                 (tag, "identity", "a1 = 0", a1_zero, ThomasParams(on_the_root, 0, GAMMA)),
+                 (tag, "inconsistent", "a1 = 0", a1_zero, ThomasParams(on_the_root, BETA, GAMMA))]
+    for tag in ("Case3_1a", "Case3_1b"):
+        rows.append((tag, "bernoulli", "", generic, symbolic))
+    return {(tag, kind, where): Stratum(tag, coords, p) for tag, kind, where, coords, p in rows}
+
+
+# One stratum per branch of _reduction, keyed (tag, kind, where)
+STRATA = _strata()
+_LINKED = ("a1", "a2", "alpha", "beta", "gamma", "chi", "varsigma", "lhs", "m")
+_BOUND = (A1, A2, ALPHA, BETA, GAMMA)
+
+
+def _stratum_name(key):
+    tag, kind, where = key
+    return "%s %s%s" % (tag, kind, " where " + where if where else "")
+
+
+def _divisors(dividers, exprs):
+    """The constants a proof divides by: the factors of each expression in
+    dividers and the base of each negative power in exprs, without their
+    rational coefficients or exponents, in key order."""
+    bases, stack = list(dividers), list(exprs)
+    while stack:
+        n = stack.pop()
+        if type(n) is Pow:
+            if n.exp < 0:
+                bases.append(n.base)
+            stack.append(n.base)
+        elif type(n) is Add:
+            stack.extend(n.terms)
+        elif type(n) is Mul:
+            stack.extend(n.factors)
+        elif type(n) is App:
+            stack.append(n.arg)
+    found = set()
+    for b in bases:
+        for f in b.factors if type(b) is Mul else (b,):
+            f = f.base if type(f) is Pow else f
+            if type(f) is not Rat:
+                found.add(f)
+    return tuple(sorted(found, key=Expr.key))
+
+
+@cache
+def proved_stratum(key):
+    """Prove the stratum keyed (tag, kind, where) at its representative,
+    once per process: substitute the chain-rule jets of its invariants into
+    the equation and confirm the result is 1/m times the stored ODE, with
+    the pair's chi expanded in (x, y).  Returns the divisors the proof
+    needs nonzero, and the representative's (a1, a2, alpha, beta, gamma,
+    chi, varsigma, lhs, m) as (index, expression) pairs, each but those
+    that are the very symbol a call binds."""
+    if key not in STRATA:
+        raise ReductionError("no proved stratum for %s" % _stratum_name(key))
+    rep = STRATA[key]
+    p = rep.params
+    pair = invariants(rep, p)
+    ode, m, where = _reduction(rep, p)
+    if (rep.tag, ode.kind, where) != key:
+        raise ReductionError("the representative of %s reduces on %s"
+                             % (_stratum_name(key), _stratum_name((rep.tag, ode.kind, where))))
+    u_x, u_y, u_xy = _jets(pair, rep.tag)
     delta_sub = add(u_xy, mul(p.alpha, u_x), mul(p.beta, u_y), mul(p.gamma, u_x, u_y))
-    ode, m = _reduction(c, p)
     lhs_expanded = substitute(ode.lhs, {CHI: pair.chi})
     if is_zero(m):
-        raise ReductionError("stored multiplier is zero for %s" % c.tag)
+        raise ReductionError("stored multiplier is zero for %s" % _stratum_name(key))
     k = pow_(m, -1)
     diff = add(delta_sub, mul(Rat(-1), k, lhs_expanded))
     if not is_zero(diff):
         raise ReductionError(
             "reduction mismatch for %s: substituted equation %r, %r times stored ODE %r"
-            % (c.tag, canonical_expr(delta_sub), k, canonical_expr(lhs_expanded))
+            % (_stratum_name(key), canonical_expr(delta_sub), k, canonical_expr(lhs_expanded))
         )
+    proved = (*rep.coords, p.alpha, p.beta, p.gamma, pair.chi, pair.varsigma, ode.lhs, m)
+    links = tuple((i, e) for i, e in enumerate(proved) if i >= len(_BOUND) or e != _BOUND[i])
+    return _divisors((m, differentiate(pair.varsigma, U)), proved), links
+
+
+def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
+    """Certify the reduction of c at p by the proof of its stratum, the
+    branch that _reduction(c, p) takes (proved_stratum, once per process).
+    No divisor of that proof may vanish at the call's values, and the call
+    must be the representative at those values (the link): the call's
+    a1, a2, alpha, beta and gamma, substituted into the representative's
+    coordinates, constants, invariants, lhs and m, give the call's own
+    coordinates and constants, invariants(c, p) and the lhs and m of
+    _reduction(c, p), structurally or after canonical_expr on both sides.
+    A ReductionError names the stratum and the object that differs."""
+    pair = invariants(c, p)
+    ode, m, where = _reduction(c, p)
+    key = (c.tag, ode.kind, where)
+    divisors, links = proved_stratum(key)
+    a1, a2 = map(_wrap, c.coords[:2])
+    call = (a1, a2, p.alpha, p.beta, p.gamma, pair.chi, pair.varsigma, ode.lhs, m)
+    at = dict(zip(_BOUND, call))
+    for d in divisors:
+        if is_zero(substitute(d, at)):
+            raise ReductionError("%s divides by %r, which vanishes here" % (_stratum_name(key), d))
+    for i, theirs in links:
+        ours, theirs = call[i], substitute(theirs, at)
+        if ours != theirs and canonical_expr(ours) != canonical_expr(theirs):
+            raise ReductionError("reduction mismatch for %s on the stratum %s: %s is %r, the "
+                                 "proved stratum gives %r"
+                                 % (c.tag, _stratum_name(key), _LINKED[i], ours, theirs))
     return True

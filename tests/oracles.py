@@ -1,17 +1,19 @@
 """Independent oracles, used only by the tests: the adjoint action summed
 from iterated brackets, the Lie bracket of two point fields from their
 action on functions, the annihilation of a case's invariants by its field,
-and the Frobenius series of chi y'' + e y' + m y = 0 by its closed
-coefficients and its residual."""
+the reduction certificate derived afresh on every call, and the Frobenius
+series of chi y'' + e y' + m y = 0 by its closed coefficients and its
+residual."""
 
 import math
 from fractions import Fraction
 
 from lie_thomas.algebra import AlgebraElement, basis_element, commutator
 from lie_thomas.determining import ThomasParams
-from lie_thomas.expr import Expr, Rat, mul, pow_
+from lie_thomas.expr import Expr, Rat, add, mul, pow_, substitute
 from lie_thomas.fuchs import FuchsSeries, fuchs_series
-from lie_thomas.reduction import invariants
+from lie_thomas.normal import canonical_expr, is_zero
+from lie_thomas.reduction import CHI, ReductionError, _jets, _reduction, invariants
 from lie_thomas.vectorfield import VectorField
 
 
@@ -51,6 +53,28 @@ def annihilation_residuals(c, p: ThomasParams = ThomasParams()):
     v = c.element().to_field(p)
     pair = invariants(c, p)
     return v.apply(pair.chi), v.apply(pair.varsigma)
+
+
+def verify_reduction_per_call(c, p: ThomasParams = ThomasParams()) -> bool:
+    """The reduction certificate with nothing kept between calls: substitute
+    the chain-rule jets of invariants(c, p) into the equation and confirm
+    the result is 1/m times the reduced ODE, with that pair's chi expanded
+    in (x, y)."""
+    pair = invariants(c, p)
+    u_x, u_y, u_xy = _jets(pair, c.tag)
+    delta_sub = add(u_xy, mul(p.alpha, u_x), mul(p.beta, u_y), mul(p.gamma, u_x, u_y))
+    ode, m, _ = _reduction(c, p)
+    lhs_expanded = substitute(ode.lhs, {CHI: pair.chi})
+    if is_zero(m):
+        raise ReductionError("stored multiplier is zero for %s" % c.tag)
+    k = pow_(m, -1)
+    diff = add(delta_sub, mul(Rat(-1), k, lhs_expanded))
+    if not is_zero(diff):
+        raise ReductionError(
+            "reduction mismatch for %s: substituted equation %r, %r times stored ODE %r"
+            % (c.tag, canonical_expr(delta_sub), k, canonical_expr(lhs_expanded))
+        )
+    return True
 
 
 def coefficient_closed(e, m, n: int):

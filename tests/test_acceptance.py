@@ -315,6 +315,7 @@ def test_criterion_10_discrepancy_ledger():
         "case21b-tan-antiderivative",
         "case1-riccati-trailing-term",
         "case21-discriminant-variable-mix",
+        "most-general-symmetry-alpha-beta-zero",
     ]
     for slug in required:
         assert f"## {slug}" in text, slug

@@ -195,6 +195,21 @@ def test_general_symmetry_certificate():
     assert ok, to_text(residual)
 
 
+@pytest.mark.parametrize("constants, admitted", [
+    ((3, 0, 1), True), ((0, 2, 5), True), ((0, 0, 1), True), ((1, 2, 3), False),
+])
+def test_alpha_beta_zero_admits_more_than_the_four_fields(constants, admitted):
+    """Ledger slug most-general-symmetry-alpha-beta-zero: where alpha*beta
+    = 0, xi(x) d/dx - (beta/gamma) xi(x) d/du and eta(y) d/dy - (alpha/gamma)
+    eta(y) d/du are symmetries for any xi and eta, which general_symmetry
+    does not span; where alpha*beta != 0 they are not."""
+    p = ThomasParams(*constants)
+    xi, eta = X**3 + exp(X), Y**2 + exp(2 * Y)
+    along_x = VectorField(xi, R(0), -p.beta / p.gamma * xi)
+    along_y = VectorField(R(0), eta, -p.alpha / p.gamma * eta)
+    assert [check_symmetry(f, p)[0] for f in (along_x, along_y)] == [admitted] * 2
+
+
 def test_linearized_constraint_closure():
     # if g solves the constraint, so do g_x, g_y and
     # psi = -gamma x g_x + gamma y g_y - gamma (beta x - alpha y) g

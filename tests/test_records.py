@@ -21,7 +21,7 @@ from lie_thomas.expr import ALPHA, BETA, GAMMA, ZERO, Rat, U, X, Y
 from lie_thomas.families import ModeMix, SolutionFamily
 from lie_thomas.fuchs import FuchsSeries, SecondSolution
 from lie_thomas.params import ParameterError, ThomasParams
-from lie_thomas.reduction import InvariantPair, ReducedODE
+from lie_thomas.reduction import InvariantPair, ReducedODE, Stratum
 from lie_thomas.vectorfield import ProlongedField, VectorField
 from lie_thomas.verification import GridReport, GridSpec, VerificationError
 
@@ -72,6 +72,7 @@ RECORDS = {
         ["order", "dependent", "lhs", "kind", ("note", _default("")), ("aux", _default(()))],
         (2, "varsigma", X, "fuchs", "a note", (("e", 1.0),)),
     ),
+    Stratum: (["tag", "coords", "params"], ("Case1", (X, Y), ThomasParams())),
     SolutionFamily: (
         ["family", "tag", "params", "constants", ("evaluator", _hidden()),
          ("domain", _hidden()), ("note", _default(""))],
@@ -138,7 +139,7 @@ def test_every_record_class_of_the_package_has_a_twin():
         importlib.import_module("lie_thomas." + name)
     ours = {c for c in Record.__subclasses__() if c.__module__.startswith("lie_thomas.")}
     assert ours == set(RECORDS)
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 18
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
