@@ -9,13 +9,15 @@ alpha*g_x + beta*g_y + g_xy = 0.  Where alpha*beta = 0 the rows admit more:
 xi(x) d/dx - (beta/gamma) xi(x) d/du and eta(y) d/dy - (alpha/gamma) eta(y)
 d/du for every xi and eta (ledger slug most-general-symmetry-alpha-beta-zero).
 
-The system is derived once per process, at the symbolic constants: its
-rows are polynomials in (alpha, beta, gamma) and linear in the partials of
-xi, eta and phi, so every other reading is a substitution into them.  The
-rows at rational constants bind the constants in each row's normal-form
-polynomial.  ``check_symmetry`` binds the constants and each partial to
-the matching partial of the given field's coefficient; only a field whose
-rows do not all vanish is prolonged itself, to give its residual.
+The system is derived once per process, at the symbolic constants, through
+one normal form: the action, with u_xy replaced by its value on the
+solution manifold, is normalized as a whole and its monomials are grouped
+by their jet part.  The rows are polynomials in (alpha, beta, gamma) and
+linear in the partials of xi, eta and phi, so every other reading is a
+binding of their atoms: ``determining_equations`` binds the constants, and
+``check_symmetry`` binds the constants and each partial to the matching
+partial of the given field's coefficient.  No field other than the
+symbolic one is prolonged.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from .expr import (
     exp,
     mul,
     pow_,
+    substitute,
     _wrap,
 )
-from .jetpoly import JetPolynomial, monomial
+from .jetpoly import mono_expr, mono_order_key, split_monomial
 from .normal import canonical_expr, is_zero, normal_form, poly_at, poly_expr
 from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
@@ -54,23 +57,6 @@ from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
 
 def thomas_delta(p: ThomasParams) -> Expr:
     return add(U_XY, mul(p.alpha, U_X), mul(p.beta, U_Y), mul(p.gamma, U_X, U_Y))
-
-
-# the monomials of thomas_delta other than u_xy, in the order alpha, beta, gamma
-_LOWER_TERMS = (monomial(U_X), monomial(U_Y), monomial(U_X, U_Y))
-
-
-def on_manifold(jp: JetPolynomial, p: ThomasParams) -> JetPolynomial:
-    """u_xy eliminated through the equation itself: each u_xy^n becomes the
-    n-th power of -(alpha u_x + beta u_y + gamma u_x u_y)."""
-    rest = JetPolynomial({m: mul(Rat(-1), c)
-                          for m, c in zip(_LOWER_TERMS, (p.alpha, p.beta, p.gamma))})
-    return jp.substitute(U_XY, rest)
-
-
-def _manifold_action(vf: VectorField, p: ThomasParams) -> JetPolynomial:
-    """The prolonged action of vf on the equation, on the solution manifold."""
-    return on_manifold(apply_prolonged(prolong(vf), thomas_delta(p)), p)
 
 
 class DeterminingSystem(Record):
@@ -110,14 +96,24 @@ def _symbolic_system():
     """(system, polys, steps): the determining system at the symbolic
     constants, derived once; each row's normal-form polynomial, in row
     order; and the derivation steps of the partials of xi, eta and phi
-    that the rows hold.  Every row is a polynomial, so its normal form has
-    denominator one and the row rebuilt from the numerator is its
-    ``canonical_expr``."""
+    that the rows hold.
+
+    The action of the prolonged symbolic field on the equation, with u_xy
+    replaced by u_xy - delta (its value where delta = 0), is normalized
+    once and its monomials are grouped by their jet part.  The action is
+    a polynomial, so the normal form has denominator one and each row
+    rebuilt from its polynomial is its ``canonical_expr``."""
+    delta = thomas_delta(ThomasParams())
+    action = apply_prolonged(prolong(_FIELD), delta)
+    nf = normal_form(substitute(action, {U_XY: add(U_XY, mul(Rat(-1), delta))}))
+    grouped: dict = {}
+    for m, c in nf.num.items():
+        jets, rest = split_monomial(m)
+        grouped.setdefault(jets, {})[rest] = c
     rows, polys = [], []
-    for m, c in _manifold_action(_FIELD, ThomasParams()).items():
-        poly = normal_form(c).num
-        rows.append((m, poly_expr(poly)))
-        polys.append(poly)
+    for m in sorted(grouped, key=mono_order_key):
+        rows.append((m, poly_expr(grouped[m])))
+        polys.append(grouped[m])
     partials = {a for poly in polys for mono in poly for a, _ in mono if type(a) is Func}
     return DeterminingSystem(tuple(rows)), tuple(polys), _derivation_steps(partials)
 
@@ -126,29 +122,30 @@ def determining_equations(p: ThomasParams = ThomasParams()) -> DeterminingSystem
     """Monomial coefficients of the prolonged symbolic action on the
     equation, after eliminating u_xy on the solution manifold.
 
-    Read off the symbolic system: rational constants are bound in each
-    row's polynomial, whose normal form is unique, so the rows equal those
-    derived at p key for key (every row holds a term free of the
-    constants, so none vanishes).  Constants other than rationals and
-    their own symbols are derived at p."""
+    Read off the symbolic system by binding the constants.  Rational
+    constants are bound in each row's polynomial, whose normal form is
+    unique, so the rows equal those derived at p key for key (every row
+    holds a term free of the constants, so none vanishes).  Any other
+    constant is bound as an expression and the row rebuilt by
+    ``canonical_expr``: equal in value to the row derived at p, though
+    its key may differ where p has denominators."""
     system, polys, _ = _symbolic_system()
-    values = {}
-    for s, c in zip(_CONSTANTS, (p.alpha, p.beta, p.gamma)):
-        if type(c) is Rat:
-            values[s] = c.value
-        elif c != s:
-            jp = _manifold_action(_FIELD, p)
-            return DeterminingSystem(tuple((m, canonical_expr(e)) for m, e in jp.items()))
+    values = {s: c for s, c in zip(_CONSTANTS, (p.alpha, p.beta, p.gamma)) if c != s}
     if not values:
         return system
-    return DeterminingSystem(tuple((m, poly_expr(poly_at(poly, values)))
+    if all(type(c) is Rat for c in values.values()):
+        values = {s: c.value for s, c in values.items()}
+        return DeterminingSystem(tuple((m, poly_expr(poly_at(poly, values)))
+                                       for (m, _), poly in zip(system, polys)))
+    return DeterminingSystem(tuple((m, canonical_expr(_row_at(poly, values)))
                                    for (m, _), poly in zip(system, polys)))
 
 
 def _row_at(poly, values: dict) -> Expr:
-    """The row of normal-form polynomial ``poly`` with every atom a replaced
-    by the expression values[a]."""
-    return add(*[mul(Rat(c), *[pow_(values[a], n) for a, n in m]) for m, c in poly.items()])
+    """The row of normal-form polynomial ``poly`` with every atom a that
+    ``values`` maps replaced by the expression values[a]."""
+    return add(*[mul(Rat(c), *[pow_(values.get(a, a), n) for a, n in m])
+                 for m, c in poly.items()])
 
 
 def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
@@ -158,20 +155,18 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     Decided on the symbolic system: the constants are bound to p and each
     partial of xi, eta and phi to that partial of vf's coefficient, which
     commutes with the prolongation and with taking each jet monomial's
-    coefficient.  When every row is then zero, vf is a symmetry; otherwise
-    vf is prolonged itself, so that a failing field's flag and residual
-    are those of its own prolonged action."""
-    _, polys, steps = _symbolic_system()
+    coefficient.  The residual of a field that fails is the sum of its
+    bound rows times their jet monomials: equal in value to its own
+    prolonged action on the solution manifold."""
+    system, polys, steps = _symbolic_system()
     values = {ALPHA: p.alpha, BETA: p.beta, GAMMA: p.gamma,
               _FIELD.xi: vf.xi, _FIELD.eta: vf.eta, _FIELD.phi: vf.phi}
     for a, lower, var in steps:
         values[a] = differentiate(values[lower], var)
-    if all(is_zero(_row_at(poly, values)) for poly in polys):
+    rows = [(m, _row_at(poly, values)) for (m, _), poly in zip(system, polys)]
+    if all(is_zero(row) for _, row in rows):
         return True, ZERO
-    jp = _manifold_action(vf, p)
-    if jp.is_zero():
-        return True, ZERO
-    return False, jp.to_expr()
+    return False, add(*[mul(row, mono_expr(m)) for m, row in rows])
 
 
 # the four explicit generators

@@ -1,18 +1,18 @@
-"""Polynomials in the jet coordinates u_x, ..., u_yyy.
+"""Jet monomials, and polynomials in the jet coordinates u_x, ..., u_yyy.
 
-A JetPolynomial maps jet monomials to coefficient expressions in (x, y, u),
-free of jets.  The second prolongation is computed on this form directly:
-the total derivatives act monomial by monomial through the chain rule, and
-sums and products collect each monomial's contributions with one n-ary
-``add``.  The split by monomial is also what turns a prolonged-field
-application into a system of determining equations: each jet monomial must
-vanish separately because the coefficient functions depend only on
-(x, y, u).  ``from_expr`` collects a polynomial-in-jets expression.
+A jet monomial is a tuple of exponents, one per jet in the canonical order
+of ``JETS``.  The determining rows are keyed by jet monomials, in the order
+``mono_order_key`` gives, and printed by ``mono_expr``; ``split_monomial``
+reads the jet monomial off a normal-form monomial.  A JetPolynomial maps
+jet monomials to coefficient expressions in (x, y, u), free of jets: it is
+the collected, display form of a polynomial-in-jets expression, built by
+``from_expr``, which sums each monomial's contributions with one n-ary
+``add``.  The prolongation itself is computed on expression trees (see
+``vectorfield``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .expr import (
@@ -28,29 +28,16 @@ from .expr import (
     Pow,
     Rat,
     Sym,
-    U,
-    X,
-    Y,
     ZERO,
     add,
     contains_jet,
-    differentiate,
     mul,
     pow_,
-    scale,
 )
-from .normal import is_zero
 
 # exponents ordered like JETS: (u_x, u_y, u_xx, u_xy, u_yy, u_xxx, u_xxy, u_xyy, u_yyy)
 _JET_LIST = list(JETS.values())
 _JET_POS = {s: i for i, s in enumerate(_JET_LIST)}
-# per axis: the variable, the position of u_x or u_y, and for each position
-# the position of the jet one derivative higher (None past third order)
-_AXES = tuple(
-    (var, _JET_POS[JETS[step]],
-     tuple(_JET_POS.get(JETS.get((i + step[0], j + step[1]))) for i, j in JETS))
-    for var, step in ((X, (1, 0)), (Y, (0, 1)))
-)
 
 JetMono = tuple
 
@@ -74,16 +61,21 @@ def _bump(m: JetMono, i: int, n: int = 1) -> JetMono:
 _MONO_ONE: JetMono = (0,) * len(_JET_LIST)
 
 
-def monomial(*jets: Sym) -> JetMono:
-    """The monomial key of the product of ``jets``."""
-    m = _MONO_ONE
-    for s in jets:
-        m = _bump(m, _JET_POS[s])
-    return m
-
-
 def mono_expr(mono: JetMono) -> Expr:
     return mul(*[pow_(s, n) for s, n in zip(_JET_LIST, mono) if n])
+
+
+def split_monomial(m) -> tuple:
+    """(jet monomial, rest): the jet part of the normal-form monomial ``m``
+    as a monomial key, and its other (atom, exponent) pairs."""
+    jets, rest = list(_MONO_ONE), []
+    for a, n in m:
+        i = _JET_POS.get(a)
+        if i is None:
+            rest.append((a, n))
+        else:
+            jets[i] = n
+    return tuple(jets), tuple(rest)
 
 
 def mono_order_key(mono: JetMono):
@@ -114,16 +106,6 @@ class JetPolynomial:
     def from_expr(cls, e: Expr) -> "JetPolynomial":
         return cls(_collect(e))
 
-    @classmethod
-    def constant(cls, c: Expr) -> "JetPolynomial":
-        return cls({_MONO_ONE: c})
-
-    @classmethod
-    def from_terms(cls, pairs) -> "JetPolynomial":
-        """The sum of (monomial, coefficient) pairs, each monomial's
-        coefficients added by one n-ary ``add``."""
-        return cls(_sum_terms(pairs))
-
     def monomials(self) -> Iterator[JetMono]:
         return iter(sorted(self.coeffs, key=mono_order_key))
 
@@ -133,64 +115,6 @@ class JetPolynomial:
 
     def to_expr(self) -> Expr:
         return add(*[mul(c, mono_expr(m)) for m, c in self.items()])
-
-    def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.coeffs.values())
-
-    def __add__(self, other: "JetPolynomial") -> "JetPolynomial":
-        return JetPolynomial.from_terms((*self.coeffs.items(), *other.coeffs.items()))
-
-    def __sub__(self, other: "JetPolynomial") -> "JetPolynomial":
-        return self + other * -1
-
-    def __mul__(self, other) -> "JetPolynomial":
-        """Product with a jet symbol or a rational."""
-        if other in _JET_POS:
-            i = _JET_POS[other]
-            return JetPolynomial({_bump(m, i): c for m, c in self.coeffs.items()})
-        if isinstance(other, (int, Fraction)):
-            return JetPolynomial({m: scale(other, c) for m, c in self.coeffs.items()})
-        return NotImplemented
-
-    def diff(self, jet: Sym) -> "JetPolynomial":
-        """Partial derivative by the jet coordinate ``jet``."""
-        i = _JET_POS[jet]
-        return JetPolynomial(
-            {_bump(m, i, -1): scale(m[i], c) for m, c in self.coeffs.items() if m[i]}
-        )
-
-    def D_x(self) -> "JetPolynomial":
-        return self._total_derivative(*_AXES[0])
-
-    def D_y(self) -> "JetPolynomial":
-        return self._total_derivative(*_AXES[1])
-
-    def _total_derivative(self, var, first, up) -> "JetPolynomial":
-        """D(c m) = (c_var + u_var c_u) m + c D(m), on jets up to third order
-        (Olver, GTM 107, Thm 2.36)."""
-        pairs = []
-        for m, c in self.coeffs.items():
-            pairs.append((m, differentiate(c, var)))
-            pairs.append((_bump(m, first), differentiate(c, U)))
-            for i, n in enumerate(m):
-                if not n:
-                    continue
-                if up[i] is None:
-                    raise ProlongationError("total derivative of a third-order jet "
-                                            "expression needs fourth-order jets")
-                pairs.append((_bump(_bump(m, i, -1), up[i]), scale(n, c)))
-        return JetPolynomial.from_terms(pairs)
-
-    def substitute(self, jet: Sym, poly: "JetPolynomial") -> "JetPolynomial":
-        """The jet coordinate ``jet`` replaced by the polynomial ``poly``:
-        each power jet^n becomes poly^n."""
-        i = _JET_POS[jet]
-        pairs = []
-        for m, c in self.coeffs.items():
-            rest = _bump(m, i, -m[i])
-            for pm, pc in _power(poly.coeffs, m[i]).items():
-                pairs.append((_mono_mul(rest, pm), mul(c, pc)))
-        return JetPolynomial.from_terms(pairs)
 
 
 def _sum_terms(pairs) -> dict:
@@ -208,15 +132,9 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
-def product_terms(p: dict, q: dict) -> Iterator[tuple]:
-    """The (monomial, coefficient) pairs of the product of two coefficient
-    dicts, before they are collected."""
-    return ((_mono_mul(m1, m2), mul(c1, c2))
-            for m1, c1 in p.items() for m2, c2 in q.items())
-
-
 def _product(p: dict, q: dict) -> dict:
-    return _sum_terms(product_terms(p, q))
+    return _sum_terms((_mono_mul(m1, m2), mul(c1, c2))
+                      for m1, c1 in p.items() for m2, c2 in q.items())
 
 
 def _power(p: dict, n: int) -> dict:

@@ -13,7 +13,6 @@ from lie_thomas.determining import (
     exponential_g,
     general_symmetry,
     linearized_constraint,
-    on_manifold,
     thomas_delta,
     v1,
     v2,
@@ -32,15 +31,18 @@ from lie_thomas.expr import (
     U_Y,
     X,
     Y,
+    add,
     differentiate,
     exp,
+    jet_symbols,
     mul,
     pow_,
+    substitute,
 )
-from lie_thomas.jetpoly import JetPolynomial, mono_expr
-from lie_thomas.normal import canonical_expr, equal, is_zero
+from lie_thomas.jetpoly import mono_expr
+from lie_thomas.normal import canonical_expr, equal, is_zero, normal_form
 from lie_thomas.printer import to_text
-from lie_thomas.vectorfield import VectorField, symbolic_field
+from lie_thomas.vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
 
 
 def _d(f, *vs):
@@ -224,13 +226,19 @@ def test_linearized_constraint_closure():
     assert is_zero(linearized_constraint(psi, p))
 
 
-def test_on_manifold_elimination():
+def test_the_rows_are_the_action_on_the_manifold():
+    """The rows times their jet monomials are the prolonged symbolic action
+    on the equation with u_xy replaced by -(alpha u_x + beta u_y + gamma
+    u_x u_y); no row is keyed by u_xy, and the action's normal form has
+    denominator one."""
     p = ThomasParams()
     rest = ALPHA * U_X + BETA * U_Y + GAMMA * U_X * U_Y
-    e = on_manifold(JetPolynomial.from_expr(U_XY), p).to_expr()
-    assert is_zero(e + rest)
-    e = on_manifold(JetPolynomial.from_expr(X * U_X * U_XY**2 + U_Y), p).to_expr()
-    assert is_zero(e - X * U_X * rest**2 - U_Y)
+    action = apply_prolonged(prolong(symbolic_field()), thomas_delta(p))
+    on_manifold = substitute(action, {U_XY: -rest})
+    rows = determining_equations(p).rows
+    assert not any(U_XY in jet_symbols(mono_expr(m)) for m, _ in rows)
+    assert equal(add(*[c * mono_expr(m) for m, c in rows]), on_manifold)
+    assert normal_form(on_manifold).den == {(): 1}
 
 
 def test_parameter_coercion():

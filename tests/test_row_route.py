@@ -2,49 +2,48 @@
 once, at the symbolic constants, and read off at any others.
 
 ``_derived_rows`` derives the system at the constants themselves, and
-``_prolonged_flag`` decides invariance by prolonging the field itself, the
-way ``determining_equations`` and ``check_symmetry`` did before they read
-the symbolic system.  The row route must give the same row keys and the
-same flag.  The generators are checked at their own constants and at
-every permutation of them, so a route that binds the rows at permuted
-constants calls some field a symmetry that is not one; a v_g whose g
-misses the linearized equation breaks only the first row.
+``_prolonged_flag`` decides invariance by prolonging the field itself,
+both on the reference road of ``test_kernel._ref_manifold_action`` (every
+total derivative written out in the tree, u_xy eliminated by
+substitution).  The row route must give the same row keys and the same
+flag, and a failing field's residual must equal its own prolonged action.
+The generators are checked at their own constants and at every
+permutation of them, so a route that binds the rows at permuted constants
+calls some field a symmetry that is not one; a v_g whose g misses the
+linearized equation breaks only the first row.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from lie_thomas import determining, vectorfield
 from lie_thomas.determining import (
     ThomasParams,
+    _symbolic_system,
     check_symmetry,
     determining_equations,
     exponential_g,
-    on_manifold,
-    thomas_delta,
     v1,
     v2,
     v3,
     v4,
     v_g,
 )
-from lie_thomas.expr import U, X, Y, app, param
-from lie_thomas.normal import canonical_expr
-from lie_thomas.vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
+from lie_thomas.expr import ALPHA, BETA, GAMMA, U, X, Y, app, param
+from lie_thomas.normal import canonical_expr, equal, is_zero
+from lie_thomas.vectorfield import VectorField, symbolic_field
 
-from test_kernel import _NON_SYMMETRIES, _rational_params, _reference_fields
-
-
-def _manifold_action(vf, p):
-    return on_manifold(apply_prolonged(prolong(vf), thomas_delta(p)), p)
+from test_kernel import _NON_SYMMETRIES, _rational_params, _ref_manifold_action, _reference_fields
 
 
 def _derived_rows(p):
-    return [(m, canonical_expr(c).key()) for m, c in _manifold_action(symbolic_field(), p).items()]
+    return [(m, canonical_expr(c).key())
+            for m, c in _ref_manifold_action(symbolic_field(), p).items()]
 
 
 def _prolonged_flag(vf, p):
-    return _manifold_action(vf, p).is_zero()
+    return all(is_zero(c) for c in _ref_manifold_action(vf, p).coeffs.values())
 
 
 _UNIT_CONSTANTS = [ThomasParams(*c) for c in ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))]
@@ -97,5 +96,38 @@ def test_a_field_that_fails_keeps_its_own_residual():
     for vf in _bent(v4(p)):
         ok, residual = check_symmetry(vf, p)
         assert not ok
-        assert residual.key() == _manifold_action(vf, p).to_expr().key()
+        assert equal(residual, _ref_manifold_action(vf, p).to_expr())
     assert check_symmetry(v4(p).scale(2), p) == (True, 0)
+
+
+_A2 = param("a2")
+# constants that are expressions: swapped symbols, a sum beside a rational
+# and another symbol, a repeated symbol, and a quotient
+_EXPRESSION_CONSTANTS = [ThomasParams(BETA, ALPHA, GAMMA), ThomasParams(ALPHA + BETA, 2, _A2),
+                         ThomasParams(ALPHA, ALPHA, 3), ThomasParams(-GAMMA / _A2, 0, GAMMA)]
+
+
+def test_nothing_is_prolonged_once_the_system_is_derived(monkeypatch):
+    """With the symbolic system derived, a failing field's flag and the rows
+    at expression constants come from it alone: ``prolong`` is never
+    called, and the rows equal in value those derived at the constants."""
+    _symbolic_system()
+    want = {p: _ref_manifold_action(symbolic_field(), p).coeffs for p in _EXPRESSION_CONSTANTS}
+    flagged = []
+    for p in (ThomasParams(), ThomasParams(Fraction(2, 3), Fraction(-1, 2), 3)):
+        generators = [v1(), v2(), v3(), v4(p)]
+        flagged += [(vf, p, False) for vf in _NON_SYMMETRIES]
+        flagged += [(bent, p, False) for vf in generators for bent in _bent(vf)]
+        flagged += [(vf, p, True) for vf in generators]
+
+    def refuse(vf):
+        raise AssertionError("prolonged %r" % (vf,))
+
+    monkeypatch.setattr(vectorfield, "prolong", refuse)
+    monkeypatch.setattr(determining, "prolong", refuse)
+    for vf, p, flag in flagged:
+        assert check_symmetry(vf, p)[0] is flag, (vf, p)
+    for p, coeffs in want.items():
+        rows = dict(determining_equations(p).rows)
+        assert rows.keys() == coeffs.keys(), p
+        assert all(equal(rows[m], c) for m, c in coeffs.items()), p
