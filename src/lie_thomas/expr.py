@@ -561,9 +561,16 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     """Simultaneous replacement of subtrees; keys are matched as whole
     nodes.  A Func is a function of its own variables, so binding one of
     them, other than by replacing the whole Func, is an ExprError."""
+    return _substitution(bindings)(e)
+
+
+def _substitution(bindings: Mapping):
+    """substitute under one mapping, with its table (each key and value
+    wrapped) and its set of bound variables built once, for a caller that
+    substitutes several trees under the same mapping."""
     table = {_wrap(k): _wrap(v) for k, v in bindings.items()}
     moved = {k.name for k in table if type(k) is Sym and k.kind == VAR}
-    return _substituted(e, table, moved)
+    return lambda e: _substituted(e, table, moved)
 
 
 def _substituted(n, table, moved):

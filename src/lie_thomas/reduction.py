@@ -4,25 +4,28 @@ For a canonical generator v the pair (chi, varsigma) solves v(chi) =
 v(varsigma) = 0.  The ansatz varsigma = F(chi), pushed through the chain
 rule, gives the jets of u from that same pair (chain_rule_jets), and
 putting them into the equation leaves an ODE in F.  Each case states its
-ODE beside the nonzero factor m in lhs = m * Delta|ansatz, in the one
-switch that reduced_ode reads (_reduction).  An order-0 reduction is an
-identity or inconsistent, by one rule (_order0).
+pair and its ODE, beside the nonzero factor m in lhs = m * Delta|ansatz,
+in one switch (_reduction), on the branch that _branch picks: _branch
+holds every branch condition.  An order-0 reduction is an identity or
+inconsistent, by one rule (_order0).
 
-The reduction is proved once per stratum.  Each branch of _reduction is a
-stratum, keyed (tag, kind, where), and STRATA holds its representative:
-a1, a2 and the constants symbolic, except where the branch fixes them
-(a1 = 0, alpha*a2 + gamma = 0, alpha = 0 or beta = 0).  proved_stratum
-substitutes the chain-rule jets of the representative's invariants into
-the equation and confirms with is_zero that the result is 1/m times the
-stored ODE: an identity in the free symbols wherever its divisors (the
-factors of m and of d(varsigma)/du, and every constant the pair or the ODE
-divides by) do not vanish.  That runs once per stratum and process.
-verify_reduction then checks each call against the proof: no divisor
-vanishes at the call's values, and the representative, with the call's
-a1, a2, alpha, beta and gamma substituted, is the call (the link): its
-coordinates and constants, the pair that invariants returns and reduce
-prints, and the ODE and m of _reduction.  So neither a stored ODE nor a
-printed pair can drift from the proved identity.
+The reduction is proved once per stratum.  Each branch is a stratum,
+keyed (tag, kind, where), and STRATA holds its representative: a1, a2 and
+the constants symbolic, except where the branch fixes them (a1 = 0,
+alpha*a2 + gamma = 0, alpha = 0 or beta = 0).  proved_stratum runs the
+case's formulas at the representative, substitutes the chain-rule jets of
+its invariants into the equation and confirms with is_zero that the
+result is 1/m times the stored ODE: an identity in the free symbols
+wherever its divisors (the factors of m and of d(varsigma)/du, and every
+constant the pair or the ODE divides by) do not vanish.  That runs once
+per stratum and process, and only there do the formulas run (but for
+Case2_4's pair, which has no ODE).  A call is read off its stratum:
+invariants and reduced_ode return the representative's pair and ODE with
+the call's a1, a2, alpha, beta and gamma substituted, and verify_reduction
+checks that no divisor vanishes at those values and that they satisfy the
+relations the stratum fixes.  A substitution instance of an identity in
+the free symbols holds wherever no divisor vanishes, so the pair that
+reduce prints and the ODE it states are, by construction, the proved ones.
 
 Naming: S1 and S2 below are the opaque symbols varsigma_chi and
 varsigma_chichi standing for F' and F''; first-order cases are
@@ -58,6 +61,7 @@ from .expr import (
     mul,
     pow_,
     substitute,
+    _substitution,
     _wrap,
 )
 from .normal import canonical_expr, is_zero
@@ -100,50 +104,70 @@ def _refuse_degenerate(tag, a1, a2):
         raise ReductionError("the zero element generates no reduction")
 
 
+# Case2_4's invariants: varsigma does not involve u, so it has no ansatz,
+# no reduced ODE and no stratum
+_CASE2_4 = InvariantPair(Y, X, "entire plane; varsigma does not involve u")
+
+
 def invariants(c, p: ThomasParams = ThomasParams()) -> InvariantPair:
-    tag = c.tag
-    a1, a2 = map(_wrap, c.coords[:2])
-    _refuse_degenerate(tag, a1, a2)
-    if tag == "Case1":
-        # generator (a1 - gamma x) d/dx + (a2 + gamma y) d/dy + (beta x - alpha y) d/du
-        lin_x = add(a1, mul(Rat(-1), p.gamma, X))
-        lin_y = add(a2, mul(p.gamma, Y))
-        chi = mul(lin_x, lin_y)
-        k_log = mul(add(mul(p.beta, a1), mul(p.alpha, a2)), pow_(p.gamma, -2))
-        varsigma = add(
-            U,
-            mul(p.beta, pow_(p.gamma, -1), X),
-            mul(k_log, log(lin_x)),
-            mul(p.alpha, pow_(p.gamma, -2), lin_y),
-        )
-        return InvariantPair(
-            chi,
-            varsigma,
-            "x != a1/gamma (log branch uses a1 - gamma*x > 0); chi != 0",
-        )
-    if tag in ("Case2_1a", "Case2_1b"):
-        chi = add(mul(a2, X), mul(Rat(-1), a1, Y))
-        varsigma = add(U, mul(Rat(-1), pow_(a2, -1), Y))
-        return InvariantPair(chi, varsigma, "entire plane")
-    if tag == "Case2_2":
-        return InvariantPair(Y, add(mul(Rat(-1), a1, U), X), "entire plane")
-    if tag == "Case2_3":
-        return InvariantPair(Y, add(mul(p.beta, X), mul(p.gamma, U)), "entire plane")
-    if tag == "Case2_4":
-        return InvariantPair(Y, X, "entire plane; varsigma does not involve u")
-    if tag in ("Case3_1a", "Case3_1b"):
-        chi = add(X, mul(Rat(-1), pow_(a2, -1), Y))
-        return InvariantPair(chi, U, "entire plane")
-    if tag == "Case3_2":
-        if not is_zero(a1):
-            # x-translation mirror: invariants of d/dx
-            return InvariantPair(Y, U, "entire plane")
-        return InvariantPair(X, U, "entire plane")
-    raise ReductionError("unknown case tag %r" % tag)
+    """The invariant pair of c at p, read off its stratum: the proved
+    representative's pair with the call's a1, a2, alpha, beta and gamma
+    substituted (Case2_4, which has no stratum, by its own pair).  Refuses
+    a case without invariants."""
+    if c.tag == "Case2_4":
+        return _CASE2_4
+    _, _, pair, _ = proved_stratum(_branch(c, p))
+    _, bind = _binding(c, p)
+    return InvariantPair(bind(pair.chi), bind(pair.varsigma), pair.domain)
 
 
 def reduced_ode(c, p: ThomasParams = ThomasParams()) -> ReducedODE:
-    return _reduction(c, p)[0]
+    """The reduced ODE of c at p, read off its stratum: the proved
+    representative's ODE with the call's a1, a2, alpha, beta and gamma
+    substituted in lhs and in every aux.  Refuses what invariants refuses,
+    and Case2_4."""
+    _, _, _, ode = proved_stratum(_branch(c, p))
+    _, bind = _binding(c, p)
+    return ReducedODE(ode.order, ode.dependent, bind(ode.lhs), ode.kind, ode.note,
+                      tuple((name, bind(value)) for name, value in ode.aux))
+
+
+def _branch(c, p: ThomasParams):
+    """(tag, kind, where): the stratum of c at p, the key of its
+    representative in STRATA.  where names the relation the branch adds to
+    the tag's generic stratum ("" on the generic one).  Every branch
+    condition is here: a1 = 0, alpha*a2 + gamma = 0 and the beta = 0 of
+    its order-0 root for Case2_1, alpha*beta = 0 for Case2_3, and a1 = 0
+    and the coefficient (beta for d/dx, alpha for d/dy) for Case3_2.  A
+    case without invariants is refused first, as invariants refuses it."""
+    tag = c.tag
+    a1, a2 = map(_wrap, c.coords[:2])
+    _refuse_degenerate(tag, a1, a2)
+    alpha, beta = p.alpha, p.beta
+    if tag == "Case1":
+        return tag, "fuchs", ""
+    if tag in ("Case2_1a", "Case2_1b"):
+        if not is_zero(a1):
+            return tag, "riccati", ""
+        if not is_zero(add(mul(alpha, a2), p.gamma)):
+            return tag, "algebraic", "a1 = 0"
+        return tag, "identity" if is_zero(beta) else "inconsistent", "a1 = 0"
+    if tag == "Case2_2":
+        return tag, "linear-first-order", ""
+    if tag == "Case2_3":
+        if not is_zero(mul(alpha, beta)):
+            return tag, "inconsistent", ""
+        return tag, "identity", "alpha = 0" if is_zero(alpha) else "beta = 0"
+    if tag == "Case2_4":
+        raise ReductionError(
+            "Case2_4 invariants (y, x) give no ansatz for u; no reduced equation"
+        )
+    if tag in ("Case3_1a", "Case3_1b"):
+        return tag, "bernoulli", ""
+    if tag == "Case3_2":
+        coeff, where = (beta, "") if not is_zero(a1) else (alpha, "a1 = 0")
+        return tag, "identity" if is_zero(coeff) else "linear-first-order", where
+    raise ReductionError("unknown case tag %r" % tag)
 
 
 def _order0(lhs, dependent, zero_condition, inconsistent_note=""):
@@ -156,17 +180,26 @@ def _order0(lhs, dependent, zero_condition, inconsistent_note=""):
 
 
 def _reduction(c, p: ThomasParams):
-    """(ReducedODE, m, where) with lhs = m * Delta|ansatz: each case's
-    equation, the nonzero factor its normalization leaves, m written without
-    division, and the relation the branch adds to the tag's generic stratum
-    ("" on the generic one).  (tag, kind, where) keys the branch's stratum
-    in STRATA.  A case without invariants is refused first, as invariants
-    refuses it."""
-    tag = c.tag
+    """The case's own formulas on the branch that _branch picks: (pair,
+    ReducedODE, m) with lhs = m * Delta|ansatz, m the nonzero factor the
+    ODE's normalization leaves, written without division.  They run on the
+    representatives of STRATA, once each per process."""
+    tag, kind, where = _branch(c, p)
     a1, a2 = map(_wrap, c.coords[:2])
-    _refuse_degenerate(tag, a1, a2)
     alpha, beta, gamma = p.alpha, p.beta, p.gamma
     if tag == "Case1":
+        # generator (a1 - gamma x) d/dx + (a2 + gamma y) d/dy + (beta x - alpha y) d/du
+        lin_x = add(a1, mul(Rat(-1), gamma, X))
+        lin_y = add(a2, mul(gamma, Y))
+        k_log = mul(add(mul(beta, a1), mul(alpha, a2)), pow_(gamma, -2))
+        varsigma = add(
+            U,
+            mul(beta, pow_(gamma, -1), X),
+            mul(k_log, log(lin_x)),
+            mul(alpha, pow_(gamma, -2), lin_y),
+        )
+        pair = InvariantPair(mul(lin_x, lin_y), varsigma,
+                             "x != a1/gamma (log branch uses a1 - gamma*x > 0); chi != 0")
         # gamma^2 chi s2 + gamma^3 chi s1^2 + gamma (gamma - beta a1 - alpha a2) s1 + alpha beta / gamma = 0
         drift = add(gamma, mul(Rat(-1), beta, a1), mul(Rat(-1), alpha, a2))
         lhs = add(
@@ -177,48 +210,47 @@ def _reduction(c, p: ThomasParams):
         )
         e = mul(drift, pow_(gamma, -1))
         m = mul(alpha, beta, pow_(gamma, -2))
-        return ReducedODE(2, "varsigma", lhs, "fuchs", note="linearizes to chi y'' + e y' + "
-                          "m y = 0 via varsigma_chi = y'/(gamma y)",
-                          aux=(("e", e), ("m", m))), Rat(-1), ""
+        return pair, ReducedODE(2, "varsigma", lhs, "fuchs", note="linearizes to chi y'' + "
+                                "e y' + m y = 0 via varsigma_chi = y'/(gamma y)",
+                                aux=(("e", e), ("m", m))), Rat(-1)
     if tag in ("Case2_1a", "Case2_1b"):
+        pair = InvariantPair(add(mul(a2, X), mul(Rat(-1), a1, Y)),
+                             add(U, mul(Rat(-1), pow_(a2, -1), Y)), "entire plane")
         lhs = add(
             mul(Rat(-1), a1, a2, S2),
             mul(add(mul(alpha, a2), mul(Rat(-1), beta, a1), gamma), S1),
             mul(Rat(-1), gamma, a1, a2, pow_(S1, 2)),
             mul(beta, pow_(a2, -1)),
         )
-        if not is_zero(a1):
-            return ReducedODE(1, "theta", lhs, "riccati"), Rat(1), ""
+        if kind == "riccati":
+            return pair, ReducedODE(1, "theta", lhs, "riccati"), Rat(1)
         lhs = canonical_expr(lhs)
-        if not is_zero(add(mul(alpha, a2), gamma)):
-            return ReducedODE(0, "theta", lhs, "algebraic", note="derivative terms vanish "
-                              "with a1 = 0; theta is a constant root"), Rat(1), "a1 = 0"
+        if kind == "algebraic":
+            return pair, ReducedODE(0, "theta", lhs, "algebraic", note="derivative terms "
+                                    "vanish with a1 = 0; theta is a constant root"), Rat(1)
         # alpha*a2 + gamma = 0 leaves lhs = beta/a2
-        return _order0(lhs, "theta", "a1 = beta = alpha*a2 + gamma = 0", "a1 = alpha*a2 + "
-                       "gamma = 0 leaves beta/a2 = 0; no theta solves it"), Rat(1), "a1 = 0"
+        return pair, _order0(lhs, "theta", "a1 = beta = alpha*a2 + gamma = 0", "a1 = alpha*a2 "
+                             "+ gamma = 0 leaves beta/a2 = 0; no theta solves it"), Rat(1)
     if tag == "Case2_2":
+        pair = InvariantPair(Y, add(mul(Rat(-1), a1, U), X), "entire plane")
         lhs = add(mul(add(mul(beta, a1), gamma), S1), mul(Rat(-1), a1, alpha))
-        return (ReducedODE(1, "varsigma", lhs, "linear-first-order"),
-                mul(Rat(-1), pow_(a1, 2)), "")
+        return (pair, ReducedODE(1, "varsigma", lhs, "linear-first-order"),
+                mul(Rat(-1), pow_(a1, 2)))
     if tag == "Case2_3":
-        ode = _order0(mul(alpha, beta), "varsigma", "alpha*beta = 0",
-                      CASES["Case2_3"].obstruction)
-        where = "" if ode.kind == "inconsistent" else "alpha = 0" if is_zero(alpha) else "beta = 0"
-        return ode, mul(Rat(-1), gamma), where
-    if tag == "Case2_4":
-        raise ReductionError(
-            "Case2_4 invariants (y, x) give no ansatz for u; no reduced equation"
-        )
+        pair = InvariantPair(Y, add(mul(beta, X), mul(gamma, U)), "entire plane")
+        return pair, _order0(mul(alpha, beta), "varsigma", "alpha*beta = 0",
+                             CASES["Case2_3"].obstruction), mul(Rat(-1), gamma)
     if tag in ("Case3_1a", "Case3_1b"):
+        pair = InvariantPair(add(X, mul(Rat(-1), pow_(a2, -1), Y)), U, "entire plane")
         lhs = add(S2, mul(add(beta, mul(Rat(-1), a2, alpha)), S1), mul(gamma, pow_(S1, 2)))
-        return ReducedODE(1, "theta", lhs, "bernoulli"), mul(Rat(-1), a2), ""
-    if tag == "Case3_2":
-        name, coeff, where = ("beta", beta, "") if not is_zero(a1) else ("alpha", alpha, "a1 = 0")
-        if is_zero(coeff):
-            return _order0(Rat(0), "varsigma", name + " = 0"), Rat(1), where
-        return ReducedODE(1, "varsigma", mul(coeff, S1), "linear-first-order", note="varsigma "
-                          "is constant whenever the coefficient is nonzero"), Rat(1), where
-    raise ReductionError("unknown case tag %r" % tag)
+        return pair, ReducedODE(1, "theta", lhs, "bernoulli"), mul(Rat(-1), a2)
+    # Case3_2: the invariants of d/dx where a1 != 0, of d/dy where a1 = 0
+    chi, name, coeff = (Y, "beta", beta) if not where else (X, "alpha", alpha)
+    pair = InvariantPair(chi, U, "entire plane")
+    if kind == "identity":
+        return pair, _order0(Rat(0), "varsigma", name + " = 0"), Rat(1)
+    return pair, ReducedODE(1, "varsigma", mul(coeff, S1), "linear-first-order", note="varsigma "
+                            "is constant whenever the coefficient is nonzero"), Rat(1)
 
 
 def chain_rule_jets(c, p: ThomasParams = ThomasParams()):
@@ -248,7 +280,7 @@ def _jets(pair: InvariantPair, tag: str):
 
 
 class Stratum(Record):
-    """The representative a branch of _reduction is proved at: a case of
+    """The representative a branch of _branch is proved at: a case of
     its own, with (a1, a2) and the constants symbolic except where the
     branch fixes them."""
 
@@ -287,10 +319,10 @@ def _strata():
     return {(tag, kind, where): Stratum(tag, coords, p) for tag, kind, where, coords, p in rows}
 
 
-# One stratum per branch of _reduction, keyed (tag, kind, where)
+# One stratum per branch of _branch, keyed (tag, kind, where)
 STRATA = _strata()
-_LINKED = ("a1", "a2", "alpha", "beta", "gamma", "chi", "varsigma", "lhs", "m")
 _BOUND = (A1, A2, ALPHA, BETA, GAMMA)
+_BOUND_NAMES = ("a1", "a2", "alpha", "beta", "gamma")
 
 
 def _stratum_name(key):
@@ -329,19 +361,20 @@ def proved_stratum(key):
     """Prove the stratum keyed (tag, kind, where) at its representative,
     once per process: substitute the chain-rule jets of its invariants into
     the equation and confirm the result is 1/m times the stored ODE, with
-    the pair's chi expanded in (x, y).  Returns the divisors the proof
-    needs nonzero, and the representative's (a1, a2, alpha, beta, gamma,
-    chi, varsigma, lhs, m) as (index, expression) pairs, each but those
-    that are the very symbol a call binds."""
+    the pair's chi expanded in (x, y).  Returns (divisors, fixed, pair,
+    ode): the divisors the proof needs nonzero; the relations the stratum
+    fixes, as (index, expression) pairs over (a1, a2, alpha, beta, gamma),
+    each but those that are the very symbol a call binds; and the proved
+    pair and ODE that invariants and reduced_ode read off."""
     if key not in STRATA:
         raise ReductionError("no proved stratum for %s" % _stratum_name(key))
     rep = STRATA[key]
     p = rep.params
-    pair = invariants(rep, p)
-    ode, m, where = _reduction(rep, p)
-    if (rep.tag, ode.kind, where) != key:
+    tag, _, where = _branch(rep, p)
+    pair, ode, m = _reduction(rep, p)
+    if (tag, ode.kind, where) != key:
         raise ReductionError("the representative of %s reduces on %s"
-                             % (_stratum_name(key), _stratum_name((rep.tag, ode.kind, where))))
+                             % (_stratum_name(key), _stratum_name((tag, ode.kind, where))))
     u_x, u_y, u_xy = _jets(pair, rep.tag)
     delta_sub = add(u_xy, mul(p.alpha, u_x), mul(p.beta, u_y), mul(p.gamma, u_x, u_y))
     lhs_expanded = substitute(ode.lhs, {CHI: pair.chi})
@@ -354,35 +387,39 @@ def proved_stratum(key):
             "reduction mismatch for %s: substituted equation %r, %r times stored ODE %r"
             % (_stratum_name(key), canonical_expr(delta_sub), k, canonical_expr(lhs_expanded))
         )
-    proved = (*rep.coords, p.alpha, p.beta, p.gamma, pair.chi, pair.varsigma, ode.lhs, m)
-    links = tuple((i, e) for i, e in enumerate(proved) if i >= len(_BOUND) or e != _BOUND[i])
-    return _divisors((m, differentiate(pair.varsigma, U)), proved), links
+    at = (*rep.coords, p.alpha, p.beta, p.gamma)
+    fixed = tuple((i, e) for i, e in enumerate(at) if e != _BOUND[i])
+    proved = (*at, pair.chi, pair.varsigma, ode.lhs, *(v for _, v in ode.aux))
+    return _divisors((m, differentiate(pair.varsigma, U)), proved), fixed, pair, ode
+
+
+def _binding(c, p: ThomasParams):
+    """(values, bind): the call's (a1, a2, alpha, beta, gamma), and their
+    substitution for the representative's symbols, prepared once for every
+    tree the call reads."""
+    values = (*map(_wrap, c.coords[:2]), p.alpha, p.beta, p.gamma)
+    return values, _substitution(dict(zip(_BOUND, values)))
 
 
 def verify_reduction(c, p: ThomasParams = ThomasParams()) -> bool:
     """Certify the reduction of c at p by the proof of its stratum, the
-    branch that _reduction(c, p) takes (proved_stratum, once per process).
-    No divisor of that proof may vanish at the call's values, and the call
-    must be the representative at those values (the link): the call's
-    a1, a2, alpha, beta and gamma, substituted into the representative's
-    coordinates, constants, invariants, lhs and m, give the call's own
-    coordinates and constants, invariants(c, p) and the lhs and m of
-    _reduction(c, p), structurally or after canonical_expr on both sides.
-    A ReductionError names the stratum and the object that differs."""
-    pair = invariants(c, p)
-    ode, m, where = _reduction(c, p)
-    key = (c.tag, ode.kind, where)
-    divisors, links = proved_stratum(key)
-    a1, a2 = map(_wrap, c.coords[:2])
-    call = (a1, a2, p.alpha, p.beta, p.gamma, pair.chi, pair.varsigma, ode.lhs, m)
-    at = dict(zip(_BOUND, call))
+    branch that _branch(c, p) takes (proved_stratum, once per process).  No
+    divisor of that proof may vanish at the call's values, and those values
+    must satisfy every relation the stratum fixes (a1 = 0, alpha = -gamma/a2,
+    alpha = 0 or beta = 0).  Then the call is the representative at its
+    values, and the pair and ODE that invariants and reduced_ode read off
+    it are a substitution instance of the proved identity, which holds
+    wherever no divisor vanishes.  A ReductionError names the stratum and
+    the divisor or relation that fails."""
+    key = _branch(c, p)
+    divisors, fixed, _, _ = proved_stratum(key)
+    values, bind = _binding(c, p)
     for d in divisors:
-        if is_zero(substitute(d, at)):
+        if is_zero(bind(d)):
             raise ReductionError("%s divides by %r, which vanishes here" % (_stratum_name(key), d))
-    for i, theirs in links:
-        ours, theirs = call[i], substitute(theirs, at)
-        if ours != theirs and canonical_expr(ours) != canonical_expr(theirs):
-            raise ReductionError("reduction mismatch for %s on the stratum %s: %s is %r, the "
-                                 "proved stratum gives %r"
-                                 % (c.tag, _stratum_name(key), _LINKED[i], ours, theirs))
+    for i, relation in fixed:
+        ours, theirs = values[i], bind(relation)
+        if ours != theirs and not is_zero(add(ours, mul(Rat(-1), theirs))):
+            raise ReductionError("%s is off the stratum %s: %s is %r, the stratum fixes %r"
+                                 % (c.tag, _stratum_name(key), _BOUND_NAMES[i], ours, theirs))
     return True

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from lie_thomas.reduction import proved_stratum
+
 _ACCEPTANCE = []
 
 
@@ -22,6 +24,14 @@ def seed(request) -> int:
 @pytest.fixture
 def rng(seed) -> random.Random:
     return random.Random(seed)
+
+
+@pytest.fixture
+def cold():
+    """The reduction strata unproved, before and after the test."""
+    proved_stratum.cache_clear()
+    yield
+    proved_stratum.cache_clear()
 
 
 def record_criterion(number: int, description: str, passed: bool) -> None:

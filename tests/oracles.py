@@ -56,14 +56,13 @@ def annihilation_residuals(c, p: ThomasParams = ThomasParams()):
 
 
 def verify_reduction_per_call(c, p: ThomasParams = ThomasParams()) -> bool:
-    """The reduction certificate with nothing kept between calls: substitute
-    the chain-rule jets of invariants(c, p) into the equation and confirm
-    the result is 1/m times the reduced ODE, with that pair's chi expanded
-    in (x, y)."""
-    pair = invariants(c, p)
+    """The reduction certificate with nothing kept between calls: run the
+    case's own formulas at c and p (reduction._reduction), substitute the
+    chain-rule jets of their pair into the equation and confirm the result
+    is 1/m times their ODE, with that pair's chi expanded in (x, y)."""
+    pair, ode, m = _reduction(c, p)
     u_x, u_y, u_xy = _jets(pair, c.tag)
     delta_sub = add(u_xy, mul(p.alpha, u_x), mul(p.beta, u_y), mul(p.gamma, u_x, u_y))
-    ode, m, _ = _reduction(c, p)
     lhs_expanded = substitute(ode.lhs, {CHI: pair.chi})
     if is_zero(m):
         raise ReductionError("stored multiplier is zero for %s" % c.tag)

@@ -73,21 +73,27 @@ SHIFTED = [(t, c, p) for t, c, p in ALL_CASES if t != "Case2_4"]
 
 
 @pytest.mark.parametrize("tag,coords,p", SHIFTED, ids=[f"{t}-{c}" for t, c, _ in SHIFTED])
-def test_verify_reduction_reads_the_printed_varsigma(monkeypatch, tag, coords, p):
-    """The certificate covers the varsigma that invariants returns: a pair
-    whose varsigma is shifted no longer fits the stored ODE."""
-    original = reduction.invariants
+def test_the_printed_varsigma_is_the_proved_one(monkeypatch, cold, tag, coords, p):
+    """invariants returns the varsigma its stratum's proof covers: formulas
+    whose varsigma is shifted fail that proof from a cold cache, for the
+    certificate and the pair alike, and once the stratum is proved a call
+    reads the proved pair and never runs them."""
+    original = reduction._reduction
 
     def shifted(c, p):
-        pair = original(c, p)
+        pair, ode, m = original(c, p)
         shift = X if c.tag == "Case2_3" else pair.chi
-        return InvariantPair(pair.chi, add(pair.varsigma, shift), pair.domain)
+        return InvariantPair(pair.chi, add(pair.varsigma, shift), pair.domain), ode, m
 
     case = _case(tag, coords)
-    assert verify_reduction(case, p)
-    monkeypatch.setattr(reduction, "invariants", shifted)
-    with pytest.raises(ReductionError, match="reduction mismatch"):
-        verify_reduction(case, p)
+    monkeypatch.setattr(reduction, "_reduction", shifted)
+    for read in (verify_reduction, invariants):
+        with pytest.raises(ReductionError, match="^reduction mismatch for %s " % tag):
+            read(case, p)
+    monkeypatch.undo()
+    proved = invariants(case, p)
+    monkeypatch.setattr(reduction, "_reduction", shifted)
+    assert invariants(case, p) == proved and verify_reduction(case, p)
 
 
 def test_case1_ode_shape():

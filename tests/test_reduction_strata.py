@@ -1,6 +1,7 @@
 """The reduction strata: each branch of ``reduction._reduction`` is proved
 once per process, at a symbolic representative, and ``verify_reduction``
-links a call to that proof.  ``oracles.verify_reduction_per_call``, which
+checks a call against that proof by its divisors and the relations its
+stratum fixes.  ``oracles.verify_reduction_per_call``, which
 derives the certificate afresh on every call, is the reference."""
 
 import random
@@ -21,6 +22,7 @@ from lie_thomas.reduction import (
     ReducedODE,
     ReductionError,
     proved_stratum,
+    reduced_ode,
     verify_reduction,
 )
 from oracles import verify_reduction_per_call
@@ -54,16 +56,8 @@ DIVISORS = {"Case1": (GAMMA,), "Case2_1a": (A2,), "Case2_1b": (A2,), "Case2_2": 
             "Case2_3": (GAMMA,), "Case3_1a": (A2,), "Case3_1b": (A2,), "Case3_2": ()}
 
 
-@pytest.fixture
-def cold():
-    proved_stratum.cache_clear()
-    yield
-    proved_stratum.cache_clear()
-
-
 def _key(case, p):
-    ode, _, where = reduction._reduction(case, p)
-    return case.tag, ode.kind, where
+    return reduction._branch(case, p)
 
 
 def test_the_table_covers_every_branch():
@@ -72,7 +66,7 @@ def test_the_table_covers_every_branch():
 
 def test_every_stratum_is_proved_from_a_cold_cache(cold):
     for key in STRATA:
-        divisors, _ = proved_stratum(key)
+        divisors = proved_stratum(key)[0]
         assert divisors == DIVISORS[key[0]], key
     info = proved_stratum.cache_info()
     assert (info.misses, info.hits) == (len(STRATA), 0)
@@ -86,9 +80,9 @@ def test_a_stratum_outside_the_table_is_refused():
 def _mutant(original):
     """_reduction with one more varsigma_chi in every ODE: a wrong coefficient."""
     def mutated(c, p):
-        ode, m, where = original(c, p)
-        return ReducedODE(ode.order, ode.dependent, add(ode.lhs, S1), ode.kind, ode.note,
-                          ode.aux), m, where
+        pair, ode, m = original(c, p)
+        return pair, ReducedODE(ode.order, ode.dependent, add(ode.lhs, S1), ode.kind, ode.note,
+                                ode.aux), m
     return mutated
 
 
@@ -100,17 +94,21 @@ def _mutant(original):
     ("Case3_2", (0, 1, 0, 0), NUM),
 ])
 def test_a_mutant_ode_coefficient_is_rejected_cold_and_warm(monkeypatch, cold, tag, coords, p):
+    """Cold, the mutant formula fails the stratum's proof, and nothing is
+    kept.  Warm, a call reads the proved ODE, so the mutant never runs for
+    it: the certificate holds and reduced_ode is the unmutated one."""
     case = CanonicalCase(tag, tuple(F(c) for c in coords), ())
     monkeypatch.setattr(reduction, "_reduction", _mutant(reduction._reduction))
-    with pytest.raises(ReductionError, match="^reduction mismatch for %s " % tag):
-        verify_reduction(case, p)  # cold: the stratum's proof fails
+    for read in (verify_reduction, reduced_ode):
+        with pytest.raises(ReductionError, match="^reduction mismatch for %s " % tag):
+            read(case, p)  # cold: the stratum's proof fails
     assert proved_stratum.cache_info().currsize == 0
     monkeypatch.undo()
+    proved = reduced_ode(case, p)
     assert verify_reduction(case, p)
     monkeypatch.setattr(reduction, "_reduction", _mutant(reduction._reduction))
-    with pytest.raises(ReductionError, match="^reduction mismatch for %s on the stratum .*: "
-                       "lhs is" % tag):
-        verify_reduction(case, p)  # warm: the link fails
+    assert verify_reduction(case, p)  # warm: the proved ODE is read off
+    assert reduced_ode(case, p) == proved
 
 
 def test_a_vanishing_divisor_is_refused():
@@ -123,6 +121,17 @@ def test_a_vanishing_divisor_is_refused():
         verify_reduction(case, ThomasParams(1, 1, gamma))
 
 
+def test_a_call_off_its_stratum_is_refused(monkeypatch):
+    """The relations a stratum fixes guard the branch function: a call sent
+    to a stratum it does not lie on is refused, naming the relation."""
+    case = CanonicalCase("Case2_3", (F(-1), F(0), F(1), F(0)), ())
+    assert verify_reduction(case, NUM)  # inconsistent: alpha*beta != 0
+    monkeypatch.setattr(reduction, "_branch", lambda c, p: ("Case2_3", "identity", "alpha = 0"))
+    with pytest.raises(ReductionError, match="^Case2_3 is off the stratum Case2_3 identity "
+                       "where alpha = 0: alpha is 1, the stratum fixes 0$"):
+        verify_reduction(case, NUM)
+
+
 def _rational(rng, zero_ok):
     while True:
         q = F(rng.randint(-9, 9), rng.randint(1, 5))
@@ -133,15 +142,15 @@ def _rational(rng, zero_ok):
 _SYMBOLS = (ALPHA, BETA, GAMMA, param("a"))
 
 
-def _on_stratum(key, rng, zero_ok):
+def _on_stratum(key, rng, zero_ok, symbols=0.15):
     """A call on the stratum ``key``: its representative with a1, a2 and the
-    constants bound to seeded rationals, a constant now and then to a
-    symbol; None where the draw divides by zero."""
+    constants bound to seeded rationals, each constant bound to a symbol
+    instead at the rate ``symbols``; None where the draw divides by zero."""
     rep = STRATA[key]
     at = {s: _rational(rng, zero_ok) for s in (A1, A2, ALPHA, BETA)}
     at[GAMMA] = _rational(rng, False)
     for s in (ALPHA, BETA, GAMMA):
-        if rng.random() < 0.15:
+        if rng.random() < symbols:
             at[s] = rng.choice(_SYMBOLS)
     try:
         a1, a2 = (substitute(c, at) for c in rep.coords)
