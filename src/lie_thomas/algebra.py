@@ -8,6 +8,13 @@ the new u at (x, y) lifts the old graph point over base_{-eps}(x, y).
 The adjoint closed forms are written once too, by `adjoint_coords` in plain
 arithmetic, for Expr and Fraction coordinate tuples alike.
 
+The commutator and adjoint tables are derived once, read at any
+constants, g and eps by binding: both are built once per process at the
+symbolic constants, g and epsilon, and every other table binds alpha,
+beta, gamma, g and the partials g_x, g_y (or epsilon) in that one, through
+one substitution.  The entries are ring operations, exp and powers of
+gamma on those atoms, so binding them commutes with building the entry.
+
 Basis fields:
 
     v1 = d/dx                       v2 = d/dy
@@ -24,9 +31,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError, Record
 from .expr import (
+    ALPHA,
+    BETA,
+    GAMMA,
     Expr,
     ExprError,
     Rat,
@@ -43,6 +54,7 @@ from .expr import (
     mul,
     param,
     _is_zero,
+    _substitution,
     _wrap,
 )
 from .normal import is_zero
@@ -178,11 +190,17 @@ def commutator(v: AlgebraElement, w: AlgebraElement, p: ThomasParams = ThomasPar
 
 def commutator_table(p: ThomasParams = ThomasParams(), g: Expr | None = None):
     """5x5 table over the basis (v1, v2, v3, v4, v_g); entry (i, j) is
-    [row_i, col_j]."""
-    if g is None:
-        g = UFunc("g", ("x", "y"))()
-    basis = [basis_element(i) for i in (1, 2, 3, 4)] + [g_element(g)]
-    return [[commutator(r, c, p) for c in basis] for r in basis]
+    [row_i, col_j].
+
+    Derived once, read at any constants, g and eps by binding: the
+    symbolic table's alpha, beta, gamma, g, g_x and g_y are bound to p's
+    constants, g and its partials.  Each entry is built from those atoms by
+    ring operations, so binding commutes with taking the bracket; at
+    rational and at symbolic constants the entries are the very trees
+    ``commutator`` builds at p."""
+    g = _G if g is None else g_element(g).g
+    return _bind(_symbolic_tables()[0], p, {
+        _G: g, _G_X: differentiate(g, X), _G_Y: differentiate(g, Y)})
 
 
 def adjoint_coords(i: int, val, coords, params):
@@ -234,13 +252,51 @@ def adjoint_scaling(t, w: AlgebraElement, p: ThomasParams = ThomasParams()) -> A
 
 
 def adjoint_table(p: ThomasParams = ThomasParams(), eps: Expr | None = None):
-    """4x4 table; entry (i, j) is Ad(exp(eps*v_i)) v_j."""
-    if eps is None:
-        eps = param("epsilon")
-    return [
-        [adjoint(i, eps, basis_element(j), p) for j in (1, 2, 3, 4)]
-        for i in (1, 2, 3, 4)
-    ]
+    """4x4 table; entry (i, j) is Ad(exp(eps*v_i)) v_j.
+
+    Derived once, read at any constants, g and eps by binding, as the
+    commutator table is: the symbolic table's constants and epsilon are
+    bound to p's and to eps."""
+    eps = _EPS if eps is None else _coord(eps)
+    return _bind(_symbolic_tables()[1], p, {_EPS: eps})
+
+
+_G = UFunc("g", ("x", "y"))()
+_G_X = differentiate(_G, X)
+_G_Y = differentiate(_G, Y)
+_EPS = param("epsilon")
+
+
+@cache
+def _symbolic_tables():
+    """(commutator table, adjoint table) at the symbolic constants, g and
+    epsilon, derived once by ``commutator`` and ``adjoint`` on the basis."""
+    p = ThomasParams()
+    basis = [basis_element(i) for i in (1, 2, 3, 4)] + [g_element(_G)]
+    comm = tuple(tuple(commutator(r, c, p) for c in basis) for r in basis)
+    adj = tuple(tuple(adjoint(i, _EPS, basis[j], p) for j in range(4))
+                for i in (1, 2, 3, 4))
+    return comm, adj
+
+
+def _bind(table, p: ThomasParams, values: dict):
+    """``table`` with the constants bound to p's and every other atom in
+    ``values`` to its value, through one substitution; an entry whose parts
+    are all rational is kept as it is, and with every binding the identity
+    the table is read as it is."""
+    values = {ALPHA: p.alpha, BETA: p.beta, GAMMA: p.gamma, **values}
+    values = {a: v for a, v in values.items() if v != a}
+    if not values:
+        return [list(row) for row in table]
+    sub = _substitution(values)
+
+    def bound(e):
+        parts = (e.a1, e.a2, e.a3, e.a4, e.g)
+        if all(type(a) is Rat for a in parts):
+            return e
+        return AlgebraElement(*[a if type(a) is Rat else sub(a) for a in parts])
+
+    return [[bound(e) for e in row] for row in table]
 
 
 # --- one-parameter groups ---------------------------------------------------

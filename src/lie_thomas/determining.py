@@ -152,10 +152,15 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     """(flag, residual): flag is True iff the prolonged action of vf on the
     equation vanishes on the solution manifold.
 
-    Decided on the symbolic system: the constants are bound to p and each
-    partial of xi, eta and phi to that partial of vf's coefficient, which
-    commutes with the prolongation and with taking each jet monomial's
-    coefficient.  The residual of a field that fails is the sum of its
+    Derived once, read at any constants and field by binding, as the
+    algebra tables are: the flag is decided on the symbolic system, with
+    the constants bound to p and each partial of xi, eta and phi to that
+    partial of vf's coefficient, which commutes with the prolongation and
+    with taking each jet monomial's coefficient.  Every
+    atom bound to a rational (a rational constant, a zero or rational
+    partial) is bound by ``poly_at`` in the row's polynomial first, as
+    ``determining_equations`` binds rational constants, and ``_row_at``
+    builds the rest.  The residual of a field that fails is the sum of its
     bound rows times their jet monomials: equal in value to its own
     prolonged action on the solution manifold."""
     system, polys, steps = _symbolic_system()
@@ -163,7 +168,9 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
               _FIELD.xi: vf.xi, _FIELD.eta: vf.eta, _FIELD.phi: vf.phi}
     for a, lower, var in steps:
         values[a] = differentiate(values[lower], var)
-    rows = [(m, _row_at(poly, values)) for (m, _), poly in zip(system, polys)]
+    rational = {a: v.value for a, v in values.items() if type(v) is Rat}
+    rows = [(m, _row_at(poly_at(poly, rational), values))
+            for (m, _), poly in zip(system, polys)]
     if all(is_zero(row) for _, row in rows):
         return True, ZERO
     return False, add(*[mul(row, mono_expr(m)) for m, row in rows])

@@ -1,4 +1,5 @@
-"""Independent oracles, used only by the tests: the adjoint action summed
+"""Independent oracles, used only by the tests: the commutator and adjoint
+tables built entry by entry on every call, the adjoint action summed
 from iterated brackets, the Lie bracket of two point fields from their
 action on functions, the annihilation of a case's invariants by its field,
 the reduction certificate derived afresh on every call, and the Frobenius
@@ -8,13 +9,33 @@ residual."""
 import math
 from fractions import Fraction
 
-from lie_thomas.algebra import AlgebraElement, basis_element, commutator
+from lie_thomas.algebra import AlgebraElement, adjoint, basis_element, commutator, g_element
 from lie_thomas.determining import ThomasParams
-from lie_thomas.expr import Expr, Rat, add, mul, pow_, substitute
+from lie_thomas.expr import Expr, Rat, UFunc, add, mul, param, pow_, substitute
 from lie_thomas.fuchs import FuchsSeries, fuchs_series
 from lie_thomas.normal import canonical_expr, is_zero
 from lie_thomas.reduction import CHI, ReductionError, _jets, _reduction, invariants
 from lie_thomas.vectorfield import VectorField
+
+
+def commutator_table_per_call(p: ThomasParams = ThomasParams(), g: Expr | None = None):
+    """The 5x5 commutator table with nothing kept between calls: the 25
+    brackets of fresh basis elements (v1, v2, v3, v4, v_g) at p."""
+    if g is None:
+        g = UFunc("g", ("x", "y"))()
+    basis = [basis_element(i) for i in (1, 2, 3, 4)] + [g_element(g)]
+    return [[commutator(r, c, p) for c in basis] for r in basis]
+
+
+def adjoint_table_per_call(p: ThomasParams = ThomasParams(), eps: Expr | None = None):
+    """The 4x4 adjoint table with nothing kept between calls: the 16
+    closed-form maps Ad(exp(eps*v_i)) v_j of fresh basis elements at p."""
+    if eps is None:
+        eps = param("epsilon")
+    return [
+        [adjoint(i, eps, basis_element(j), p) for j in (1, 2, 3, 4)]
+        for i in (1, 2, 3, 4)
+    ]
 
 
 def lie_series_adjoint(

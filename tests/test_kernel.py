@@ -27,7 +27,7 @@ from fractions import Fraction
 import pytest
 
 from lie_thomas import expr, jetpoly, normal, vectorfield
-from lie_thomas.algebra import commutator_table
+from lie_thomas.algebra import _symbolic_tables, adjoint_table, commutator_table
 from lie_thomas.determining import (
     ThomasParams,
     check_symmetry,
@@ -667,10 +667,10 @@ _KERNEL_MODULES = ("lie_thomas.expr", "lie_thomas.normal")
 
 
 def test_kernel_does_no_arithmetic_with_a_known_result(seed, monkeypatch):
-    """While the determining system is derived and read off at rational
-    constants and the commutator table is built there, no Fraction product
-    or sum in ``expr`` or ``normal`` multiplies by one or by zero or adds
-    zero."""
+    """While the determining system and the algebra tables are derived and
+    read off at rational constants, and a field is checked there, no
+    Fraction product or sum in ``expr`` or ``normal`` multiplies by one or
+    by zero or adds zero."""
     known = []
 
     def watched(name, op, trivial):
@@ -692,10 +692,13 @@ def test_kernel_does_no_arithmetic_with_a_known_result(seed, monkeypatch):
         for name, trivial in (("__mul__", unit_or_zero), ("__rmul__", unit_or_zero),
                               ("__add__", zero), ("__radd__", zero)):
             mp.setattr(Fraction, name, watched(name, getattr(Fraction, name), trivial))
-        # the cold derivation, its one large normal form included
+        # the cold derivations, the system's one large normal form included
         _symbolic_system.__wrapped__()
+        _symbolic_tables.__wrapped__()
         determining_equations(p)
         commutator_table(p)
+        adjoint_table(p)
+        check_symmetry(v4(p), p)
     assert known == []
 
 

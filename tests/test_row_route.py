@@ -30,11 +30,17 @@ from lie_thomas.determining import (
     v4,
     v_g,
 )
-from lie_thomas.expr import ALPHA, BETA, GAMMA, U, X, Y, app, param
+from lie_thomas.expr import ALPHA, BETA, GAMMA, U, X, Y, ZERO, app, param
 from lie_thomas.normal import canonical_expr, equal, is_zero
 from lie_thomas.vectorfield import VectorField, symbolic_field
 
-from test_kernel import _NON_SYMMETRIES, _rational_params, _ref_manifold_action, _reference_fields
+from test_kernel import (
+    _NON_SYMMETRIES,
+    _polynomial,
+    _rational_params,
+    _ref_manifold_action,
+    _reference_fields,
+)
 
 
 def _derived_rows(p):
@@ -98,6 +104,36 @@ def test_a_field_that_fails_keeps_its_own_residual():
         assert not ok
         assert equal(residual, _ref_manifold_action(vf, p).to_expr())
     assert check_symmetry(v4(p).scale(2), p) == (True, 0)
+
+
+def test_rational_and_expression_partials_bind_as_the_prolonged_field(seed):
+    """Fields whose partials are in part rational (zero, or a rational
+    constant of v4 at rational constants) and in part expressions: v4 plus
+    a polynomial in one coefficient, v_g with its g on and off the
+    linearized equation, and the bent generators.  The rational partials
+    are bound in each row's polynomial before the rest is built; the flag
+    must be the prolonged field's, and a failing field's residual its
+    prolonged action."""
+    rng = random.Random(seed)
+    params = [ThomasParams(), ThomasParams(alpha=2), *[_rational_params(rng) for _ in range(8)]]
+    failed = 0
+    for p in params:
+        lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        if p.beta == -lam:
+            lam += 1  # exponential_g needs lam + beta nonzero
+        g, mu = exponential_g(lam, p)
+        poly = _polynomial(rng)
+        fields = [v4(p) + VectorField(poly, ZERO, ZERO), v4(p) + VectorField(ZERO, poly, ZERO),
+                  v4(p) + VectorField(ZERO, ZERO, poly), v_g(g, p),
+                  v_g(app("exp", lam * X + (mu + 1) * Y), p, check=False), *_bent(v4(p))]
+        for vf in fields:
+            ok, residual = check_symmetry(vf, p)
+            action = _ref_manifold_action(vf, p)
+            assert ok == all(is_zero(c) for c in action.coeffs.values()), (vf, p)
+            if not ok:
+                failed += 1
+                assert equal(residual, action.to_expr()), (vf, p)
+    assert failed > len(params) * 4
 
 
 _A2 = param("a2")
