@@ -470,9 +470,12 @@ def _cmd_solve(args) -> int:
 
 
 def _read_descriptor(path: str):
-    """The JSON value in the --family file, or on stdin for '-'."""
+    """The JSON value in the --family file, or on stdin for '-', which is
+    read and left open: it belongs to the caller."""
     try:
-        with (sys.stdin if path == "-" else open(path)) as fh:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError("--family: cannot read %s (%s)" % (path, exc.strerror)) from None

@@ -49,8 +49,8 @@ from .expr import (
     substitute,
     _wrap,
 )
-from .jetpoly import mono_expr, mono_order_key, split_monomial
-from .normal import canonical_expr, is_zero, normal_form, poly_at, poly_expr
+from .jetpoly import jet_groups, mono_expr, mono_order_key
+from .normal import canonical_expr, is_zero, poly_at, poly_expr
 from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
 
@@ -100,16 +100,12 @@ def _symbolic_system():
 
     The action of the prolonged symbolic field on the equation, with u_xy
     replaced by u_xy - delta (its value where delta = 0), is normalized
-    once and its monomials are grouped by their jet part.  The action is
-    a polynomial, so the normal form has denominator one and each row
-    rebuilt from its polynomial is its ``canonical_expr``."""
+    once and its monomials are grouped by their jet part (``jet_groups``).
+    The action is a polynomial, so the normal form has denominator one and
+    each row rebuilt from its polynomial is its ``canonical_expr``."""
     delta = thomas_delta(ThomasParams())
     action = apply_prolonged(prolong(_FIELD), delta)
-    nf = normal_form(substitute(action, {U_XY: add(U_XY, mul(Rat(-1), delta))}))
-    grouped: dict = {}
-    for m, c in nf.num.items():
-        jets, rest = split_monomial(m)
-        grouped.setdefault(jets, {})[rest] = c
+    grouped, _ = jet_groups(substitute(action, {U_XY: add(U_XY, mul(Rat(-1), delta))}))
     rows, polys = [], []
     for m in sorted(grouped, key=mono_order_key):
         rows.append((m, poly_expr(grouped[m])))

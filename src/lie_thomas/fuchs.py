@@ -32,6 +32,7 @@ class FuchsError(DomainError, ValueError):
 
 _MAX_TERMS = 400
 _TAIL_REL = 1e-16
+_BRACKET_SAMPLES = 256
 
 
 def _check_e(e: float) -> None:
@@ -198,13 +199,13 @@ def second_solution(e: float, m: float, chi_max: float) -> SecondSolution:
     return SecondSolution(-big_n, tuple(log_coeffs), tuple(coeffs), n, tail)
 
 
-def zero_bracket(series: FuchsSeries, lo: float, hi: float, samples: int = 256):
+def zero_bracket(series: FuchsSeries, lo: float, hi: float):
     """Sign-change bracket of the series on [lo, hi], or None if none is
-    seen at the sampling resolution."""
-    step = (hi - lo) / samples
+    seen at ``_BRACKET_SAMPLES`` equal steps."""
+    step = (hi - lo) / _BRACKET_SAMPLES
     prev_x = lo
     prev_y = series(lo)
-    for k in range(1, samples + 1):
+    for k in range(1, _BRACKET_SAMPLES + 1):
         x = lo + k * step
         yv = series(x)
         if prev_y == 0.0 or (prev_y < 0) != (yv < 0):

@@ -1,13 +1,14 @@
 """Jet monomials, and polynomials in the jet coordinates u_x, ..., u_yyy.
 
 A jet monomial is a tuple of exponents, one per jet in the canonical order
-of ``JETS``.  The determining rows are keyed by jet monomials, in the order
-``mono_order_key`` gives, and printed by ``mono_expr``; ``split_monomial``
-reads the jet monomial off a normal-form monomial.  A JetPolynomial maps
-jet monomials to coefficient expressions in (x, y, u), free of jets: it is
-the collected, display form of a polynomial-in-jets expression, built by
-``from_expr``, which sums each monomial's contributions with one n-ary
-``add``.  The prolongation itself is computed on expression trees (see
+of ``JETS``.  ``jet_groups`` groups the monomials of a normal form by their
+jet part (``split_monomial``): the determining rows are read off that
+grouping, keyed by jet monomials in the order ``mono_order_key`` gives and
+printed by ``mono_expr``.  A JetPolynomial maps jet monomials to coefficient
+expressions in (x, y, u), free of jets: it is the collected, display form
+of a polynomial-in-jets expression, and ``from_expr`` reads it off the same
+grouping, each coefficient rebuilt from its polynomial by ``poly_expr``.
+The prolongation itself is computed on expression trees (see
 ``vectorfield``).
 """
 
@@ -16,24 +17,19 @@ from __future__ import annotations
 from typing import Iterator
 
 from .expr import (
-    Add,
     App,
     Expr,
     ExprError,
-    Func,
     JETS,
     JET_ORDERS,
-    Mul,
     ONE,
-    Pow,
-    Rat,
-    Sym,
     ZERO,
     add,
     contains_jet,
     mul,
     pow_,
 )
+from .normal import normal_form, poly_expr
 
 # exponents ordered like JETS: (u_x, u_y, u_xx, u_xy, u_yy, u_xxx, u_xxy, u_xyy, u_yyy)
 _JET_LIST = list(JETS.values())
@@ -48,14 +44,6 @@ class JetPolynomialError(ExprError):
 
 class ProlongationError(ExprError):
     pass
-
-
-def _mono_mul(m1: JetMono, m2: JetMono) -> JetMono:
-    return tuple(a + b for a, b in zip(m1, m2))
-
-
-def _bump(m: JetMono, i: int, n: int = 1) -> JetMono:
-    return m[:i] + (m[i] + n,) + m[i + 1 :]
 
 
 _MONO_ONE: JetMono = (0,) * len(_JET_LIST)
@@ -76,6 +64,28 @@ def split_monomial(m) -> tuple:
         else:
             jets[i] = n
     return tuple(jets), tuple(rest)
+
+
+def jet_groups(e: Expr) -> tuple:
+    """(groups, den): the normal form of ``e``, its numerator's monomials
+    grouped by jet part as {jet monomial: polynomial of the rest}, and its
+    denominator polynomial.  Rejects jets in the denominator or inside an
+    exp or log argument."""
+    nf = normal_form(e)
+    for poly in (nf.num, nf.den):
+        for m in poly:
+            for a, _ in m:
+                if isinstance(a, App) and contains_jet(a):
+                    raise JetPolynomialError(
+                        "derivative symbols inside an exp or log argument: %r" % a
+                    )
+    if any(a in _JET_POS for m in nf.den for a, _ in m):
+        raise JetPolynomialError("derivative symbols in a denominator: %r" % e)
+    groups: dict = {}
+    for m, c in nf.num.items():
+        jets, rest = split_monomial(m)
+        groups.setdefault(jets, {})[rest] = c
+    return groups, nf.den
 
 
 def mono_order_key(mono: JetMono):
@@ -104,7 +114,14 @@ class JetPolynomial:
 
     @classmethod
     def from_expr(cls, e: Expr) -> "JetPolynomial":
-        return cls(_collect(e))
+        """``e`` collected by jet monomial: each coefficient is its group's
+        polynomial over the normal form's denominator, when that is not 1."""
+        groups, den = jet_groups(e)
+        den = poly_expr(den)
+        if den == ONE:
+            return cls({m: poly_expr(g) for m, g in groups.items()})
+        inverse = pow_(den, -1)
+        return cls({m: mul(poly_expr(g), inverse) for m, g in groups.items()})
 
     def monomials(self) -> Iterator[JetMono]:
         return iter(sorted(self.coeffs, key=mono_order_key))
@@ -115,59 +132,3 @@ class JetPolynomial:
 
     def to_expr(self) -> Expr:
         return add(*[mul(c, mono_expr(m)) for m, c in self.items()])
-
-
-def _sum_terms(pairs) -> dict:
-    """{jet-mono: coeff} from (mono, coeff) pairs, each monomial's
-    coefficients summed by one n-ary ``add``; zero sums are dropped.  A
-    single coefficient is kept as it is: it is already canonical."""
-    parts: dict = {}
-    for m, c in pairs:
-        parts.setdefault(m, []).append(c)
-    out = {}
-    for m, cs in parts.items():
-        s = cs[0] if len(cs) == 1 else add(*cs)
-        if s != ZERO:
-            out[m] = s
-    return out
-
-
-def _product(p: dict, q: dict) -> dict:
-    return _sum_terms((_mono_mul(m1, m2), mul(c1, c2))
-                      for m1, c1 in p.items() for m2, c2 in q.items())
-
-
-def _power(p: dict, n: int) -> dict:
-    out = {_MONO_ONE: ONE}
-    for _ in range(n):
-        out = _product(out, p)
-    return out
-
-
-def _collect(e: Expr) -> dict:
-    """Expand ``e`` into {jet-mono: coeff}; rejects jets in denominators
-    or inside an exp or log argument."""
-    if isinstance(e, (Rat, Func)) or (isinstance(e, Sym) and e.kind != "jet"):
-        return {_MONO_ONE: e} if e != ZERO else {}
-    if isinstance(e, Sym):
-        return {_bump(_MONO_ONE, _JET_POS[e]): ONE}
-    if isinstance(e, App):
-        if contains_jet(e):
-            raise JetPolynomialError(
-                "derivative symbols inside an exp or log argument: %r" % e
-            )
-        return {_MONO_ONE: e}
-    if isinstance(e, Add):
-        return _sum_terms((m, c) for t in e.terms for m, c in _collect(t).items())
-    if isinstance(e, Mul):
-        out = {_MONO_ONE: ONE}
-        for f in e.factors:
-            out = _product(out, _collect(f))
-        return out
-    if isinstance(e, Pow):
-        if not contains_jet(e.base):
-            return {_MONO_ONE: e}
-        if e.exp < 0:
-            raise JetPolynomialError("derivative symbols in a denominator: %r" % e)
-        return _power(_collect(e.base), e.exp)
-    raise JetPolynomialError("cannot collect %r" % e)

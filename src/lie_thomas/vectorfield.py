@@ -7,7 +7,8 @@ total derivative of the characteristic Q = phi - xi u_x - eta u_y; every
 jet of order above |J| must cancel from phi^J, which is checked on the
 atoms of its normal form where its tree still holds such a jet.  A
 coefficient is collected by jet monomial only when it is read for display
-(``ProlongedField.coefficient``).
+(``ProlongedField.coefficient``), by grouping its normal form as the
+determining rows are grouped.
 
 The prolongation depends on the field alone, not on the equation or its
 constants, so ``prolong`` is memoized by field value in a bounded
@@ -102,7 +103,8 @@ class ProlongedField(Record):
     coefficients: dict  # (i, j) -> Expr, for the five jets up to order 2
 
     def coefficient(self, key) -> JetPolynomial:
-        """The coefficient of jet ``key``, collected by jet monomial."""
+        """The coefficient of jet ``key``, collected by jet monomial: its
+        normal form grouped by jet part (``JetPolynomial.from_expr``)."""
         return JetPolynomial.from_expr(self.coefficients[tuple(key)])
 
 

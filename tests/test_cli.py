@@ -215,6 +215,20 @@ def test_every_builder_at_its_defaults_passes_the_reduce_check(capsys, monkeypat
     assert rc == 0 and not err
 
 
+def test_verify_leaves_stdin_open(capsys, monkeypatch):
+    """`verify --family -` reads the caller's stdin without closing it, so
+    a second in-process call on the same stream reads it again."""
+    rc, out, err = _run(capsys, "solve", "--family", "constant", "--params", "1,1,1",
+                        "--format", "json")
+    assert rc == 0 and not err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    first = _run(capsys, "verify", "--family", "-")
+    assert first[0] == 0 and not first[2]
+    assert not sys.stdin.closed
+    sys.stdin.seek(0)
+    assert _run(capsys, "verify", "--family", "-") == first
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_case_builds_a_family_of_its_own_tag(capsys, command):
     """--case TAG refuses a family whose constants give it another tag, and

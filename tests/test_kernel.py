@@ -1,10 +1,13 @@
 """Differential tests of the exact kernel's accumulation.
 
-``_ref_collect`` and ``_ref_normal_form`` are the straightforward forms of
-``jetpoly._collect`` and ``normal.normal_form``: the first folds every
-contribution into the running coefficient with a binary ``add``, the second
-cross-multiplies every sum and product term by the other side's
-denominator, unit or not.  ``_ref_prolong_raw`` spells every total
+``_ref_collect`` is collection by jet monomial done on the expression
+tree, as ``JetPolynomial.from_expr`` does it through the normal form: it
+folds every contribution into the running coefficient with a binary
+``add``, so its coefficients equal the kernel's in value, and in key where
+the normal form expands no product.  ``_ref_normal_form`` is the
+straightforward form of ``normal.normal_form``: it cross-multiplies every
+sum and product term by the other side's denominator, unit or not.
+``_ref_prolong_raw`` spells every total
 derivative of the second prolongation out in place as an expression tree
 (``_ref_total_derivative``), and ``_ref_manifold_action`` applies it to the
 equation, eliminates u_xy by substitution in the tree and collects the
@@ -13,8 +16,9 @@ was with a second pass over the built factors.
 ``_full_add``, ``_full_mul``, ``_full_poly_add`` and ``_ref_poly_mul`` are
 the kernel's sums and products as they were before they skipped Fraction
 operations whose result is known: they multiply by every unit factor and
-by the exp-merge factor ``k``, and add every zero.  The kernel must give
-structurally identical results (equal node keys), not merely equal values.
+by the exp-merge factor ``k``, and add every zero.  Except where a test
+says otherwise, the kernel must give structurally identical results (equal
+node keys), not merely equal values.
 """
 
 import ast
@@ -90,7 +94,7 @@ def _ref_fold_product(out, part):
     nxt = {}
     for m1, c1 in out.items():
         for m2, c2 in part.items():
-            m = jetpoly._mono_mul(m1, m2)
+            m = tuple(a + b for a, b in zip(m1, m2))
             s = add(nxt.get(m, ZERO), mul(c1, c2))
             if s == ZERO:
                 nxt.pop(m, None)
@@ -593,11 +597,29 @@ def test_every_app_function_differentiates_evaluates_and_prints(fn):
 # --- differential tests -----------------------------------------------------
 
 
+def _assert_collected_equal(got: dict, want: dict, context=None):
+    """Same jet monomials, each coefficient equal in value: the normal form
+    expands the products that the tree fold keeps."""
+    assert got.keys() == want.keys(), context
+    for m, c in got.items():
+        assert normal.equal(c, want[m]), (context, m)
+
+
 @pytest.mark.parametrize("case", range(60))
 def test_collect_matches_fold_reference(case, seed):
     rng = random.Random(seed * 1000 + case)
     e = random_jet_polynomial(rng)
-    assert _keys(jetpoly._collect(e)) == _keys(_ref_collect(e))
+    _assert_collected_equal(JetPolynomial.from_expr(e).coeffs, _ref_collect(e))
+
+
+@pytest.mark.parametrize("e, where", (
+    (mul(X, pow_(add(JETS[(1, 0)], ONE), -1)), "in a denominator"),
+    (app("exp", mul(U, JETS[(0, 1)])), "inside an exp or log"),
+    (mul(JETS[(1, 0)], app("log", add(X, JETS[(2, 0)]))), "inside an exp or log"),
+), ids=("denominator", "exp", "log"))
+def test_from_expr_rejects_jets_it_cannot_collect(e, where):
+    with pytest.raises(jetpoly.JetPolynomialError, match=where):
+        JetPolynomial.from_expr(e)
 
 
 @pytest.mark.parametrize("case", range(60))
@@ -730,11 +752,18 @@ def _reference_fields(seed):
 
 
 def test_prolongation_coefficients_match_reference(seed):
+    """Key for key on the symbolic field, whose coefficients ``derive``
+    prints; equal in value on the rest."""
+    symbolic = symbolic_field()
     for vf in _reference_fields(seed):
-        want = {k: _keys(_ref_collect(raw)) for k, raw in _ref_prolong_raw(vf).items()}
+        want = {k: _ref_collect(raw) for k, raw in _ref_prolong_raw(vf).items()}
         pf = prolong(vf)
         for key in COEFF_KEYS:
-            assert _keys(pf.coefficient(key).coeffs) == want[key], (vf, key)
+            got = pf.coefficient(key).coeffs
+            if vf == symbolic:
+                assert _keys(got) == _keys(want[key]), key
+            else:
+                _assert_collected_equal(got, want[key], (vf, key))
 
 
 def _collected_keys(pf):
