@@ -76,6 +76,14 @@ def _coord(value) -> Expr:
 
 
 class AlgebraElement(Record):
+    """a1 v1 + a2 v2 + a3 v3 + a4 v4 + v_g.  Construction wraps each part
+    as an exact coordinate and checks that the g part is free of u and the
+    jets.  The check is skipped in one place: ``_unchecked`` builds the
+    entries of a table read off the symbolic one by binding rationals only
+    (see ``_bind``).  That is safe because every symbolic entry passed the
+    check when it was built, and binding rationals into a g part free of u
+    and the jets leaves it free of them."""
+
     a1: Expr = ZERO
     a2: Expr = ZERO
     a3: Expr = ZERO
@@ -89,6 +97,16 @@ class AlgebraElement(Record):
             contains_jet(self.g) or differentiate(self.g, U) != ZERO
         ):
             raise AlgebraError("the g part must depend on (x, y) only")
+
+    @classmethod
+    def _unchecked(cls, a1, a2, a3, a4, g):
+        """The element of the Expr parts as given, without ``__post_init__``:
+        only for a g part known free of u and the jets, such as a checked
+        one with rationals bound into it."""
+        e = object.__new__(cls)
+        for name, part in zip(cls._fields, (a1, a2, a3, a4, g)):
+            object.__setattr__(e, name, part)
+        return e
 
     def coords(self):
         return (self.a1, self.a2, self.a3, self.a4)
@@ -283,18 +301,23 @@ def _bind(table, p: ThomasParams, values: dict):
     """``table`` with the constants bound to p's and every other atom in
     ``values`` to its value, through one substitution; an entry whose parts
     are all rational is kept as it is, and with every binding the identity
-    the table is read as it is."""
+    the table is read as it is.  Where every bound value is rational the
+    entries are built by ``AlgebraElement._unchecked``: the table's g parts
+    passed the element's check, and rationals bound into them keep them
+    free of u.  Any other value may bring u in, and is checked."""
     values = {ALPHA: p.alpha, BETA: p.beta, GAMMA: p.gamma, **values}
     values = {a: v for a, v in values.items() if v != a}
     if not values:
         return [list(row) for row in table]
     sub = _substitution(values)
+    build = (AlgebraElement._unchecked if all(type(v) is Rat for v in values.values())
+             else AlgebraElement)
 
     def bound(e):
         parts = (e.a1, e.a2, e.a3, e.a4, e.g)
         if all(type(a) is Rat for a in parts):
             return e
-        return AlgebraElement(*[a if type(a) is Rat else sub(a) for a in parts])
+        return build(*[a if type(a) is Rat else sub(a) for a in parts])
 
     return [[bound(e) for e in row] for row in table]
 

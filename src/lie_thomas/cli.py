@@ -10,7 +10,11 @@ tables and reduce default it to symbolic, the others to 1,1,1.  reduce
 --case reduces the tag's default coordinates in the case table (`cases`),
 and every family that solve or verify builds or reads has its vector
 checked: each refuses a vector that is not canonical for its tag there.
-Exit codes: 0 success, 2 usage, 3 domain/math error.
+verify refuses a descriptor whose digest is not its content's.
+Exit codes: 0 success, 2 usage, 3 domain/math error.  The math errors are
+caught here, in ``main``, for every command: a ZeroDivisionError or a
+float OverflowError from a builder, a domain test or an evaluator exits 3
+with its one ``error[...]`` line, as the package's own errors do.
 """
 
 from __future__ import annotations
@@ -457,6 +461,9 @@ def _cmd_solve(args) -> int:
                 for x, y in _parse_grid(args.grid).points() if fam.domain(x, y)]
         if not rows:
             raise VerificationError("domain excludes every grid point")
+        for x, y, u in rows:
+            if not math.isfinite(u):
+                raise VerificationError("the family has no finite value at (%r, %r)" % (x, y))
         return ("x", "y", "u"), rows
 
     _render(args, doc, table, lambda fmt: [
@@ -487,8 +494,16 @@ def _cmd_verify(args) -> int:
     from .families import from_descriptor
     from .verification import residual_grid
 
-    fam = (_checked_family(from_descriptor(_read_descriptor(args.family)), "--family")
-           if args.family else _build_family(args, args.params))
+    if args.family:
+        d = _read_descriptor(args.family)
+        fam = _checked_family(from_descriptor(d), "--family")
+    else:
+        d, fam = {}, _build_family(args, args.params)
+    digest = fam.digest()
+    # a descriptor's digest must be its content's (one with no digest verifies)
+    if d.get("digest", digest) != digest:
+        raise InputError("--family: the descriptor's digest %s is not its content's %s"
+                         % (d["digest"], digest))
     report = residual_grid(fam, fam.params, _parse_grid(args.grid))
     tol = _parse_tolerance(args.tolerance)
     passed = None if tol is None else report.max_residual < tol
@@ -496,7 +511,7 @@ def _cmd_verify(args) -> int:
         "schema": SCHEMA,
         "kind": "verification",
         "family": fam.descriptor(),
-        "digest": fam.digest(),
+        "digest": digest,
         "max_residual": report.max_residual,
         "worst_point": list(report.worst_point),
         "evaluated": report.evaluated,
@@ -521,7 +536,18 @@ def _cmd_verify(args) -> int:
         print("error[tolerance]: max residual %.3e exceeds %.3e"
               % (report.max_residual, tol), file=sys.stderr)
         return 3
-    return 0
+    return _unbounded(report, "the family")
+
+
+def _unbounded(report, what: str) -> int:
+    """Exit code 3, with its error line, where the report's residual is not
+    finite (some evaluated point gave inf or NaN), else 0: a residual that
+    has no bound fails without a tolerance too."""
+    if math.isfinite(report.max_residual):
+        return 0
+    print("error[residual]: %s has no finite residual at (%r, %r)"
+          % ((what,) + tuple(report.worst_point)), file=sys.stderr)
+    return 3
 
 
 # --- oracle -------------------------------------------------------------------
@@ -565,6 +591,9 @@ def _cmd_oracle(args) -> int:
         (i, len(modes), rep.max_residual, rep.evaluated)
         for i, (modes, rep) in enumerate(records)
     ]), text)
+    for i, (_, rep) in enumerate(records):
+        if _unbounded(rep, "oracle %d" % i):
+            return 3
     return 0
 
 
@@ -668,7 +697,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage failure
         code = exc.code if isinstance(exc.code, int) else 2
         return code
-    except (DomainError, ZeroDivisionError) as exc:
+    except (DomainError, ArithmeticError) as exc:
         print("error[%s]: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
 

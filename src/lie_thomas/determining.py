@@ -47,6 +47,7 @@ from .expr import (
     mul,
     pow_,
     substitute,
+    _is_zero,
     _wrap,
 )
 from .jetpoly import jet_groups, mono_expr, mono_order_key
@@ -152,9 +153,10 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     algebra tables are: the flag is decided on the symbolic system, with
     the constants bound to p and each partial of xi, eta and phi to that
     partial of vf's coefficient, which commutes with the prolongation and
-    with taking each jet monomial's coefficient.  Every
-    atom bound to a rational (a rational constant, a zero or rational
-    partial) is bound by ``poly_at`` in the row's polynomial first, as
+    with taking each jet monomial's coefficient; a partial of a rational
+    partial is ZERO, taken without differentiating.  Every atom bound to
+    a rational (a rational constant, a zero or rational partial) is bound
+    by ``poly_at`` in the row's polynomial first, as
     ``determining_equations`` binds rational constants, and ``_row_at``
     builds the rest.  The residual of a field that fails is the sum of its
     bound rows times their jet monomials: equal in value to its own
@@ -163,7 +165,8 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     values = {ALPHA: p.alpha, BETA: p.beta, GAMMA: p.gamma,
               _FIELD.xi: vf.xi, _FIELD.eta: vf.eta, _FIELD.phi: vf.phi}
     for a, lower, var in steps:
-        values[a] = differentiate(values[lower], var)
+        f = values[lower]
+        values[a] = ZERO if type(f) is Rat else differentiate(f, var)
     rational = {a: v.value for a, v in values.items() if type(v) is Rat}
     rows = [(m, _row_at(poly_at(poly, rational), values))
             for (m, _), poly in zip(system, polys)]
@@ -227,11 +230,14 @@ def general_symmetry(
     eta = k*gamma*y + b, phi = -(g/gamma) e^{-gamma u} + k*(beta*x - alpha*y)
     + a.  Where alpha*beta = 0 the algebra is larger (see the module notes)."""
     a, b, c, k = (_wrap(t) for t in (a, b, c, k))
-    xi = add(mul(Rat(-1), k, p.gamma, X), c)
-    eta = add(mul(k, p.gamma, Y), b)
-    phi = add(mul(k, add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y))), a)
+    if _is_zero(k):  # the k terms vanish; they are not built
+        xi, eta, phi = c, b, a
+    else:
+        xi = add(mul(Rat(-1), k, p.gamma, X), c)
+        eta = add(mul(k, p.gamma, Y), b)
+        phi = add(mul(k, add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y))), a)
     g = _wrap(g)
-    if not is_zero(g):
+    if not _is_zero(g) and not is_zero(g):
         phi = add(v_g(g, p, check).phi, phi)
     return VectorField(xi, eta, phi)
 

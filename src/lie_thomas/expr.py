@@ -16,6 +16,12 @@ are collected.  Nor does it collect what is collected already: ``Add`` and
 ``Mul`` nodes are built only in this module, by ``add``, ``mul`` and
 ``scale``, so a sum or product with one operand that is not a Rat is
 built directly from that operand.
+
+A node keeps what it has computed about itself: its key and hash, and its
+canonical rebuild (``normal.canonical_expr``), each filled on first use.
+The rebuild lives and dies with its node, so nothing is canonicalised twice
+while the node is reachable, and nothing is kept after: a node is never
+stored as its own rebuild, so the slot makes no reference cycle.
 """
 
 from __future__ import annotations
@@ -51,9 +57,12 @@ def _wrap(value):
 
 
 class Expr:
-    """Base node.  Subclasses are immutable and hash/compare structurally."""
+    """Base node.  Subclasses are immutable and hash/compare structurally.
 
-    __slots__ = ("_hash", "_key")
+    ``_canon`` holds the node's ``normal.canonical_expr`` rebuild once it
+    has one; no constructor sets it (see the module notes)."""
+
+    __slots__ = ("_hash", "_key", "_canon")
 
     def key(self):
         if self._key is None:

@@ -64,9 +64,18 @@ def _jsonable(v):
 
 def _numeric(v):
     try:
-        return float(Fraction(v)) if isinstance(v, str) else float(v)
+        out = float(Fraction(v)) if isinstance(v, str) else float(v)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise FamilyError("constant %r is not a number" % (v,)) from None
+    if not math.isfinite(out):  # a descriptor's NaN or Infinity
+        raise FamilyError("constant %r is not a finite number" % (v,))
+    return out
+
+
+def _choice(v):
+    if not isinstance(v, str):
+        raise FamilyError("constant %r is not a string" % (v,))
+    return v
 
 
 def _param_strings(p: ThomasParams):
@@ -208,7 +217,8 @@ def _builder(key, tag=None):
                 raise FamilyError("family %r takes no constant %s" % (key, ", ".join(unknown)))
             floats = p.floats()
             given = {**defaults, **given, **kwargs}
-            values = {n: v if rules[n] is str else _numeric(v) for n, v in given.items()}
+            values = {n: _choice(v) if rules[n] is str else _numeric(v)
+                      for n, v in given.items()}
             evaluator, domain, note = body(*floats, **values)
             constants = {n: _jsonable(v) if rules[n] is int else values[n]
                          for n, v in given.items()}

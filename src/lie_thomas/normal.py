@@ -271,10 +271,19 @@ def poly_at(p: Poly, values: dict) -> Poly:
 
 
 def canonical_expr(e: Expr) -> Expr:
-    """Rebuild through the normal form; canonical for rational content."""
+    """Rebuild through the normal form; canonical for rational content.
+
+    Built once per node and kept in its ``_canon`` slot, so a second call
+    returns the same node; a rebuild that is e itself (a leaf) is not
+    kept, since a node holding itself would be a reference cycle."""
+    out = getattr(e, "_canon", None)
+    if out is not None:
+        return out
     nf = normal_form(e)
-    num = poly_expr(nf.num)
+    out = poly_expr(nf.num)
     den = poly_expr(nf.den)
-    if den == ONE:
-        return num
-    return mul(num, pow_(den, -1))
+    if den != ONE:
+        out = mul(out, pow_(den, -1))
+    if out is not e:
+        e._canon = out
+    return out

@@ -39,6 +39,13 @@ class GridSpec(Record):
         if not (self.nx >= 2 and self.ny >= 2 and all(map(math.isfinite, bounds))
                 and self.xmin < self.xmax and self.ymin < self.ymax):
             raise VerificationError("grid needs nx, ny >= 2 and finite bounds with min < max")
+        # each tick is lo + (hi - lo)*i/(n - 1), monotone in i from lo, so
+        # every tick is finite when the last one is; it overflows where the
+        # span or the span times n - 1 does
+        for lo, hi, n in ((self.xmin, self.xmax, self.nx), (self.ymin, self.ymax, self.ny)):
+            if not math.isfinite(lo + (hi - lo) * (n - 1) / (n - 1)):
+                raise VerificationError("grid span %g to %g in %d ticks overflows a float"
+                                        % (lo, hi, n))
 
     def rows(self):
         """(x, ys) for each grid x in turn, ys holding every grid y."""

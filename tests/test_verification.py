@@ -46,6 +46,35 @@ def test_gridspec_rejects_degenerate_grids(bounds):
         GridSpec(*bounds)
 
 
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("bounds", [
+    (-1e308, 1e308, 4, -1.0, 1.0, 4),  # the span hi - lo overflows
+    (-1.0, 1.0, 4, -_MAX, _MAX, 2),
+    (0.0, 1e308, 3, 0.0, 1.0, 3),  # a finite span, but span * (n - 1) overflows
+    (0.0, 1.0, 3, 0.0, _MAX, 7),
+])
+def test_gridspec_rejects_grids_with_a_tick_that_is_not_finite(bounds):
+    with pytest.raises(VerificationError, match="overflows a float"):
+        GridSpec(*bounds)
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.0, _MAX, 2, -_MAX, 0.0, 2),
+    (-1e308, 0.0, 2, 0.0, 1e307, 11),
+    (-2.0, 2.0, 50, -2.0, 2.0, 50),
+])
+def test_gridspec_keeps_the_ticks_of_a_finite_grid(bounds):
+    """Every tick is finite, and each is lo + (hi - lo)*i/(n - 1), bit for bit."""
+    grid = GridSpec(*bounds)
+    xs = [x for x, _ in grid.rows()]
+    ys = next(grid.rows())[1]
+    for ticks, (lo, hi, n) in ((xs, bounds[:3]), (ys, bounds[3:])):
+        assert all(map(math.isfinite, ticks))
+        assert list(ticks) == [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
 def test_residual_on_oracle_is_zero():
     u = oracle_solution(P, [(F(1), F(2))])
     r = residual(u, 0.3, -0.4, P)
