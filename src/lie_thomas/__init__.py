@@ -37,14 +37,13 @@ _EXPORTS = {
         "case22_solution", "case31a_solution", "case31b_solution", "from_descriptor",
     ),
     "fuchs": ("FuchsSeries", "fuchs_series"),
-    "hyperdual": ("HyperDual",),
     "printer": ("to_latex", "to_text"),
     "reduction": ("invariants", "reduced_ode", "verify_reduction"),
     "vectorfield": ("VectorField", "prolong"),
     "verification": ("GridSpec", "oracle_solutions", "residual", "residual_grid"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cases", "errors", "jetpoly", "normal"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cases", "errors", "hyperdual", "jetpoly", "normal"}
 
 __all__ = [*_ORIGIN, "__version__"]
 

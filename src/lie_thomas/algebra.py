@@ -344,7 +344,7 @@ def _g_callable(g):
 
 def _flow(i, eps, p: ThomasParams, g):
     """The base map and lift of exp(eps*v_i); both take floats or
-    hyper-duals, and the lift reads (x, y) at the source point."""
+    hyper-dual rows, and the lift reads (x, y) at the source point."""
     g = _g_callable(g)
     if i == 1:
         return (lambda x, y: (x + eps, y)), (lambda x, y, u: u)
@@ -365,7 +365,7 @@ def _flow(i, eps, p: ThomasParams, g):
 
         def lift(x, y, u):
             arg = gamma * g(x, y) * eps + exp_(gamma * u)
-            try:  # log_ checks the argument on floats, hyper-duals and rows alike
+            try:  # log_ checks the argument on floats and rows alike
                 out = log_(arg)
             except HyperDualError as exc:
                 raise GroupDomainError("family action leaves the log domain: %s" % exc) from None
@@ -387,7 +387,7 @@ def transform_solution(i, eps: float, f, p: ThomasParams, g=None):
     """Push a solution u = f(x, y) through exp(eps*v_i): the new graph is the
     image of the old one, so (x, y) is read off at its source point
     base_{-eps}(x, y).  The returned callable accepts the same argument
-    types f does (floats, hyper-duals or hyper-dual rows)."""
+    types f does (floats or hyper-dual rows)."""
     base = _flow(i, -eps, p, g)[0]
     lift = _flow(i, eps, p, g)[1]
 

@@ -613,7 +613,7 @@ def _apply_named(fn: str, v):
 
 def evaluate(e: Expr, env: Mapping[str, object]):
     """Numeric evaluation.  ``env`` maps symbol names to numbers (or any
-    arithmetic type with exp/log methods, e.g. HyperDual); a Func node has
+    arithmetic type with exp/log methods, e.g. HyperDualRow); a Func node has
     no value."""
     if isinstance(e, Rat):
         return e.value

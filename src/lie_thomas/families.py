@@ -6,8 +6,8 @@ Under w = exp(gamma u) the equation turns linear, and every closed form
     u = lam x + mu y + k + (1/gamma) log(a + c f(p x + q y + r)),
 
 with f = exp, |cos| or the identity.  The mix evaluates elementwise on
-floats, HyperDual points or grid rows (a point and a row take the same
-operations), both linear forms through ``hyperdual.affine``.  Its domain is
+floats or hyper-dual grid rows (a single point is a row of one), both
+linear forms through ``hyperdual.affine``.  Its domain is
 the log argument w above a floor, computed directly on floats with the
 operations of w in their order, so it decides a point as w itself would.
 Case 1 is a ratio of Frobenius series with its own evaluator, lifted onto

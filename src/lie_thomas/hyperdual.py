@@ -1,21 +1,24 @@
-"""Second-order forward-mode numbers with two infinitesimals.
+"""Second-order forward-mode numbers with two infinitesimals, a grid row at
+a time.
 
-A HyperDual carries (value, dx, dy, dxy) with eps1^2 = eps2^2 = 0 and
+A hyper-dual carries (value, dx, dy, dxy) with eps1^2 = eps2^2 = 0 and
 eps1*eps2 kept.  Evaluating a smooth composition at (x + eps1, y + eps2)
 returns the value together with u_x, u_y and the mixed second derivative
 u_xy, exactly to floating round-off; no truncation step is involved.  The
 mixed derivative is the only second derivative the equation needs, which
 is why one pass suffices.
 
-A HyperDualRow holds one grid row of hyper-duals as four lists, so an
-evaluator runs once per row; element i of each result is rounded exactly
-as the HyperDual operation rounds element i.  Both take one operation set:
-+ - * with their own kind and floats, / by a float, integer powers, abs,
-exp, log, cos and ``_lift``.  Neither has an order or truth value: an
-evaluator that branches on one raises instead of taking one branch for a
-whole row.  ``affine(a, x, b, y, c)`` is a x + b y + c, rounded as the
-composed operations are, and ``lift`` composes a function given by its
-value and two derivatives.
+A HyperDualRow holds the hyper-duals of one grid row as four lists, so an
+evaluator runs once per row, and a single point is a row of one.  Element
+i of each result is rounded as the one-point operation rounds it, so a
+point reads the same bits alone as in any row.  A row takes + - * with rows
+and floats, / by a float, integer powers, abs, exp, log, cos and ``_lift``.
+It has no order or truth value: an evaluator that branches on one raises
+instead of taking one branch for a whole row.  ``affine(a, x, b, y, c)`` is
+a x + b y + c, rounded as the composed operations are, and ``lift``
+composes a function given by its value and two derivatives.  ``exp_``,
+``log_``, ``cos_``, ``affine`` and ``lift`` take plain floats too, and give
+floats there.
 """
 
 from __future__ import annotations
@@ -35,97 +38,11 @@ def _no_order(self, *_):
                     "must not branch on one")
 
 
-class HyperDual:
-    """One point: the single-point input and the reference each row
-    operation is rounded as."""
-
-    __slots__ = ("value", "dx", "dy", "dxy")
-
-    def __init__(self, value: float, dx: float = 0.0, dy: float = 0.0, dxy: float = 0.0):
-        self.value = float(value)
-        self.dx = float(dx)
-        self.dy = float(dy)
-        self.dxy = float(dxy)
-
-    def __repr__(self):
-        return "HyperDual(%r, %r, %r, %r)" % (self.value, self.dx, self.dy, self.dxy)
-
-    def __add__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(self.value + other.value, self.dx + other.dx,
-                             self.dy + other.dy, self.dxy + other.dxy)
-        return HyperDual(self.value + other, self.dx, self.dy, self.dxy)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HyperDual(-self.value, -self.dx, -self.dy, -self.dxy)
-
-    def __sub__(self, other):  # a - b rounds as a + (-b) does
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(
-                self.value * other.value,
-                self.dx * other.value + self.value * other.dx,
-                self.dy * other.value + self.value * other.dy,
-                self.dxy * other.value
-                + self.value * other.dxy
-                + self.dx * other.dy
-                + self.dy * other.dx,
-            )
-        return HyperDual(self.value * other, self.dx * other, self.dy * other, self.dxy * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * (1.0 / other)
-
-    def _reciprocal(self) -> "HyperDual":
-        v = self.value
-        return self._lift(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-
-    def __pow__(self, n: int):  # repeated products
-        if n < 0:
-            return self._reciprocal() ** (-n)
-        out = HyperDual(1.0) if n == 0 else self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    def __abs__(self):
-        return -self if self.value < 0 else self
-
-    def _lift(self, f: float, fp: float, fpp: float) -> "HyperDual":
-        """Compose an analytic f given f, f', f'' at the real part."""
-        return HyperDual(f, fp * self.dx, fp * self.dy, fp * self.dxy + fpp * self.dx * self.dy)
-
-    def exp(self) -> "HyperDual":
-        e = math.exp(self.value)
-        return self._lift(e, e, e)
-
-    def log(self) -> "HyperDual":
-        v = self.value
-        if v <= 0:
-            raise HyperDualError("log of non-positive hyper-dual real part %r" % v)
-        return self._lift(math.log(v), 1.0 / v, -1.0 / (v * v))
-
-    def cos(self) -> "HyperDual":
-        c = math.cos(self.value)
-        return self._lift(c, -math.sin(self.value), -c)
-
-    __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_order
-
-
 class HyperDualRow:
     """Hyper-duals of one grid row: value, dx, dy and dxy are equal-length
-    lists of floats.  An evaluator given rows may use what a HyperDual
-    has: + - * with rows and floats, / by a float, integer powers, abs,
-    exp_, log_, cos_, affine and lift.  A row takes no HyperDual operand."""
+    lists of floats.  An evaluator given rows may use + - * with rows and
+    floats, / by a float, integer powers, abs, exp_, log_, cos_, affine and
+    lift."""
 
     __slots__ = ("value", "dx", "dy", "dxy")
 
@@ -178,7 +95,7 @@ class HyperDualRow:
     def _reciprocal(self) -> "HyperDualRow":
         return lift(self, lambda v: (1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)))
 
-    def __pow__(self, n: int):  # repeated products, as HyperDual ** int
+    def __pow__(self, n: int):  # repeated products
         if n < 0:
             return self._reciprocal() ** (-n)
         zeros = [0.0] * len(self.value)
@@ -214,9 +131,6 @@ class HyperDualRow:
     __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_order
 
 
-_DUALS = (HyperDual, HyperDualRow)
-
-
 def affine(a, x, b, y, c):
     """a x + b y + c for float a, b, c; on two rows each part is summed as the
     composed operations sum it, and c enters the value only."""
@@ -229,22 +143,18 @@ def affine(a, x, b, y, c):
 
 def lift(t, fn):
     """f(t) for f known by fn(v) -> (f(v), f'(v), f''(v)), such as a series
-    sum; fn sees the real part of a HyperDual or of each row element."""
+    sum; fn sees a float or the real part of each row element."""
     if isinstance(t, HyperDualRow):
         return t._lift(*map(list, zip(*map(fn, t.value))))
-    return t._lift(*fn(t.value)) if isinstance(t, HyperDual) else fn(t)[0]
-
-
-def seed(x: float, y: float):
-    return HyperDual(x, 1.0), HyperDual(y, 0.0, 1.0)
+    return fn(t)[0]
 
 
 def exp_(t):
-    return t.exp() if isinstance(t, _DUALS) else math.exp(t)
+    return t.exp() if isinstance(t, HyperDualRow) else math.exp(t)
 
 
 def log_(t):
-    if isinstance(t, _DUALS):
+    if isinstance(t, HyperDualRow):
         return t.log()
     if t <= 0:
         raise HyperDualError("log of non-positive value %r" % t)
@@ -252,4 +162,4 @@ def log_(t):
 
 
 def cos_(t):
-    return t.cos() if isinstance(t, _DUALS) else math.cos(t)
+    return t.cos() if isinstance(t, HyperDualRow) else math.cos(t)

@@ -6,9 +6,8 @@ the check itself: any residual is a genuine property of the evaluator.
 
 ``residual_grid`` evaluates a family once per grid row, on a HyperDualRow
 of the row's in-domain points, so within a row the first operation that
-fails on any point raises; ``residual`` evaluates one point on a scalar
-HyperDual, which rounds each operation as a row element does.  Both read
-the residual formula from one place.
+fails on any point raises; ``residual`` evaluates one point as a row of
+one.  Both build their residuals by ``_residuals``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import random
 from fractions import Fraction
 
 from .errors import DomainError, Record
-from .hyperdual import HyperDual, HyperDualRow, affine, exp_, log_, seed
+from .hyperdual import HyperDualRow, affine, exp_, log_
 from .params import ThomasParams
 
 
@@ -61,11 +60,8 @@ def _ticks(lo: float, hi: float, n: int):
 
 
 def residual(u, x: float, y: float, p: ThomasParams) -> float:
-    """PDE residual of the evaluator u at one point, via dual numbers."""
-    val = u(*seed(x, y))
-    if not isinstance(val, HyperDual):  # a constant
-        val = HyperDual(val)
-    return _pde_residuals([val.dx], [val.dy], [val.dxy], *p.floats())[0]
+    """PDE residual of the evaluator u at one point, a row of one."""
+    return _residuals(u, x, (y,), *p.floats())[0]
 
 
 def _residuals(u, x, ys, alpha, beta, gamma):
@@ -74,14 +70,8 @@ def _residuals(u, x, ys, alpha, beta, gamma):
     if not isinstance(val, HyperDualRow):  # a constant
         zeros = [0.0] * len(ys)
         val = HyperDualRow([float(val)] * len(ys), zeros, zeros, zeros)
-    return _pde_residuals(val.dx, val.dy, val.dxy, alpha, beta, gamma)
-
-
-def _pde_residuals(dx, dy, dxy, alpha, beta, gamma):
-    """u_xy + alpha u_x + beta u_y + gamma u_x u_y at each point, from the
-    lists of u_x, u_y and u_xy."""
     return [d_xy + alpha * d_x + beta * d_y + gamma * d_x * d_y
-            for d_x, d_y, d_xy in zip(dx, dy, dxy)]
+            for d_x, d_y, d_xy in zip(val.dx, val.dy, val.dxy)]
 
 
 class GridReport(Record):
@@ -140,6 +130,8 @@ def oracle_solution(p: ThomasParams, modes):
     for lam, c in modes:
         lam = float(lam)
         c = float(c)
+        if not (math.isfinite(lam) and math.isfinite(c)):
+            raise VerificationError("mode exponents and weights must be finite")
         if c <= 0:
             raise VerificationError("mode weights must be positive")
         if lam + beta == 0:

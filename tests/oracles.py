@@ -2,9 +2,10 @@
 tables built entry by entry on every call, the adjoint action summed
 from iterated brackets, the Lie bracket of two point fields from their
 action on functions, the annihilation of a case's invariants by its field,
-the reduction certificate derived afresh on every call, and the Frobenius
+the reduction certificate derived afresh on every call, the Frobenius
 series of chi y'' + e y' + m y = 0 by its closed coefficients and its
-residual."""
+residual, and a hyper-dual number of one point, the reference every
+hyper-dual row operation is rounded as."""
 
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from lie_thomas.algebra import AlgebraElement, adjoint, basis_element, commutato
 from lie_thomas.determining import ThomasParams
 from lie_thomas.expr import Expr, Rat, UFunc, add, mul, param, pow_, substitute
 from lie_thomas.fuchs import FuchsSeries, fuchs_series
+from lie_thomas.hyperdual import HyperDualError
 from lie_thomas.normal import canonical_expr, is_zero
 from lie_thomas.reduction import CHI, ReductionError, _jets, _reduction, invariants
 from lie_thomas.vectorfield import VectorField
@@ -112,3 +114,96 @@ def fuchs_solution(e: float, m: float, chi: float) -> float:
 def ode_residual(series: FuchsSeries, chi: float) -> float:
     y, ypr, ypp = series.eval(chi)
     return chi * ypp + series.e * ypr + series.m * y
+
+
+def _no_order(self, *_):
+    raise TypeError("a hyper-dual has no order or truth value; an evaluator "
+                    "must not branch on one")
+
+
+class HyperDual:
+    """One point (value, dx, dy, dxy) with eps1^2 = eps2^2 = 0 and eps1*eps2
+    kept: the reference each HyperDualRow operation is rounded as, element
+    by element.  It takes the row's operation set, with exp, log, cos and
+    _lift as methods only."""
+
+    __slots__ = ("value", "dx", "dy", "dxy")
+
+    def __init__(self, value: float, dx: float = 0.0, dy: float = 0.0, dxy: float = 0.0):
+        self.value = float(value)
+        self.dx = float(dx)
+        self.dy = float(dy)
+        self.dxy = float(dxy)
+
+    def __repr__(self):
+        return "HyperDual(%r, %r, %r, %r)" % (self.value, self.dx, self.dy, self.dxy)
+
+    def __add__(self, other):
+        if isinstance(other, HyperDual):
+            return HyperDual(self.value + other.value, self.dx + other.dx,
+                             self.dy + other.dy, self.dxy + other.dxy)
+        return HyperDual(self.value + other, self.dx, self.dy, self.dxy)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return HyperDual(-self.value, -self.dx, -self.dy, -self.dxy)
+
+    def __sub__(self, other):  # a - b rounds as a + (-b) does
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, HyperDual):
+            return HyperDual(
+                self.value * other.value,
+                self.dx * other.value + self.value * other.dx,
+                self.dy * other.value + self.value * other.dy,
+                self.dxy * other.value
+                + self.value * other.dxy
+                + self.dx * other.dy
+                + self.dy * other.dx,
+            )
+        return HyperDual(self.value * other, self.dx * other, self.dy * other, self.dxy * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (1.0 / other)
+
+    def _reciprocal(self) -> "HyperDual":
+        v = self.value
+        return self._lift(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
+
+    def __pow__(self, n: int):  # repeated products
+        if n < 0:
+            return self._reciprocal() ** (-n)
+        out = HyperDual(1.0) if n == 0 else self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def __abs__(self):
+        return -self if self.value < 0 else self
+
+    def _lift(self, f: float, fp: float, fpp: float) -> "HyperDual":
+        """Compose an analytic f given f, f', f'' at the real part."""
+        return HyperDual(f, fp * self.dx, fp * self.dy, fp * self.dxy + fpp * self.dx * self.dy)
+
+    def exp(self) -> "HyperDual":
+        e = math.exp(self.value)
+        return self._lift(e, e, e)
+
+    def log(self) -> "HyperDual":
+        v = self.value
+        if v <= 0:
+            raise HyperDualError("log of non-positive hyper-dual real part %r" % v)
+        return self._lift(math.log(v), 1.0 / v, -1.0 / (v * v))
+
+    def cos(self) -> "HyperDual":
+        c = math.cos(self.value)
+        return self._lift(c, -math.sin(self.value), -c)
+
+    __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_order

@@ -38,7 +38,7 @@ from lie_thomas.expr import (
     param,
     pow_,
 )
-from lie_thomas.hyperdual import HyperDual, exp_, log_, seed
+from lie_thomas.hyperdual import HyperDualRow, exp_, log_
 from lie_thomas.normal import equal, is_zero
 from lie_thomas.families import case21a_solution
 from lie_thomas.verification import oracle_solutions, residual
@@ -245,21 +245,21 @@ def test_transform_solution_residuals():
 
 
 def test_family_action_with_an_expression_g_evaluates_on_rows():
-    """residual() evaluates one scalar hyper-dual point, and a grid
-    evaluates rows; an expression g with positive and negative integer
-    powers must give on a one-point row the bits of the scalar hyper-dual
-    evaluation (this g is no solution, so r != 0)."""
-    from lie_thomas.hyperdual import exp_, log_, seed
+    """An expression g with positive and negative integer powers evaluates
+    on rows: residual() at a point, a row of one, gives the bits of that
+    point's row evaluation and of its element in a longer row (this g is no
+    solution, so r != 0)."""
     from lie_thomas.verification import _residuals, residual
 
     p = ThomasParams(1, 1, 1)
     g = pow_(X + 3, 2) * pow_(Y + 3, -1) + X * Y
     u = transform_solution("g", 0.05, lambda x, y: log_(exp_(x - 0.5 * y)), p, g=g)
     for x, y in [(0.3, -0.2), (-1.1, 0.7), (0.0, 0.0)]:
-        v = u(*seed(x, y))
-        want = v.dxy + v.dx + v.dy + v.dx * v.dy
+        v = u(*HyperDualRow.seed(x, [y]))
+        (d_x,), (d_y,), (d_xy,) = v.dx, v.dy, v.dxy
+        want = d_xy + d_x + d_y + d_x * d_y
         assert float.hex(residual(u, x, y, p)) == float.hex(want) != float.hex(0.0)
-        assert float.hex(_residuals(u, x, [y], *p.floats())[0]) == float.hex(want)
+        assert float.hex(_residuals(u, x, [0.5, y, -1.5], *p.floats())[1]) == float.hex(want)
 
 
 def test_group_word_inverse_round_trip():
@@ -348,7 +348,8 @@ def _points(rng, n=20):
 
 
 def _parts(z):
-    return (z.value, z.dx, z.dy, z.dxy) if isinstance(z, HyperDual) else (z,)
+    """A float, or the four parts of each element of a row, in one tuple."""
+    return (*z.value, *z.dx, *z.dy, *z.dxy) if isinstance(z, HyperDualRow) else (z,)
 
 
 def _close(a, b, rel=1e-12):
@@ -389,7 +390,7 @@ def test_transport_equals_the_old_formulas():
                 new = transform_solution(i, eps, f, p, g)
                 old = _old_transform_solution(i, eps, f, p, g)
                 for x, y in _points(rng):
-                    for args in ((x, y), seed(x, y)):
+                    for args in ((x, y), HyperDualRow.seed(x, [y])):
                         got, want = _parts(new(*args)), _parts(old(*args))
                         if i == 4:
                             assert all(_close(a, b) for a, b in zip(got, want)), (i, eps, x, y)

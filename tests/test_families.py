@@ -38,7 +38,7 @@ from lie_thomas.fuchs import (
     fuchs_series,
     second_solution,
 )
-from lie_thomas.hyperdual import HyperDual, exp_, log_
+from lie_thomas.hyperdual import HyperDualRow, exp_, log_
 from lie_thomas.verification import GridReport, GridSpec, VerificationError, residual_grid
 from test_verification import _pointwise_residual_grid
 
@@ -698,13 +698,14 @@ def _composed_mix(mix):
 
 
 def value_of(t):
-    return t.value if isinstance(t, HyperDual) else float(t)
+    """The real part of a float or of a row of one."""
+    return t.value[0] if isinstance(t, HyperDualRow) else float(t)
 
 
 def lift_with_derivatives(t, f, fp, fpp):
-    """f(t) given f, f', f'' at the real part of t (the package's helper
-    before hyperdual.lift)."""
-    return t._lift(float(f), fp, fpp) if isinstance(t, HyperDual) else f
+    """f(t) given f, f', f'' at the real part of t, a float or a row of one
+    (the package's helper before hyperdual.lift)."""
+    return t._lift([float(f)], [fp], [fpp]) if isinstance(t, HyperDualRow) else f
 
 
 def _summing_case1(p, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.5, chi_hi=-0.005):

@@ -67,7 +67,7 @@ def test_unknown_attribute_raises_attribute_error():
 def test_dir_covers_all_and_submodules():
     listed = set(dir(lie_thomas))
     assert set(lie_thomas.__all__) <= listed
-    assert {"families", "jetpoly", "params", "errors"} <= listed
+    assert {"families", "hyperdual", "jetpoly", "params", "errors"} <= listed
 
 
 # every error class of the package and the base it had before DomainError

@@ -9,7 +9,7 @@ import pytest
 
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import case1_solution, case21b_solution, case22_solution
-from lie_thomas.hyperdual import HyperDual, HyperDualRow, exp_, lift, log_, seed
+from lie_thomas.hyperdual import HyperDualRow, exp_, lift, log_
 from lie_thomas.verification import (
     GridSpec,
     GridReport,
@@ -20,6 +20,7 @@ from lie_thomas.verification import (
     residual,
     residual_grid,
 )
+from oracles import HyperDual
 
 F = Fraction
 P = ThomasParams(1, 1, 1)
@@ -93,8 +94,8 @@ def test_residual_wraps_plain_returns():
 
 
 def test_residual_at_a_point_is_its_row_residual():
-    """residual() evaluates one scalar hyper-dual; it gives each in-domain
-    point the bits the row pass gives it."""
+    """residual() evaluates a row of one; it gives each in-domain point the
+    bits the whole row's pass gives it."""
     fams = [case22_solution(P, a1=F(2)), case21b_solution(P, a1=F(-1), a2=F(-1), A0=F(0)),
             case1_solution(P, a1=F(0), a2=F(0), c0=F(1)),
             oracle_solution(P, [(0.5, 1.0), (-2.0, 0.3)])]
@@ -104,8 +105,8 @@ def test_residual_at_a_point_is_its_row_residual():
         for x, ys in GridSpec(-2.0, -0.1, 7, -2.0, -0.1, 7).rows():
             kept = [y for y in ys if in_domain(x, y)]
             rows = _residuals(fam, x, kept, *P.floats())
-            scalar = [residual(fam, x, y, P) for y in kept]
-            assert list(map(float.hex, scalar)) == list(map(float.hex, rows)), (fam, x)
+            points = [residual(fam, x, y, P) for y in kept]
+            assert list(map(float.hex, points)) == list(map(float.hex, rows)), (fam, x)
             compared += len(kept)
         assert compared > 30
 
@@ -123,6 +124,20 @@ def test_oracle_rejects_bad_modes():
         oracle_solution(P, [(F(-1), F(1))])  # lam = -beta pole
     with pytest.raises(VerificationError):
         oracle_solution(P, [(F(1), F(-2))])  # weight must be positive
+
+
+@pytest.mark.parametrize("mode", [
+    (1.0, math.nan),  # passes c <= 0, which NaN compares false to
+    (math.inf, 1.0),  # mu = -alpha*inf/inf is NaN
+    (-math.inf, 1.0),
+    (math.nan, 1.0),
+    (1.0, math.inf),  # an infinite weight makes the log infinite
+], ids=["nan-weight", "inf-lambda", "minus-inf-lambda", "nan-lambda", "inf-weight"])
+def test_oracle_rejects_modes_that_are_not_finite(mode):
+    """Each of these built a solution whose grid read inf; finite modes
+    beside it do not let it through."""
+    with pytest.raises(VerificationError, match="finite"):
+        oracle_solution(P, [(0.5, 1.0), mode])
 
 
 def test_oracle_solutions_deterministic():
@@ -217,7 +232,7 @@ def test_residual_grid_refuses_a_result_that_is_not_the_row(evaluator, error):
 
 def _pointwise_residual_grid(family, p=None, grid=None):
     """residual_grid as it was before row batches, the reference for them:
-    one scalar HyperDual evaluation per in-domain point, in grid order."""
+    one evaluation per in-domain point, on rows of one, in grid order."""
     if p is None:
         p = family.params
     if grid is None:
@@ -234,10 +249,11 @@ def _pointwise_residual_grid(family, p=None, grid=None):
             if not in_domain(x, y):
                 skipped += 1
                 continue
-            val = family(*seed(x, y))
-            if not isinstance(val, HyperDual):
-                val = HyperDual(float(val))
-            r = abs(val.dxy + alpha * val.dx + beta * val.dy + gamma * val.dx * val.dy)
+            val = family(*HyperDualRow.seed(x, [y]))
+            if not isinstance(val, HyperDualRow):  # a constant
+                val = HyperDualRow([float(val)], [0.0], [0.0], [0.0])
+            (d_x,), (d_y,), (d_xy,) = val.dx, val.dy, val.dxy
+            r = abs(d_xy + alpha * d_x + beta * d_y + gamma * d_x * d_y)
             evaluated += 1
             if not math.isfinite(r):
                 r = math.inf
