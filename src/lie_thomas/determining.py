@@ -12,12 +12,18 @@ d/du for every xi and eta (ledger slug most-general-symmetry-alpha-beta-zero).
 The system is derived once per process, at the symbolic constants, through
 one normal form: the action, with u_xy replaced by its value on the
 solution manifold, is normalized as a whole and its monomials are grouped
-by their jet part.  The rows are polynomials in (alpha, beta, gamma) and
-linear in the partials of xi, eta and phi, so every other reading is a
-binding of their atoms: ``determining_equations`` binds the constants, and
-``check_symmetry`` binds the constants and each partial to the matching
-partial of the given field's coefficient.  No field other than the
-symbolic one is prolonged.
+by their jet part.  The rows are linear in the partials of xi, eta and phi
+with coefficients polynomial in (alpha, beta, gamma), so each is kept as
+its linear form, one (partial, constant monomial, coefficient) term per
+monomial: the forms are the system's coefficient matrix.  Every other
+reading binds their atoms through ``_bound_row``: ``determining_equations``
+binds the constants, and ``check_symmetry`` binds the constants and each
+partial to the matching partial of the given field's coefficient.  A term
+whose partial or constant is a rational zero is skipped, and the rational
+terms are summed as Fractions, so a row whose terms are all rational is
+decided by its value, without a normal form; both are exact, since a
+skipped term is zero and a Rat is zero iff its value is.  No field other
+than the symbolic one is prolonged.
 """
 
 from __future__ import annotations
@@ -46,12 +52,13 @@ from .expr import (
     exp,
     mul,
     pow_,
+    scale,
     substitute,
     _is_zero,
     _wrap,
 )
 from .jetpoly import jet_groups, mono_expr, mono_order_key
-from .normal import canonical_expr, is_zero, poly_at, poly_expr
+from .normal import canonical_expr, is_zero, poly_expr
 from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
 
@@ -78,7 +85,10 @@ _FIELD = symbolic_field()
 def _derivation_steps(partials) -> tuple:
     """(partial, lower partial, variable) triples for ``partials`` and the
     partials they are taken from: each is one derivative of a partial of
-    one order less, listed before it."""
+    one order less, listed before it.  A lower partial is the rows' own
+    object, or the symbolic field's coefficient, wherever there is one, so
+    that a binding finds each partial by identity."""
+    known = {a: a for a in (*partials, _FIELD.xi, _FIELD.eta, _FIELD.phi)}
     steps = {}
     todo = list(partials)
     while todo:
@@ -87,6 +97,7 @@ def _derivation_steps(partials) -> tuple:
             continue
         i = next(i for i, n in enumerate(a.derivs) if n)
         lower = Func(a.name, a.params, a.derivs[:i] + (a.derivs[i] - 1,) + a.derivs[i + 1:])
+        lower = known.setdefault(lower, lower)
         steps[a] = (a, lower, _VARS[a.params[i]])
         todo.append(lower)
     return tuple(sorted(steps.values(), key=lambda step: sum(step[0].derivs)))
@@ -94,55 +105,91 @@ def _derivation_steps(partials) -> tuple:
 
 @cache
 def _symbolic_system():
-    """(system, polys, steps): the determining system at the symbolic
-    constants, derived once; each row's normal-form polynomial, in row
-    order; and the derivation steps of the partials of xi, eta and phi
-    that the rows hold.
+    """(system, forms, steps): the determining system at the symbolic
+    constants, derived once; each row as its linear form, in row order;
+    and the derivation steps of the partials of xi, eta and phi that the
+    rows hold.
 
     The action of the prolonged symbolic field on the equation, with u_xy
     replaced by u_xy - delta (its value where delta = 0), is normalized
     once and its monomials are grouped by their jet part (``jet_groups``).
     The action is a polynomial, so the normal form has denominator one and
-    each row rebuilt from its polynomial is its ``canonical_expr``."""
+    each row rebuilt from its polynomial is its ``canonical_expr``.  Each
+    monomial of a row holds one partial, to the first power, beside a
+    monomial in the constants: the row's linear form has one
+    (partial, constant monomial, coefficient) term per monomial."""
     delta = thomas_delta(ThomasParams())
     action = apply_prolonged(prolong(_FIELD), delta)
     grouped, _ = jet_groups(substitute(action, {U_XY: add(U_XY, mul(Rat(-1), delta))}))
-    rows, polys = [], []
+    rows, forms = [], []
     for m in sorted(grouped, key=mono_order_key):
         rows.append((m, poly_expr(grouped[m])))
-        polys.append(grouped[m])
-    partials = {a for poly in polys for mono in poly for a, _ in mono if type(a) is Func}
-    return DeterminingSystem(tuple(rows)), tuple(polys), _derivation_steps(partials)
+        form = []
+        for mono, c in grouped[m].items():
+            a = next(a for a, _ in mono if type(a) is Func)
+            form.append((a, tuple(t for t in mono if t[0] is not a), c))
+        forms.append(tuple(form))
+    partials = {a for form in forms for a, _, _ in form}
+    return DeterminingSystem(tuple(rows)), tuple(forms), _derivation_steps(partials)
+
+
+def _bound_row(form, values: dict) -> Expr:
+    """The row of linear form ``form`` with each partial and constant a
+    that ``values`` maps bound to values[a].  A term whose partial is a
+    rational zero is skipped before any constant is bound, and one whose
+    constant is a rational zero next, since each is zero.  The rational
+    factors of a term multiply its coefficient as Fractions, with no
+    product by one; a term with no other factor is summed into the row's
+    Fraction, and only the others are built as expressions, so a row whose
+    terms are all rational is a Rat."""
+    total, terms = None, []
+    for a, mono, c in form:
+        v = values.get(a, a)
+        if type(v) is Rat and not v.value:
+            continue
+        factors = []
+        for s, n in mono:
+            w = values.get(s, s)
+            if type(w) is not Rat:
+                factors.append(pow_(w, n))
+            elif not w.value:
+                break
+            else:
+                q = w.value if n == 1 else w.value**n
+                if q != 1:
+                    c = q if c == 1 else c * q
+        else:
+            if factors:
+                terms.append(mul(Rat(c), *factors, v))
+            elif type(v) is not Rat:
+                terms.append(scale(c, v))
+            else:
+                if v.value != 1:
+                    c = v.value if c == 1 else c * v.value
+                total = total + c if total else c
+    return add(Rat(total), *terms) if total else add(*terms)
 
 
 def determining_equations(p: ThomasParams = ThomasParams()) -> DeterminingSystem:
     """Monomial coefficients of the prolonged symbolic action on the
     equation, after eliminating u_xy on the solution manifold.
 
-    Read off the symbolic system by binding the constants.  Rational
-    constants are bound in each row's polynomial, whose normal form is
-    unique, so the rows equal those derived at p key for key (every row
-    holds a term free of the constants, so none vanishes).  Any other
-    constant is bound as an expression and the row rebuilt by
+    Read off the symbolic system by binding the constants in each row's
+    linear form (``_bound_row``).  At rational constants each term is its
+    partial scaled by a Fraction, collected by ``add`` as ``poly_expr``
+    collects the row's polynomial, so the rows equal those derived at p
+    key for key (every row holds a term free of the constants, so none
+    vanishes).  At any other constants the bound row is rebuilt by
     ``canonical_expr``: equal in value to the row derived at p, though
     its key may differ where p has denominators."""
-    system, polys, _ = _symbolic_system()
+    system, forms, _ = _symbolic_system()
     values = {s: c for s, c in zip(_CONSTANTS, (p.alpha, p.beta, p.gamma)) if c != s}
     if not values:
         return system
-    if all(type(c) is Rat for c in values.values()):
-        values = {s: c.value for s, c in values.items()}
-        return DeterminingSystem(tuple((m, poly_expr(poly_at(poly, values)))
-                                       for (m, _), poly in zip(system, polys)))
-    return DeterminingSystem(tuple((m, canonical_expr(_row_at(poly, values)))
-                                   for (m, _), poly in zip(system, polys)))
-
-
-def _row_at(poly, values: dict) -> Expr:
-    """The row of normal-form polynomial ``poly`` with every atom a that
-    ``values`` maps replaced by the expression values[a]."""
-    return add(*[mul(Rat(c), *[pow_(values.get(a, a), n) for a, n in m])
-                 for m, c in poly.items()])
+    rational = all(type(c) is Rat for c in values.values())
+    rows = [_bound_row(form, values) for form in forms]
+    return DeterminingSystem(tuple((m, row if rational else canonical_expr(row))
+                                   for (m, _), row in zip(system, rows)))
 
 
 def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
@@ -154,23 +201,22 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     the constants bound to p and each partial of xi, eta and phi to that
     partial of vf's coefficient, which commutes with the prolongation and
     with taking each jet monomial's coefficient; a partial of a rational
-    partial is ZERO, taken without differentiating.  Every atom bound to
-    a rational (a rational constant, a zero or rational partial) is bound
-    by ``poly_at`` in the row's polynomial first, as
-    ``determining_equations`` binds rational constants, and ``_row_at``
-    builds the rest.  The residual of a field that fails is the sum of its
-    bound rows times their jet monomials: equal in value to its own
-    prolonged action on the solution manifold."""
-    system, polys, steps = _symbolic_system()
+    partial is ZERO, taken without differentiating.  Each row's linear
+    form is bound by ``_bound_row``: a zero partial or constant drops its
+    term, and a row whose terms are all rational is a Rat, decided by its
+    value without a normal form.  Only a row that holds an expression is
+    zero-tested by ``is_zero``.  Both shortcuts are exact: a skipped term
+    is zero, and a Rat is zero iff its value is.  The residual of a field
+    that fails is the sum of its bound rows times their jet monomials:
+    equal in value to its own prolonged action on the solution manifold."""
+    system, forms, steps = _symbolic_system()
     values = {ALPHA: p.alpha, BETA: p.beta, GAMMA: p.gamma,
               _FIELD.xi: vf.xi, _FIELD.eta: vf.eta, _FIELD.phi: vf.phi}
     for a, lower, var in steps:
         f = values[lower]
         values[a] = ZERO if type(f) is Rat else differentiate(f, var)
-    rational = {a: v.value for a, v in values.items() if type(v) is Rat}
-    rows = [(m, _row_at(poly_at(poly, rational), values))
-            for (m, _), poly in zip(system, polys)]
-    if all(is_zero(row) for _, row in rows):
+    rows = [(m, _bound_row(form, values)) for (m, _), form in zip(system, forms)]
+    if all(not row.value if type(row) is Rat else is_zero(row) for _, row in rows):
         return True, ZERO
     return False, add(*[mul(row, mono_expr(m)) for m, row in rows])
 
@@ -198,11 +244,8 @@ def linearized_constraint(g: Expr, p: ThomasParams = ThomasParams()) -> Expr:
     """alpha*g_x + beta*g_y + g_xy for a function g of (x, y)."""
     if contains_jet(g) or differentiate(g, U) != ZERO:
         raise ParameterError("g must depend on (x, y) only")
-    return add(
-        mul(p.alpha, differentiate(g, X)),
-        mul(p.beta, differentiate(g, Y)),
-        differentiate(differentiate(g, X), Y),
-    )
+    g_x = differentiate(g, X)
+    return add(mul(p.alpha, g_x), mul(p.beta, differentiate(g, Y)), differentiate(g_x, Y))
 
 
 def v_g(g: Expr, p: ThomasParams = ThomasParams(), check: bool = True) -> VectorField:

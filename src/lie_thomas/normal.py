@@ -238,38 +238,6 @@ def poly_expr(p: Poly) -> Expr:
     return add(*terms)
 
 
-def poly_at(p: Poly, values: dict) -> Poly:
-    """``p`` with each atom that ``values`` maps to a Fraction replaced by
-    it, like monomials merged and zero sums dropped.  A monomial holding an
-    atom bound to zero is left out and a unit power multiplies nothing, so
-    no Fraction product has a known result."""
-    out: Poly = {}
-    for m, c in p.items():
-        rest = []
-        for a, n in m:
-            v = values.get(a)
-            if v is None:
-                rest.append((a, n))
-            elif not v:
-                break
-            else:
-                q = v if n == 1 else v**n
-                if q != 1:
-                    c = q if c == 1 else c * q
-        else:
-            rest = tuple(rest)
-            prev = out.get(rest)
-            if prev is None:
-                out[rest] = c
-                continue
-            s = prev + c
-            if s:
-                out[rest] = s
-            else:
-                del out[rest]
-    return out
-
-
 def canonical_expr(e: Expr) -> Expr:
     """Rebuild through the normal form; canonical for rational content.
 

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .expr import Add, App, Expr, Func, Mul, Pow, Rat, Sym
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-_ONE = Fraction(1)
 
 _GREEK = {
     "alpha": r"\alpha",
@@ -37,30 +34,29 @@ def join_signed(terms) -> str:
 
 
 def _split_mul(e: Mul):
-    """(rational coefficient, numerator factors, denominator factors); the
-    first rational factor is the coefficient as it is."""
-    coeff = None
+    """(numerator, denominator, numerator factors, denominator factors) of
+    a collected product: its leading rational factor's numerator and
+    denominator as ints (1 and 1 without one), and its other factors, a
+    negative power put in the denominator."""
+    factors = e.factors
+    n = d = 1
+    if type(factors[0]) is Rat:
+        n, d = factors[0].value.numerator, factors[0].value.denominator
+        factors = factors[1:]
     num, den = [], []
-    for f in e.factors:
-        if isinstance(f, Rat):
-            coeff = f.value if coeff is None else coeff * f.value
-        elif isinstance(f, Pow) and f.exp < 0:
+    for f in factors:
+        if isinstance(f, Pow) and f.exp < 0:
             den.append(f.base if f.exp == -1 else Pow(f.base, -f.exp))
         else:
             num.append(f)
-    return (_ONE if coeff is None else coeff), num, den
-
-
-def _text_frac(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return n, d, num, den
 
 
 def _txt(e: Expr, prec: int) -> str:
     if isinstance(e, Rat):
-        s = _text_frac(e.value)
-        need = _PREC_ADD if e.value < 0 else (_PREC_MUL if e.value.denominator != 1 else _PREC_ATOM)
+        n, d = e.value.numerator, e.value.denominator
+        s = str(n) if d == 1 else "%d/%d" % (n, d)
+        need = _PREC_ADD if n < 0 else (_PREC_MUL if d != 1 else _PREC_ATOM)
         return "(" + s + ")" if prec > need else s
     if isinstance(e, Sym):
         return e.name
@@ -76,21 +72,16 @@ def _txt(e: Expr, prec: int) -> str:
         s = join_signed([_txt(t, _PREC_ADD) for t in e.terms])
         return "(" + s + ")" if prec > _PREC_ADD else s
     if isinstance(e, Mul):
-        coeff, num, den = _split_mul(e)
-        sign = ""
-        if coeff < 0:
-            sign = "-"
-            coeff = -coeff
-        pieces = []
-        if coeff.numerator != 1 or not num:
-            pieces.append(str(coeff.numerator))
+        n, d, num, den = _split_mul(e)
+        sign = "-" if n < 0 else ""
+        n = abs(n)
+        pieces = [str(n)] if n != 1 or not num else []
         pieces.extend(_txt(f, _PREC_MUL + 1) for f in num)
         s = "*".join(pieces)
-        if coeff.denominator != 1:
-            den = [Rat(coeff.denominator)] + den
-        if den:
-            ds = "*".join(_txt(f, _PREC_POW) for f in den)
-            s = s + "/" + (ds if len(den) == 1 else "(" + ds + ")")
+        ds = [str(d)] if d != 1 else []
+        ds.extend(_txt(f, _PREC_POW) for f in den)
+        if ds:
+            s = s + "/" + (ds[0] if len(ds) == 1 else "(" + "*".join(ds) + ")")
         s = sign + s
         need = _PREC_ADD if sign else _PREC_MUL
         return "(" + s + ")" if prec > need else s
@@ -114,16 +105,9 @@ def _latex_name(name: str) -> str:
 
 def _ltx(e: Expr, prec: int) -> str:
     if isinstance(e, Rat):
-        q = e.value
-        if q.denominator == 1:
-            s = str(q.numerator)
-            return "(" + s + ")" if prec > _PREC_ADD and q < 0 else s
-        s = ""
-        if q < 0:
-            s = "-"
-            q = -q
-        s += r"\frac{%d}{%d}" % (q.numerator, q.denominator)
-        return "(" + s + ")" if prec > _PREC_ADD and s.startswith("-") else s
+        n, d = e.value.numerator, e.value.denominator
+        s = str(n) if d == 1 else ("-" if n < 0 else "") + r"\frac{%d}{%d}" % (abs(n), d)
+        return "(" + s + ")" if prec > _PREC_ADD and n < 0 else s
     if isinstance(e, Sym):
         return _latex_name(e.name)
     if isinstance(e, Func):
@@ -136,24 +120,15 @@ def _ltx(e: Expr, prec: int) -> str:
         s = join_signed([_ltx(t, _PREC_ADD) for t in e.terms])
         return r"\left(" + s + r"\right)" if prec > _PREC_ADD else s
     if isinstance(e, Mul):
-        coeff, num, den = _split_mul(e)
-        sign = ""
-        if coeff < 0:
-            sign = "-"
-            coeff = -coeff
-        num_parts = []
-        if coeff.numerator != 1 or (not num and coeff.denominator == 1):
-            num_parts.append(str(coeff.numerator))
+        n, d, num, den = _split_mul(e)
+        sign = "-" if n < 0 else ""
+        n = abs(n)
+        num_parts = [str(n)] if n != 1 or (not num and d == 1) else []
         num_parts.extend(_ltx(f, _PREC_MUL + 1) for f in num)
         ns = " ".join(num_parts) if num_parts else "1"
-        if coeff.denominator != 1 or den:
-            den_parts = []
-            if coeff.denominator != 1:
-                den_parts.append(str(coeff.denominator))
-            den_parts.extend(_ltx(f, _PREC_MUL) for f in den)
-            s = sign + r"\frac{%s}{%s}" % (ns, " ".join(den_parts))
-        else:
-            s = sign + ns
+        den_parts = [str(d)] if d != 1 else []
+        den_parts.extend(_ltx(f, _PREC_MUL) for f in den)
+        s = sign + (r"\frac{%s}{%s}" % (ns, " ".join(den_parts)) if den_parts else ns)
         need = _PREC_ADD if sign else _PREC_MUL
         return r"\left(" + s + r"\right)" if prec > need else s
     raise TypeError("cannot print %r" % type(e).__name__)

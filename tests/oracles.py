@@ -4,18 +4,22 @@ from iterated brackets, the Lie bracket of two point fields from their
 action on functions, the annihilation of a case's invariants by its field,
 the reduction certificate derived afresh on every call, the Frobenius
 series of chi y'' + e y' + m y = 0 by its closed coefficients and its
-residual, and a hyper-dual number of one point, the reference every
-hyper-dual row operation is rounded as."""
+residual, a hyper-dual number of one point, the reference every
+hyper-dual row operation is rounded as, and the text and LaTeX printers
+that read each coefficient through Fraction arithmetic, the reference the
+printer's output must equal byte for byte."""
 
 import math
 from fractions import Fraction
 
 from lie_thomas.algebra import AlgebraElement, adjoint, basis_element, commutator, g_element
 from lie_thomas.determining import ThomasParams
-from lie_thomas.expr import Expr, Rat, UFunc, add, mul, param, pow_, substitute
+from lie_thomas.expr import (Add, App, Expr, Func, Mul, Pow, Rat, Sym, UFunc, add, mul, param,
+                             pow_, substitute)
 from lie_thomas.fuchs import FuchsSeries, fuchs_series
 from lie_thomas.hyperdual import HyperDualError
 from lie_thomas.normal import canonical_expr, is_zero
+from lie_thomas.printer import _PREC_ADD, _PREC_ATOM, _PREC_MUL, _PREC_POW, _latex_name, join_signed
 from lie_thomas.reduction import CHI, ReductionError, _jets, _reduction, invariants
 from lie_thomas.vectorfield import VectorField
 
@@ -207,3 +211,123 @@ class HyperDual:
         return self._lift(c, -math.sin(self.value), -c)
 
     __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _no_order
+
+
+def _reference_split_mul(e: Mul):
+    """(rational coefficient, numerator factors, denominator factors); the
+    first rational factor is the coefficient as it is."""
+    coeff = None
+    num, den = [], []
+    for f in e.factors:
+        if isinstance(f, Rat):
+            coeff = f.value if coeff is None else coeff * f.value
+        elif isinstance(f, Pow) and f.exp < 0:
+            den.append(f.base if f.exp == -1 else Pow(f.base, -f.exp))
+        else:
+            num.append(f)
+    return (Fraction(1) if coeff is None else coeff), num, den
+
+
+def _reference_text_frac(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return "%d/%d" % (q.numerator, q.denominator)
+
+
+def _reference_txt(e: Expr, prec: int) -> str:
+    if isinstance(e, Rat):
+        s = _reference_text_frac(e.value)
+        need = _PREC_ADD if e.value < 0 else (_PREC_MUL if e.value.denominator != 1 else _PREC_ATOM)
+        return "(" + s + ")" if prec > need else s
+    if isinstance(e, Sym):
+        return e.name
+    if isinstance(e, Func):
+        return e.name + e.suffix
+    if isinstance(e, App):
+        return e.fn + "(" + _reference_txt(e.arg, _PREC_ADD) + ")"
+    if isinstance(e, Pow):
+        return _reference_txt(e.base, _PREC_ATOM) + "^" + (
+            str(e.exp) if e.exp >= 0 else "(" + str(e.exp) + ")"
+        )
+    if isinstance(e, Add):
+        s = join_signed([_reference_txt(t, _PREC_ADD) for t in e.terms])
+        return "(" + s + ")" if prec > _PREC_ADD else s
+    if isinstance(e, Mul):
+        coeff, num, den = _reference_split_mul(e)
+        sign = ""
+        if coeff < 0:
+            sign = "-"
+            coeff = -coeff
+        pieces = []
+        if coeff.numerator != 1 or not num:
+            pieces.append(str(coeff.numerator))
+        pieces.extend(_reference_txt(f, _PREC_MUL + 1) for f in num)
+        s = "*".join(pieces)
+        if coeff.denominator != 1:
+            den = [Rat(coeff.denominator)] + den
+        if den:
+            ds = "*".join(_reference_txt(f, _PREC_POW) for f in den)
+            s = s + "/" + (ds if len(den) == 1 else "(" + ds + ")")
+        s = sign + s
+        need = _PREC_ADD if sign else _PREC_MUL
+        return "(" + s + ")" if prec > need else s
+    raise TypeError("cannot print %r" % type(e).__name__)
+
+
+def reference_text(e: Expr) -> str:
+    """``printer.to_text`` as it read each coefficient through Fraction
+    compares, negation and a Rat node per denominator."""
+    return _reference_txt(e, _PREC_ADD)
+
+
+def _reference_ltx(e: Expr, prec: int) -> str:
+    if isinstance(e, Rat):
+        q = e.value
+        if q.denominator == 1:
+            s = str(q.numerator)
+            return "(" + s + ")" if prec > _PREC_ADD and q < 0 else s
+        s = ""
+        if q < 0:
+            s = "-"
+            q = -q
+        s += r"\frac{%d}{%d}" % (q.numerator, q.denominator)
+        return "(" + s + ")" if prec > _PREC_ADD and s.startswith("-") else s
+    if isinstance(e, Sym):
+        return _latex_name(e.name)
+    if isinstance(e, Func):
+        return _latex_name(e.name + e.suffix)
+    if isinstance(e, App):
+        return "\\" + e.fn + r"\left(" + _reference_ltx(e.arg, _PREC_ADD) + r"\right)"
+    if isinstance(e, Pow):
+        return _reference_ltx(e.base, _PREC_ATOM) + "^{" + str(e.exp) + "}"
+    if isinstance(e, Add):
+        s = join_signed([_reference_ltx(t, _PREC_ADD) for t in e.terms])
+        return r"\left(" + s + r"\right)" if prec > _PREC_ADD else s
+    if isinstance(e, Mul):
+        coeff, num, den = _reference_split_mul(e)
+        sign = ""
+        if coeff < 0:
+            sign = "-"
+            coeff = -coeff
+        num_parts = []
+        if coeff.numerator != 1 or (not num and coeff.denominator == 1):
+            num_parts.append(str(coeff.numerator))
+        num_parts.extend(_reference_ltx(f, _PREC_MUL + 1) for f in num)
+        ns = " ".join(num_parts) if num_parts else "1"
+        if coeff.denominator != 1 or den:
+            den_parts = []
+            if coeff.denominator != 1:
+                den_parts.append(str(coeff.denominator))
+            den_parts.extend(_reference_ltx(f, _PREC_MUL) for f in den)
+            s = sign + r"\frac{%s}{%s}" % (ns, " ".join(den_parts))
+        else:
+            s = sign + ns
+        need = _PREC_ADD if sign else _PREC_MUL
+        return r"\left(" + s + r"\right)" if prec > need else s
+    raise TypeError("cannot print %r" % type(e).__name__)
+
+
+def reference_latex(e: Expr) -> str:
+    """``printer.to_latex`` as it read each coefficient through Fraction
+    compares and negation."""
+    return _reference_ltx(e, _PREC_ADD)

@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from lie_thomas import determining
+from lie_thomas.algebra import AlgebraElement, adjoint, basis_element, commutator
 from lie_thomas.determining import (
     ParameterError,
     ThomasParams,
@@ -29,6 +31,7 @@ from lie_thomas.expr import (
     U_X,
     U_XY,
     U_Y,
+    UFunc,
     X,
     Y,
     add,
@@ -36,6 +39,7 @@ from lie_thomas.expr import (
     exp,
     jet_symbols,
     mul,
+    param,
     pow_,
     substitute,
 )
@@ -210,6 +214,54 @@ def test_alpha_beta_zero_admits_more_than_the_four_fields(constants, admitted):
     along_x = VectorField(xi, R(0), -p.beta / p.gamma * xi)
     along_y = VectorField(R(0), eta, -p.alpha / p.gamma * eta)
     assert [check_symmetry(f, p)[0] for f in (along_x, along_y)] == [admitted] * 2
+
+
+def test_v_g_for_every_g_and_the_adjoint_for_every_eps():
+    """Two closed forms proved rather than sampled.  (a) With g an unknown
+    function of (x, y), the residual of v_g plus (1/gamma) e^{-gamma u}
+    (alpha g_x + beta g_y + g_xy) is zero, so v_g is a symmetry exactly
+    where g solves the linearized equation, for every g; stated as a
+    difference that is zero, since ``normal`` has no polynomial gcd to
+    divide by.  Checked at symbolic constants and at four rational sets,
+    two with alpha*beta = 0.  (b) For each generator and a symbolic w,
+    Ad(eps) = adjoint(i, eps, w) solves d/deps Ad = -[v_i, Ad] with
+    Ad(0) = w at symbolic constants; a linear ODE with an initial value
+    has one solution, so the closed forms are the adjoint action for
+    every eps.  The sampled checks stay beside this one."""
+    g = UFunc("g", ("x", "y"))()
+    for p in (ThomasParams(), ThomasParams(Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4)),
+              ThomasParams(Fraction(-1, 2), 0, Fraction(5, 3)), ThomasParams(0, 3, -1),
+              ThomasParams(0, 0, 1)):
+        ok, residual = check_symmetry(v_g(g, p, check=False), p)
+        on_g = mul(pow_(p.gamma, -1), exp(-p.gamma * U), linearized_constraint(g, p))
+        assert not ok and is_zero(add(residual, on_g)), p
+    eps = param("epsilon")
+    w = AlgebraElement(*[param("w%d" % i) for i in (1, 2, 3, 4)])
+    p = ThomasParams()
+    for i in (1, 2, 3, 4):
+        ad = adjoint(i, eps, w, p)
+        bracket = commutator(basis_element(i), ad, p)
+        assert ad.g == bracket.g == 0, i
+        for a, b, a0 in zip(ad.coords(), bracket.coords(), w.coords()):
+            assert is_zero(add(differentiate(a, eps), b)), (i, a)
+            assert equal(substitute(a, {eps: 0}), a0), (i, a)
+
+
+def test_linearized_constraint_takes_each_derivative_of_g_once(monkeypatch):
+    """g_xy is taken from the g_x of the alpha term: g is differentiated
+    by u (the check that g is free of u), x and y once each, and g_x by
+    y."""
+    taken = []
+
+    def recorded(e, s):
+        taken.append((e, s))
+        return differentiate(e, s)
+
+    monkeypatch.setattr(determining, "differentiate", recorded)
+    g = UFunc("g", ("x", "y"))()
+    linearized_constraint(g, ThomasParams())
+    assert sorted(taken, key=repr) == sorted([(g, U), (g, X), (g, Y), (differentiate(g, X), Y)],
+                                             key=repr)
 
 
 def test_linearized_constraint_closure():

@@ -86,6 +86,7 @@ from lie_thomas.vectorfield import (
     prolong,
     symbolic_field,
 )
+from oracles import reference_latex, reference_text
 
 # --- reference implementations ---------------------------------------------
 
@@ -594,6 +595,56 @@ def test_every_app_function_differentiates_evaluates_and_prints(fn):
     assert to_latex(e) == "\\" + fn + r"\left(x + y\right)"
 
 
+def _printed_corpus(seed):
+    """The seeded kernel corpus, every determining row at symbolic
+    constants and at 24 rational triples (three fixed ones with negative
+    constants and denominators other than one), and every part of both
+    tables there."""
+    rng = random.Random(seed)
+    exprs = [*_KERNEL_LEAVES, *_FAST_PATH_LEAVES]
+    for _ in range(60):
+        exprs += [random_jet_polynomial(rng), random_rational_expr(rng),
+                  mul(*random_factors(rng))]
+    exprs += [got for got, _ in _fast_path_cases(rng)]
+    fixed = [ThomasParams(Fraction(-3, 4), Fraction(5, 6), Fraction(-7, 2)),
+             ThomasParams(Fraction(2, 9), Fraction(-1, 3), 5), ThomasParams(0, Fraction(-8, 5), -1)]
+    for p in [ThomasParams(), *fixed, *[_rational_params(rng) for _ in range(21)]]:
+        exprs += [c for _, c in determining_equations(p).rows]
+        for table in (commutator_table(p), adjoint_table(p)):
+            exprs += [part for row in table for e in row for part in (*e.coords(), e.g)]
+    return exprs
+
+
+def test_printer_prints_the_reference_bytes_from_integers(seed, monkeypatch):
+    """``to_text`` and ``to_latex`` print byte for byte what the reference
+    printers print, which read each coefficient through Fraction compares,
+    negation and a Rat node per denominator (``oracles.reference_text``,
+    ``oracles.reference_latex``); the printer itself reads a Rat's
+    numerator and denominator as ints, so it calls no Fraction operation
+    and builds no Rat."""
+    exprs = _printed_corpus(seed)
+    want = [(reference_text(e), reference_latex(e)) for e in exprs]
+    assert any("/" in text and "-" in text for text, _ in want)
+    used = []
+
+    def watched(owner, name):
+        op = getattr(owner, name)
+
+        def run(*args):
+            if sys._getframe(1).f_globals.get("__name__") == "lie_thomas.printer":
+                used.append((owner.__name__, name))
+            return op(*args)
+        return run
+
+    for name in ("__eq__", "__lt__", "__gt__", "__neg__", "__abs__", "__mul__", "__bool__"):
+        monkeypatch.setattr(Fraction, name, watched(Fraction, name))
+    monkeypatch.setattr(Rat, "__init__", watched(Rat, "__init__"))
+    got = [(to_text(e), to_latex(e)) for e in exprs]
+    monkeypatch.undo()
+    assert got == want
+    assert used == []
+
+
 # --- differential tests -----------------------------------------------------
 
 
@@ -690,15 +741,17 @@ _KERNEL_MODULES = ("lie_thomas.expr", "lie_thomas.normal")
 
 def test_kernel_does_no_arithmetic_with_a_known_result(seed, monkeypatch):
     """While the determining system and the algebra tables are derived and
-    read off at rational constants, and a field is checked there, no
-    Fraction product or sum in ``expr`` or ``normal`` multiplies by one or
-    by zero or adds zero."""
+    read off at rational constants, the rows are printed, and v1..v4 and
+    an exponential v_g are built and checked there, no Fraction product or
+    sum in ``expr``, ``normal``, ``determining`` or ``printer`` multiplies
+    by one or by zero or adds zero."""
     known = []
+    modules = _KERNEL_MODULES + ("lie_thomas.determining", "lie_thomas.printer")
 
     def watched(name, op, trivial):
         def run(a, b):
             caller = sys._getframe(1).f_globals.get("__name__")
-            if caller in _KERNEL_MODULES and trivial(a, b):
+            if caller in modules and trivial(a, b):
                 known.append((name, a, b))
             return op(a, b)
         return run
@@ -709,7 +762,11 @@ def test_kernel_does_no_arithmetic_with_a_known_result(seed, monkeypatch):
     def zero(a, b):
         return a == 0 or b == 0
 
-    p = _rational_params(random.Random(seed))
+    rng = random.Random(seed)
+    p = _rational_params(rng)
+    lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    if p.beta == -lam:
+        lam += 1  # exponential_g needs lam + beta nonzero
     with monkeypatch.context() as mp:
         for name, trivial in (("__mul__", unit_or_zero), ("__rmul__", unit_or_zero),
                               ("__add__", zero), ("__radd__", zero)):
@@ -717,10 +774,13 @@ def test_kernel_does_no_arithmetic_with_a_known_result(seed, monkeypatch):
         # the cold derivations, the system's one large normal form included
         _symbolic_system.__wrapped__()
         _symbolic_tables.__wrapped__()
-        determining_equations(p)
+        rows = determining_equations(p).rows
+        for _, c in rows:
+            to_text(c), to_latex(c)
         commutator_table(p)
         adjoint_table(p)
-        check_symmetry(v4(p), p)
+        for vf in (v1(), v2(), v3(), v4(p), v_g(exponential_g(lam, p)[0], p)):
+            assert check_symmetry(vf, p)[0], vf
     assert known == []
 
 

@@ -17,20 +17,22 @@ import itertools
 import random
 from fractions import Fraction
 
-from lie_thomas import determining, vectorfield
+from lie_thomas import determining, normal, vectorfield
 from lie_thomas.determining import (
     ThomasParams,
+    _bound_row,
     _symbolic_system,
     check_symmetry,
     determining_equations,
     exponential_g,
+    general_symmetry,
     v1,
     v2,
     v3,
     v4,
     v_g,
 )
-from lie_thomas.expr import ALPHA, BETA, GAMMA, U, X, Y, ZERO, app, param
+from lie_thomas.expr import ALPHA, BETA, GAMMA, Func, Rat, U, UFunc, X, Y, ZERO, app, atoms, param
 from lie_thomas.normal import canonical_expr, equal, is_zero
 from lie_thomas.vectorfield import VectorField, symbolic_field
 
@@ -167,3 +169,70 @@ def test_nothing_is_prolonged_once_the_system_is_derived(monkeypatch):
         rows = dict(determining_equations(p).rows)
         assert rows.keys() == coeffs.keys(), p
         assert all(equal(rows[m], c) for m, c in coeffs.items()), p
+
+
+def test_the_linear_forms_are_the_rows():
+    """Each row's linear form holds one term per monomial of the row, each
+    a partial of xi, eta or phi beside a monomial in the constants alone,
+    and the form bound at nothing is the row, key for key."""
+    system, forms, _ = _symbolic_system()
+    assert len(forms) == len(system) == 12
+    for (m, row), form in zip(system, forms):
+        assert len(form) == (len(row.terms) if row.key()[0] == 6 else 1), m
+        for a, mono, c in form:
+            assert type(a) is Func and a.name in ("xi", "eta", "phi"), m
+            assert all(s in (ALPHA, BETA, GAMMA) for s, _ in mono) and c, m
+        assert _bound_row(form, {}).key() == row.key(), m
+
+
+def test_rational_rows_are_decided_without_a_normal_form(monkeypatch):
+    """At rational constants v1..v4 bind every row to a Rat, decided by its
+    value, so ``normal_form`` is never called; nor for a field that fails
+    by a rational row.  For a field whose xi and eta are rational and whose
+    phi is an expression (v_g, alone or beside v4), the rows that hold no
+    phi partial bind to Rats too: ``normal_form`` is reached at most once
+    per phi row, never with a Rat, and only with a row that holds u, which
+    only phi's factor exp(-gamma*u) brings.  Off the linearized equation
+    the row of jet monomial 1 is the one reached."""
+    p = ThomasParams(Fraction(2, 3), Fraction(-1, 2), 3)
+    system, forms, _ = _symbolic_system()
+    phi_rows = sum(any(a.name == "phi" for a, _, _ in form) for form in forms)
+    assert phi_rows == 4
+    g, mu = exponential_g(Fraction(3, 2), p)
+    phi_fields = [v_g(g, p), general_symmetry(k=1, g=g, p=p),
+                  v_g(UFunc("g", ("x", "y"))(), p, check=False),
+                  v_g(app("exp", 2 * X + (mu + 1) * Y), p, check=False)]
+
+    def refuse(e):
+        raise AssertionError("normal_form(%r)" % (e,))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(normal, "normal_form", refuse)
+        for vf in (v1(), v2(), v3(), v4(p), v4(p).scale(2) + v1()):
+            assert check_symmetry(vf, p) == (True, ZERO), vf
+        assert check_symmetry(v4(p) + VectorField(Y, ZERO, ZERO), p)[0] is False
+
+    called, depth = [], [0]
+    real = normal.normal_form
+
+    def recorded(e):
+        if not depth[0]:
+            called.append(e)
+        depth[0] += 1
+        try:
+            return real(e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(normal, "normal_form", recorded)
+    flags, counts = [], []
+    for vf in phi_fields:
+        called.clear()
+        flags.append(check_symmetry(vf, p)[0])
+        assert len(called) <= phi_rows, vf
+        for row in called:
+            assert type(row) is not Rat, vf
+            assert U in set(atoms(row)), (vf, row)
+        counts.append(len(called))
+    assert flags == [True, True, False, False]
+    assert counts[2:] == [1, 1]
