@@ -12,11 +12,11 @@ the log argument w above a floor, computed directly on floats with the
 operations of w in their order, so it decides a point as w itself would.
 Case 1 is a ratio of Frobenius series with its own evaluator, lifted onto
 chi by ``hyperdual.lift``; its domain keeps the sums at each chi until the
-evaluator has read them, so a grid point makes one pass over both series
-for y_p, y_p', y_p'' and the second solution's value y_2; y_2' is summed at
-the base point only.  Where printed source formulas for a case disagree
-internally, the variant kept here is the one rederived from the reduced
-ODE; the residual tests are the arbiter.
+evaluator has read them, so each distinct chi of a grid block makes one
+pass over both series for y_p, y_p', y_p'' and the second solution's value
+y_2; y_2' is summed at the base point only.  Where printed source formulas
+for a case disagree internally, the variant kept here is the one
+rederived from the reduced ODE; the residual tests are the arbiter.
 
 Builders: a body registered by ``@_builder(key, tag)`` only computes the
 coefficients: floats in, (evaluator, domain, note) out.  Its first three
@@ -161,10 +161,17 @@ class ModeMix(Record):
 
     def domain(self, x: float, y: float) -> bool:
         """w(x, y) > floor on floats: the operations of ``w`` in its order,
-        without the hyper-dual dispatch of ``affine``."""
-        if self.f is None:
+        with f read as math.exp, abs(math.cos) or the identity, so without
+        the hyper-dual dispatch of ``affine`` and f."""
+        f = self.f
+        if f is None:
             return True
-        return self.a + self.c * self.f(self.p * x + self.q * y + self.r) > self.floor
+        t = self.p * x + self.q * y + self.r
+        if f is exp_:
+            t = math.exp(t)
+        elif f is _abs_cos:
+            t = abs(math.cos(t))
+        return self.a + self.c * t > self.floor
 
 
 def from_descriptor(d) -> SolutionFamily:
@@ -285,7 +292,9 @@ def case1_solution(alpha, beta, gamma, a1=0, a2=0, c0=1.0, const=0.0, chi_lo=-4.
     def sums(v: float):
         """(y_p, y_p', y_p'', g_p + c0) at v from one pass, kept until the
         evaluator clears them: domain() and the evaluator read the same chi
-        at a grid point.  Calls to domain() alone keep at most 1024 sums."""
+        at a grid point, and the sums of a whole grid block stay while it
+        has at most 1024 points.  Calls to domain() alone keep at most 1024
+        sums."""
         out = memo.get(v)
         if out is None:
             if len(memo) >= 1024:

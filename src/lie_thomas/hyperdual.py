@@ -1,5 +1,5 @@
-"""Second-order forward-mode numbers with two infinitesimals, a grid row at
-a time.
+"""Second-order forward-mode numbers with two infinitesimals, a row of
+points at a time.
 
 A hyper-dual carries (value, dx, dy, dxy) with eps1^2 = eps2^2 = 0 and
 eps1*eps2 kept.  Evaluating a smooth composition at (x + eps1, y + eps2)
@@ -8,12 +8,13 @@ u_xy, exactly to floating round-off; no truncation step is involved.  The
 mixed derivative is the only second derivative the equation needs, which
 is why one pass suffices.
 
-A HyperDualRow holds the hyper-duals of one grid row as four lists, so an
-evaluator runs once per row, and a single point is a row of one.  Element
-i of each result is rounded as the one-point operation rounds it, so a
-point reads the same bits alone as in any row.  A row takes + - * with rows
-and floats, / by a float, integer powers, abs, exp, log, cos and ``_lift``.
-It has no order or truth value: an evaluator that branches on one raises
+A HyperDualRow holds the hyper-duals of a row of points as four lists, each
+point seeded with its own x and y, so an evaluator runs once for a block of
+whole grid rows, and a single point is a row of one.  Element i of each
+result is rounded as the one-point operation rounds it, so a point reads
+the same bits alone as in any row.  A row takes + - * with rows and
+floats, / by a float, integer powers, abs, exp, log, cos and ``_lift``.  It
+has no order or truth value: an evaluator that branches on one raises
 instead of taking one branch for a whole row.  ``affine(a, x, b, y, c)`` is
 a x + b y + c, rounded as the composed operations are, and ``lift``
 composes a function given by its value and two derivatives.  ``exp_``,
@@ -39,7 +40,7 @@ def _no_order(self, *_):
 
 
 class HyperDualRow:
-    """Hyper-duals of one grid row: value, dx, dy and dxy are equal-length
+    """Hyper-duals of a row of points: value, dx, dy and dxy are equal-length
     lists of floats.  An evaluator given rows may use + - * with rows and
     floats, / by a float, integer powers, abs, exp_, log_, cos_, affine and
     lift."""
@@ -50,11 +51,11 @@ class HyperDualRow:
         self.value, self.dx, self.dy, self.dxy = value, dx, dy, dxy
 
     @staticmethod
-    def seed(x: float, ys):
-        """The rows x + eps1 and y + eps2 at the points (x, y), y in ys."""
+    def seed(xs, ys):
+        """The rows x + eps1 and y + eps2 at the points (x, y) of zip(xs, ys)."""
         zeros, ones = [0.0] * len(ys), [1.0] * len(ys)
-        return (HyperDualRow([float(x)] * len(ys), ones, zeros, zeros),
-                HyperDualRow([float(y) for y in ys], zeros, ones, zeros))
+        return (HyperDualRow(list(map(float, xs)), ones, zeros, zeros),
+                HyperDualRow(list(map(float, ys)), zeros, ones, zeros))
 
     def _parts(self):
         return self.value, self.dx, self.dy, self.dxy

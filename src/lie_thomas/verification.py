@@ -4,10 +4,15 @@ The residual of u_xy + alpha u_x + beta u_y + gamma u_x u_y is evaluated
 with second-order dual numbers, so there is no finite-difference error in
 the check itself: any residual is a genuine property of the evaluator.
 
-``residual_grid`` evaluates a family once per grid row, on a HyperDualRow
-of the row's in-domain points, so within a row the first operation that
-fails on any point raises; ``residual`` evaluates one point as a row of
-one.  Both build their residuals by ``_residuals``.
+``residual_grid`` gathers the in-domain points of consecutive whole grid
+rows into blocks of at most ``BLOCK`` points (a block takes the next row
+while its points and the row's full length fit, and a longer row is a
+block of its own) and evaluates a family once per block, on a HyperDualRow
+seeded with each point's x and y.  Within a block the first operation that
+fails on any point raises, so where two rows of one block fail at
+different operations, the operation the evaluator reaches first raises,
+even if its row comes later in the grid.  ``residual`` evaluates one point
+as a row of one.  Both build their residuals by ``_residuals``.
 """
 
 from __future__ import annotations
@@ -59,17 +64,25 @@ def _ticks(lo: float, hi: float, n: int):
     return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
 
 
+# in-domain points per evaluation in residual_grid; Case 1's sums memo keeps
+# a whole block's sums only while this is at most its 1024 entries
+BLOCK = 512
+
+
 def residual(u, x: float, y: float, p: ThomasParams) -> float:
     """PDE residual of the evaluator u at one point, a row of one."""
-    return _residuals(u, x, (y,), *p.floats())[0]
+    return _residuals(u, (x,), (y,), *p.floats())[0]
 
 
-def _residuals(u, x, ys, alpha, beta, gamma):
-    """The residual at (x, y) for each y in ys, from one evaluation of u."""
-    val = u(*HyperDualRow.seed(x, ys))
+def _residuals(u, xs, ys, alpha, beta, gamma):
+    """The residual at each point (x, y) of zip(xs, ys), from one evaluation
+    of u."""
+    val = u(*HyperDualRow.seed(xs, ys))
     if not isinstance(val, HyperDualRow):  # a constant
         zeros = [0.0] * len(ys)
         val = HyperDualRow([float(val)] * len(ys), zeros, zeros, zeros)
+    if len(val.dxy) != len(ys):
+        raise ValueError("the evaluator gave %d points for %d" % (len(val.dxy), len(ys)))
     return [d_xy + alpha * d_x + beta * d_y + gamma * d_x * d_y
             for d_x, d_y, d_xy in zip(val.dx, val.dy, val.dxy)]
 
@@ -92,33 +105,52 @@ class GridReport(Record):
 
 def residual_grid(family, p: ThomasParams = None, grid: GridSpec = None) -> GridReport:
     """Max |residual| of a family, or of an evaluator u(x, y) with ``p`` given,
-    over the domain-filtered grid; a non-finite residual reports as inf at the
-    first point that gave one."""
+    over the domain-filtered grid, evaluated once per block of whole rows; a
+    non-finite residual reports as inf at the first point that gave one."""
     if p is None:
         p = family.params
     if grid is None:
         grid = GridSpec()
     in_domain = getattr(family, "domain", None) or (lambda x, y: True)
-    alpha, beta, gamma = p.floats()
+    coefficients = p.floats()
     worst = -1.0
     worst_pt = (math.nan, math.nan)
     evaluated = skipped = 0
-    for x, ys in grid.rows():
-        kept = [y for y in ys if in_domain(x, y)]
-        skipped += len(ys) - len(kept)
-        if not kept:
-            continue
+    xs, ys = [], []
+    for x, row in grid.rows():
+        # a block is evaluated before the domain reads a row it cannot hold,
+        # so a domain may keep what it computes until the evaluator reads it
+        if xs and len(xs) + len(row) > BLOCK:
+            worst, worst_pt = _block_worst(family, xs, ys, coefficients, worst, worst_pt)
+            xs, ys = [], []
+        kept = [y for y in row if in_domain(x, y)]
+        skipped += len(row) - len(kept)
         evaluated += len(kept)
-        for y, r in zip(kept, _residuals(family, x, kept, alpha, beta, gamma), strict=True):
-            r = abs(r)
-            if not math.isfinite(r):
-                r = math.inf  # NaN compares false; the first one must still fail
-            if r > worst:
-                worst, worst_pt = r, (x, y)
-    worst = max(worst, 0.0)
+        xs += [x] * len(kept)
+        ys += kept
+    if xs:
+        worst, worst_pt = _block_worst(family, xs, ys, coefficients, worst, worst_pt)
     if evaluated == 0:
         raise VerificationError("domain excludes every grid point")
-    return GridReport(worst, worst_pt, evaluated, skipped)
+    return GridReport(max(worst, 0.0), worst_pt, evaluated, skipped)
+
+
+def _block_worst(family, xs, ys, coefficients, worst, worst_pt):
+    """(worst, worst_pt) after the block's points in grid order: a residual
+    replaces worst only if it exceeds it, and a non-finite one reads inf."""
+    rs = list(map(abs, _residuals(family, xs, ys, *coefficients)))
+    if math.isfinite(sum(rs)):
+        top = max(rs)
+        if top > worst:
+            i = rs.index(top)
+            worst, worst_pt = top, (xs[i], ys[i])
+        return worst, worst_pt
+    for x, y, r in zip(xs, ys, rs):
+        if not math.isfinite(r):
+            r = math.inf  # NaN compares false; the first one must still fail
+        if r > worst:
+            worst, worst_pt = r, (x, y)
+    return worst, worst_pt
 
 
 def oracle_solution(p: ThomasParams, modes):

@@ -39,8 +39,8 @@ from lie_thomas.fuchs import (
     second_solution,
 )
 from lie_thomas.hyperdual import HyperDualRow, exp_, log_
-from lie_thomas.verification import GridReport, GridSpec, VerificationError, residual_grid
-from test_verification import _pointwise_residual_grid
+from lie_thomas.verification import BLOCK, GridReport, GridSpec, VerificationError, residual_grid
+from test_verification import BLOCK_GRIDS, _grid_bits, _pointwise_residual_grid
 
 F = Fraction
 P = ThomasParams(1, 1, 1)
@@ -794,9 +794,10 @@ def test_mode_mix_grid_reports_equal_the_composed_linear_forms(key):
 
 @pytest.mark.parametrize("key", sorted(REFERENCES))
 def test_mode_mix_domain_is_w_above_its_floor(key):
-    """ModeMix.domain, computed on the floats directly, decides every point
-    of seeded grids as the test-side w(x, y) > floor and as the mix's own
-    w, which takes hyper-duals too, do."""
+    """ModeMix.domain, computed on the floats directly with f read as
+    math.exp, abs(math.cos) or the identity, decides every point of seeded
+    grids as the test-side w(x, y) > floor, the mix's own w on floats, and
+    the real part of its w on a row of the grid's points do."""
     _, draw = REFERENCES[key]
     rng = random.Random(20261017)
     decided = Counter()
@@ -814,6 +815,11 @@ def test_mode_mix_domain_is_w_above_its_floor(key):
             assert type(inside) is bool and inside == composed_domain(x, y), (p, x, y)
             assert inside == (mix.f is None or mix.w(x, y) > mix.floor), (p, x, y)
             decided[inside] += 1
+        if mix.f is not None:
+            xs, ys = zip(*grid.points())
+            row = mix.w(*HyperDualRow.seed(xs, ys))
+            assert [mix.domain(x, y) for x, y in grid.points()] == [
+                w > mix.floor for w in row.value], p
     assert decided[True] > 1000, decided
     if key not in ("case21_affine", "case22", "constant"):  # these have no f
         assert decided[False] > 0, decided
@@ -878,10 +884,13 @@ def test_row_batched_grid_reports_equal_the_pointwise_kernel(key):
     assert gapped >= 4, gapped
 
 
-def test_case1_sums_each_series_once_per_grid_point(monkeypatch):
+def test_case1_sums_each_distinct_chi_once_per_block(monkeypatch):
     """fuchs.series_sums is the one entry that sums a series, so every sum is
-    counted, by the table it walks.  Each evaluated grid point sums the
-    joint table of both series once; the second solution's own table, whose
+    counted, by the table it walks.  The domain keeps the sums at each chi
+    until the block's evaluation reads and clears them, so each block sums
+    the joint table of both series once per distinct chi among its
+    evaluated points, which is fewer sums than points here, as chi = -x y
+    repeats on this square grid.  The second solution's own table, whose
     sums carry y_2', is summed at the base point only, when the family is
     built."""
     records, calls = {}, Counter()
@@ -908,9 +917,37 @@ def test_case1_sums_each_series_once_per_grid_point(monkeypatch):
     fam = case1_solution(P, a1=F(0), a2=F(0), c0=F(1))
     assert calls["second_solution"] == 1 and calls["joint"] == 0, calls
     calls.clear()
-    report = residual_grid(fam, grid=GridSpec(-2.0, -0.1, 20, -2.0, -0.1, 20))
-    assert report.evaluated + report.skipped == 400 and report.evaluated > 300
-    assert calls == {"joint": report.evaluated}, calls
+    grid = GridSpec(-2.0, -0.1, 30, -2.0, -0.1, 30)
+    report = residual_grid(fam, grid=grid)
+    summed = dict(calls)
+    distinct, chis, size = [], set(), 0  # the blocks as residual_grid cuts them
+    for x, row in grid.rows():
+        if size and size + len(row) > BLOCK:
+            distinct.append(len(chis))
+            chis, size = set(), 0
+        kept = [y for y in row if fam.domain(x, y)]
+        chis.update(-x * y for y in kept)  # the domain's chi at a1 = a2 = 0, gamma = 1
+        size += len(kept)
+    distinct.append(len(chis))
+    assert report.evaluated + report.skipped == 900 and len(distinct) == 2, distinct
+    assert summed == {"joint": sum(distinct)}, (summed, distinct)
+    assert sum(distinct) < report.evaluated
+
+
+def test_case1_memo_holds_the_sums_of_a_whole_block():
+    """A block of residual_grid fits in the sums memo: the domain keeps the
+    sums of BLOCK distinct chi values, none cleared before an evaluator
+    could read them, so BLOCK is within the memo's bound."""
+    fam = case1_solution(P, a1=F(0), a2=F(0), c0=F(1))
+    sums = inspect.getclosurevars(fam.domain).nonlocals["sums"]
+    memo = inspect.getclosurevars(sums).nonlocals["memo"]
+    chis = set()
+    for x, y in GridSpec(-2.0, -0.1, 60, -2.0, -0.1, 60).points():
+        if fam.domain(x, y):
+            chis.add(-x * y)
+            if len(chis) == BLOCK:
+                break
+    assert len(chis) == BLOCK and chis <= memo.keys(), (len(chis), len(memo))
 
 
 def test_case1_domain_alone_keeps_a_bounded_memo():
@@ -922,3 +959,29 @@ def test_case1_domain_alone_keeps_a_bounded_memo():
     accepted = sum(fam.domain(x, y) for x, y in GridSpec(-2.0, -0.1, 60, -2.0, -0.1, 60).points())
     assert accepted > 2000
     assert 0 < len(memo) <= 1024, len(memo)
+
+
+@pytest.mark.parametrize("key", sorted(SOLUTION_BUILDERS))
+def test_block_grid_reports_equal_the_pointwise_kernel(key, rng):
+    """Each builder's default constants at (1, 1, 1) and (1, 2, 3), and two
+    draws from the test seed with a disc cut out of their domain, on grids
+    that cut rows at block edges, hold rows longer than a block, or make
+    many blocks: float.hex of the max and the worst point, and both counts,
+    equal the one point at a time report."""
+    built = [fam for fam, _ in (_outcome(SOLUTION_BUILDERS[key], p, {})
+                                for p in (P, ThomasParams(1, 2, 3))) if fam is not None]
+    drawn = 0
+    for _ in range(40):
+        if drawn == 2:
+            break
+        p = ThomasParams(_rat(rng), _rat(rng), _rat(rng, zero_share=0.0))
+        fam, _ = _outcome(SOLUTION_BUILDERS[key], p, GRID_DRAWS[key](rng, p))
+        if fam is not None:
+            built.append(_with_hole(fam))
+            drawn += 1
+    assert len(built) >= 3, key
+    for fam in built:
+        for grid in BLOCK_GRIDS:
+            want = _grid_bits(fam, None, grid, _pointwise_residual_grid)
+            assert _grid_bits(fam, None, grid) == want, (key, fam.params, fam.constants, grid)
+

@@ -13,7 +13,7 @@ from oracles import HyperDual
 
 def _point(x, y):
     """The rows of one x + eps1 and y + eps2 at the point (x, y)."""
-    return HyperDualRow.seed(x, [y])
+    return HyperDualRow.seed([x], [y])
 
 
 def _check(z, f, fx, fy, fxy, tol=1e-12):
@@ -288,7 +288,7 @@ def test_row_operations_round_as_the_scalar_ones(name, rng):
 
 
 def test_rows_have_no_order_or_truth_value():
-    x, y = HyperDualRow.seed(0.5, [0.25, -1.0])
+    x, y = HyperDualRow.seed([0.5, 0.5], [0.25, -1.0])
     for branch in (lambda: x < 0.0, lambda: x > y, lambda: 0.0 < x, lambda: x >= 1.5,
                    lambda: x <= y, lambda: bool(x), lambda: 1.0 if x else 0.0):
         with pytest.raises(TypeError, match="must not branch"):

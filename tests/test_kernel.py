@@ -587,7 +587,7 @@ def test_every_app_function_differentiates_evaluates_and_prints(fn):
     numeric = getattr(math, fn)
     assert evaluate(e, {"x": 0.5, "y": 0.25}) == numeric(0.75)
     # the symbolic x-derivative matches the hyper-dual one
-    hd = evaluate(e, {"x": hyperdual.HyperDualRow.seed(0.5, [0.25])[0], "y": 0.25})
+    hd = evaluate(e, {"x": hyperdual.HyperDualRow.seed([0.5], [0.25])[0], "y": 0.25})
     assert hd.value == [numeric(0.75)]
     assert math.isclose(evaluate(differentiate(e, X), {"x": 0.5, "y": 0.25}), hd.dx[0],
                         rel_tol=1e-15)

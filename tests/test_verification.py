@@ -9,8 +9,9 @@ import pytest
 
 from lie_thomas.determining import ThomasParams
 from lie_thomas.families import case1_solution, case21b_solution, case22_solution
-from lie_thomas.hyperdual import HyperDualRow, exp_, lift, log_
+from lie_thomas.hyperdual import HyperDualError, HyperDualRow, affine, exp_, lift, log_
 from lie_thomas.verification import (
+    BLOCK,
     GridSpec,
     GridReport,
     VerificationError,
@@ -104,7 +105,7 @@ def test_residual_at_a_point_is_its_row_residual():
         compared = 0
         for x, ys in GridSpec(-2.0, -0.1, 7, -2.0, -0.1, 7).rows():
             kept = [y for y in ys if in_domain(x, y)]
-            rows = _residuals(fam, x, kept, *P.floats())
+            rows = _residuals(fam, [x] * len(kept), kept, *P.floats())
             points = [residual(fam, x, y, P) for y in kept]
             assert list(map(float.hex, points)) == list(map(float.hex, rows)), (fam, x)
             compared += len(kept)
@@ -220,7 +221,7 @@ def test_one_non_finite_residual_outranks_finite_ones():
 
 @pytest.mark.parametrize("evaluator, error", [
     (lambda x, y: HyperDual(0.5, 1.0) * HyperDual(0.5, 0.0, 1.0), TypeError),  # not a row
-    (lambda x, y: HyperDualRow.seed(0.5, [0.5])[0] * 2.0, ValueError),  # one point only
+    (lambda x, y: HyperDualRow.seed([0.5], [0.5])[0] * 2.0, ValueError),  # one point only
 ], ids=["scalar", "short-row"])
 def test_residual_grid_refuses_a_result_that_is_not_the_row(evaluator, error):
     """Neither result may pass as a verified constant or leave points unchecked."""
@@ -249,7 +250,7 @@ def _pointwise_residual_grid(family, p=None, grid=None):
             if not in_domain(x, y):
                 skipped += 1
                 continue
-            val = family(*HyperDualRow.seed(x, [y]))
+            val = family(*HyperDualRow.seed([x], [y]))
             if not isinstance(val, HyperDualRow):  # a constant
                 val = HyperDualRow([float(val)], [0.0], [0.0], [0.0])
             (d_x,), (d_y,), (d_xy,) = val.dx, val.dy, val.dxy
@@ -294,11 +295,12 @@ def test_oracle_grid_reports_equal_the_composed_exponents():
     (case1_solution(P, a1=F(0), a2=F(0), c0=F(1)), (-2.0, -0.1), 25),
     (case21b_solution(P, a1=F(-1), a2=F(-1), A0=F(0)), (-2.0, 2.0), 200),
 ], ids=["case1", "case21b"])
-def test_residual_grid_holds_one_row_at_a_time(fam, bounds, nx):
-    """With rows of 200 points the allocation peak stays under 1 MiB (about
-    0.1-0.25 MiB); one batch of the grid's 5000 or more points would hold
-    2.5 MiB or more.  case1 runs 25 rows only, because tracing every
-    allocation makes its series sums about 15 times slower."""
+def test_residual_grid_holds_one_block_at_a_time(fam, bounds, nx):
+    """With rows of 200 points a block holds two rows, and the allocation
+    peak stays under 1 MiB (about 0.25-0.45 MiB); one batch of the grid's
+    5000 or more points would hold 2.5 MiB or more.  case1 runs 25 rows
+    only, because tracing every allocation makes its series sums about 15
+    times slower."""
     grid = GridSpec(bounds[0], bounds[1], nx, *bounds, 200)
     tracemalloc.start()
     try:
@@ -308,3 +310,123 @@ def test_residual_grid_holds_one_row_at_a_time(fam, bounds, nx):
         tracemalloc.stop()
     assert report.evaluated > 4000
     assert peak < 2**20, peak
+
+
+# grids that meet the block size in each way: 37x41 cuts its rows at block
+# edges (12 whole rows of 41 fill 492 of 512 points), 3x900 has rows longer
+# than a block, and 120x90 makes many blocks
+BLOCK_GRIDS = (GridSpec(-2.0, 2.0, 37, -2.0, 2.0, 41), GridSpec(-2.0, 2.0, 3, -2.0, 2.0, 900),
+               GridSpec(-2.5, 1.5, 120, -1.5, 2.5, 90))
+
+
+def _bits(report):
+    """A grid report as float.hex of its max and worst point, and its counts."""
+    return (report.max_residual.hex(), tuple(map(float.hex, report.worst_point)),
+            report.evaluated, report.skipped)
+
+
+def _grid_bits(u, p, grid, check=residual_grid):
+    """_bits of the report, or the message of the VerificationError raised."""
+    try:
+        return _bits(check(u, p, grid))
+    except VerificationError as exc:  # an empty domain must be empty for both
+        return str(exc)
+
+
+class _Shim:
+    """A family by duck type: params, a domain, and a call."""
+
+    def __init__(self, u, domain, params=P):
+        self.u, self.domain, self.params = u, domain, params
+
+    def __call__(self, x, y):
+        return self.u(x, y)
+
+
+def _shims():
+    """Evaluators that are no family: a non-solution (a residual that varies
+    from point to point), a constant (every residual ties at zero), one with
+    a domain that drops whole blocks, and one whose domain admits nothing."""
+    fake = lambda x, y: x * y + 0.25 * x * x
+    return [
+        _Shim(fake, lambda x, y: True),
+        _Shim(lambda x, y: 2.5, None),
+        _Shim(fake, lambda x, y: x * x + y * y < 1.0 or x > 1.2),
+        _Shim(fake, lambda x, y: False),
+    ]
+
+
+def test_block_reports_of_oracle_mixes_and_shims_equal_the_pointwise_kernel(rng):
+    """The block report of each oracle mix and each shim equals the one
+    point at a time report bit for bit on every block grid."""
+    drawn = ThomasParams(F(rng.randint(-6, 6), 2), F(rng.randint(1, 6), 3), F(rng.randint(1, 4)))
+    for p in (P, drawn):
+        mixes = oracle_solutions(p, count=3, rng=random.Random(rng.getrandbits(32)))
+        for u in mixes + [s for s in _shims() if p is P]:
+            for grid in BLOCK_GRIDS:
+                want = _grid_bits(u, p, grid, _pointwise_residual_grid)
+                assert _grid_bits(u, p, grid) == want, (p, getattr(u, "modes", u), grid)
+
+
+def test_blocks_take_whole_rows_up_to_the_block_size():
+    """Each evaluation takes whole rows while their in-domain points and the
+    next row's full length fit in BLOCK; a longer row is a block of its own,
+    and no block is empty."""
+    sizes = []
+
+    def counting(x, y):
+        sizes.append(len(y.value))
+        return x * y
+
+    for grid, want in ((BLOCK_GRIDS[0], [12 * 41] * 3 + [41]),
+                       (BLOCK_GRIDS[1], [900] * 3),
+                       (GridSpec(-2.0, 2.0, 4, -2.0, 2.0, BLOCK), [BLOCK] * 4)):
+        sizes.clear()
+        report = residual_grid(counting, P, grid)
+        assert sizes == want and report.evaluated == sum(want), (grid, sizes)
+    sizes.clear()  # the domain admits half of each row; the next row's full length still counts
+    residual_grid(_Shim(counting, lambda x, y: y < 0.0), P, BLOCK_GRIDS[0])
+    assert sizes == [20 * 24, 20 * 13], sizes
+
+
+def test_a_non_finite_residual_in_a_later_block_reports_inf_at_its_point():
+    """The NaN band starts after the first block; the finite residuals
+    around it in its block and in earlier blocks do not hide it."""
+    nan_at = lambda v: (math.nan if 0.9 < v < 1.0 else 1.0, 0.0, 0.0)
+    u = lambda x, y: (x * y + 3.0 * x * x) * lift(affine(0.5, x, 0.5, y, 0.0), nan_at)
+    for grid in BLOCK_GRIDS:
+        want = _pointwise_residual_grid(u, P, grid)
+        assert want.max_residual == math.inf
+        assert want.worst_point[0] > grid.xmin + (grid.xmax - grid.xmin) / 3, grid
+        assert _bits(residual_grid(u, P, grid)) == _bits(want), grid
+
+
+def test_a_failing_row_in_a_later_block_raises_the_pointwise_message():
+    """log of a non-positive value first happens in row 21 of 37, inside the
+    second block; the message names the first failing point's value."""
+    u = lambda x, y: log_(affine(-1.0, x, 0.1, y, 0.5))
+    grid = BLOCK_GRIDS[0]
+    with pytest.raises(HyperDualError) as want:
+        _pointwise_residual_grid(u, P, grid)
+    with pytest.raises(HyperDualError) as got:
+        residual_grid(u, P, grid)
+    assert str(got.value) == str(want.value)
+    assert "-0.0333" in str(want.value), want.value  # 0.5 - 1/3 - 0.2 at row 21
+
+
+def test_within_a_block_the_operation_reached_first_raises():
+    """Row x = -1 fails at log and row x = 1 fails earlier in the evaluator,
+    at its lift.  Point by point, or row by row, row x = -1 raises first;
+    in one block the lift raises before any log is taken."""
+
+    def refusing(v):
+        if v > 0.5:
+            raise HyperDualError("lift refuses %r" % v)
+        return v, 1.0, 0.0
+
+    u = lambda x, y: log_(lift(x, refusing))
+    grid = GridSpec(-1.0, 1.0, 4, -1.0, 1.0, 4)
+    with pytest.raises(HyperDualError, match="log of non-positive"):
+        _pointwise_residual_grid(u, P, grid)
+    with pytest.raises(HyperDualError, match="lift refuses 1.0"):
+        residual_grid(u, P, grid)
