@@ -22,9 +22,9 @@ _EXPORTS = {
         "evaluate", "substitute",
     ),
     "algebra": (
-        "AlgebraElement", "GroupElement", "GroupWord", "adjoint", "adjoint_table",
-        "basis_element", "commutator", "commutator_table", "g_element",
-        "group_action", "transform_solution",
+        "AlgebraElement", "adjoint", "adjoint_table", "basis_element",
+        "commutator", "commutator_table", "g_element", "group_action",
+        "transform_solution",
     ),
     "classifier": ("CanonicalCase", "classify", "orbit_invariance_check"),
     "params": ("ThomasParams",),

@@ -6,7 +6,11 @@ Each group exp(eps*v) is written once, as a flow: a base map (x, y) ->
 (x', y') and a lift (x, y, u) -> u'.  Transport moves a solution's graph:
 the new u at (x, y) lifts the old graph point over base_{-eps}(x, y).
 The adjoint closed forms are written once too, by `adjoint_coords` in plain
-arithmetic, for Expr and Fraction coordinate tuples alike.
+arithmetic, for Expr and Fraction coordinate tuples alike.  An
+AlgebraElement is a record of its coordinates and g part with no arithmetic
+of its own: the commutator and the adjoint maps build each result from
+parts, and a word of flows moves a solution as transform_solution composed
+over its entries.
 
 The commutator and adjoint tables are derived once, read at any
 constants, g and eps by binding: both are built once per process at the
@@ -122,35 +126,6 @@ class AlgebraElement(Record):
 
     def has_g(self) -> bool:
         return not is_zero(self.g)
-
-    def is_zero(self) -> bool:
-        return all(is_zero(a) for a in self.coords()) and not self.has_g()
-
-    def to_field(self, p: ThomasParams):
-        """The element as a vectorfield.VectorField."""
-        from .determining import general_symmetry  # here: tables and classify never load it
-
-        return general_symmetry(self.a3, self.a2, self.a1, self.a4, self.g, p, check=False)
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return AlgebraElement(
-            self.a1 + other.a1,
-            self.a2 + other.a2,
-            self.a3 + other.a3,
-            self.a4 + other.a4,
-            self.g + other.g,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AlgebraElement":
-        c = _coord(c)
-        return AlgebraElement(*[mul(c, a) for a in self.coords()], g=mul(c, self.g))
 
 
 def basis_element(i: int) -> AlgebraElement:
@@ -396,40 +371,3 @@ def transform_solution(i, eps: float, f, p: ThomasParams, g=None):
         return lift(x0, y0, f(x0, y0))
 
     return moved
-
-
-class GroupElement(Record):
-    generator: object  # 1..4 or "g"
-    eps: float
-    g: object = None  # callable for the family generator
-
-    def apply(self, pt, p: ThomasParams):
-        return group_action(self.generator, self.eps, pt, p, self.g)
-
-    def transport(self, f, p: ThomasParams):
-        return transform_solution(self.generator, self.eps, f, p, self.g)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.generator, -self.eps, self.g)
-
-
-class GroupWord(Record):
-    elements: tuple = ()
-
-    def apply(self, pt, p: ThomasParams):
-        for el in self.elements:
-            pt = el.apply(pt, p)
-        return pt
-
-    def transport(self, f, p: ThomasParams):
-        for el in self.elements:
-            f = el.transport(f, p)
-        return f
-
-    def inverse(self) -> "GroupWord":
-        return GroupWord(tuple(el.inverse() for el in reversed(self.elements)))
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupWord):
-            return NotImplemented
-        return GroupWord(self.elements + other.elements)

@@ -42,9 +42,6 @@ class CanonicalCase(Record):
     coords: tuple  # canonical (a1, a2, a3, a4) as Fractions
     word: tuple  # ordered ("scale" | "v1" | "v2", Fraction) pairs
 
-    def element(self) -> AlgebraElement:
-        return AlgebraElement(*[Rat(c) for c in self.coords])
-
 
 def _fraction(q):
     return q if type(q) is Fraction else Fraction(q)

@@ -462,8 +462,9 @@ def R(p, q=1) -> Rat:
 class UFunc:
     """Factory for an unknown function of fixed variables.
 
-    ``f = UFunc("f", ("x", "y")); f()`` is the function f of (x, y) and
-    ``f.d("x", "y")`` the registered derivative symbol f_xy.
+    ``f = UFunc("f", ("x", "y")); f()`` is the function f of (x, y); its
+    partials come from ``differentiate``, which gives the registered
+    derivative symbols, such as f_xy = ``Func("f", ("x", "y"), (1, 1))``.
     """
 
     __slots__ = ("name", "params")
@@ -474,12 +475,6 @@ class UFunc:
 
     def __call__(self):
         return Func(self.name, self.params, (0,) * len(self.params))
-
-    def d(self, *wrt):
-        unknown = [w for w in wrt if w not in self.params]
-        if unknown:
-            raise ExprError("%s has no argument %r" % (self.name, unknown[0]))
-        return Func(self.name, self.params, tuple(wrt.count(p) for p in self.params))
 
 
 # --- calculus -------------------------------------------------------------

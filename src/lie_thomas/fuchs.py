@@ -13,8 +13,9 @@ made: the value rows and term-wise derivative rows (n a_n, and n (n - 1)
 a_n for the series), each moved down to the power of chi it multiplies.
 ``series_sums``, the one loop that sums a table, feeds up to five sums from
 one chain of powers of chi taken by repeated products, each sum adding its
-terms in order of n.  Calling a record and ``eval`` are views of that pass;
-``joint_table`` gives a Case 1 point y, y', y'' and y_2 in one pass.
+terms in order of n.  Calling a FuchsSeries and either record's ``eval``
+are views of that pass; ``joint_table`` gives a Case 1 point y, y', y'' and
+y_2 in one pass.
 """
 
 from __future__ import annotations
@@ -114,11 +115,6 @@ class SecondSolution(Record):
     def __post_init__(self):
         d, v = self.coefficients, self.log_coefficients
         object.__setattr__(self, "_table", _table((d, 0), (d, 1), (v, 0), (v, 1)))
-
-    def __call__(self, chi: float) -> float:
-        """y_2 at chi != 0."""
-        s, _, v, _, _ = series_sums(self._table, chi)
-        return self.value(chi, s, v)
 
     def value(self, chi: float, s: float, v: float) -> float:
         """y_2 at chi != 0 from its sums S_d = s and S_v = v there."""

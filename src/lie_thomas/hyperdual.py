@@ -13,7 +13,8 @@ point seeded with its own x and y, so an evaluator runs once for a block of
 whole grid rows, and a single point is a row of one.  Element i of each
 result is rounded as the one-point operation rounds it, so a point reads
 the same bits alone as in any row.  A row takes + - * with rows and
-floats, / by a float, integer powers, abs, exp, log, cos and ``_lift``.  It
+floats, / by a float (each part divided by it, so the value has the bits
+of float division), integer powers, abs, exp, log, cos and ``_lift``.  It
 has no order or truth value: an evaluator that branches on one raises
 instead of taking one branch for a whole row.  ``affine(a, x, b, y, c)`` is
 a x + b y + c, rounded as the composed operations are, and ``lift``
@@ -90,8 +91,8 @@ class HyperDualRow:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * (1.0 / other)
+    def __truediv__(self, other):  # each part by the float, as float division rounds
+        return HyperDualRow(*([d / other for d in part] for part in self._parts()))
 
     def _reciprocal(self) -> "HyperDualRow":
         return lift(self, lambda v: (1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)))

@@ -2,8 +2,8 @@
 
 For a canonical generator v the pair (chi, varsigma) solves v(chi) =
 v(varsigma) = 0.  The ansatz varsigma = F(chi), pushed through the chain
-rule, gives the jets of u from that same pair (chain_rule_jets), and
-putting them into the equation leaves an ODE in F.  Each case states its
+rule, gives the jets of u from that same pair (_jets), and putting
+them into the equation leaves an ODE in F.  Each case states its
 pair and its ODE, beside the nonzero factor m in lhs = m * Delta|ansatz,
 in one switch (_reduction), on the branch that _branch picks: _branch
 holds every branch condition.  An order-0 reduction is an identity or
@@ -251,13 +251,6 @@ def _reduction(c, p: ThomasParams):
         return pair, _order0(Rat(0), "varsigma", name + " = 0"), Rat(1)
     return pair, ReducedODE(1, "varsigma", mul(coeff, S1), "linear-first-order", note="varsigma "
                             "is constant whenever the coefficient is nonzero"), Rat(1)
-
-
-def chain_rule_jets(c, p: ThomasParams = ThomasParams()):
-    """(u_x, u_y, u_xy) of the invariant ansatz, as expressions in x, y and
-    the opaque symbols varsigma_chi, varsigma_chichi: the chain rule on the
-    pair that invariants() returns."""
-    return _jets(invariants(c, p), c.tag)
 
 
 def _jets(pair: InvariantPair, tag: str):

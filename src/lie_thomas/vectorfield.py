@@ -82,15 +82,6 @@ class VectorField(Record):
             mul(self.phi, differentiate(f, U)),
         )
 
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(self.xi + other.xi, self.eta + other.eta, self.phi + other.phi)
-
-    def scale(self, c) -> "VectorField":
-        c = _wrap(c)
-        return VectorField(mul(c, self.xi), mul(c, self.eta), mul(c, self.phi))
-
 
 def symbolic_field() -> VectorField:
     """Fully symbolic field xi, eta, phi of (x, y, u), whose coefficient

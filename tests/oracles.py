@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from lie_thomas.algebra import AlgebraElement, adjoint, basis_element, commutator, g_element
-from lie_thomas.determining import ThomasParams
+from lie_thomas.determining import ThomasParams, general_symmetry
 from lie_thomas.expr import (Add, App, Expr, Func, Mul, Pow, Rat, Sym, UFunc, add, mul, param,
                              pow_, substitute)
 from lie_thomas.fuchs import FuchsSeries, fuchs_series
@@ -54,16 +54,17 @@ def lie_series_adjoint(
     """Ad(exp(eps*v_i)) w summed term by term from iterated brackets,
     truncated at the given order.  Independent of the closed forms."""
     v = basis_element(i)
-    total = w
+    total = (*w.coords(), w.g)
     term = w
     sign_eps = mul(Rat(-1), eps)
     for n in range(1, order + 1):
         term = commutator(v, term, p)
-        if term.is_zero():
+        parts = (*term.coords(), term.g)
+        if all(is_zero(a) for a in parts):
             break
         coeff = mul(pow_(sign_eps, n), Rat(Fraction(1, math.factorial(n))))
-        total = total + term.scale(coeff)
-    return total
+        total = tuple(add(s, mul(coeff, a)) for s, a in zip(total, parts))
+    return AlgebraElement(*total)
 
 
 def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
@@ -77,7 +78,8 @@ def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
 
 def annihilation_residuals(c, p: ThomasParams = ThomasParams()):
     """(v(chi), v(varsigma)) for the canonical field; both must vanish."""
-    v = c.element().to_field(p)
+    a1, a2, a3, a4 = (Rat(a) for a in c.coords)
+    v = general_symmetry(a3, a2, a1, a4, p=p, check=False)
     pair = invariants(c, p)
     return v.apply(pair.chi), v.apply(pair.varsigma)
 
@@ -175,7 +177,7 @@ class HyperDual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (1.0 / other)
+        return HyperDual(self.value / other, self.dx / other, self.dy / other, self.dxy / other)
 
     def _reciprocal(self) -> "HyperDual":
         v = self.value

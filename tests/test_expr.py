@@ -91,32 +91,34 @@ def test_func_keys_pinned():
     assert UFunc("xi")().key() == (
         2, "xi", (0, 0, 0), ((1, 0, "x"), (1, 0, "y"), (1, 0, "u")))
     assert UFunc("g", ("x", "y"))().key() == (2, "g", (0, 0), ((1, 0, "x"), (1, 0, "y")))
-    assert UFunc("xi").d("x", "u", "u").key() == (
+    assert Func("xi", ("x", "y", "u"), (1, 0, 2)).key() == (
         2, "xi", (1, 0, 2), ((1, 0, "x"), (1, 0, "y"), (1, 0, "u")))
 
 
 def test_differentiate_func_by_its_variables():
-    xi = UFunc("xi")
-    for var, name in ((X, "x"), (Y, "y"), (U, "u")):
-        d = differentiate(xi(), var)
-        assert type(d) is Func and d == xi.d(name)
-        assert differentiate(d, X) == xi.d(name, "x")
-    g = UFunc("g", ("x", "y"))
-    assert differentiate(g.d("x"), Y) == g.d("x", "y") == g.d("y", "x")
+    xyu = ("x", "y", "u")
+    for var, derivs in ((X, (1, 0, 0)), (Y, (0, 1, 0)), (U, (0, 0, 1))):
+        d = differentiate(UFunc("xi")(), var)
+        assert type(d) is Func and d == Func("xi", xyu, derivs)
+        assert differentiate(d, X) == Func("xi", xyu, (derivs[0] + 1, *derivs[1:]))
+    g = UFunc("g", ("x", "y"))()
+    g_x, g_y = differentiate(g, X), differentiate(g, Y)
+    assert differentiate(g_x, Y) == Func("g", ("x", "y"), (1, 1)) == differentiate(g_y, X)
     for other in (U, U_X, JETS[(1, 1)], Sym("x", PARAM), ALPHA):
-        assert differentiate(g(), other) == ZERO
-        assert differentiate(g.d("y"), other) == ZERO
+        assert differentiate(g, other) == ZERO
+        assert differentiate(g_y, other) == ZERO
 
 
 def test_substitute_cannot_move_a_func_variable():
-    xi = UFunc("xi")
+    xi = UFunc("xi")()
     with pytest.raises(ExprError, match="xi"):
-        substitute(X + xi(), {X: Y})
+        substitute(X + xi, {X: Y})
     with pytest.raises(ExprError, match="xi_u"):
-        substitute(exp(xi.d("u")), {U: R(0)})
+        substitute(exp(differentiate(xi, U)), {U: R(0)})
     # a whole Func node is still a binding key, and a Func is left as it is
     # when no binding names one of its variables
-    assert substitute(X * xi.d("x"), {xi.d("x"): R(2)}) == R(2) * X
+    xi_x = differentiate(xi, X)
+    assert substitute(X * xi_x, {xi_x: R(2)}) == R(2) * X
     g = UFunc("g", ("x", "y"))
     assert substitute(U * g(), {U: R(3), Sym("x", PARAM): R(1)}) == R(3) * g()
 

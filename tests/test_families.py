@@ -825,6 +825,17 @@ def test_mode_mix_domain_is_w_above_its_floor(key):
         assert decided[False] > 0, decided
 
 
+def test_mode_mix_domain_excludes_w_on_its_floor():
+    """w > floor is strict: with w = x and the floor on the grid tick x = 1,
+    that tick's points are outside the domain, and residual_grid counts them
+    as skipped.  (This mix solves the equation only where alpha = 0; its
+    residual is not checked here.)"""
+    mix = ModeMix(1.0, 0.0, 0.0, 0.0, a=0.0, c=1.0, f=families._identity, p=1.0, floor=1.0)
+    assert [mix.domain(x, 0.5) for x in (0.5, 1.0, 2.0)] == [False, False, True]
+    report = residual_grid(mix, P, GridSpec(-2.0, 2.0, 5, -2.0, 2.0, 5))
+    assert (report.evaluated, report.skipped) == (5, 20)
+
+
 CASE1_GRID_CONSTANTS = [
     {"a1": a1, "a2": a2, "c0": c0} for a1, a2, c0 in CASE1_CONSTANTS
 ] + [
@@ -985,3 +996,26 @@ def test_block_grid_reports_equal_the_pointwise_kernel(key, rng):
             want = _grid_bits(fam, None, grid, _pointwise_residual_grid)
             assert _grid_bits(fam, None, grid) == want, (key, fam.params, fam.constants, grid)
 
+
+@pytest.mark.parametrize("params", [(1, 2, 3), (F(1, 2), -1, 2), (1, 1, 1)],
+                         ids=["1,2,3", "1/2,-1,2", "1,1,1"])
+def test_float_and_row_values_agree_bit_for_bit(params):
+    """Every builder with its default constants, at each in-domain point of
+    the default grid: the value on floats, which ``solve --format csv``
+    prints, has the bits of the value on a row of that grid row's points,
+    the value whose derivatives ``verify`` checks."""
+    p = ThomasParams(*params)
+    built = 0
+    for key, build in SOLUTION_BUILDERS.items():
+        fam, _ = _outcome(build, p, {})
+        if fam is None:
+            continue
+        built += 1
+        for x, ys in GridSpec().rows():
+            kept = [y for y in ys if fam.domain(x, y)]
+            if kept:
+                row = fam(*HyperDualRow.seed([x] * len(kept), kept))
+                values = row.value if isinstance(row, HyperDualRow) else [row] * len(kept)
+                assert ([float.hex(v) for v in values]
+                        == [float.hex(fam(x, y)) for y in kept]), (key, x)
+    assert built >= 6, built

@@ -410,7 +410,8 @@ def _nf_keys(nf):
 
 
 _XI = UFunc("xi", ("x", "y", "u"))
-_ATOMS = (X, Y, U, ALPHA, BETA, GAMMA, _XI(), _XI.d("x"), _XI.d("u", "u"),
+_ATOMS = (X, Y, U, ALPHA, BETA, GAMMA, _XI(), differentiate(_XI(), X),
+          differentiate(differentiate(_XI(), U), U),
           app("log", X), app("log", add(X, Y)))
 _JET_ATOMS = tuple(JETS[k] for k in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1)))
 

@@ -5,6 +5,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -98,6 +99,21 @@ def _package_error_classes():
                     and value.__module__ == module.__name__ and value is not DomainError):
                 found["%s.%s" % (info.name, name)] = value
     return found
+
+
+def test_readme_library_example_runs_as_printed(capsys):
+    """README's ``## Library`` example runs and prints one GridReport line
+    whose residual is below 1e-9, so a public name it uses cannot go or be
+    renamed unseen."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        library = f.read().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    line = re.fullmatch(r"max \|residual\| = (\S+) at \(.+\) over \d+ points "
+                        r"\(\d+ outside domain\)\n", out)
+    assert line and float(line.group(1)) < 1e-9, out
 
 
 def test_every_package_error_is_a_domain_error_with_its_old_base():

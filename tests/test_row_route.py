@@ -105,7 +105,7 @@ def test_a_field_that_fails_keeps_its_own_residual():
         ok, residual = check_symmetry(vf, p)
         assert not ok
         assert equal(residual, _ref_manifold_action(vf, p).to_expr())
-    assert check_symmetry(v4(p).scale(2), p) == (True, 0)
+    assert check_symmetry(general_symmetry(k=2, p=p), p) == (True, 0)
 
 
 def test_rational_and_expression_partials_bind_as_the_prolonged_field(seed):
@@ -125,9 +125,10 @@ def test_rational_and_expression_partials_bind_as_the_prolonged_field(seed):
             lam += 1  # exponential_g needs lam + beta nonzero
         g, mu = exponential_g(lam, p)
         poly = _polynomial(rng)
-        fields = [v4(p) + VectorField(poly, ZERO, ZERO), v4(p) + VectorField(ZERO, poly, ZERO),
-                  v4(p) + VectorField(ZERO, ZERO, poly), v_g(g, p),
-                  v_g(app("exp", lam * X + (mu + 1) * Y), p, check=False), *_bent(v4(p))]
+        w = v4(p)
+        fields = [VectorField(w.xi + poly, w.eta, w.phi), VectorField(w.xi, w.eta + poly, w.phi),
+                  VectorField(w.xi, w.eta, w.phi + poly), v_g(g, p),
+                  v_g(app("exp", lam * X + (mu + 1) * Y), p, check=False), *_bent(w)]
         for vf in fields:
             ok, residual = check_symmetry(vf, p)
             action = _ref_manifold_action(vf, p)
@@ -208,9 +209,10 @@ def test_rational_rows_are_decided_without_a_normal_form(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(normal, "normal_form", refuse)
-        for vf in (v1(), v2(), v3(), v4(p), v4(p).scale(2) + v1()):
+        for vf in (v1(), v2(), v3(), v4(p), general_symmetry(c=1, k=2, p=p)):
             assert check_symmetry(vf, p) == (True, ZERO), vf
-        assert check_symmetry(v4(p) + VectorField(Y, ZERO, ZERO), p)[0] is False
+        w = v4(p)
+        assert check_symmetry(VectorField(w.xi + Y, w.eta, w.phi), p)[0] is False
 
     called, depth = [], [0]
     real = normal.normal_form
