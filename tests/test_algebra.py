@@ -274,6 +274,25 @@ def test_group_transport_round_trip_keeps_a_family_a_solution():
         assert abs(residual(moved, x, y, p)) < 1e-8, (x, y)
 
 
+def test_group_word_inverse_round_trip():
+    """A word of flows moves a point; the word undone (its entries in reverse
+    order, each eps negated) brings it back, whichever of the two runs
+    first."""
+    p = ThomasParams(1, 1, 1)
+    word = ((1, 0.3, None), (4, -0.2, None), (3, 1.0, None), ("g", 0.05, lambda x, y: 1.0))
+    inverse = [(i, -eps, g) for i, eps, g in reversed(word)]
+
+    def apply(word, pt):
+        for i, eps, g in word:
+            pt = group_action(i, eps, pt, p, g)
+        return pt
+
+    pt = (0.5, 0.25, -0.75)
+    assert max(abs(a - b) for a, b in zip(apply(word, pt), pt)) > 0.1
+    for back in (apply(inverse, apply(word, pt)), apply(word, apply(inverse, pt))):
+        assert max(abs(a - b) for a, b in zip(pt, back)) < 1e-12, back
+
+
 # --- one flow per generator ---------------------------------------------------
 # The formulas each generator had before its group was written once as a flow:
 # the point action, and the solution transport inverted from it by hand.
@@ -408,3 +427,26 @@ def test_non_finite_floats_are_refused_as_inexact(bad):
         adjoint(1, bad, basis_element(4), p)
     with pytest.raises(ParameterError, match="must be exact"):
         ThomasParams(bad, 1, 1)
+
+
+@pytest.mark.parametrize("generator", [1, 2, 3, 4, "g"], ids=["v1", "v2", "v3", "v4", "v_g"])
+def test_each_flow_is_undone_by_its_negated_eps(generator):
+    """exp(-eps v) exp(eps v) is the identity, on points and on solutions,
+    for every flow of _flow_cases at every parameter set: the step that
+    undoes a word entry by entry."""
+    rng = random.Random(9007)
+    checked = 0
+    for p in _FLOW_PARAMS:
+        f = oracle_solutions(p, count=1, rng=random.Random(9008))[0]
+        for i, eps, g in _flow_cases(p):
+            if i != generator:
+                continue
+            moved = transform_solution(i, eps, f, p, g)
+            back = transform_solution(i, -eps, moved, p, g)
+            for x, y in _points(rng):
+                pt = (x, y, f(x, y))
+                there = group_action(i, -eps, group_action(i, eps, pt, p, g), p, g)
+                assert max(abs(a - b) for a, b in zip(there, pt)) < 1e-12, (p, i, eps, x, y)
+                assert _close(back(x, y), f(x, y)), (p, i, eps, x, y)
+            checked += 1
+    assert checked >= 3, checked

@@ -287,6 +287,19 @@ def test_row_operations_round_as_the_scalar_ones(name, rng):
         assert negatives > 100 and zeros > 20, (negatives, zeros)
 
 
+def test_row_divides_each_part_by_the_float(rng):
+    """Every part of row / d has the bits of that part / d, which a product
+    by the reciprocal 1/d does not keep for every part."""
+    kept_by_reciprocal = True
+    for d in (3.0, -7.0, 0.1, 1e-3, 49.0):
+        parts = [[rng.uniform(-1e3, 1e3) for _ in range(8)] for _ in range(4)]
+        got = HyperDualRow(*parts) / d
+        for part, out in zip(parts, (got.value, got.dx, got.dy, got.dxy)):
+            assert [float.hex(v) for v in out] == [float.hex(v / d) for v in part], d
+            kept_by_reciprocal &= all(v / d == v * (1.0 / d) for v in part)
+    assert not kept_by_reciprocal
+
+
 def test_rows_have_no_order_or_truth_value():
     x, y = HyperDualRow.seed([0.5, 0.5], [0.25, -1.0])
     for branch in (lambda: x < 0.0, lambda: x > y, lambda: 0.0 < x, lambda: x >= 1.5,

@@ -116,6 +116,19 @@ def test_readme_library_example_runs_as_printed(capsys):
     assert line and float(line.group(1)) < 1e-9, out
 
 
+def test_console_script_is_the_cli_main():
+    """pyproject's ``lie-thomas`` script names ``lie_thomas.cli:main``, and
+    that object is the function the suite's CLI tests call."""
+    import tomllib
+
+    from lie_thomas import cli
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    module, _, attr = scripts["lie-thomas"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
+
+
 def test_every_package_error_is_a_domain_error_with_its_old_base():
     classes = _package_error_classes()
     assert set(classes) == set(_ERROR_BASES)

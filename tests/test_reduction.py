@@ -206,6 +206,18 @@ def test_canonical_field_matches_coords():
     assert to_text(vf.phi) == "x*beta - y*alpha"
 
 
+def test_chain_rule_jets_are_consistent():
+    # the (u_x, u_y, u_xy) substitutions that verify_reduction puts into the
+    # equation must satisfy it whenever the reduced one holds; that check
+    # runs there, so here just pin the shape and the Case2_2 closed form
+    c = _case("Case2_2", (1, 0, 1, 0))
+    jets = reduction._jets(invariants(c, SYM), c.tag)
+    assert len(jets) == 3
+    ux, uy, uxy = jets
+    assert to_text(ux) == "1"  # u = x + f(y) ansatz
+    assert is_zero(uxy)
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ReductionError):
         invariants(CanonicalCase("Case9", (F(1), F(0), F(0), F(0)), ()), NUM)
