@@ -200,6 +200,17 @@ def _render(args, doc, table, text) -> None:
 # --- derive -------------------------------------------------------------------
 
 
+def _certificate(p: ThomasParams) -> dict:
+    """check_symmetry's flag for v1..v4 and one exponential v_g at p, and
+    the g of that v_g (exponential_g at lam = 1, or 2 where beta = -1, so
+    that lam + beta is nonzero)."""
+    from .determining import check_symmetry, exponential_g, v1, v2, v3, v4, v_g
+
+    g, _ = exponential_g(2 if p.beta == Rat(-1) else 1, p)
+    fields = {"v1": v1(), "v2": v2(), "v3": v3(), "v4": v4(p), "v_g": v_g(g, p)}
+    return {"g": g, "symmetry": {name: check_symmetry(vf, p)[0] for name, vf in fields.items()}}
+
+
 def _cmd_derive(args) -> int:
     from .determining import determining_equations
     from .jetpoly import mono_expr
@@ -216,6 +227,7 @@ def _cmd_derive(args) -> int:
         doc["prolongation"] = {
             _PROLONG_LABELS[k]: pf.coefficient(k).to_expr() for k in COEFF_KEYS
         }
+    doc["certificate"] = _certificate(p)
 
     def text(fmt):
         lines = []
@@ -229,6 +241,11 @@ def _cmd_derive(args) -> int:
         lines.append("determining system (coefficient = 0 for each monomial):")
         lines += ["  [%s]  %s = 0" % (_render_expr(m, fmt), _render_expr(c, fmt))
                   for m, c in rows]
+        cert = doc["certificate"]
+        lines.append("symmetry certificate (v_g at g = %s): %s" % (
+            _render_expr(cert["g"], fmt),
+            ", ".join("%s %s" % (name, "pass" if ok else "FAIL")
+                      for name, ok in cert["symmetry"].items())))
         return lines
 
     _render(args, doc, lambda: (("monomial", "coefficient"), rows), text)

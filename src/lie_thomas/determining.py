@@ -17,13 +17,25 @@ with coefficients polynomial in (alpha, beta, gamma), so each is kept as
 its linear form, one (partial, constant monomial, coefficient) term per
 monomial: the forms are the system's coefficient matrix.  Every other
 reading binds their atoms through ``_bound_row``: ``determining_equations``
-binds the constants, and ``check_symmetry`` binds the constants and each
-partial to the matching partial of the given field's coefficient.  A term
-whose partial or constant is a rational zero is skipped, and the rational
-terms are summed as Fractions, so a row whose terms are all rational is
-decided by its value, without a normal form; both are exact, since a
-skipped term is zero and a Rat is zero iff its value is.  No field other
-than the symbolic one is prolonged.
+binds the constants, and ``check_symmetry``'s row route binds the
+constants and each partial to the matching partial of the given field's
+coefficient.  A term whose partial or constant is a rational zero is
+skipped, and the rational terms are summed as Fractions, so a row whose
+terms are all rational is decided by its value, without a normal form;
+both are exact, since a skipped term is zero and a Rat is zero iff its
+value is.  No field other than the symbolic one is prolonged.
+
+``check_symmetry`` takes one of two routes.  A field that
+``general_symmetry`` or ``v_g`` built keeps its (k, g, constants,
+proved) beside its coefficients, and is read off one identity, proved
+once per process on the row route at symbolic constants, a, b, c, k and
+g (``_proved_identity``): the residual of general_symmetry(a, b, c, k, g)
+is -(1/gamma) e^{-gamma u} (alpha g_x + beta g_y + g_xy).  Such a field
+is a symmetry at every constant set when g = k = 0, and at its own
+constants when g = 0 or ``v_g`` has zero-tested g's linearized equation;
+otherwise its flag is that test and its residual the identity at g.
+Every other field, and a kept field at other constants, takes the row
+route: the rows bound to its partials.
 """
 
 from __future__ import annotations
@@ -37,8 +49,11 @@ from .expr import (
     GAMMA,
     Expr,
     Func,
+    PARAM,
     Rat,
+    Sym,
     U,
+    UFunc,
     U_X,
     U_XY,
     U_Y,
@@ -47,10 +62,12 @@ from .expr import (
     ZERO,
     add,
     app,
+    atoms,
     contains_jet,
     differentiate,
     exp,
     mul,
+    param,
     pow_,
     scale,
     substitute,
@@ -58,7 +75,7 @@ from .expr import (
     _wrap,
 )
 from .jetpoly import jet_groups, mono_expr, mono_order_key
-from .normal import canonical_expr, is_zero, poly_expr
+from .normal import canonical_expr, equal, is_zero, poly_expr
 from .params import ParameterError, ThomasParams
 from .vectorfield import VectorField, apply_prolonged, prolong, symbolic_field
 
@@ -194,11 +211,37 @@ def determining_equations(p: ThomasParams = ThomasParams()) -> DeterminingSystem
 
 def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     """(flag, residual): flag is True iff the prolonged action of vf on the
-    equation vanishes on the solution manifold.
+    equation vanishes on the solution manifold; the residual is that
+    action, ZERO where it vanishes.
 
-    Derived once, read at any constants and field by binding, as the
-    algebra tables are: the flag is decided on the symbolic system, with
-    the constants bound to p and each partial of xi, eta and phi to that
+    A field that ``general_symmetry`` or ``v_g`` built is read off the
+    identity ``_proved_identity`` proves, with nothing prolonged or bound:
+    with g = k = 0 its coefficients are constants, a symmetry at every p;
+    at the constants it was built at it is a symmetry when g = 0 or its
+    g was checked on the linearized equation, and otherwise its flag is
+    that check and its residual the identity's at g.  Every other field,
+    and a built field at other constants, takes the row route
+    (``_row_route``)."""
+    built = vf._built
+    if built is not None:
+        k, g, q, proved = built
+        _proved_identity()
+        if _is_zero(g) and _is_zero(k):
+            return True, ZERO
+        if q == p:
+            if _is_zero(g) or proved:
+                return True, ZERO
+            constraint = linearized_constraint(g, p)
+            if is_zero(constraint):
+                return True, ZERO
+            return False, _g_phi(constraint, p)
+    return _row_route(vf, p)
+
+
+def _row_route(vf: VectorField, p: ThomasParams):
+    """check_symmetry on the symbolic system, derived once and read at any
+    constants and field by binding, as the algebra tables are: the
+    constants are bound to p and each partial of xi, eta and phi to that
     partial of vf's coefficient, which commutes with the prolongation and
     with taking each jet monomial's coefficient; a partial of a rational
     partial is ZERO, taken without differentiating.  Each row's linear
@@ -219,6 +262,28 @@ def check_symmetry(vf: VectorField, p: ThomasParams = ThomasParams()):
     if all(not row.value if type(row) is Rat else is_zero(row) for _, row in rows):
         return True, ZERO
     return False, add(*[mul(row, mono_expr(m)) for m, row in rows])
+
+
+_G = UFunc("g", ("x", "y"))()
+
+
+@cache
+def _proved_identity():
+    """Prove, once per process, the identity every field general_symmetry
+    builds is read off: on the row route, at the symbolic constants, a,
+    b, c and k, and g an unknown function of (x, y), the field fails with
+    residual -(1/gamma) e^{-gamma u} (alpha g_x + beta g_y + g_xy), the
+    phi of v_g at g's linearized equation (``_g_phi``).  The identity is
+    one of expressions in independent symbols and in the partials of g,
+    so it holds at every substitution of constants free of x, y and u for
+    the symbols (gamma nonzero) and of a function of (x, y) for g.  A
+    failed proof raises."""
+    p = ThomasParams()
+    vf = general_symmetry(*[param(n) for n in "abck"], g=_G, p=p, check=False)
+    flag, residual = _row_route(vf, p)
+    want = _g_phi(linearized_constraint(_G, p), p)
+    if flag or not equal(residual, want):
+        raise AssertionError("the residual of general_symmetry is %r, not %r" % (residual, want))
 
 
 # the four explicit generators
@@ -250,14 +315,10 @@ def linearized_constraint(g: Expr, p: ThomasParams = ThomasParams()) -> Expr:
 
 def v_g(g: Expr, p: ThomasParams = ThomasParams(), check: bool = True) -> VectorField:
     """The infinite-family generator -(g/gamma) e^{-gamma u} d/du."""
+    g = _wrap(g)
     if check:
-        constraint = linearized_constraint(g, p)
-        if not is_zero(constraint):
-            raise ParameterError(
-                "g does not satisfy the linearized equation; residual %r" % constraint
-            )
-    phi = mul(Rat(-1), g, app("exp", mul(Rat(-1), p.gamma, U)), pow_(p.gamma, -1))
-    return VectorField(Rat(0), Rat(0), phi)
+        _check_g(g, p)
+    return _kept(VectorField(ZERO, ZERO, _g_phi(g, p)), (ZERO,) * 4, g, p, check)
 
 
 def general_symmetry(
@@ -280,9 +341,44 @@ def general_symmetry(
         eta = add(mul(k, p.gamma, Y), b)
         phi = add(mul(k, add(mul(p.beta, X), mul(Rat(-1), p.alpha, Y))), a)
     g = _wrap(g)
-    if not _is_zero(g) and not is_zero(g):
-        phi = add(v_g(g, p, check).phi, phi)
-    return VectorField(xi, eta, phi)
+    if _is_zero(g) or is_zero(g):
+        g = ZERO
+    else:
+        if check:
+            _check_g(g, p)
+        phi = add(_g_phi(g, p), phi)
+    return _kept(VectorField(xi, eta, phi), (a, b, c, k), g, p, check)
+
+
+def _check_g(g: Expr, p: ThomasParams) -> None:
+    constraint = linearized_constraint(g, p)
+    if not is_zero(constraint):
+        raise ParameterError(
+            "g does not satisfy the linearized equation; residual %r" % constraint
+        )
+
+
+def _g_phi(g: Expr, p: ThomasParams) -> Expr:
+    """-(g/gamma) e^{-gamma u}: the phi of v_g, and at g's linearized
+    equation the residual of every field general_symmetry builds with g."""
+    return mul(Rat(-1), g, app("exp", mul(Rat(-1), p.gamma, U)), pow_(p.gamma, -1))
+
+
+def _constant(e: Expr) -> bool:
+    """e holds no x, y, u, jet or unknown function: rationals and named
+    constants only."""
+    return type(e) is Rat or all(type(s) is Sym and s.kind == PARAM for s in atoms(e))
+
+
+def _kept(vf: VectorField, coords, g: Expr, p: ThomasParams, proved: bool) -> VectorField:
+    """vf, keeping (k, g, p, proved) for ``check_symmetry`` where the
+    proved identity covers it: the coordinates (a, b, c, k) and the
+    constants free of x, y and u, and g a function of (x, y), as the
+    linearized check has found it where ``proved``."""
+    if (all(map(_constant, (*coords, p.alpha, p.beta, p.gamma)))
+            and (proved or _is_zero(g) or not contains_jet(g) and differentiate(g, U) == ZERO)):
+        object.__setattr__(vf, "_built", (coords[3], g, p, proved))
+    return vf
 
 
 def exponential_g(lam, p: ThomasParams = ThomasParams()):

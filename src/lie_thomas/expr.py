@@ -147,9 +147,10 @@ class Sym(Expr):
 
 class Func(Expr):
     """The unknown function `name` of the variables named in `params`,
-    differentiated `derivs[i]` times by the i-th: a leaf, like Sym."""
+    differentiated `derivs[i]` times by the i-th: a leaf, like Sym.
+    ``suffix`` is its printed partial, "_xu" for xi_xu and "" for xi."""
 
-    __slots__ = ("name", "params", "derivs")
+    __slots__ = ("name", "params", "derivs", "suffix")
 
     def __init__(self, name, params, derivs):
         self._hash = None
@@ -157,14 +158,11 @@ class Func(Expr):
         self.name = name
         self.params = tuple(params)
         self.derivs = tuple(derivs)
+        s = "".join([p * n for p, n in zip(self.params, self.derivs)])
+        self.suffix = "_" + s if s else ""
 
     def _compute_key(self):
         return (2, self.name, self.derivs, tuple(Sym(p, VAR).key() for p in self.params))
-
-    @property
-    def suffix(self):
-        s = "".join(p * n for p, n in zip(self.params, self.derivs))
-        return "_" + s if s else ""
 
 
 class Add(Expr):

@@ -63,6 +63,12 @@ class VectorField(Record):
     eta: Expr
     phi: Expr
 
+    # (k, g, constants, proved) of a field that ``determining.general_symmetry``
+    # or ``v_g`` built, which ``check_symmetry`` reads off; not a record
+    # field, so VectorField(...) never sets it and equality and hashing
+    # do not read it
+    _built = None
+
     def __post_init__(self):
         for name, c in (("xi", self.xi), ("eta", self.eta), ("phi", self.phi)):
             c = _wrap(c)

@@ -5,7 +5,6 @@ contract is auditable from a single pytest run.
 """
 
 import functools
-import math
 import random
 import time
 from fractions import Fraction

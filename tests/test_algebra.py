@@ -20,7 +20,7 @@ from lie_thomas.algebra import (
     group_action,
     transform_solution,
 )
-from lie_thomas.determining import ParameterError, ThomasParams, exponential_g, general_symmetry, v_g
+from lie_thomas.determining import ParameterError, ThomasParams, exponential_g, general_symmetry
 from lie_thomas.expr import (
     ALPHA,
     BETA,
@@ -32,7 +32,6 @@ from lie_thomas.expr import (
     differentiate,
     evaluate,
     exp,
-    mul,
     param,
     pow_,
 )

@@ -11,7 +11,6 @@ from lie_thomas import classifier
 from lie_thomas.algebra import AlgebraElement, AlgebraError, adjoint, adjoint_scaling
 from lie_thomas.cases import TAGS
 from lie_thomas.classifier import (
-    CanonicalCase,
     ClassificationError,
     apply_word,
     classify,

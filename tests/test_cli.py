@@ -69,6 +69,22 @@ def test_derive_text_and_latex_agree_on_row_count(capsys):
     assert any("\\varphi" in ln for ln in l_rows)
 
 
+@pytest.mark.parametrize("params, g", [
+    ("symbolic", "exp(x - y*alpha/(1 + beta))"), ("1,-1,3", "exp(2*x - 2*y)"),
+    ("0,0,1", "exp(x)"), ("2,3,-5", "exp(x - y/2)"),
+])
+def test_derive_certifies_the_basis_and_one_v_g(capsys, params, g):
+    """derive checks v1..v4 and one exponential v_g at its constants, at
+    lam = 2 where beta = -1 (lam + beta must be nonzero) and lam = 1
+    elsewhere; the JSON certificate and the text line say the same."""
+    _, out, _ = _run(capsys, "derive", "--params", params, "--format", "json")
+    cert = json.loads(out)["certificate"]
+    assert cert == {"g": g, "symmetry": dict.fromkeys(("v1", "v2", "v3", "v4", "v_g"), True)}
+    _, out, _ = _run(capsys, "derive", "--params", params)
+    assert out.splitlines()[-1] == ("symmetry certificate (v_g at g = %s): v1 pass, v2 pass, "
+                                    "v3 pass, v4 pass, v_g pass" % g)
+
+
 def test_tables_json(capsys):
     rc, out, _ = _run(capsys, "tables", "--params", "symbolic",
                       "--format", "json")

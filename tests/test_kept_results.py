@@ -168,8 +168,11 @@ def test_the_translations_build_nothing_they_throw_away(monkeypatch):
 
 
 def test_check_symmetry_differentiates_no_rational_partial(monkeypatch):
+    """On the row route, which the generators' hand-built copies take (the
+    generators themselves are read off with no partial taken)."""
     p = ThomasParams(2, -3, Fraction(5, 7))
-    fields = [v1(), v2(), v3(), v4(p), v_g(exponential_g(1, p)[0], p)]
+    fields = [VectorField(vf.xi, vf.eta, vf.phi)
+              for vf in (v1(), v2(), v3(), v4(p), v_g(exponential_g(1, p)[0], p))]
     differentiate = determining.differentiate
 
     def watched(e, s):

@@ -781,7 +781,9 @@ def test_kernel_does_no_arithmetic_with_a_known_result(seed, monkeypatch):
         commutator_table(p)
         adjoint_table(p)
         for vf in (v1(), v2(), v3(), v4(p), v_g(exponential_g(lam, p)[0], p)):
+            # the generator is read off; its hand-built copy takes the rows
             assert check_symmetry(vf, p)[0], vf
+            assert check_symmetry(VectorField(vf.xi, vf.eta, vf.phi), p)[0], vf
     assert known == []
 
 

@@ -187,15 +187,26 @@ def test_unused_import_scan_sees_a_dead_import():
     assert _unused_imports("import os\nfrom math import exp, log\nlog(os.sep)\n") == {"exp"}
 
 
+_PKG = os.path.dirname(lie_thomas.__file__)
+
+
+def _scanned_sources():
+    """(directory, module name, source) of each module of the package and
+    of each test file."""
+    for directory in (_PKG, os.path.dirname(__file__)):
+        for name in sorted(os.listdir(directory)):
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name)) as fh:
+                    yield directory, name[:-3], fh.read()
+
+
 def test_no_module_imports_a_name_it_does_not_use():
-    pkg = os.path.dirname(lie_thomas.__file__)
-    for name in sorted(os.listdir(pkg)):
-        module = name[:-3]
-        if not name.endswith(".py") or module == "__init__":
+    for directory, module, source in _scanned_sources():
+        if directory == _PKG and module == "__init__":
             continue
-        with open(os.path.join(pkg, name)) as fh:
-            unused = _unused_imports(fh.read()) - _REEXPORTS.get(module, set())
-        assert not unused, (module, sorted(unused))
+        unused = _unused_imports(source) - (_REEXPORTS.get(module, set()) if directory == _PKG
+                                            else set())
+        assert not unused, (directory, module, sorted(unused))
 
 
 def _dead_private_names(source: str):
@@ -234,8 +245,5 @@ def test_no_module_defines_a_private_name_it_does_not_read():
 def test_no_function_imports_a_name_it_does_not_use():
     probe = "def f():\n    from math import exp, log\n    return log(2)\n"
     assert _unused_local_imports(probe) == {("f", "exp")}
-    pkg = os.path.dirname(lie_thomas.__file__)
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name)) as fh:
-                assert not _unused_local_imports(fh.read()), name
+    for directory, module, source in _scanned_sources():
+        assert not _unused_local_imports(source), (directory, module)

@@ -14,7 +14,6 @@ from lie_thomas.expr import (
     U_XY,
     U_Y,
     U_YY,
-    UFunc,
     R,
     X,
     Y,
