@@ -18,6 +18,9 @@ symbolic constants, g and epsilon, and every other table binds alpha,
 beta, gamma, g and the partials g_x, g_y (or epsilon) in that one, through
 one substitution.  The entries are ring operations, exp and powers of
 gamma on those atoms, so binding them commutes with building the entry.
+The commutator table is antisymmetric: only its ten entries above the
+diagonal are bracketed and bound, and each one below is read off as the
+one above negated.
 
 Basis fields:
 
@@ -57,6 +60,7 @@ from .expr import (
     evaluate,
     mul,
     param,
+    scale,
     _is_zero,
     _substitution,
     _wrap,
@@ -187,13 +191,15 @@ def commutator_table(p: ThomasParams = ThomasParams(), g: Expr | None = None):
 
     Derived once, read at any constants, g and eps by binding: the
     symbolic table's alpha, beta, gamma, g, g_x and g_y are bound to p's
-    constants, g and its partials.  Each entry is built from those atoms by
-    ring operations, so binding commutes with taking the bracket; at
-    rational and at symbolic constants the entries are the very trees
-    ``commutator`` builds at p."""
+    constants, g and its partials in the ten entries above the diagonal,
+    and each entry below it is read off by antisymmetry, [w, v] = -[v, w],
+    as the bound entry above it negated part by part.  Each entry is built
+    from those atoms by ring operations, so binding commutes with taking
+    the bracket; at rational and at symbolic constants the entries are the
+    very trees ``commutator`` builds at p."""
     g = _G if g is None else g_element(g).g
     return _bind(_symbolic_tables()[0], p, {
-        _G: g, _G_X: differentiate(g, X), _G_Y: differentiate(g, Y)})
+        _G: g, _G_X: differentiate(g, X), _G_Y: differentiate(g, Y)}, antisymmetric=True)
 
 
 def adjoint_coords(i: int, val, coords, params):
@@ -258,28 +264,45 @@ _G = UFunc("g", ("x", "y"))()
 _G_X = differentiate(_G, X)
 _G_Y = differentiate(_G, Y)
 _EPS = param("epsilon")
+_UPPER = tuple((i, j) for i in range(5) for j in range(i + 1, 5))  # above the diagonal
 
 
 @cache
 def _symbolic_tables():
     """(commutator table, adjoint table) at the symbolic constants, g and
-    epsilon, derived once by ``commutator`` and ``adjoint`` on the basis."""
+    epsilon, derived once: ``commutator`` runs on the ten pairs i < j of
+    the basis, the diagonal is the zero element, and entry (j, i) is
+    entry (i, j) negated (``_negated``); ``adjoint`` runs on every pair."""
     p = ThomasParams()
     basis = [basis_element(i) for i in (1, 2, 3, 4)] + [g_element(_G)]
-    comm = tuple(tuple(commutator(r, c, p) for c in basis) for r in basis)
+    comm = [[AlgebraElement() if i == j else None for j in range(5)] for i in range(5)]
+    for i, j in _UPPER:
+        comm[i][j] = commutator(basis[i], basis[j], p)
+        comm[j][i] = _negated(comm[i][j], AlgebraElement)
     adj = tuple(tuple(adjoint(i, _EPS, basis[j], p) for j in range(4))
                 for i in (1, 2, 3, 4))
-    return comm, adj
+    return tuple(map(tuple, comm)), adj
 
 
-def _bind(table, p: ThomasParams, values: dict):
+def _negated(e: AlgebraElement, build) -> AlgebraElement:
+    """-e, built by ``build`` part by part with ``scale(-1, .)``; a zero
+    part is kept as it is."""
+    return build(*[a if _is_zero(a) else scale(-1, a) for a in (e.a1, e.a2, e.a3, e.a4, e.g)])
+
+
+def _bind(table, p: ThomasParams, values: dict, antisymmetric: bool = False):
     """``table`` with the constants bound to p's and every other atom in
     ``values`` to its value, through one substitution; an entry whose parts
     are all rational is kept as it is, and with every binding the identity
     the table is read as it is.  Where every bound value is rational the
     entries are built by ``AlgebraElement._unchecked``: the table's g parts
     passed the element's check, and rationals bound into them keep them
-    free of u.  Any other value may bring u in, and is checked."""
+    free of u.  Any other value may bring u in, and is checked.
+
+    An ``antisymmetric`` table is bound above its diagonal only: the
+    diagonal is kept, and entry (j, i) is the symbolic one where entry
+    (i, j) was kept, and otherwise bound entry (i, j) negated, built the
+    same way."""
     values = {ALPHA: p.alpha, BETA: p.beta, GAMMA: p.gamma, **values}
     values = {a: v for a, v in values.items() if v != a}
     if not values:
@@ -294,7 +317,14 @@ def _bind(table, p: ThomasParams, values: dict):
             return e
         return build(*[a if type(a) is Rat else sub(a) for a in parts])
 
-    return [[bound(e) for e in row] for row in table]
+    if not antisymmetric:
+        return [[bound(e) for e in row] for row in table]
+    out = [list(row) for row in table]
+    for i, j in _UPPER:
+        e = out[i][j] = bound(table[i][j])
+        if e is not table[i][j]:
+            out[j][i] = _negated(e, build)
+    return out
 
 
 # --- one-parameter groups ---------------------------------------------------

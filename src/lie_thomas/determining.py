@@ -32,8 +32,13 @@ once per process on the row route at symbolic constants, a, b, c, k and
 g (``_proved_identity``): the residual of general_symmetry(a, b, c, k, g)
 is -(1/gamma) e^{-gamma u} (alpha g_x + beta g_y + g_xy).  Such a field
 is a symmetry at every constant set when g = k = 0, and at its own
-constants when g = 0 or ``v_g`` has zero-tested g's linearized equation;
+constants when g = 0 or ``v_g`` has checked g on its linearized equation;
 otherwise its flag is that test and its residual the identity at g.
+``v_g`` checks an exponential g = e^{lambda x + mu y + nu} with constant
+lambda and mu by the dispersion relation alpha*lambda + beta*mu +
+lambda*mu = 0, which ``_proved_identity`` proves once per process too, and
+every other g by zero-testing alpha*g_x + beta*g_y + g_xy.  v1, v2 and v3
+depend on no constant and are built once.
 Every other field, and a kept field at other constants, takes the row
 route: the rows bound to its partials.
 """
@@ -47,6 +52,7 @@ from .expr import (
     ALPHA,
     BETA,
     GAMMA,
+    App,
     Expr,
     Func,
     PARAM,
@@ -269,36 +275,64 @@ _G = UFunc("g", ("x", "y"))()
 
 @cache
 def _proved_identity():
-    """Prove, once per process, the identity every field general_symmetry
-    builds is read off: on the row route, at the symbolic constants, a,
-    b, c and k, and g an unknown function of (x, y), the field fails with
-    residual -(1/gamma) e^{-gamma u} (alpha g_x + beta g_y + g_xy), the
-    phi of v_g at g's linearized equation (``_g_phi``).  The identity is
-    one of expressions in independent symbols and in the partials of g,
-    so it holds at every substitution of constants free of x, y and u for
-    the symbols (gamma nonzero) and of a function of (x, y) for g.  A
-    failed proof raises."""
+    """Prove, once per process, the two identities fields and g's are read
+    off.  A failed proof raises.
+
+    The field identity: on the row route, at the symbolic constants, a,
+    b, c and k, and g an unknown function of (x, y), general_symmetry's
+    field fails with residual -(1/gamma) e^{-gamma u} (alpha g_x +
+    beta g_y + g_xy), the phi of v_g at g's linearized equation
+    (``_g_phi``).  It holds at every substitution of constants free of x,
+    y and u for the symbols (gamma nonzero) and of a function of (x, y)
+    for g.
+
+    The dispersion relation: at the symbolic constants and symbolic
+    lambda, mu and nu, g = e^{lambda x + mu y + nu} has
+    linearized_constraint(g) = (alpha lambda + beta mu + lambda mu) g.
+    The constants enter linearly and undifferentiated, and lambda, mu and
+    nu are free of x and y, so it holds at every substitution of
+    expressions free of x and y for them (``_check_g``).  Each identity is
+    one of expressions in independent symbols and the partials of g."""
     p = ThomasParams()
     vf = general_symmetry(*[param(n) for n in "abck"], g=_G, p=p, check=False)
     flag, residual = _row_route(vf, p)
     want = _g_phi(linearized_constraint(_G, p), p)
     if flag or not equal(residual, want):
         raise AssertionError("the residual of general_symmetry is %r, not %r" % (residual, want))
+    lam, mu, nu = _RATES
+    g = exp(add(mul(lam, X), mul(mu, Y), nu))
+    constraint = linearized_constraint(g, p)
+    want = mul(_dispersion(lam, mu, p), g)
+    if not equal(constraint, want):
+        raise AssertionError("the linearized equation at %r is %r, not %r" % (g, constraint, want))
 
 
-# the four explicit generators
+_RATES = (param("lambda"), param("mu"), param("nu"))
+
+
+def _dispersion(lam: Expr, mu: Expr, p: ThomasParams) -> Expr:
+    """alpha*lambda + beta*mu + lambda*mu: e^{lambda x + mu y + nu} solves
+    the linearized equation iff this is zero."""
+    return add(mul(p.alpha, lam), mul(p.beta, mu), mul(lam, mu))
+
+
+# the four explicit generators; v1, v2 and v3 depend on no constant, and
+# are built once, at the end of the module
 
 
 def v1() -> VectorField:
-    return general_symmetry(c=1)
+    """d/dx, built once at import; every call returns that field."""
+    return _V1
 
 
 def v2() -> VectorField:
-    return general_symmetry(b=1)
+    """d/dy, built once at import; every call returns that field."""
+    return _V2
 
 
 def v3() -> VectorField:
-    return general_symmetry(a=1)
+    """d/du, built once at import; every call returns that field."""
+    return _V3
 
 
 def v4(p: ThomasParams = ThomasParams()) -> VectorField:
@@ -314,7 +348,10 @@ def linearized_constraint(g: Expr, p: ThomasParams = ThomasParams()) -> Expr:
 
 
 def v_g(g: Expr, p: ThomasParams = ThomasParams(), check: bool = True) -> VectorField:
-    """The infinite-family generator -(g/gamma) e^{-gamma u} d/du."""
+    """The infinite-family generator -(g/gamma) e^{-gamma u} d/du.  With
+    ``check`` g must solve the linearized equation at p (``_check_g``: an
+    exponential g by its dispersion relation, any other by
+    differentiation), or ParameterError names the residual."""
     g = _wrap(g)
     if check:
         _check_g(g, p)
@@ -351,8 +388,27 @@ def general_symmetry(
 
 
 def _check_g(g: Expr, p: ThomasParams) -> None:
+    """Raise ParameterError, naming linearized_constraint(g, p) as the
+    residual, unless g solves the linearized equation at p.
+
+    A g = exp(A) with A free of u and the jets, whose partials lambda =
+    A_x and mu = A_y are constants (``_constant``), is
+    e^{lambda x + mu y + nu} with nu free of x and y: it is decided by the
+    dispersion relation ``_proved_identity`` proves, alpha*lambda +
+    beta*mu + lambda*mu = 0, and its constraint is built only to name the
+    residual of one that fails.  Every other g is decided by zero-testing
+    its constraint."""
+    exponential = (type(g) is App and g.fn == "exp" and not contains_jet(g.arg)
+                   and _is_zero(differentiate(g.arg, U)))
+    if exponential:
+        lam, mu = differentiate(g.arg, X), differentiate(g.arg, Y)
+        exponential = _constant(lam) and _constant(mu)
+    if exponential:
+        _proved_identity()
+        if is_zero(_dispersion(lam, mu, p)):
+            return
     constraint = linearized_constraint(g, p)
-    if not is_zero(constraint):
+    if exponential or not is_zero(constraint):
         raise ParameterError(
             "g does not satisfy the linearized equation; residual %r" % constraint
         )
@@ -390,3 +446,6 @@ def exponential_g(lam, p: ThomasParams = ThomasParams()):
         raise ParameterError("lam + beta must be nonzero")
     mu = mul(Rat(-1), p.alpha, lam, pow_(denom, -1))
     return exp(add(mul(lam, X), mul(mu, Y))), mu
+
+
+_V1, _V2, _V3 = general_symmetry(c=1), general_symmetry(b=1), general_symmetry(a=1)

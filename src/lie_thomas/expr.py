@@ -52,7 +52,7 @@ def _wrap(value):
     if isinstance(value, Expr):
         return value
     if isinstance(value, _RATLIKE):
-        return Rat(Fraction(value))
+        return Rat(value)
     raise TypeError("exact expressions cannot absorb %r" % type(value).__name__)
 
 

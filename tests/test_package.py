@@ -6,6 +6,7 @@ import importlib
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 
@@ -114,6 +115,38 @@ def test_readme_library_example_runs_as_printed(capsys):
     line = re.fullmatch(r"max \|residual\| = (\S+) at \(.+\) over \d+ points "
                         r"\(\d+ outside domain\)\n", out)
     assert line and float(line.group(1)) < 1e-9, out
+
+
+def _readme_command_blocks():
+    """README's plain code blocks, each a list of its lines, with every
+    line a backslash continues joined to the next."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        text = f.read()
+    blocks = re.findall(r"^```\n(.*?)^```$", text, flags=re.M | re.S)
+    return [block.replace("\\\n", " ").splitlines() for block in blocks]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    """Every ``lie-thomas`` line of README runs through ``cli.main`` with
+    exit 0, in order and in one directory, so that ``solve --output
+    family.json`` feeds ``verify --family family.json``; the one block that
+    shows its output prints exactly that."""
+    from lie_thomas.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    ran = shown = 0
+    for lines in _readme_command_blocks():
+        commands = [line.removeprefix("$ ") for line in lines
+                    if line.removeprefix("$ ").startswith("lie-thomas ")]
+        for command in commands:
+            assert main(shlex.split(command)[1:]) == 0, command
+            ran += 1
+        out = capsys.readouterr().out
+        if lines[0].startswith("$ "):
+            assert len(commands) == 1 and out == "\n".join(lines[1:]) + "\n", (lines, out)
+            shown += 1
+    assert ran == 9 and shown == 1 and (tmp_path / "family.json").is_file()
 
 
 def test_console_script_is_the_cli_main():
